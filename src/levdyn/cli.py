@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -30,6 +29,7 @@ from .config import (
     load_config,
     merge_preset,
     parse_config,
+    read_document,
 )
 from .errors import (
     InsolvencyError,
@@ -99,17 +99,7 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
 def _load(args: argparse.Namespace) -> ExperimentConfig:
     if args.preset is None:
         return load_config(args.config)
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    merged = merge_preset(document, PRESETS[args.preset])
-    return parse_config(merged)
+    return parse_config(merge_preset(read_document(args.config), PRESETS[args.preset]))
 
 
 def _initial_state(

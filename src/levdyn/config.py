@@ -327,18 +327,23 @@ def parse_config(document: Mapping[str, Any]) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse a JSON config file, mapping syntax errors to ConfigError."""
+def read_document(path: str) -> Any:
+    """The raw JSON document of a config file, mapping read and syntax
+    errors to ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    return parse_config(document)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Parse a JSON config file, mapping syntax errors to ConfigError."""
+    return parse_config(read_document(path))
 
 
 def merge_preset(

@@ -125,10 +125,10 @@ def lyapunov_spectrum(
     while done < steps:
         block = min(reorth_every, steps - done)
         for _ in range(block):
-            step_idx = transient + done + 1
-            jac = coupled_jacobian(lams, params)
-            q = jac @ q
-            lams = _advance_checked(lams, params, step_idx)
+            # advance first: its checks raise before an undefined Jacobian
+            new = _advance_checked(lams, params, transient + done + 1)
+            q = coupled_jacobian(lams, params) @ q
+            lams = new
             done += 1
         q, r = np.linalg.qr(q)
         diag = np.abs(np.diag(r))
@@ -169,6 +169,8 @@ def lyapunov_top(
     v /= np.linalg.norm(v)
     total = 0.0
     for t in range(steps):
+        # advance first: its checks raise before an undefined Jacobian
+        new = _advance_checked(lams, params, transient + t + 1)
         v = coupled_jacobian(lams, params) @ v
         norm = float(np.linalg.norm(v))
         if norm > 0.0:
@@ -178,7 +180,7 @@ def lyapunov_top(
             total += LOG_FLOOR
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
-        lams = _advance_checked(lams, params, transient + t + 1)
+        lams = new
     return total / steps
 
 

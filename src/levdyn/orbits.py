@@ -196,11 +196,28 @@ def detect_period(
         raise InsufficientTraceError(
             f"need at least {window} recorded steps, have {trace.n_recorded}"
         )
-    w = trace.recorded[-window:]
+    return window_periods(trace.recorded[None], p_max, tol)[0]
+
+
+def window_periods(blocks: np.ndarray, p_max: int, tol: float) -> list[PeriodReport]:
+    """detect_period's window test on the last 3 * p_max rows of every
+    block of a (blocks x rows x columns) array, all lags at once.
+
+    The caller vouches that each block is a clean run with at least
+    3 * p_max rows.
+    """
+    window = 3 * p_max
+    w = blocks[:, -window:]
+    periods: list[int | None] = [None] * len(w)
+    open_ = np.ones(len(w), dtype=bool)
     for p in range(1, p_max + 1):
-        if np.max(np.abs(w[p:] - w[:-p])) < tol:
-            return PeriodReport(period=p, tol=tol, window=window)
-    return PeriodReport(period=None, tol=tol, window=window)
+        if not open_.any():
+            break
+        hits = open_ & (np.max(np.abs(w[:, p:] - w[:, :-p]), axis=(1, 2)) < tol)
+        for b in np.flatnonzero(hits).tolist():
+            periods[b] = p
+        open_ &= ~hits
+    return [PeriodReport(period=p, tol=tol, window=window) for p in periods]
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .orbits import (
     PeriodReport,
     classify,
     iterate,
+    window_periods,
 )
 from .params import LeverageState, ModelParams
 
@@ -253,8 +254,8 @@ def forcing_response_classification(
         step, constraint = trace.violation
         raise OrbitViolationError(step, constraint)
 
-    forcing_period = _detect_on(trace.recorded[:, 1:2], p_max, tol)
-    forced_period = _detect_on(trace.recorded[:, 0:1], p_max, tol)
+    # one block per coordinate: bank 1 is forced, bank 2 forces
+    forced_period, forcing_period = window_periods(trace.recorded.T[:, :, None], p_max, tol)
 
     forcing_exp = lyapunov_1d(
         omega2, params, x0=y0, transient=transient, steps=20_000
@@ -274,13 +275,3 @@ def forcing_response_classification(
         forcing_exponent=forcing_exp,
         fiber_exponent=fiber_exp,
     )
-
-
-def _detect_on(columns: np.ndarray, p_max: int, tol: float) -> PeriodReport:
-    """Period detection on a column subset of a recorded trace."""
-    window = 3 * p_max
-    w = columns[-window:]
-    for p in range(1, p_max + 1):
-        if np.max(np.abs(w[p:] - w[:-p])) < tol:
-            return PeriodReport(period=p, tol=tol, window=window)
-    return PeriodReport(period=None, tol=tol, window=window)

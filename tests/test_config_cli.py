@@ -81,6 +81,22 @@ class TestConfigParsing:
             load_config(str(path))
         assert "line" in str(info.value)
 
+    @pytest.mark.parametrize("preset", [[], ["--preset", "fig5"]])
+    def test_read_errors_same_with_and_without_preset(self, tmp_path, capsys, preset):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{\n  oops\n}")
+        missing = tmp_path / "missing.json"
+        assert main(["bifurcate", "--config", str(bad), *preset]) == 2
+        assert main(["bifurcate", "--config", str(missing), *preset]) == 2
+        err = capsys.readouterr().err.splitlines()
+        lines = [line for line in err if line.startswith("levdyn:")]
+        assert lines[0] == (
+            "levdyn: configuration error: invalid JSON at line 2, column 3: "
+            "Expecting property name enclosed in double quotes"
+        )
+        assert lines[1].startswith("levdyn: configuration error: cannot read config: ")
+        assert str(missing) in lines[1]
+
 
 class TestCsvRoundTrip:
     def test_floats_survive_exactly(self, rng):
@@ -294,6 +310,26 @@ class TestCliCommands:
         values = sorted({float(r[0]) for r in rows})
         assert len(values) == 9
         assert values[0] == 0.0 and values[-1] == 1.0
+
+    def test_bifurcate_survives_escape_in_exponent_run(self, tmp_path):
+        # at omega2 = 0.15 the surviving initial escapes only in the longer
+        # exponent run; the sweep goes on with that exponent left open
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"omegas": [0.05, 0.5], "pis": [0.4, 0.6]},
+                "run": {"seed": 0, "transient": 0, "record": 3},
+                "sweep": {"axis": "omega2", "range": [0, 1], "resolution": 21},
+            },
+        )
+        out = tmp_path / "sweep.csv"
+        code = main(["bifurcate", "--config", cfg, "--out", str(out), "--workers", "1"])
+        assert code == 0
+        _, columns, rows = read_csv(out.open())
+        at = [r for r in rows if r[0] == "0.15000000000000002"]
+        assert len(at) == 3 * 2
+        assert {r[columns.index("lyapunov_top")] for r in at} == {""}
+        assert {r[columns.index("classification")] for r in at} == {"unresolved"}
 
 
 class TestReproducibility:

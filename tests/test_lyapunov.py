@@ -124,6 +124,18 @@ class TestSpectrum:
         assert est.saturated
         assert est.exponents[-1] == LOG_FLOOR
 
+    def test_top_escape_between_steps_is_a_violation(self):
+        # the orbit survives 3 steps, then its mean field passes 1 + gamma
+        # between tangent steps, before the Jacobian at that state is built
+        params = two_bank(0.05, 0.15000000000000002, 0.4)
+        state = LeverageState.from_lambdas((96.95171505688967, 91.702620462896), params)
+        assert iterate(state, params, transient=0, record=3).survived
+        with pytest.raises(OrbitViolationError) as info:
+            lyapunov_top(state, params, transient=0, steps=2000)
+        assert (info.value.step, info.value.constraint) == (6, "ar1_stationarity")
+        with pytest.raises(OrbitViolationError):
+            lyapunov_spectrum(state, params, transient=0, steps=2000)
+
     def test_top_estimate_matches_spectrum(self):
         p = two_bank(0.5, 0.3, 0.5)
         state = LeverageState.from_lambdas([50.0, 60.0], p)

@@ -1,11 +1,25 @@
 from __future__ import annotations
 
+import math
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from levdyn import sweep
 from levdyn.params import ModelParams
 from levdyn.skew import forcing_response_classification
-from levdyn.sweep import SweepSpec, run_sweep, stability_map
+from levdyn.sweep import (
+    SWEEP_AXES,
+    SweepRecord,
+    SweepSpec,
+    _eval_chunk,
+    _eval_point,
+    run_sweep,
+    stability_map,
+)
 
 from conftest import two_bank
 
@@ -102,10 +116,15 @@ class TestMemorySweep:
         spec = omega_sweep(resolution=13, record=210, transient=800)
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
+        assert len(serial) == len(parallel) == 13
         for a, b in zip(serial, parallel):
             assert a.param_value == b.param_value
             assert a.classification == b.classification
             assert np.array_equal(a.samples, b.samples)
+            assert np.array_equal(a.branch, b.branch)
+            assert repr(a.lyapunov_top) == repr(b.lyapunov_top)
+            assert (a.period and a.period.label) == (b.period and b.period.label)
+            assert a.survival_fraction == b.survival_fraction
 
     def test_refinement_preserves_shared_points(self):
         coarse_spec = omega_sweep(lo=0.3, hi=0.9, resolution=7, record=210)
@@ -177,8 +196,6 @@ class TestStabilityMap:
                 fixed=STD1, transient=2500, record=400,
                 initials_per_point=2, rng_seed=3,
             )
-            from levdyn.sweep import _eval_point
-
             single[w] = _eval_point(spec, float(w)).classification
         for i, w in enumerate(omegas):
             assert result.classes[i, i] == single[w]
@@ -208,3 +225,116 @@ class TestStabilityMap:
         serial = stability_map(omegas, omegas, **kwargs)
         parallel = stability_map(omegas, omegas, workers=2, **kwargs)
         assert np.array_equal(serial.classes, parallel.classes)
+
+
+def record_key(rec: SweepRecord) -> tuple:
+    """Every field of a record, in a form that compares bit for bit."""
+    return (
+        repr(rec.param_value), rec.samples.shape, rec.samples.dtype, rec.samples.tobytes(),
+        rec.branch.dtype, rec.branch.tobytes(), repr(rec.lyapunov_top),
+        rec.period and (rec.period.period, rec.period.window, rec.period.tol),
+        repr(rec.survival_fraction), rec.classification,
+    )
+
+
+@st.composite
+def sweep_specs(draw) -> SweepSpec:
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    unit = st.floats(0.0, 1.0)
+    pi1 = draw(unit)
+    fixed = ModelParams(
+        gamma=draw(st.sampled_from([100.0, 40.0])),
+        omegas=(draw(unit),) if axis == "omega" else (draw(unit), draw(unit)),
+        pis=(1.0,) if axis == "omega" else (pi1, 1.0 - pi1),
+    )
+    lo = draw(st.floats(0.0, 0.9))
+    return SweepSpec(
+        axis=axis,
+        bounds=(lo, draw(st.floats(lo + 0.05, 1.0))),
+        resolution=draw(st.integers(2, 6)),
+        fixed=fixed,
+        transient=draw(st.integers(0, 60)),
+        record=draw(st.integers(3, 40)),
+        initials_per_point=draw(st.integers(1, 3)),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+# the escape case that once aborted a sweep: at omega2 = 0.15 the orbit
+# survives its 3 recorded steps, then leaves the domain in the exponent run
+ESCAPE_SPEC = SweepSpec(
+    axis="omega2", bounds=(0.0, 1.0), resolution=21,
+    fixed=two_bank(0.05, 0.5, 0.4), transient=0, record=3, rng_seed=0,
+)
+
+
+class TestBatchedEvaluator:
+    """The batched grid evaluator against the scalar reference path,
+    ``_eval_point``: iterate each initial, then detect_period,
+    lyapunov_top or lyapunov_1d, and classify on the first survivor."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=sweep_specs(), steps=st.integers(1, 300), data=st.data())
+    @example(spec=ESCAPE_SPEC, steps=2000, data=None)
+    def test_matches_scalar_reference(self, spec, steps, data):
+        values = [float(v) for v in spec.grid()]
+        cut = data.draw(st.integers(1, len(values) - 1)) if data else len(values) // 2
+        lanes = data.draw(st.integers(1, 8)) if data else 1
+        with patch.object(sweep, "LYAP_STEPS", steps):
+            expected = [record_key(_eval_point(spec, v)) for v in values]
+            whole = _eval_chunk(values, spec)
+            split = _eval_chunk(values[:cut], spec) + _eval_chunk(values[cut:], spec)
+            with patch.object(sweep, "BATCH_LANES", lanes):
+                batched = _eval_chunk(values, spec)
+        assert [record_key(r) for r in whole] == expected
+        assert [record_key(r) for r in split] == expected
+        assert [record_key(r) for r in batched] == expected
+
+    def test_escape_in_exponent_run_leaves_it_open(self):
+        for records in (run_sweep(ESCAPE_SPEC), _eval_chunk([0.1, 0.15000000000000002],
+                                                             ESCAPE_SPEC)):
+            rec = next(r for r in records if r.param_value == 0.15000000000000002)
+            assert rec.survival_fraction > 0
+            assert rec.lyapunov_top is None
+            assert rec.classification == "unresolved"
+
+    def test_vanished_tangent_falls_back_to_scalar(self):
+        # pi1 = 1 with omega2 = 0 maps the tangent (0, 1) to the zero
+        # vector; the scalar path then redraws from its generator
+        spec = SweepSpec(
+            axis="pi1", bounds=(0.5, 1.0), resolution=2,
+            fixed=two_bank(0.7, 0.0, 0.5), transient=50, record=30, rng_seed=4,
+        )
+        values = [float(v) for v in spec.grid()]
+        with (
+            patch.object(sweep, "LYAP_STEPS", 200),
+            patch.object(sweep, "_tangent_start", return_value=np.array([0.0, 1.0])),
+            patch.object(sweep, "_top_exponent", wraps=sweep._top_exponent) as scalar,
+        ):
+            batched = _eval_chunk(values, spec)
+            assert scalar.call_count == 1
+            expected = [_eval_point(spec, v) for v in values]
+        assert batched[1].lyapunov_top is not None
+        assert [record_key(r) for r in batched] == [record_key(r) for r in expected]
+
+    def test_stability_cells_match_omega1_points(self):
+        omega1s = np.array([0.1, 0.45, 0.8])
+        omega2s = np.array([0.2, 0.6])
+        kwargs = dict(transient=300, record=60, initials_per_point=2, rng_seed=8)
+        result = stability_map(omega1s, omega2s, pi1=0.4, params=STD1, workers=2, **kwargs)
+        for i, w1 in enumerate(omega1s):
+            for j, w2 in enumerate(omega2s):
+                spec = SweepSpec(axis="omega1", bounds=(0.0, 1.0), resolution=2,
+                                 fixed=two_bank(w1, w2, 0.4), **kwargs)
+                assert result.classes[i, j] == _eval_point(spec, float(w1)).classification
+
+    def test_stability_map_rejects_short_record(self):
+        with pytest.raises(ValueError, match="record >= 3"):
+            stability_map(np.array([0.5, 0.6]), np.array([0.5, 0.6]), 0.5, STD1, record=2)
+
+    def test_lane_logs_are_math_log(self):
+        # np.log rounds these inputs differently from math.log on some
+        # builds; the batched exponent sums math.log as the scalar path does
+        x = np.array([2.154630827426079, 1.0275974975708784, 2.1278710383618327,
+                      2.8789027629991506, *np.random.default_rng(0).uniform(0.05, 20.0, 500)])
+        assert sweep._logs(x).tolist() == [math.log(v) for v in x.tolist()]
