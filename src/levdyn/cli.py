@@ -42,8 +42,8 @@ from .micro import MicroParams, run_micro
 from .orbits import iterate, pair_sync
 from .params import LeverageState
 from .skew import constant_history, history_from_orbit, random_fixed_point
-from .sweep import SweepSpec, run_sweep, stability_map
-from .output import write_csv, write_json
+from .sweep import SweepRecord, SweepSpec, run_sweep, stability_map
+from .output import RowBlock, write_csv, write_json
 
 log = logging.getLogger("levdyn")
 
@@ -158,28 +158,37 @@ def cmd_bifurcate(config: ExperimentConfig, out: TextIO, workers: int) -> int:
         "param_value", "branch", "step", "bank", "lambda",
         "lyapunov_top", "period", "survival_fraction", "classification",
     ]
-    rows = []
-    for rec in records:
-        lyap = "" if rec.lyapunov_top is None else rec.lyapunov_top
-        period = "" if rec.period is None else rec.period.label
-        for r in range(rec.samples.shape[0]):
-            for bank in range(rec.samples.shape[1]):
-                rows.append([
-                    rec.param_value, int(rec.branch[r]), r, bank + 1,
-                    float(rec.samples[r, bank]), lyap, period,
-                    rec.survival_fraction, rec.classification,
-                ])
-        if rec.samples.shape[0] == 0:
-            rows.append([
-                rec.param_value, -1, -1, 0, "", lyap, period,
-                rec.survival_fraction, rec.classification,
-            ])
-    write_csv(out, columns, rows, config.sha256, seed)
+    write_csv(out, columns, _sweep_rows(records), config.sha256, seed)
     infeasible = sum(1 for rec in records if rec.classification == "infeasible")
     if infeasible > len(records) / 2:
         log.error("%d of %d grid points fully violated", infeasible, len(records))
         return EXIT_VIOLATION
     return EXIT_OK
+
+
+def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock | tuple]:
+    """The bifurcate rows, one RowBlock per grid point with survivors.
+
+    Rows run over the recorded steps, then the banks; a point with no
+    survivors gets one row with branch and step -1, bank 0 and no lambda.
+    """
+    for rec in records:
+        period = None if rec.period is None else rec.period.label
+        tail = (rec.lyapunov_top, period, rec.survival_fraction, rec.classification)
+        n, banks = rec.samples.shape
+        if n == 0:
+            yield (rec.param_value, -1, -1, 0, None, *tail)
+            continue
+        yield RowBlock(
+            (rec.param_value,),
+            (
+                np.repeat(rec.branch, banks),
+                np.repeat(np.arange(n), banks),
+                np.tile(np.arange(1, banks + 1), n),
+                rec.samples.ravel(),
+            ),
+            tail,
+        )
 
 
 def cmd_lyapunov(config: ExperimentConfig, out: TextIO) -> int:
@@ -220,7 +229,7 @@ def cmd_attractor(config: ExperimentConfig, out: TextIO) -> int:
     state, seed = _initial_state(config, "attractor")
     cloud = capture_cloud(state, config.model, config.run.transient, n_points)
     columns = ["lambda1", "lambda2"]
-    rows = ((float(p[0]), float(p[1])) for p in cloud.points)
+    rows = [RowBlock((), (cloud.points[:, 0], cloud.points[:, 1]), ())]
     write_csv(out, columns, rows, config.sha256, seed)
     return EXIT_OK
 
@@ -340,7 +349,9 @@ def cmd_stability_map(config: ExperimentConfig, out: TextIO, workers: int) -> in
             rows.append([float(w1), float(w2), result.classes[i, j]])
     write_csv(out, columns, rows, config.sha256, seed)
     flat = [c for row in result.classes for c in row]
-    if sum(1 for c in flat if c == "infeasible") > len(flat) / 2:
+    infeasible = sum(1 for c in flat if c == "infeasible")
+    if infeasible > len(flat) / 2:
+        log.error("%d of %d cells fully violated", infeasible, len(flat))
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -385,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"must be at least 1, got {args.workers}", key="--workers")
         config = _load(args)
         with _open_out(args.out) as out:
             if args.command == "simulate":

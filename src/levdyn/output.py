@@ -2,21 +2,28 @@
 
 CSV files open with '#'-prefixed provenance lines (tool version, config
 hash, seed, timestamp) followed by a header row; floats are serialized
-with 17 significant digits so every value round-trips exactly.  JSON
-reports carry the same provenance (minus the timestamp) as an embedded
-object, keeping the file valid JSON and byte-identical across reruns.
+with 17 significant digits so every value round-trips exactly, and None
+is an empty cell.  JSON reports carry the same provenance (minus the
+timestamp) as an embedded object, keeping the file valid JSON and
+byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
 
+#: most rows of a RowBlock formatted into one text; bounds the text held
+SLICE_ROWS = 8192
+
 
 def format_value(value: Any) -> str:
+    """One CSV cell: the reference every faster formatter must match."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -39,18 +46,55 @@ def provenance_lines(
     return lines
 
 
+class RowBlock(NamedTuple):
+    """Rows that share their leading and trailing cells.
+
+    Row i is ``[*head, *(c[i] for c in columns), *tail]``.  ``columns``
+    holds one or more equal-length 1-d numpy arrays.  The shared cells
+    are formatted once for the block and each column once per dtype, so
+    the text equals formatting every cell with ``format_value``.
+    """
+
+    head: Sequence[Any]
+    columns: Sequence[Any]
+    tail: Sequence[Any]
+
+
+def _format_column(values: Any) -> Iterator[str]:
+    items = values.tolist()
+    kind = values.dtype.kind
+    if kind == "f":
+        return map("{:.17g}".format, items)
+    if kind in "iu":
+        return map(str, items)
+    return map(format_value, items)
+
+
+def _block_texts(block: RowBlock) -> Iterator[str]:
+    head = "".join(format_value(v) + "," for v in block.head)
+    tail = "".join("," + format_value(v) for v in block.tail) + "\n"
+    for start in range(0, len(block.columns[0]), SLICE_ROWS):
+        cells = [_format_column(c[start:start + SLICE_ROWS]) for c in block.columns]
+        yield head + (tail + head).join(map(",".join, zip(*cells))) + tail
+
+
 def write_csv(
     stream: TextIO,
     columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    rows: Iterable[Sequence[Any] | RowBlock],
     config_sha256: str,
     seed: int | None,
 ) -> None:
+    """Provenance lines, the header, then each row or RowBlock as it arrives."""
     for line in provenance_lines(config_sha256, seed):
         stream.write(line + "\n")
     stream.write(",".join(columns) + "\n")
     for row in rows:
-        stream.write(",".join(format_value(v) for v in row) + "\n")
+        if isinstance(row, RowBlock):
+            for text in _block_texts(row):
+                stream.write(text)
+        else:
+            stream.write(",".join(format_value(v) for v in row) + "\n")
 
 
 def read_csv(stream: TextIO) -> tuple[dict[str, str], list[str], list[list[str]]]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -116,6 +117,7 @@ class TestCsvRoundTrip:
         assert format_value(True) == "1"
         assert format_value(False) == "0"
         assert format_value(7) == "7"
+        assert format_value(None) == ""
 
 
 class TestCliCommands:
@@ -289,6 +291,50 @@ class TestCliCommands:
         assert columns == ["omega1", "omega2", "classification"]
         assert len(rows) == 4
         assert rows[-1][2] == "fixed-point"
+
+    def test_stability_map_logs_violated_majority(self, tmp_path, caplog):
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"omegas": [0.5]},
+                "run": {"seed": 9, "transient": 100, "record": 30},
+                "stability": {
+                    "omega1_range": [0.0, 0.2],
+                    "omega2_range": [0.0, 0.2],
+                    "resolution": [2, 2],
+                    "pi1": 0.5,
+                    "initials_per_point": 1,
+                },
+            },
+        )
+        out = tmp_path / "stab.csv"
+        with caplog.at_level(logging.ERROR, logger="levdyn"):
+            code = main(["stability-map", "--config", cfg, "--out", str(out), "--workers", "1"])
+        assert code == 3
+        assert [r.getMessage() for r in caplog.records] == ["4 of 4 cells fully violated"]
+
+    @pytest.mark.parametrize("command", ["bifurcate", "stability-map"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_grid_commands_reject_workers_below_one(self, tmp_path, capsys, command, workers):
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": STD_MODEL,
+                "run": {"seed": 1, "transient": 10, "record": 5},
+                "sweep": {"axis": "pi1", "range": [0.0, 1.0], "resolution": 2},
+                "stability": {
+                    "omega1_range": [0.4, 0.6],
+                    "omega2_range": [0.4, 0.6],
+                    "resolution": [2, 2],
+                    "pi1": 0.5,
+                },
+            },
+        )
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert f"levdyn: configuration error: --workers: must be at least 1, got {workers}" in err
 
     def test_bifurcate_with_preset(self, tmp_path):
         cfg = write_config(
