@@ -1,10 +1,11 @@
 """Experiment configuration: JSON documents with strict key checking.
 
-Unknown keys are rejected with the offending dotted path; missing keys
-fall back to documented defaults (alpha = 1.64, gamma = 100,
-sigma_eps_sq = 0.0015^2, transient = 1000, record = 800).  Commands
-that draw randomness (sweeps, microstructure, sampled initials) demand
-an explicit seed.
+Unknown keys, and values of the wrong type or out of range, are
+rejected with the offending dotted path; missing keys fall back to
+documented defaults (alpha = 1.64, gamma = 100, sigma_eps_sq =
+0.0015^2, transient = 1000, record = 800).  Commands that draw
+randomness (sweeps, microstructure, sampled initials) demand an
+explicit seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
 from .params import (
@@ -24,18 +25,58 @@ from .params import (
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_RECORD = 800
+#: default of a key that must be present
+_REQUIRED = object()
 
 
-def _check_keys(block: Mapping[str, Any], allowed: set[str], path: str) -> None:
+def _check_keys(block: Any, allowed: set[str], path: str) -> None:
+    if not isinstance(block, Mapping):
+        raise ConfigError("must be a JSON object", key=path or None)
     for key in block:
         if key not in allowed:
             raise ConfigError("unknown key", key=f"{path}.{key}" if path else key)
 
 
-def _require(block: Mapping[str, Any], key: str, path: str) -> Any:
-    if key not in block:
-        raise ConfigError("missing required key", key=f"{path}.{key}")
-    return block[key]
+def _field(
+    block: Mapping[str, Any], path: str, key: str, kind: Callable[[Any], Any],
+    default: Any = _REQUIRED,
+) -> Any:
+    """``kind(block[key])``, or ``default`` when the key is absent or
+    null.  A missing required key and a value ``kind`` rejects with
+    TypeError or ValueError are ConfigErrors naming the dotted key."""
+    name = f"{path}.{key}" if path else key
+    if block.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError("missing required key", key=name)
+        return default
+    try:
+        return kind(block[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value {block[key]!r} ({exc})", key=name) from None
+
+
+def _at_least(lo: int) -> Callable[[Any], int]:
+    def convert(value: Any) -> int:
+        if int(value) < lo:
+            raise ValueError(f"must be at least {lo}")
+        return int(value)
+    return convert
+
+
+def _unit(value: Any) -> float:
+    if not 0.0 <= float(value) <= 1.0:
+        raise ValueError("must be in [0, 1]")
+    return float(value)
+
+
+def _list(kind: Callable[[Any], Any], length: int | None = None) -> Callable[[Any], tuple]:
+    """A converter of a non-empty JSON list, of ``length`` entries if given."""
+    def convert(value: Any) -> tuple:
+        if not isinstance(value, list) or not value or length not in (None, len(value)):
+            raise ValueError("must be a non-empty list" if length is None
+                             else f"must be a list of {length}")
+        return tuple(kind(v) for v in value)
+    return convert
 
 
 @dataclass(frozen=True)
@@ -135,24 +176,16 @@ def config_hash(document: Mapping[str, Any]) -> str:
 
 def _parse_model(block: Mapping[str, Any]) -> ModelParams:
     _check_keys(block, {"alpha", "gamma", "sigma_eps_sq", "omegas", "pis"}, "model")
-    omegas = _require(block, "omegas", "model")
-    if not isinstance(omegas, list) or not omegas:
-        raise ConfigError("must be a non-empty list", key="model.omegas")
-    pis = block.get("pis")
-    if pis is None:
-        if len(omegas) == 1:
-            pis = [1.0]
-        else:
-            raise ConfigError("required when more than one bank", key="model.pis")
-    if not isinstance(pis, list) or len(pis) != len(omegas):
-        raise ConfigError("must be a list matching omegas", key="model.pis")
+    omegas = _field(block, "model", "omegas", _list(float))
+    if block.get("pis") is None and len(omegas) > 1:
+        raise ConfigError("required when more than one bank", key="model.pis")
     try:
         return ModelParams(
-            alpha=float(block.get("alpha", DEFAULT_ALPHA)),
-            gamma=float(block.get("gamma", DEFAULT_GAMMA)),
-            sigma_eps_sq=float(block.get("sigma_eps_sq", DEFAULT_SIGMA_EPS_SQ)),
-            omegas=tuple(float(w) for w in omegas),
-            pis=tuple(float(p) for p in pis),
+            alpha=_field(block, "model", "alpha", float, DEFAULT_ALPHA),
+            gamma=_field(block, "model", "gamma", float, DEFAULT_GAMMA),
+            sigma_eps_sq=_field(block, "model", "sigma_eps_sq", float, DEFAULT_SIGMA_EPS_SQ),
+            omegas=omegas,
+            pis=_field(block, "model", "pis", _list(float, len(omegas)), (1.0,)),
         )
     except ValueError as exc:
         # name the offending key for parameter-level failures
@@ -163,131 +196,96 @@ def _parse_model(block: Mapping[str, Any]) -> ModelParams:
 
 def _parse_run(block: Mapping[str, Any]) -> RunBlock:
     _check_keys(block, {"transient", "record", "seed", "initial"}, "run")
-    initial = block.get("initial")
-    if initial is not None:
-        if not isinstance(initial, list) or not initial:
-            raise ConfigError("must be a non-empty list", key="run.initial")
-        initial = tuple(float(x) for x in initial)
-    transient = int(block.get("transient", DEFAULT_TRANSIENT))
-    record = int(block.get("record", DEFAULT_RECORD))
-    if transient < 0 or record < 0:
-        raise ConfigError("transient and record must be non-negative", key="run")
-    seed = block.get("seed")
     return RunBlock(
-        transient=transient,
-        record=record,
-        seed=None if seed is None else int(seed),
-        initial=initial,
+        transient=_field(block, "run", "transient", _at_least(0), DEFAULT_TRANSIENT),
+        record=_field(block, "run", "record", _at_least(0), DEFAULT_RECORD),
+        seed=_field(block, "run", "seed", int, None),
+        initial=_field(block, "run", "initial", _list(float), None),
     )
-
-
-def _parse_pair(value: Any, key: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError("must be a [lo, hi] pair", key=key)
-    return float(value[0]), float(value[1])
 
 
 def _parse_sweep(block: Mapping[str, Any]) -> SweepBlock:
     _check_keys(block, {"axis", "range", "resolution", "initials_per_point"}, "sweep")
     return SweepBlock(
-        axis=str(_require(block, "axis", "sweep")),
-        bounds=_parse_pair(_require(block, "range", "sweep"), "sweep.range"),
-        resolution=int(_require(block, "resolution", "sweep")),
-        initials_per_point=int(block.get("initials_per_point", 3)),
+        axis=_field(block, "sweep", "axis", str),
+        bounds=_field(block, "sweep", "range", _list(float, 2)),
+        resolution=_field(block, "sweep", "resolution", int),
+        initials_per_point=_field(block, "sweep", "initials_per_point", int, 3),
     )
 
 
 def _parse_attractor(block: Mapping[str, Any]) -> AttractorBlock:
     _check_keys(block, {"n_points"}, "attractor")
-    return AttractorBlock(n_points=int(block.get("n_points", 1_000_000)))
+    return AttractorBlock(n_points=_field(block, "attractor", "n_points", int, 1_000_000))
 
 
 def _parse_boxdim(block: Mapping[str, Any]) -> BoxdimBlock:
     _check_keys(block, {"eps_decades", "n_scales", "fit_range"}, "boxdim")
-    fit = block.get("fit_range")
-    if fit is not None:
-        if not isinstance(fit, list) or len(fit) != 2:
-            raise ConfigError("must be a [start, stop] index pair", key="boxdim.fit_range")
-        fit = (int(fit[0]), int(fit[1]))
     return BoxdimBlock(
-        eps_decades=float(block.get("eps_decades", 3.0)),
-        n_scales=int(block.get("n_scales", 12)),
-        fit_range=fit,
+        eps_decades=_field(block, "boxdim", "eps_decades", float, 3.0),
+        n_scales=_field(block, "boxdim", "n_scales", int, 12),
+        fit_range=_field(block, "boxdim", "fit_range", _list(int, 2), None),
     )
 
 
 def _parse_lyapunov(block: Mapping[str, Any]) -> LyapunovBlock:
     _check_keys(block, {"steps", "x0"}, "lyapunov")
-    x0 = block.get("x0")
     return LyapunovBlock(
-        steps=int(block.get("steps", 100_000)),
-        x0=None if x0 is None else float(x0),
+        steps=_field(block, "lyapunov", "steps", _at_least(1), 100_000),
+        x0=_field(block, "lyapunov", "x0", float, None),
     )
 
 
 def _parse_history(block: Mapping[str, Any]) -> HistorySpec:
-    _check_keys(
-        block, {"kind", "depth", "omega2", "level", "x0", "transient"}, "skew.history"
-    )
-    kind = str(_require(block, "kind", "skew.history"))
+    path = "skew.history"
+    _check_keys(block, {"kind", "depth", "omega2", "level", "x0", "transient"}, path)
+    kind = _field(block, path, "kind", str)
     if kind not in ("orbit", "constant"):
         raise ConfigError("kind must be 'orbit' or 'constant'", key="skew.history.kind")
-    depth = int(_require(block, "depth", "skew.history"))
-    omega2 = block.get("omega2")
-    level = block.get("level")
-    if kind == "orbit" and omega2 is None:
+    if kind == "orbit" and block.get("omega2") is None:
         raise ConfigError("orbit history needs omega2", key="skew.history.omega2")
-    if kind == "constant" and level is None:
+    if kind == "constant" and block.get("level") is None:
         raise ConfigError("constant history needs a level", key="skew.history.level")
     return HistorySpec(
         kind=kind,
-        depth=depth,
-        omega2=None if omega2 is None else float(omega2),
-        level=None if level is None else float(level),
-        x0=float(block.get("x0", 50.0)),
-        transient=int(block.get("transient", DEFAULT_TRANSIENT)),
+        depth=_field(block, path, "depth", int),
+        omega2=_field(block, path, "omega2", float, None),
+        level=_field(block, path, "level", float, None),
+        x0=_field(block, path, "x0", float, 50.0),
+        transient=_field(block, path, "transient", int, DEFAULT_TRANSIENT),
     )
 
 
 def _parse_skew(block: Mapping[str, Any]) -> SkewBlock:
     _check_keys(block, {"omega1", "tol", "history"}, "skew")
-    history = block.get("history")
     return SkewBlock(
-        omega1=float(_require(block, "omega1", "skew")),
-        tol=float(block.get("tol", 1e-10)),
-        history=None if history is None else _parse_history(history),
+        omega1=_field(block, "skew", "omega1", float),
+        tol=_field(block, "skew", "tol", float, 1e-10),
+        history=_field(block, "skew", "history", _parse_history, None),
     )
 
 
 def _parse_micro(block: Mapping[str, Any]) -> MicroBlock:
     _check_keys(block, {"n_intraday", "horizon", "equity_total", "zero_noise"}, "micro")
     return MicroBlock(
-        n_intraday=int(_require(block, "n_intraday", "micro")),
-        horizon=int(_require(block, "horizon", "micro")),
-        equity_total=float(block.get("equity_total", 1.0)),
-        zero_noise=bool(block.get("zero_noise", False)),
+        n_intraday=_field(block, "micro", "n_intraday", int),
+        horizon=_field(block, "micro", "horizon", int),
+        equity_total=_field(block, "micro", "equity_total", float, 1.0),
+        zero_noise=_field(block, "micro", "zero_noise", bool, False),
     )
 
 
 def _parse_stability(block: Mapping[str, Any]) -> StabilityBlock:
+    path = "stability"
     _check_keys(
-        block,
-        {"omega1_range", "omega2_range", "resolution", "pi1", "initials_per_point"},
-        "stability",
+        block, {"omega1_range", "omega2_range", "resolution", "pi1", "initials_per_point"}, path
     )
-    res = _require(block, "resolution", "stability")
-    if not isinstance(res, list) or len(res) != 2:
-        raise ConfigError("must be an [n1, n2] pair", key="stability.resolution")
     return StabilityBlock(
-        omega1_range=_parse_pair(
-            _require(block, "omega1_range", "stability"), "stability.omega1_range"
-        ),
-        omega2_range=_parse_pair(
-            _require(block, "omega2_range", "stability"), "stability.omega2_range"
-        ),
-        resolution=(int(res[0]), int(res[1])),
-        pi1=float(_require(block, "pi1", "stability")),
-        initials_per_point=int(block.get("initials_per_point", 3)),
+        omega1_range=_field(block, path, "omega1_range", _list(float, 2)),
+        omega2_range=_field(block, path, "omega2_range", _list(float, 2)),
+        resolution=_field(block, path, "resolution", _list(_at_least(2), 2)),
+        pi1=_field(block, path, "pi1", _unit),
+        initials_per_point=_field(block, path, "initials_per_point", int, 3),
     )
 
 
@@ -307,24 +305,16 @@ def parse_config(document: Mapping[str, Any]) -> ExperimentConfig:
     if not isinstance(document, Mapping):
         raise ConfigError("configuration root must be a JSON object")
     _check_keys(document, {"model", "run"} | set(_BLOCK_PARSERS), "")
-    model = _parse_model(_require(document, "model", ""))
+    model = _field(document, "", "model", _parse_model)
     run = _parse_run(document.get("run", {}))
-    blocks: dict[str, Any] = {}
-    for name, parser in _BLOCK_PARSERS.items():
-        raw = document.get(name)
-        blocks[name] = None if raw is None else parser(raw)
-    return ExperimentConfig(
-        model=model,
-        run=run,
-        sweep=blocks["sweep"],
-        attractor=blocks["attractor"],
-        boxdim=blocks["boxdim"],
-        lyapunov=blocks["lyapunov"],
-        skew=blocks["skew"],
-        micro=blocks["micro"],
-        stability=blocks["stability"],
-        sha256=config_hash(document),
-    )
+    if run.initial is not None and len(run.initial) != model.n_banks:
+        raise ConfigError(
+            f"needs {model.n_banks} leverages, one per bank, got {len(run.initial)}",
+            key="run.initial",
+        )
+    blocks = {name: _field(document, "", name, parser, None)
+              for name, parser in _BLOCK_PARSERS.items()}
+    return ExperimentConfig(model=model, run=run, **blocks, sha256=config_hash(document))
 
 
 def read_document(path: str) -> Any:

@@ -2,6 +2,12 @@
 products of analytic Jacobians, and the fiber exponent of the forced
 subsystem.
 
+The map exponents read their orbit from ``orbits._run``, the one scalar
+orbit loop, and build each Jacobian from a state and its recorded
+successor (``maps.step_jacobian``).  An orbit that leaves the feasible
+region has no exponent: they raise OrbitViolationError at the
+(step, constraint) that ``iterate`` records for it.
+
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
 """
@@ -10,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, OrbitViolationError
-from .maps import advance, coupled_jacobian, fiber_map, leverage_map, leverage_map_deriv
-from .orbits import AR1_STATIONARITY, LEVERAGE_FLOOR
-from .params import LeverageState, ModelParams, mean_field
+from .errors import DomainError, InfeasibleStateError, OrbitViolationError
+from .maps import fiber_map, step_jacobian
+from .orbits import _run
+from .params import LeverageState, ModelParams
 
 #: floor for log|derivative| at superstable points
 LOG_FLOOR = -700.0
@@ -40,11 +47,43 @@ class LyapunovEstimate:
         return self.exponents[0]
 
 
-def _check_1d_feasible(x: float, params: ModelParams, step: int) -> None:
-    if x < 1.0:
-        raise OrbitViolationError(step, LEVERAGE_FLOOR)
-    if not x < params.lambda_max:
-        raise OrbitViolationError(step, AR1_STATIONARITY)
+#: states an exponent run holds at once; longer windows are walked in
+#: blocks of this many steps, so memory does not grow with ``steps``
+BLOCK_STEPS = 1024
+
+
+def _run_checked(
+    lambdas: list[float], params: ModelParams, transient: int, record: int, offset: int
+) -> np.ndarray:
+    recorded, violation = _run(lambdas, params, transient, record)
+    if violation is not None:
+        step, constraint = violation
+        raise OrbitViolationError(offset + step, constraint)
+    return recorded
+
+
+def _window_jacobians(
+    lambdas: list[float], params: ModelParams, transient: int, steps: int
+) -> Iterator[np.ndarray]:
+    """Jacobians at the states transient .. transient + steps - 1 of the
+    orbit from ``lambdas``, in stacks of at most BLOCK_STEPS.
+
+    The orbit runs through ``orbits._run`` and each Jacobian is formed
+    from a state and its recorded successor.  Raises OrbitViolationError
+    with the (step, constraint) that ``iterate`` reports, before any
+    Jacobian of the block holding that step is yielded.
+    """
+    if steps < 1 or transient < 0:
+        raise ValueError("need steps >= 1 and transient >= 0")
+    if transient:
+        lambdas = _run_checked(lambdas, params, transient - 1, 1, 0)[0].tolist()
+    for done in range(0, steps, BLOCK_STEPS):
+        block = _run_checked(
+            lambdas, params, 0, min(BLOCK_STEPS, steps - done), transient + done
+        )
+        states = np.vstack(([lambdas], block))
+        yield step_jacobian(states[:-1], states[1:], params.omegas, params.pis, params)
+        lambdas = block[-1].tolist()
 
 
 def lyapunov_1d(
@@ -56,44 +95,32 @@ def lyapunov_1d(
 ) -> LyapunovEstimate:
     """Exponent (1/steps) sum log|T'(x_t)| of the single-bank map.
 
-    Raises OrbitViolationError if the orbit leaves [1, 1+gamma); the
-    exponent is undefined on a truncated orbit.
+    Raises OrbitViolationError if the orbit leaves the feasible region,
+    at step 0 for an infeasible ``x0``; the exponent is undefined on a
+    truncated orbit.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     p = params.with_single_omega(omega)
-    x = x0
-    _check_1d_feasible(x, p, 0)
-    for t in range(1, transient + 1):
-        x = leverage_map(x, omega, p)
-        _check_1d_feasible(x, p, t)
+    initial = LeverageState.from_lambdas([x0], p)
+    try:
+        initial.require_feasible()
+    except InfeasibleStateError as exc:
+        raise OrbitViolationError(0, exc.constraint) from None
     total = 0.0
     saturated = False
-    for t in range(transient + 1, transient + steps + 1):
-        deriv = abs(leverage_map_deriv(x, omega, p))
-        if deriv > 0.0:
-            total += math.log(deriv)
-        else:
-            total += LOG_FLOOR
-            saturated = True
-        x = leverage_map(x, omega, p)
-        _check_1d_feasible(x, p, t)
+    for jacs in _window_jacobians(list(initial.lambdas), p, transient, steps):
+        # a 1 x 1 Jacobian is T'(x)
+        for deriv in np.abs(jacs[:, 0, 0]).tolist():
+            if deriv > 0.0:
+                total += math.log(deriv)
+            else:
+                total += LOG_FLOOR
+                saturated = True
     return LyapunovEstimate(
         exponents=(total / steps,),
         steps_used=steps,
         transient=transient,
         saturated=saturated,
     )
-
-
-def _advance_checked(lams: list[float], params: ModelParams, step: int) -> list[float]:
-    m = mean_field(lams, params.pis)
-    if not m < params.lambda_max:
-        raise OrbitViolationError(step, AR1_STATIONARITY)
-    new = advance(lams, params)
-    if any(x < 1.0 for x in new):
-        raise OrbitViolationError(step, LEVERAGE_FLOOR)
-    return new
 
 
 def lyapunov_spectrum(
@@ -115,33 +142,28 @@ def lyapunov_spectrum(
         raise ValueError("need steps >= reorth_every >= 1")
     initial.require_feasible()
     n = params.n_banks
-    lams = list(initial.lambdas)
-    for t in range(1, transient + 1):
-        lams = _advance_checked(lams, params, t)
     q = np.eye(n)
     acc = np.zeros(n)
     saturated = False
     done = 0
-    while done < steps:
-        block = min(reorth_every, steps - done)
-        for _ in range(block):
-            # advance first: its checks raise before an undefined Jacobian
-            new = _advance_checked(lams, params, transient + done + 1)
-            q = coupled_jacobian(lams, params) @ q
-            lams = new
+    for jacs in _window_jacobians(list(initial.lambdas), params, transient, steps):
+        for jac in jacs:
+            q = jac @ q
             done += 1
-        q, r = np.linalg.qr(q)
-        diag = np.abs(np.diag(r))
-        for k in range(n):
-            if diag[k] > 0.0:
-                acc[k] += math.log(diag[k])
-            else:
-                acc[k] += LOG_FLOOR
-                saturated = True
-    exps = np.sort(acc / done)[::-1]
+            if done % reorth_every and done < steps:
+                continue
+            q, r = np.linalg.qr(q)
+            diag = np.abs(np.diag(r))
+            for k in range(n):
+                if diag[k] > 0.0:
+                    acc[k] += math.log(diag[k])
+                else:
+                    acc[k] += LOG_FLOOR
+                    saturated = True
+    exps = np.sort(acc / steps)[::-1]
     return LyapunovEstimate(
         exponents=tuple(float(v) for v in exps),
-        steps_used=done,
+        steps_used=steps,
         transient=transient,
         saturated=saturated,
     )
@@ -161,26 +183,21 @@ def lyapunov_top(
     """
     initial.require_feasible()
     n = params.n_banks
-    lams = list(initial.lambdas)
-    for t in range(1, transient + 1):
-        lams = _advance_checked(lams, params, t)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     total = 0.0
-    for t in range(steps):
-        # advance first: its checks raise before an undefined Jacobian
-        new = _advance_checked(lams, params, transient + t + 1)
-        v = coupled_jacobian(lams, params) @ v
-        norm = float(np.linalg.norm(v))
-        if norm > 0.0:
-            total += math.log(norm)
-            v /= norm
-        else:
-            total += LOG_FLOOR
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-        lams = new
+    for jacs in _window_jacobians(list(initial.lambdas), params, transient, steps):
+        for jac in jacs:
+            v = jac @ v
+            norm = float(np.linalg.norm(v))
+            if norm > 0.0:
+                total += math.log(norm)
+                v /= norm
+            else:
+                total += LOG_FLOOR
+                v = rng.standard_normal(n)
+                v /= np.linalg.norm(v)
     return total / steps
 
 

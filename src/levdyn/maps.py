@@ -101,24 +101,32 @@ def coupled_jacobian(lambdas: Sequence[float], params: ModelParams) -> np.ndarra
                           - (1-omega_i) K pi_j / (1+gamma-m)^3]
     where T_i is the updated leverage of bank i.
     """
-    new = advance(lambdas, params)
-    m = mean_field(lambdas, params.pis)
-    d = 1.0 + params.gamma - m
+    return step_jacobian(lambdas, advance(lambdas, params), params.omegas, params.pis, params)
+
+
+def step_jacobian(
+    lams: Sequence[float] | np.ndarray,
+    new: Sequence[float] | np.ndarray,
+    omegas: Sequence[float] | np.ndarray,
+    pis: Sequence[float] | np.ndarray,
+    params: ModelParams,
+) -> np.ndarray:
+    """coupled_jacobian at states ``lams`` (N, or states x N) whose step
+    is already known: ``new`` holds their successors.
+
+    ``omegas`` and ``pis`` broadcast against ``lams``, so a stack of
+    states may carry one memory and weight vector per state; ``params``
+    supplies gamma and the coupling coefficient.  Returns (..., N, N).
+    N = 1 with pi = 1 gives leverage_map_deriv exactly.
+    """
+    lams, new, omegas, pis = (np.asarray(a, dtype=float) for a in (lams, new, omegas, pis))
+    n = lams.shape[-1]
+    d = 1.0 + params.gamma - mean_field(lams.T, pis.T)
     kernel3 = params.coupling_coef / (d * d * d)
-    n = len(new)
-    jac = np.empty((n, n))
-    for i in range(n):
-        ti = new[i]
-        ti3 = ti * ti * ti
-        lam = lambdas[i]
-        own = params.omegas[i] / (lam * lam * lam)
-        coupling = (1.0 - params.omegas[i]) * kernel3
-        for j in range(n):
-            entry = -coupling * params.pis[j]
-            if i == j:
-                entry += own
-            jac[i, j] = ti3 * entry
-    return jac
+    entry = -((1.0 - omegas) * kernel3[..., None])[..., :, None] * pis[..., None, :]
+    # the diagonal, as a strided view of the fresh array
+    entry.reshape(*entry.shape[:-2], n * n)[..., :: n + 1] += omegas / (lams * lams * lams)
+    return (new * new * new)[..., :, None] * entry
 
 
 def fiber_map(x: float, y: float, omega1: float, params: ModelParams) -> float:

@@ -84,7 +84,11 @@ def _run(
 
     Arithmetic matches maps.advance term for term (mean field
     accumulated left to right, kernel formed once per step) so traces
-    and map evaluations agree bitwise.
+    and map evaluations agree bitwise.  This is the escape protocol of
+    every scalar analysis: step k stops the run if the state it starts
+    from has mean field at or above 1 + gamma, if a new leverage is
+    below 1, or if the new mean field is above 1 + gamma.  A state
+    exactly on the bound is recorded but cannot be advanced.
     """
     gamma = params.gamma
     lam_max = params.lambda_max

@@ -20,7 +20,7 @@ of the intraday return process when the weighted mean leverage is m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleStateError
@@ -99,13 +99,7 @@ class ModelParams:
 
     def with_single_omega(self, omega: float) -> "ModelParams":
         """Single-bank copy carrying the given memory weight."""
-        return ModelParams(
-            alpha=self.alpha,
-            gamma=self.gamma,
-            sigma_eps_sq=self.sigma_eps_sq,
-            omegas=(omega,),
-            pis=(1.0,),
-        )
+        return replace(self, omegas=(omega,), pis=(1.0,))
 
 
 def common_fixed_point(params: ModelParams) -> float:
@@ -123,7 +117,9 @@ def mean_field(lambdas: Sequence[float], pis: Sequence[float]) -> float:
     """Weighted mean leverage, accumulated left to right.
 
     Single accumulation order everywhere keeps orbit iteration, map
-    evaluation and the Jacobian bit-consistent with each other.
+    evaluation and the Jacobian bit-consistent with each other.  Given
+    arrays with the banks along the first axis (``lams.T``, ``pis.T``),
+    it forms the mean field of every state at once, in the same order.
     """
     m = 0.0
     for p, lam in zip(pis, lambdas):

@@ -20,21 +20,14 @@ forcing map; true inversion of the non-invertible map is never needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, OrbitViolationError, TailBoundError
 from .lyap import lyapunov_1d
-from .maps import fiber_map, leverage_map
-from .orbits import (
-    AR1_STATIONARITY,
-    LEVERAGE_FLOOR,
-    PeriodReport,
-    classify,
-    iterate,
-    window_periods,
-)
+from .maps import _check_open_domain, fiber_map, leverage_map
+from .orbits import PeriodReport, _run, classify, iterate, window_periods
 from .params import LeverageState, ModelParams
 
 
@@ -83,21 +76,18 @@ def history_from_orbit(
 
     Returns (history, y0) where y0 = T(past[0]) is the forcing
     leverage at time zero, i.e. the next value the forcing bank takes.
-    Raises OrbitViolationError if the forcing orbit leaves [1, 1+gamma).
+    The orbit runs through ``orbits._run`` and raises OrbitViolationError
+    at the (step, constraint) that ``iterate`` reports when it leaves the
+    feasible region.  DomainError for ``x0`` outside (0, 1 + gamma).
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if depth < 1 or transient < 0:
+        raise ValueError("need depth >= 1 and transient >= 0")
     p = params.with_single_omega(omega2)
-    x = x0
-    orbit = np.empty(depth)
-    for t in range(1, transient + depth + 1):
-        x = leverage_map(x, omega2, p)
-        if x < 1.0:
-            raise OrbitViolationError(t, LEVERAGE_FLOOR)
-        if not x < p.lambda_max:
-            raise OrbitViolationError(t, AR1_STATIONARITY)
-        if t > transient:
-            orbit[t - transient - 1] = x
+    _check_open_domain(x0, p.lambda_max, "leverage")
+    recorded, violation = _run([float(x0)], p, transient, depth)
+    if violation is not None:
+        raise OrbitViolationError(*violation)
+    orbit = recorded[:, 0]
     history = ForcingHistory(past=orbit[::-1].copy(), source="orbit-tail")
     y0 = leverage_map(float(orbit[-1]), omega2, p)
     return history, y0
@@ -241,13 +231,7 @@ def forcing_response_classification(
     """
     if steps < 3 * p_max:
         raise ValueError(f"need steps >= {3 * p_max} for period detection")
-    skew = ModelParams(
-        alpha=params.alpha,
-        gamma=params.gamma,
-        sigma_eps_sq=params.sigma_eps_sq,
-        omegas=(omega1, omega2),
-        pis=(0.0, 1.0),
-    )
+    skew = replace(params, omegas=(omega1, omega2), pis=(0.0, 1.0))
     initial = LeverageState.from_lambdas((x0, y0), skew)
     trace = iterate(initial, skew, transient=transient, record=steps)
     if not trace.survived:

@@ -13,9 +13,14 @@ With one worker, each grid point runs the scalar reference path
 ``lyapunov_1d``, ``classify``).  With more, each worker takes one
 contiguous chunk of the grid and evaluates it in batches: every
 (grid point, initial) pair of a batch is one lane, and all lanes advance
-together in numpy arrays.  The batched arithmetic repeats the scalar
-path operation for operation, so a record is bit-identical to it and to
-any other chunking of the grid.  Results aggregate in grid order.
+together in numpy arrays.  Every batched pass (the orbit, the tangent
+and the single-bank derivative) advances its lanes through one step,
+``_step``: ``orbits._run``'s update with its three checks in its order,
+so a lane stops where ``iterate`` would.  The tangent passes form their
+Jacobians with ``maps.step_jacobian``, as the scalar exponents do.  The
+batched arithmetic repeats the scalar path operation for operation, so a
+record is bit-identical to it and to any other chunking of the grid.
+Results aggregate in grid order.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ import numpy as np
 
 from .errors import OrbitViolationError
 from .lyap import LOG_FLOOR, lyapunov_1d, lyapunov_top
+from .maps import step_jacobian
 from .orbits import PeriodReport, classify, detect_period, iterate, window_periods
-from .params import LeverageState, ModelParams
+from .params import LeverageState, ModelParams, mean_field
 
 SWEEP_AXES = ("omega", "pi1", "omega1", "omega2")
 
@@ -201,12 +207,31 @@ def _infeasible(value: float, n_banks: int) -> SweepRecord:
     )
 
 
-def _mean_field(pis: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    # params.mean_field per lane: accumulated left to right from 0.0
-    m = 0.0 + pis[:, 0] * lams[:, 0]
-    for i in range(1, lams.shape[1]):
-        m = m + pis[:, i] * lams[:, i]
-    return m
+def _step(
+    lams: np.ndarray,
+    m: np.ndarray,
+    alive: np.ndarray,
+    omegas: np.ndarray,
+    pis: np.ndarray,
+    model: ModelParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of ``orbits._run`` on every lane of ``lams`` (lanes x
+    banks), whose mean fields are ``m``.
+
+    Clears ``alive`` where ``_run`` stops, with its three checks in its
+    order, and pins the leverages of a lane that has died at 1.  A
+    single-bank lane steps with pi = 1, since 0.0 + 1.0 * x is x.
+    Returns the new states and their mean fields.
+    """
+    alive &= m < model.lambda_max
+    d = 1.0 + model.gamma - m
+    kernel = model.coupling_coef / (d * d)
+    new = 1.0 / np.sqrt(omegas / (lams * lams) + (1.0 - omegas) * kernel[:, None])
+    alive &= ~(new < 1.0).any(axis=1)
+    new[~alive] = 1.0
+    m = mean_field(new.T, pis.T)
+    alive &= ~(m > model.lambda_max)
+    return new, m
 
 
 def _orbit_pass(
@@ -220,32 +245,41 @@ def _orbit_pass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``orbits._run`` on every lane of ``lams`` (lanes x banks) at once.
 
-    Clears ``alive`` at each lane's first violation, checked in
-    ``_run``'s order; a dead lane sits at leverage 1 from then on.
-    Returns the state at step ``transient`` and the recorded states,
-    shaped (record, lanes, banks).
+    Clears ``alive`` at each lane's first violation.  Returns the state
+    at step ``transient`` and the recorded states, shaped (record,
+    lanes, banks).
     """
-    lam_max = model.lambda_max
-    c = 1.0 + model.gamma
-    coef = model.coupling_coef
-    keep = 1.0 - omegas
     start = lams
     recorded = np.empty((record, *lams.shape))
-    m = _mean_field(pis, lams)
+    m = mean_field(lams.T, pis.T)
     for step in range(1, transient + record + 1):
-        alive &= m < lam_max
-        d = c - m
-        kernel = coef / (d * d)
-        lams = 1.0 / np.sqrt(omegas / (lams * lams) + keep * kernel[:, None])
-        alive &= ~(lams < 1.0).any(axis=1)
-        lams[~alive] = 1.0
-        m = _mean_field(pis, lams)
-        alive &= ~(m > lam_max)
+        lams, m = _step(lams, m, alive, omegas, pis, model)
         if step == transient:
             start = lams
         elif step > transient:
             recorded[step - transient - 1] = lams
     return start, recorded
+
+
+def _jacobians(
+    lams: np.ndarray,
+    omegas: np.ndarray,
+    pis: np.ndarray,
+    alive: np.ndarray,
+    model: ModelParams,
+    steps: int,
+) -> Iterator[np.ndarray]:
+    """The Jacobian stack of each of ``steps`` steps from ``lams``, as
+    ``maps.step_jacobian`` forms it from a state and its successor.
+
+    Clears ``alive`` as ``_step`` does, before the stack of the step
+    that killed a lane is yielded.
+    """
+    m = mean_field(lams.T, pis.T)
+    for _ in range(steps):
+        new, m = _step(lams, m, alive, omegas, pis, model)
+        yield step_jacobian(lams, new, omegas, pis, model)
+        lams = new
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
@@ -264,41 +298,24 @@ def _tangent_pass(
     """``lyapunov_top``'s tangent loop on every lane, from the states
     ``lams`` reached after the transient.
 
-    The Jacobian is built in ``coupled_jacobian``'s order.  The stacked
-    ``np.matmul`` calls run the same BLAS kernels per lane as ``jac @ v``
-    and ``np.linalg.norm(v)`` do.  Returns the summed log growth, whether
-    each lane stayed feasible, and whether its tangent norm ever hit 0
-    (where the scalar path redraws the vector).
+    The stacked ``np.matmul`` calls run the same BLAS kernels per lane
+    as ``jac @ v`` and ``np.linalg.norm(v)`` do.  Returns the summed log
+    growth, whether each lane stayed feasible, and whether its tangent
+    norm ever hit 0 (where the scalar path redraws the vector).
     """
     q, n = lams.shape
-    lam_max = model.lambda_max
-    c = 1.0 + model.gamma
-    coef = model.coupling_coef
-    keep = 1.0 - omegas
-    diag = np.arange(n)
     v = np.tile(v0, (q, 1))[:, :, None]
     total = np.zeros(q)
     ok = np.ones(q, dtype=bool)
     vanished = np.zeros(q, dtype=bool)
-    for _ in range(steps):
-        m = _mean_field(pis, lams)
-        ok &= m < lam_max
-        d = c - m
-        dd = d * d
-        new = 1.0 / np.sqrt(omegas / (lams * lams) + keep * (coef / dd)[:, None])
-        coupling = keep * (coef / (dd * d))[:, None]
-        entry = -coupling[:, :, None] * pis[:, None, :]
-        entry[:, diag, diag] += omegas / (lams * lams * lams)
-        v = np.matmul((new * new * new)[:, :, None] * entry, v)
+    for jac in _jacobians(lams, omegas, pis, ok, model, steps):
+        v = np.matmul(jac, v)
         norm = np.sqrt(np.matmul(v.reshape(q, 1, n), v)).reshape(q)
         grew = norm > 0.0
         vanished |= ok & ~grew
         norm[~grew] = 1.0
         total += _logs(norm)
         v /= norm[:, None, None]
-        lams = new
-        ok &= ~(lams < 1.0).any(axis=1)
-        lams[~ok] = 1.0
         v[~ok] = 1.0
     return total, ok, vanished
 
@@ -308,23 +325,14 @@ def _derivative_pass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``lyapunov_1d``'s loop on every single-bank lane, from the states
     ``x`` reached after the transient: the summed log|T'| (LOG_FLOOR where
-    T' is 0) and whether each lane stayed in [1, 1 + gamma)."""
-    lam_max = model.lambda_max
-    c = 1.0 + model.gamma
-    coef = model.coupling_coef
-    keep = 1.0 - omegas
+    T' is 0) and whether each lane stayed feasible."""
     total = np.zeros(len(x))
     ok = np.ones(len(x), dtype=bool)
-    for _ in range(steps):
-        d = c - x
-        dd = d * d
-        t = 1.0 / np.sqrt(omegas / (x * x) + keep * (coef / dd))
-        deriv = np.abs(t * t * t * (omegas / (x * x * x) - keep * (coef / (dd * d))))
+    lams = x[:, None]
+    for jac in _jacobians(lams, omegas[:, None], np.ones_like(lams), ok, model, steps):
+        deriv = np.abs(jac[:, 0, 0])
         grew = deriv > 0.0
         total += np.where(grew, _logs(np.where(grew, deriv, 1.0)), LOG_FLOOR)
-        x = t
-        ok &= ~(x < 1.0) & (x < lam_max)
-        x[~ok] = 1.0
     return total, ok
 
 
@@ -373,7 +381,7 @@ def _evaluate_batch(
     omegas = np.repeat([p.omegas for p in params], k, axis=0)
     pis = np.repeat([p.pis for p in params], k, axis=0)
     # LeverageState.feasible, lane by lane
-    alive = (draws >= 1.0).all(axis=1) & (_mean_field(pis, draws) <= model.lambda_max)
+    alive = (draws >= 1.0).all(axis=1) & (mean_field(draws.T, pis.T) <= model.lambda_max)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         start, recorded = _orbit_pass(draws, omegas, pis, alive, model, transient, record)
         survivors = alive.reshape(len(values), k)
@@ -507,13 +515,7 @@ def stability_map(
     omega2s = np.asarray(omega2s, dtype=float)
     if omega1s.size < 2 or omega2s.size < 2:
         raise ValueError("stability map needs at least a 2 x 2 grid")
-    base = ModelParams(
-        alpha=params.alpha,
-        gamma=params.gamma,
-        sigma_eps_sq=params.sigma_eps_sq,
-        omegas=(0.5, 0.5),
-        pis=(pi1, 1.0 - pi1),
-    )
+    base = replace(params, omegas=(0.5, 0.5), pis=(pi1, 1.0 - pi1))
     _check_run_lengths(transient, record, initials_per_point)
     if workers <= 1:
         columns = [

@@ -164,7 +164,7 @@ class TestCliCommands:
         out = tmp_path / "orbit.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
 
-    def test_config_errors_exit_2(self, tmp_path):
+    def test_config_errors_exit_2(self, tmp_path, capsys):
         bad = write_config(
             tmp_path, {"model": {"omegas": [0.5, 0.3], "pis": [0.5, 0.4]}}
         )
@@ -183,6 +183,28 @@ class TestCliCommands:
             "r.json",
         )
         assert main(["bifurcate", "--config", bad_resolution]) == 2
+        capsys.readouterr()
+        stability = {
+            "omega1_range": [0.0, 1.0], "omega2_range": [0.0, 1.0],
+            "resolution": [3, 3], "pi1": 0.5,
+        }
+        cases = [
+            ("simulate", {"run": {"transient": "abc", "initial": [50.0, 60.0]}},
+             "run.transient"),
+            ("simulate", {"run": {"initial": [50.0]}}, "run.initial"),
+            ("stability-map", {"run": {"seed": 1},
+                               "stability": {**stability, "resolution": [1, 3]}},
+             "stability.resolution"),
+            ("stability-map", {"run": {"seed": 1}, "stability": {**stability, "pi1": 1.5}},
+             "stability.pi1"),
+            ("lyapunov", {"run": {"initial": [50.0, 60.0]}, "lyapunov": {"steps": 0}},
+             "lyapunov.steps"),
+        ]
+        for command, document, key in cases:
+            cfg = write_config(tmp_path, {"model": STD_MODEL, **document}, "case.json")
+            assert main([command, "--config", cfg, "--workers", "1"]) == 2, key
+            err = capsys.readouterr().err
+            assert f"levdyn: configuration error: {key}: " in err, err
 
     def test_lyapunov_identity_memory_reports_zero(self, tmp_path):
         cfg = write_config(
