@@ -192,12 +192,11 @@ def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock | tuple]:
 
 
 def cmd_lyapunov(config: ExperimentConfig, out: TextIO) -> int:
-    block = config.lyapunov
-    steps = block.steps if block is not None else 100_000
+    steps = config.lyapunov.steps
     params = config.model
     if params.n_banks == 1:
-        if block is not None and block.x0 is not None:
-            x0, seed = block.x0, config.run.seed
+        if config.lyapunov.x0 is not None:
+            x0, seed = config.lyapunov.x0, config.run.seed
         else:
             state, seed = _initial_state(config, "lyapunov")
             x0 = state.lambdas[0]
@@ -225,9 +224,8 @@ def cmd_lyapunov(config: ExperimentConfig, out: TextIO) -> int:
 
 
 def cmd_attractor(config: ExperimentConfig, out: TextIO) -> int:
-    n_points = config.attractor.n_points if config.attractor else 1_000_000
     state, seed = _initial_state(config, "attractor")
-    cloud = capture_cloud(state, config.model, config.run.transient, n_points)
+    cloud = capture_cloud(state, config.model, config.run.transient, config.attractor.n_points)
     columns = ["lambda1", "lambda2"]
     rows = [RowBlock((), (cloud.points[:, 0], cloud.points[:, 1]), ())]
     write_csv(out, columns, rows, config.sha256, seed)
@@ -235,15 +233,11 @@ def cmd_attractor(config: ExperimentConfig, out: TextIO) -> int:
 
 
 def cmd_boxdim(config: ExperimentConfig, out: TextIO) -> int:
-    n_points = config.attractor.n_points if config.attractor else 1_000_000
     block = config.boxdim
     state, seed = _initial_state(config, "boxdim")
-    cloud = capture_cloud(state, config.model, config.run.transient, n_points)
+    cloud = capture_cloud(state, config.model, config.run.transient, config.attractor.n_points)
     fit = box_dimension(
-        cloud,
-        eps_decades=block.eps_decades if block else 3.0,
-        n_scales=block.n_scales if block else 12,
-        fit_range=block.fit_range if block else None,
+        cloud, eps_decades=block.eps_decades, n_scales=block.n_scales, fit_range=block.fit_range
     )
     write_json(
         out,
@@ -304,12 +298,8 @@ def cmd_micro(config: ExperimentConfig, out: TextIO) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc), key="micro") from None
-    if config.run.initial is not None:
-        initial = list(config.run.initial)
-    else:
-        rng = np.random.default_rng(seed)
-        initial = list(rng.uniform(1.0, config.model.lambda_max, config.model.n_banks))
-    run = run_micro(mp, initial)
+    state, _ = _initial_state(config, "micro")
+    run = run_micro(mp, state.lambdas)
     columns = [
         "period", "bank", "lambda_stochastic", "lambda_deterministic",
         "pi_drift_max", "phi_hat", "sigma_hat_sq",

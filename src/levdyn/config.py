@@ -152,9 +152,9 @@ class ExperimentConfig:
     model: ModelParams
     run: RunBlock = field(default_factory=RunBlock)
     sweep: SweepBlock | None = None
-    attractor: AttractorBlock | None = None
-    boxdim: BoxdimBlock | None = None
-    lyapunov: LyapunovBlock | None = None
+    attractor: AttractorBlock = field(default_factory=AttractorBlock)
+    boxdim: BoxdimBlock = field(default_factory=BoxdimBlock)
+    lyapunov: LyapunovBlock = field(default_factory=LyapunovBlock)
     skew: SkewBlock | None = None
     micro: MicroBlock | None = None
     stability: StabilityBlock | None = None
@@ -197,8 +197,8 @@ def _parse_model(block: Mapping[str, Any]) -> ModelParams:
 def _parse_run(block: Mapping[str, Any]) -> RunBlock:
     _check_keys(block, {"transient", "record", "seed", "initial"}, "run")
     return RunBlock(
-        transient=_field(block, "run", "transient", _at_least(0), DEFAULT_TRANSIENT),
-        record=_field(block, "run", "record", _at_least(0), DEFAULT_RECORD),
+        transient=_field(block, "run", "transient", _at_least(0), RunBlock.transient),
+        record=_field(block, "run", "record", _at_least(0), RunBlock.record),
         seed=_field(block, "run", "seed", int, None),
         initial=_field(block, "run", "initial", _list(float), None),
     )
@@ -210,29 +210,31 @@ def _parse_sweep(block: Mapping[str, Any]) -> SweepBlock:
         axis=_field(block, "sweep", "axis", str),
         bounds=_field(block, "sweep", "range", _list(float, 2)),
         resolution=_field(block, "sweep", "resolution", int),
-        initials_per_point=_field(block, "sweep", "initials_per_point", int, 3),
+        initials_per_point=_field(block, "sweep", "initials_per_point", _at_least(1),
+                                  SweepBlock.initials_per_point),
     )
 
 
 def _parse_attractor(block: Mapping[str, Any]) -> AttractorBlock:
     _check_keys(block, {"n_points"}, "attractor")
-    return AttractorBlock(n_points=_field(block, "attractor", "n_points", int, 1_000_000))
+    n_points = _field(block, "attractor", "n_points", _at_least(1), AttractorBlock.n_points)
+    return AttractorBlock(n_points=n_points)
 
 
 def _parse_boxdim(block: Mapping[str, Any]) -> BoxdimBlock:
     _check_keys(block, {"eps_decades", "n_scales", "fit_range"}, "boxdim")
     return BoxdimBlock(
-        eps_decades=_field(block, "boxdim", "eps_decades", float, 3.0),
-        n_scales=_field(block, "boxdim", "n_scales", int, 12),
-        fit_range=_field(block, "boxdim", "fit_range", _list(int, 2), None),
+        eps_decades=_field(block, "boxdim", "eps_decades", float, BoxdimBlock.eps_decades),
+        n_scales=_field(block, "boxdim", "n_scales", _at_least(4), BoxdimBlock.n_scales),
+        fit_range=_field(block, "boxdim", "fit_range", _list(int, 2), BoxdimBlock.fit_range),
     )
 
 
 def _parse_lyapunov(block: Mapping[str, Any]) -> LyapunovBlock:
     _check_keys(block, {"steps", "x0"}, "lyapunov")
     return LyapunovBlock(
-        steps=_field(block, "lyapunov", "steps", _at_least(1), 100_000),
-        x0=_field(block, "lyapunov", "x0", float, None),
+        steps=_field(block, "lyapunov", "steps", _at_least(1), LyapunovBlock.steps),
+        x0=_field(block, "lyapunov", "x0", float, LyapunovBlock.x0),
     )
 
 
@@ -248,11 +250,11 @@ def _parse_history(block: Mapping[str, Any]) -> HistorySpec:
         raise ConfigError("constant history needs a level", key="skew.history.level")
     return HistorySpec(
         kind=kind,
-        depth=_field(block, path, "depth", int),
+        depth=_field(block, path, "depth", _at_least(1)),
         omega2=_field(block, path, "omega2", float, None),
         level=_field(block, path, "level", float, None),
-        x0=_field(block, path, "x0", float, 50.0),
-        transient=_field(block, path, "transient", int, DEFAULT_TRANSIENT),
+        x0=_field(block, path, "x0", float, HistorySpec.x0),
+        transient=_field(block, path, "transient", _at_least(0), HistorySpec.transient),
     )
 
 
@@ -260,7 +262,7 @@ def _parse_skew(block: Mapping[str, Any]) -> SkewBlock:
     _check_keys(block, {"omega1", "tol", "history"}, "skew")
     return SkewBlock(
         omega1=_field(block, "skew", "omega1", float),
-        tol=_field(block, "skew", "tol", float, 1e-10),
+        tol=_field(block, "skew", "tol", float, SkewBlock.tol),
         history=_field(block, "skew", "history", _parse_history, None),
     )
 
@@ -270,8 +272,8 @@ def _parse_micro(block: Mapping[str, Any]) -> MicroBlock:
     return MicroBlock(
         n_intraday=_field(block, "micro", "n_intraday", int),
         horizon=_field(block, "micro", "horizon", int),
-        equity_total=_field(block, "micro", "equity_total", float, 1.0),
-        zero_noise=_field(block, "micro", "zero_noise", bool, False),
+        equity_total=_field(block, "micro", "equity_total", float, MicroBlock.equity_total),
+        zero_noise=_field(block, "micro", "zero_noise", bool, MicroBlock.zero_noise),
     )
 
 
@@ -285,7 +287,8 @@ def _parse_stability(block: Mapping[str, Any]) -> StabilityBlock:
         omega2_range=_field(block, path, "omega2_range", _list(float, 2)),
         resolution=_field(block, path, "resolution", _list(_at_least(2), 2)),
         pi1=_field(block, path, "pi1", _unit),
-        initials_per_point=_field(block, path, "initials_per_point", int, 3),
+        initials_per_point=_field(block, path, "initials_per_point", _at_least(1),
+                                  StabilityBlock.initials_per_point),
     )
 
 
@@ -312,8 +315,10 @@ def parse_config(document: Mapping[str, Any]) -> ExperimentConfig:
             f"needs {model.n_banks} leverages, one per bank, got {len(run.initial)}",
             key="run.initial",
         )
-    blocks = {name: _field(document, "", name, parser, None)
-              for name, parser in _BLOCK_PARSERS.items()}
+    # an absent block takes its ExperimentConfig default
+    blocks = {name: _field(document, "", name, parser)
+              for name, parser in _BLOCK_PARSERS.items()
+              if document.get(name) is not None}
     return ExperimentConfig(model=model, run=run, **blocks, sha256=config_hash(document))
 
 

@@ -15,12 +15,19 @@ blends it into its running estimate with memory omega_i, and sets the
 next target leverage 1/(alpha sigma).  As n grows the estimator noise
 shrinks at the CLT rate and the slow dynamics converge to the
 deterministic coupled map.
+
+One tick loop (``_ticks``) serves ``run_micro`` and ``step_intraday``;
+one re-target (``_retarget``) serves ``close_period`` and the zero-noise
+limit.  Asset weights and their drift are formed after each period from
+the stored per-tick assets.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -81,45 +88,76 @@ def _weights(target_assets: list[float]) -> list[float]:
     return [a / total for a in target_assets]
 
 
-def _tick(
-    equities: list[float],
-    target_assets: list[float],
-    lambdas: list[float],
-    r_prev: float,
-    gamma: float,
-    eps: float,
-) -> tuple[float, list[float]]:
-    """Advance one intraday tick in place; returns (r_s, new weights).
+def _impact(lambdas: list[float], assets: list[float], gamma: float) -> float:
+    """Price-impact coefficient phi = sum (lambda_i - 1) A_i / (gamma sum A_i),
+    both sums accumulated left to right from 0.0."""
+    demand = 0.0
+    total = 0.0
+    for lam, a in zip(lambdas, assets):
+        demand += (lam - 1.0) * a
+        total += a
+    return demand / (gamma * total)
 
-    Equity hitting zero raises the private _Insolvent sentinel carrying
-    the bank index; callers attach the period and re-raise the public
-    error.
+
+def _ticks(
+    equities: list[float], assets: list[float], lambdas: list[float], r: float,
+    gamma: float, eps: Iterable[float], period: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one intraday tick per shock in ``eps``, updating ``equities``
+    and ``assets`` in place from the return ``r`` before the first tick.
+
+    Each tick forms r_s = phi_s r_{s-1} + eps_s, marks every bank's
+    equity to market and rebalances it to lambda_i E_i; the pass over
+    the banks also accumulates the next tick's phi.  An equity that is
+    not positive (NaN included) raises InsolvencyError(period, bank).
+    Returns the tick returns and the asset weights after each tick
+    (ticks x banks), each row divided by its left-to-right sum.
     """
-    n = len(equities)
-    demand_coef = 0.0
-    total_assets = 0.0
-    for i in range(n):
-        a = target_assets[i]
-        demand_coef += (lambdas[i] - 1.0) * a
-        total_assets += a
-    phi_s = demand_coef / (gamma * total_assets)
-    r = phi_s * r_prev + eps
-    total_new = 0.0
-    for i in range(n):
-        e = equities[i] + r * target_assets[i]
-        if e <= 0.0:
-            raise _Insolvent(i)
-        equities[i] = e
-        a = lambdas[i] * e
-        target_assets[i] = a
-        total_new += a
-    weights = [a / total_new for a in target_assets]
-    return r, weights
+    banks = range(len(equities))
+    phi = _impact(lambdas, assets, gamma)
+    # raw doubles: 8 bytes a value, where a list of floats takes 32
+    returns = array("d")
+    held = array("d")
+    for shock in eps:
+        r = phi * r + shock
+        demand = 0.0
+        total = 0.0
+        for i in banks:
+            e = equities[i] + r * assets[i]
+            if not e > 0.0:
+                raise InsolvencyError(period=period, bank=i)
+            equities[i] = e
+            lam = lambdas[i]
+            a = lam * e
+            assets[i] = a
+            held.append(a)
+            demand += (lam - 1.0) * a
+            total += a
+        phi = demand / (gamma * total)
+        returns.append(r)
+    held_assets = np.frombuffer(held).reshape(len(returns), len(banks))
+    totals = sum(held_assets.T, np.zeros(len(returns)))
+    return np.frombuffer(returns), held_assets / totals[:, None]
 
 
-class _Insolvent(Exception):
-    def __init__(self, bank: int):
-        self.bank = bank
+def _retarget(
+    sigma_sq: list[float], omegas: tuple[float, ...], sigma_e_sq: float, alpha: float
+) -> tuple[list[float], list[float], bool]:
+    """Blend ``sigma_e_sq`` into each bank's variance estimate with
+    weight (1 - omega_i), floor it at SIGMA_SQ_FLOOR and re-target
+    leverage 1/(alpha sigma).  Returns (new_lambdas, new_sigma_sq,
+    floored)."""
+    new_sigma = []
+    new_lambdas = []
+    floored = False
+    for w, s in zip(omegas, sigma_sq):
+        s_new = w * s + (1.0 - w) * sigma_e_sq
+        if s_new < SIGMA_SQ_FLOOR:
+            s_new = SIGMA_SQ_FLOOR
+            floored = True
+        new_sigma.append(s_new)
+        new_lambdas.append(1.0 / (alpha * math.sqrt(s_new)))
+    return new_lambdas, new_sigma, floored
 
 
 def step_intraday(
@@ -128,9 +166,9 @@ def step_intraday(
     """One intraday tick: draw a shock, propagate the return, mark
     equities to market and rebalance to target assets.
 
-    Pure with respect to its input (works on copies); the bulk
-    simulator reuses the same arithmetic in place.  Insolvency raised
-    here carries period -1 (standalone tick outside a period loop).
+    Pure with respect to its input (works on copies): the tick loop of
+    ``run_micro`` on a single shock.  Insolvency raised here carries
+    period -1 (standalone tick outside a period loop).
     """
     for i, e in enumerate(state.equities):
         if not e > 0.0:
@@ -138,20 +176,17 @@ def step_intraday(
     equities = list(state.equities)
     target_assets = list(state.target_assets)
     eps = float(rng.normal(0.0, math.sqrt(params.sigma_eps_step_sq)))
-    try:
-        r, weights = _tick(
-            equities, target_assets, state.lambdas, state.last_return,
-            params.base.gamma, eps,
-        )
-    except _Insolvent as exc:
-        raise InsolvencyError(period=-1, bank=exc.bank) from None
+    returns, weights = _ticks(
+        equities, target_assets, state.lambdas, state.last_return,
+        params.base.gamma, [eps], -1,
+    )
     return MicroState(
         equities=equities,
         target_assets=target_assets,
         lambdas=list(state.lambdas),
         sigma_sq=list(state.sigma_sq),
-        last_return=r,
-        weights=weights,
+        last_return=float(returns[0]),
+        weights=weights[0].tolist(),
     )
 
 
@@ -171,10 +206,10 @@ def close_period(
         sigma_eps^2  = (1/n) sum (r_s - phi_hat r_{s-1})^2
         sigma_e^2    = n sigma_eps^2 / (1 - phi_hat)^2
 
-    Each bank blends sigma_e^2 into its running estimate with weight
-    (1 - omega_i) and re-targets leverage 1/(alpha sigma).  Returns
-    (new_lambdas, new_sigma_sq, phi_hat, sigma_eps_hat_sq, floored).
-    Raises NonstationaryError when |phi_hat| >= 1.
+    and ``_retarget`` blends sigma_e^2 into each bank's estimate.
+    Returns (new_lambdas, new_sigma_sq, phi_hat, sigma_eps_hat_sq,
+    floored).  Raises NonstationaryError when |phi_hat| >= 1 or phi_hat
+    is NaN.
     """
     n = len(returns)
     if n != params.n_intraday:
@@ -183,24 +218,15 @@ def close_period(
     prev[0] = r0
     prev[1:] = returns[:-1]
     den = float(np.dot(prev, prev))
-    phi_hat = float(np.dot(returns, prev)) / den if den > 0.0 else 0.0
-    if abs(phi_hat) >= 1.0:
+    phi_hat = float(np.dot(returns, prev)) / den if den != 0.0 else 0.0
+    if not abs(phi_hat) < 1.0:
         raise NonstationaryError(period=-1, phi_hat=phi_hat)
     resid = returns - phi_hat * prev
     sigma_eps_hat_sq = float(np.dot(resid, resid)) / n
     sigma_e_hat_sq = n * sigma_eps_hat_sq / ((1.0 - phi_hat) ** 2)
-
-    alpha = params.base.alpha
-    new_sigma = []
-    new_lambdas = []
-    floored = False
-    for w, s in zip(omegas, sigma_sq):
-        s_new = w * s + (1.0 - w) * sigma_e_hat_sq
-        if s_new < SIGMA_SQ_FLOOR:
-            s_new = SIGMA_SQ_FLOOR
-            floored = True
-        new_sigma.append(s_new)
-        new_lambdas.append(1.0 / (alpha * math.sqrt(s_new)))
+    new_lambdas, new_sigma, floored = _retarget(
+        sigma_sq, omegas, sigma_e_hat_sq, params.base.alpha
+    )
     return new_lambdas, new_sigma, phi_hat, sigma_eps_hat_sq, floored
 
 
@@ -254,12 +280,11 @@ def run_micro(
     equities = (
         initial_equities(params, lambdas) if equities is None else list(equities)
     )
-    if any(e <= 0.0 for e in equities):
+    if not all(e > 0.0 for e in equities):
         raise ValueError("initial equities must be positive")
     sigma_sq = [1.0 / (base.alpha * lam) ** 2 for lam in lambdas]
     target_assets = [lam * e for lam, e in zip(lambdas, equities)]
     rng = np.random.default_rng(params.rng_seed)
-    n = params.n_intraday
     sigma_step = math.sqrt(params.sigma_eps_step_sq)
 
     lam_sto = np.empty((params.horizon, n_banks))
@@ -272,63 +297,33 @@ def run_micro(
     det = list(lambdas)
     for t in range(params.horizon):
         if params.zero_noise:
-            m = mean_field(lambdas, base.pis)
-            phi = base.ar1_coef(m)
-            sigma_e_sq = base.sigma_eps_sq / ((1.0 - phi) ** 2)
-            new_sigma = []
-            new_lams = []
-            for w, s in zip(base.omegas, sigma_sq):
-                s_new = w * s + (1.0 - w) * sigma_e_sq
-                new_sigma.append(s_new)
-                new_lams.append(1.0 / (base.alpha * math.sqrt(s_new)))
-            sigma_sq = new_sigma
-            lambdas = new_lams
-            target_assets = [lam * e for lam, e in zip(lambdas, equities)]
+            phi = base.ar1_coef(mean_field(lambdas, base.pis))
+            lambdas, sigma_sq, floored = _retarget(
+                sigma_sq, base.omegas, base.sigma_eps_sq / ((1.0 - phi) ** 2),
+                base.alpha,
+            )
             phis[t] = phi
             sig_eps[t] = 0.0
         else:
             # stationary seed return, with phi taken from the actual asset
             # mix (identical to the configured-weight value at period 0)
-            demand = 0.0
-            total = 0.0
-            for i in range(n_banks):
-                demand += (lambdas[i] - 1.0) * target_assets[i]
-                total += target_assets[i]
-            phi0 = demand / (base.gamma * total)
-            if abs(phi0) >= 1.0:
+            phi0 = _impact(lambdas, target_assets, base.gamma)
+            if not abs(phi0) < 1.0:
                 raise NonstationaryError(period=t, phi_hat=phi0)
-            r = float(
-                rng.normal(0.0, sigma_step / math.sqrt(1.0 - phi0 * phi0))
-            )
-            r0 = r
-            eps_draws = rng.normal(0.0, sigma_step, n)
-            returns = np.empty(n)
+            r0 = float(rng.normal(0.0, sigma_step / math.sqrt(1.0 - phi0 * phi0)))
+            # a memoryview yields the shocks as Python floats, without a list
+            eps = memoryview(rng.normal(0.0, sigma_step, params.n_intraday))
             weights0 = _weights(target_assets)
-            max_drift = 0.0
+            returns, weights = _ticks(equities, target_assets, lambdas, r0, base.gamma, eps, t)
             try:
-                for s in range(n):
-                    r, weights = _tick(
-                        equities, target_assets, lambdas, r,
-                        base.gamma, float(eps_draws[s]),
-                    )
-                    returns[s] = r
-                    for i in range(n_banks):
-                        d = abs(weights[i] - weights0[i])
-                        if d > max_drift:
-                            max_drift = d
-            except _Insolvent as exc:
-                raise InsolvencyError(period=t, bank=exc.bank) from None
-            try:
-                lambdas, sigma_sq, phi_hat, s_eps, floored = close_period(
+                lambdas, sigma_sq, phis[t], sig_eps[t], floored = close_period(
                     returns, r0, sigma_sq, base.omegas, params
                 )
             except NonstationaryError as exc:
                 raise NonstationaryError(period=t, phi_hat=exc.phi_hat) from None
-            floored_any = floored_any or floored
-            target_assets = [lam * e for lam, e in zip(lambdas, equities)]
-            drift[t] = max_drift
-            phis[t] = phi_hat
-            sig_eps[t] = s_eps
+            drift[t] = np.max(np.abs(weights - weights0))
+        floored_any = floored_any or floored
+        target_assets = [lam * e for lam, e in zip(lambdas, equities)]
         lam_sto[t] = lambdas
         det = advance(det, base)
         lam_det[t] = det

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from levdyn.cli import main
-from levdyn.config import ConfigError, load_config, merge_preset, parse_config
+from levdyn.config import (
+    AttractorBlock,
+    ConfigError,
+    load_config,
+    merge_preset,
+    parse_config,
+)
 from levdyn.output import format_value, read_csv, write_csv
 
 STD_MODEL = {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}
@@ -38,6 +44,18 @@ class TestConfigParsing:
         assert cfg.model.pis == (1.0,)
         assert cfg.run.transient == 1000
         assert cfg.run.record == 800
+
+    def test_absent_blocks_take_block_defaults(self):
+        cfg = parse_config({"model": {"omegas": [0.4]}})
+        assert cfg.attractor == AttractorBlock() == parse_config(
+            {"model": {"omegas": [0.4]}, "attractor": {}}
+        ).attractor
+        assert cfg.attractor.n_points == 1_000_000
+        assert (cfg.boxdim.eps_decades, cfg.boxdim.n_scales, cfg.boxdim.fit_range) == (
+            3.0, 12, None
+        )
+        assert (cfg.lyapunov.steps, cfg.lyapunov.x0) == (100_000, None)
+        assert cfg.sweep is None and cfg.micro is None
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError) as info:
@@ -188,6 +206,7 @@ class TestCliCommands:
             "omega1_range": [0.0, 1.0], "omega2_range": [0.0, 1.0],
             "resolution": [3, 3], "pi1": 0.5,
         }
+        history = {"kind": "orbit", "depth": 20, "omega2": 0.3}
         cases = [
             ("simulate", {"run": {"transient": "abc", "initial": [50.0, 60.0]}},
              "run.transient"),
@@ -199,12 +218,37 @@ class TestCliCommands:
              "stability.pi1"),
             ("lyapunov", {"run": {"initial": [50.0, 60.0]}, "lyapunov": {"steps": 0}},
              "lyapunov.steps"),
+            ("stability-map", {"run": {"seed": 1},
+                               "stability": {**stability, "initials_per_point": 0}},
+             "stability.initials_per_point"),
+            ("attractor", {"run": {"seed": 1}, "attractor": {"n_points": 0}},
+             "attractor.n_points"),
+            ("boxdim", {"run": {"seed": 1}, "boxdim": {"n_scales": 2}}, "boxdim.n_scales"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "depth": 0}}},
+             "skew.history.depth"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "transient": -1}}},
+             "skew.history.transient"),
         ]
         for command, document, key in cases:
             cfg = write_config(tmp_path, {"model": STD_MODEL, **document}, "case.json")
             assert main([command, "--config", cfg, "--workers", "1"]) == 2, key
             err = capsys.readouterr().err
             assert f"levdyn: configuration error: {key}: " in err, err
+
+    def test_micro_overflowing_run_exits_3(self, tmp_path, capsys):
+        # the returns overflow in period 1; the run used to write NaN
+        # leverages and exit 0
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"omegas": [0.72, 0.07], "pis": [0.6, 0.4]},
+                "run": {"seed": 682, "initial": [35, 97]},
+                "micro": {"n_intraday": 100, "horizon": 10},
+            },
+        )
+        out = tmp_path / "micro.csv"
+        assert main(["micro", "--config", cfg, "--out", str(out)]) == 3
+        assert "bank 0 insolvent in period 1" in capsys.readouterr().err
 
     def test_lyapunov_identity_memory_reports_zero(self, tmp_path):
         cfg = write_config(

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from levdyn.errors import InsolvencyError, NonstationaryError
+from levdyn.errors import DomainError, InsolvencyError, NonstationaryError
 from levdyn.maps import advance
 from levdyn.micro import (
     SIGMA_SQ_FLOOR,
@@ -18,6 +20,7 @@ from levdyn.micro import (
 )
 from levdyn.params import ModelParams
 
+import micro_oracle as oracle
 from conftest import two_bank
 
 
@@ -158,6 +161,15 @@ class TestClosePeriod:
         with pytest.raises(NonstationaryError):
             close_period(returns, 1e-6 / 2, [1e-6, 1e-6], mp.base.omegas, mp)
 
+    def test_nan_returns_rejected(self):
+        # a NaN series has a NaN regression denominator; it used to pass
+        # as phi_hat = 0 and turn every leverage NaN
+        mp = MicroParams(base=two_bank(0.5, 0.3, 0.5), n_intraday=50, horizon=1)
+        returns = np.full(50, 1e-4)
+        returns[7] = math.nan
+        with pytest.raises(NonstationaryError):
+            close_period(returns, 1e-4, [1e-6, 1e-6], mp.base.omegas, mp)
+
     def test_length_mismatch(self):
         mp = MicroParams(base=two_bank(0.5, 0.3, 0.5), n_intraday=50, horizon=1)
         with pytest.raises(ValueError):
@@ -231,6 +243,15 @@ class TestRunMicro:
         assert float(np.max(run.pi_drift_max)) < 0.2
         assert float(np.max(run.pi_drift_max[10:])) < 0.02
 
+    def test_overflowing_return_is_insolvency_not_nan(self):
+        # bank 2's leverage reaches 135.8 > 1 + gamma after period 0, so
+        # the intraday returns overflow and the equities turn NaN
+        base = ModelParams(omegas=(0.72, 0.07), pis=(0.6, 0.4))
+        mp = MicroParams(base=base, n_intraday=100, horizon=10, rng_seed=682)
+        with pytest.raises(InsolvencyError) as info:
+            run_micro(mp, [35.0, 97.0])
+        assert (info.value.period, info.value.bank) == (1, 0)
+
     def test_initial_equities_match_configured_weights(self):
         base = two_bank(0.5, 0.3, 0.25)
         mp = MicroParams(base=base, n_intraday=100, horizon=1)
@@ -239,3 +260,93 @@ class TestRunMicro:
         assets = [lam * e for lam, e in zip(lams, eq)]
         total = sum(assets)
         assert assets[0] / total == pytest.approx(0.25, abs=1e-12)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the simulation error it raises."""
+    try:
+        return fn(*args)
+    except (InsolvencyError, NonstationaryError, DomainError) as exc:
+        return exc
+
+
+def _error_fields(exc: Exception) -> tuple:
+    return (
+        type(exc), getattr(exc, "period", None), getattr(exc, "bank", None),
+        repr(getattr(exc, "phi_hat", None)),
+    )
+
+
+@st.composite
+def micro_setups(draw):
+    """Random 1-4 bank markets: memories, weights, shock variance,
+    tick count, horizon, seed and start, with the zero-noise limit on
+    or off.  Starts reach past 1 + gamma, so insolvent, nonstationary
+    and escaping runs all occur."""
+    banks = draw(st.integers(1, 4))
+    raw = [draw(st.floats(0.05, 1.0)) for _ in range(banks)]
+    base = ModelParams(
+        omegas=tuple(draw(st.floats(0.0, 1.0)) for _ in range(banks)),
+        pis=tuple(x / math.fsum(raw) for x in raw),
+        sigma_eps_sq=10.0 ** draw(st.floats(-7.0, -2.0)),
+    )
+    params = MicroParams(
+        base=base,
+        n_intraday=draw(st.integers(2, 200)),
+        horizon=draw(st.integers(1, 25)),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+        zero_noise=draw(st.booleans()),
+    )
+    initial = [draw(st.floats(1.0, 1.1 * base.lambda_max)) for _ in range(banks)]
+    return params, initial
+
+
+RUN_FIELDS = ("lambdas_stochastic", "lambdas_deterministic", "pi_drift_max",
+              "phi_hat", "sigma_eps_hat_sq")
+
+
+@settings(max_examples=200, deadline=None)
+@given(setup=micro_setups())
+@example(setup=(
+    MicroParams(base=ModelParams(omegas=(0.72, 0.07), pis=(0.6, 0.4)),
+                n_intraday=100, horizon=10, rng_seed=682),
+    [35.0, 97.0],
+))
+def test_run_micro_matches_tick_by_tick_oracle(setup):
+    params, initial = setup
+    want = _outcome(oracle.run_micro, params, initial)
+    got = _outcome(run_micro, params, initial)
+    if isinstance(want, Exception):
+        assert isinstance(got, Exception), got
+        assert _error_fields(got) == _error_fields(want)
+    else:
+        assert not isinstance(got, Exception), got
+        for name in RUN_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.floored == want.floored
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lambdas=st.lists(st.floats(0.5, 150.0), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_step_intraday_matches_oracle_tick(lambdas, data):
+    banks = len(lambdas)
+    equities = [data.draw(st.floats(1e-6, 1.0)) for _ in range(banks)]
+    state = MicroState(
+        equities=equities,
+        target_assets=[lam * e for lam, e in zip(lambdas, equities)],
+        lambdas=lambdas,
+        sigma_sq=[1e-5] * banks,
+        last_return=data.draw(st.floats(-0.05, 0.05)),
+    )
+    mp = MicroParams(base=ModelParams(omegas=(0.5,) * banks, pis=(1.0 / banks,) * banks),
+                     n_intraday=100, horizon=1)
+    rng = _StubRng(data.draw(st.floats(-0.1, 0.1)))
+    want = _outcome(oracle.step_intraday, state, mp, rng)
+    got = _outcome(step_intraday, state, mp, rng)
+    if isinstance(want, Exception):
+        assert _error_fields(got) == _error_fields(want)
+    else:
+        assert repr(got) == repr(want)
