@@ -323,6 +323,8 @@ def cmd_stability_map(config: ExperimentConfig, out: TextIO, workers: int) -> in
     if config.stability is None:
         raise ConfigError("stability-map needs a stability block", key="stability")
     seed = config.require_seed("stability-map")
+    if config.run.record < 3:
+        raise ConfigError("stability-map needs at least 3 recorded steps", key="run.record")
     block = config.stability
     omega1s = np.linspace(*block.omega1_range, block.resolution[0])
     omega2s = np.linspace(*block.omega2_range, block.resolution[1])
@@ -346,6 +348,19 @@ def cmd_stability_map(config: ExperimentConfig, out: TextIO, workers: int) -> in
     return EXIT_OK
 
 
+#: each subcommand's function and help text
+COMMANDS = {
+    "simulate": (cmd_simulate, "iterate the coupled map and emit the orbit as CSV"),
+    "bifurcate": (cmd_bifurcate, "run a parameter sweep and emit asymptotic samples as CSV"),
+    "lyapunov": (cmd_lyapunov, "estimate Lyapunov exponents, JSON report"),
+    "attractor": (cmd_attractor, "capture a long-run point cloud as CSV"),
+    "boxdim": (cmd_boxdim, "capture a cloud and fit its box-counting dimension, JSON report"),
+    "fixedpoint": (cmd_fixedpoint, "evaluate the forced bank's random fixed point, JSON report"),
+    "micro": (cmd_micro, "run the intraday market simulator, diagnostics CSV"),
+    "stability-map": (cmd_stability_map, "classify dynamics over an (omega1, omega2) grid, CSV"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levdyn",
@@ -353,17 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"levdyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "iterate the coupled map and emit the orbit as CSV",
-        "bifurcate": "run a parameter sweep and emit asymptotic samples as CSV",
-        "lyapunov": "estimate Lyapunov exponents, JSON report",
-        "attractor": "capture a long-run point cloud as CSV",
-        "boxdim": "capture a cloud and fit its box-counting dimension, JSON report",
-        "fixedpoint": "evaluate the forced bank's random fixed point, JSON report",
-        "micro": "run the intraday market simulator, diagnostics CSV",
-        "stability-map": "classify dynamics over an (omega1, omega2) grid, CSV",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment configuration")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -389,24 +394,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.workers < 1:
             raise ConfigError(f"must be at least 1, got {args.workers}", key="--workers")
         config = _load(args)
+        command = COMMANDS[args.command][0]
+        grid = (args.workers,) if args.command in ("bifurcate", "stability-map") else ()
         with _open_out(args.out) as out:
-            if args.command == "simulate":
-                return cmd_simulate(config, out)
-            if args.command == "bifurcate":
-                return cmd_bifurcate(config, out, args.workers)
-            if args.command == "lyapunov":
-                return cmd_lyapunov(config, out)
-            if args.command == "attractor":
-                return cmd_attractor(config, out)
-            if args.command == "boxdim":
-                return cmd_boxdim(config, out)
-            if args.command == "fixedpoint":
-                return cmd_fixedpoint(config, out)
-            if args.command == "micro":
-                return cmd_micro(config, out)
-            if args.command == "stability-map":
-                return cmd_stability_map(config, out, args.workers)
-            raise AssertionError(f"unhandled command {args.command}")
+            return command(config, out, *grid)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         print(f"levdyn: configuration error: {exc}", file=sys.stderr)

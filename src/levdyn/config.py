@@ -1,8 +1,11 @@
 """Experiment configuration: JSON documents with strict key checking.
 
-Unknown keys, and values of the wrong type or out of range, are
-rejected with the offending dotted path; missing keys fall back to
-documented defaults (alpha = 1.64, gamma = 100, sigma_eps_sq =
+Each block's keys are declared once, on the fields of its dataclass:
+a field carries its converter, its default and, where it differs from
+the field name, its JSON key.  One reader turns any block's JSON object
+into its class.  Unknown keys, and values of the wrong type or out of
+range, are rejected with the offending dotted path; missing keys fall
+back to documented defaults (alpha = 1.64, gamma = 100, sigma_eps_sq =
 0.0015^2, transient = 1000, record = 800).  Commands that draw
 randomness (sweeps, microstructure, sampled initials) demand an
 explicit seed.
@@ -12,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
+from typing import Any, Callable, Container, Mapping
 
 from .errors import ConfigError
 from .params import (
@@ -25,11 +29,9 @@ from .params import (
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_RECORD = 800
-#: default of a key that must be present
-_REQUIRED = object()
 
 
-def _check_keys(block: Any, allowed: set[str], path: str) -> None:
+def _check_keys(block: Any, allowed: Container[str], path: str) -> None:
     if not isinstance(block, Mapping):
         raise ConfigError("must be a JSON object", key=path or None)
     for key in block:
@@ -39,14 +41,14 @@ def _check_keys(block: Any, allowed: set[str], path: str) -> None:
 
 def _field(
     block: Mapping[str, Any], path: str, key: str, kind: Callable[[Any], Any],
-    default: Any = _REQUIRED,
+    default: Any = MISSING,
 ) -> Any:
     """``kind(block[key])``, or ``default`` when the key is absent or
-    null.  A missing required key and a value ``kind`` rejects with
+    null.  A missing key without a default and a value ``kind`` rejects with
     TypeError or ValueError are ConfigErrors naming the dotted key."""
     name = f"{path}.{key}" if path else key
     if block.get(key) is None:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise ConfigError("missing required key", key=name)
         return default
     try:
@@ -61,6 +63,12 @@ def _at_least(lo: int) -> Callable[[Any], int]:
             raise ValueError(f"must be at least {lo}")
         return int(value)
     return convert
+
+
+def _positive(value: Any) -> float:
+    if not float(value) > 0.0:
+        raise ValueError("must be positive")
+    return float(value)
 
 
 def _unit(value: Any) -> float:
@@ -79,72 +87,113 @@ def _list(kind: Callable[[Any], Any], length: int | None = None) -> Callable[[An
     return convert
 
 
+def _key(kind: Callable[[Any], Any], default: Any = MISSING, name: str | None = None) -> Any:
+    """A block field read from JSON key ``name`` (the field's own name by
+    default) through ``kind``: a converter, or a nested block class."""
+    return field(default=default,
+                 metadata={"kind": kind, "name": name, "block": is_dataclass(kind)})
+
+
+def _read(cls: type, block: Any, path: str) -> Any:
+    """The block ``cls`` read from its JSON object at dotted ``path``."""
+    keys = {f.metadata["name"] or f.name: f for f in fields(cls)}
+    _check_keys(block, keys, path)
+    values = {}
+    for key, f in keys.items():
+        kind = f.metadata["kind"]
+        if f.metadata["block"]:
+            kind = partial(_read, kind, path=f"{path}.{key}")
+        values[f.name] = _field(block, path, key, kind, f.default)
+    return cls(**values)
+
+
 @dataclass(frozen=True)
 class RunBlock:
-    transient: int = DEFAULT_TRANSIENT
-    record: int = DEFAULT_RECORD
-    seed: int | None = None
-    initial: tuple[float, ...] | None = None
+    transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
+    record: int = _key(_at_least(0), DEFAULT_RECORD)
+    seed: int | None = _key(int, None)
+    initial: tuple[float, ...] | None = _key(_list(float), None)
 
 
 @dataclass(frozen=True)
 class SweepBlock:
-    axis: str
-    bounds: tuple[float, float]
-    resolution: int
-    initials_per_point: int = 3
+    axis: str = _key(str)
+    bounds: tuple[float, float] = _key(_list(float, 2), name="range")
+    resolution: int = _key(int)
+    initials_per_point: int = _key(_at_least(1), 3)
 
 
 @dataclass(frozen=True)
 class AttractorBlock:
-    n_points: int = 1_000_000
+    n_points: int = _key(_at_least(1), 1_000_000)
 
 
 @dataclass(frozen=True)
 class BoxdimBlock:
-    eps_decades: float = 3.0
-    n_scales: int = 12
-    fit_range: tuple[int, int] | None = None
+    eps_decades: float = _key(_positive, 3.0)
+    n_scales: int = _key(_at_least(4), 12)
+    fit_range: tuple[int, int] | None = _key(_list(int, 2), None)
+
+    def __post_init__(self) -> None:
+        if self.fit_range is not None:
+            start, stop = self.fit_range
+            if not (0 <= start and start + 2 <= stop <= self.n_scales):
+                raise ConfigError(f"must be a window [start, stop) of at least 2 of the "
+                                  f"{self.n_scales} scales", key="boxdim.fit_range")
 
 
 @dataclass(frozen=True)
 class LyapunovBlock:
-    steps: int = 100_000
-    x0: float | None = None
+    steps: int = _key(_at_least(1), 100_000)
+    x0: float | None = _key(float, None)
 
 
 @dataclass(frozen=True)
 class HistorySpec:
-    kind: str  # "orbit" | "constant"
-    depth: int
-    omega2: float | None = None
-    level: float | None = None
-    x0: float = 50.0
-    transient: int = DEFAULT_TRANSIENT
+    kind: str = _key(str)  # "orbit" | "constant"
+    depth: int = _key(_at_least(1))
+    omega2: float | None = _key(float, None)
+    level: float | None = _key(float, None)
+    x0: float = _key(float, 50.0)
+    transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
+
+    def __post_init__(self) -> None:
+        needs = {"orbit": "omega2", "constant": "level"}
+        if self.kind not in needs:
+            raise ConfigError("kind must be 'orbit' or 'constant'", key="skew.history.kind")
+        if getattr(self, needs[self.kind]) is None:
+            raise ConfigError(f"{self.kind} history needs {needs[self.kind]}",
+                              key=f"skew.history.{needs[self.kind]}")
 
 
 @dataclass(frozen=True)
 class SkewBlock:
-    omega1: float
-    tol: float = 1e-10
-    history: HistorySpec | None = None
+    omega1: float = _key(float)
+    tol: float = _key(float, 1e-10)
+    history: HistorySpec | None = _key(HistorySpec, None)
 
 
 @dataclass(frozen=True)
 class MicroBlock:
-    n_intraday: int
-    horizon: int
-    equity_total: float = 1.0
-    zero_noise: bool = False
+    n_intraday: int = _key(int)
+    horizon: int = _key(int)
+    equity_total: float = _key(float, 1.0)
+    zero_noise: bool = _key(bool, False)
 
 
 @dataclass(frozen=True)
 class StabilityBlock:
-    omega1_range: tuple[float, float]
-    omega2_range: tuple[float, float]
-    resolution: tuple[int, int]
-    pi1: float
-    initials_per_point: int = 3
+    omega1_range: tuple[float, float] = _key(_list(_unit, 2))
+    omega2_range: tuple[float, float] = _key(_list(_unit, 2))
+    resolution: tuple[int, int] = _key(_list(_at_least(2), 2))
+    pi1: float = _key(_unit)
+    initials_per_point: int = _key(_at_least(1), 3)
+
+
+#: the blocks of a document, by top-level key (``model`` aside)
+_BLOCKS = {"run": RunBlock, "sweep": SweepBlock, "attractor": AttractorBlock,
+           "boxdim": BoxdimBlock, "lyapunov": LyapunovBlock, "skew": SkewBlock,
+           "micro": MicroBlock, "stability": StabilityBlock}
 
 
 @dataclass(frozen=True)
@@ -176,150 +225,39 @@ def config_hash(document: Mapping[str, Any]) -> str:
 
 def _parse_model(block: Mapping[str, Any]) -> ModelParams:
     _check_keys(block, {"alpha", "gamma", "sigma_eps_sq", "omegas", "pis"}, "model")
-    omegas = _field(block, "model", "omegas", _list(float))
+    omegas = _field(block, "model", "omegas", _list(_unit))
     if block.get("pis") is None and len(omegas) > 1:
         raise ConfigError("required when more than one bank", key="model.pis")
+    pis = _field(block, "model", "pis", _list(_unit, len(omegas)), (1.0,))
     try:
         return ModelParams(
-            alpha=_field(block, "model", "alpha", float, DEFAULT_ALPHA),
-            gamma=_field(block, "model", "gamma", float, DEFAULT_GAMMA),
-            sigma_eps_sq=_field(block, "model", "sigma_eps_sq", float, DEFAULT_SIGMA_EPS_SQ),
+            alpha=_field(block, "model", "alpha", _positive, DEFAULT_ALPHA),
+            gamma=_field(block, "model", "gamma", _positive, DEFAULT_GAMMA),
+            sigma_eps_sq=_field(block, "model", "sigma_eps_sq", _positive, DEFAULT_SIGMA_EPS_SQ),
             omegas=omegas,
-            pis=_field(block, "model", "pis", _list(float, len(omegas)), (1.0,)),
+            pis=pis,
         )
     except ValueError as exc:
-        # name the offending key for parameter-level failures
-        msg = str(exc)
-        key = "model.pis" if "weights must sum" in msg or "asset weight" in msg else "model"
-        raise ConfigError(msg, key=key) from None
-
-
-def _parse_run(block: Mapping[str, Any]) -> RunBlock:
-    _check_keys(block, {"transient", "record", "seed", "initial"}, "run")
-    return RunBlock(
-        transient=_field(block, "run", "transient", _at_least(0), RunBlock.transient),
-        record=_field(block, "run", "record", _at_least(0), RunBlock.record),
-        seed=_field(block, "run", "seed", int, None),
-        initial=_field(block, "run", "initial", _list(float), None),
-    )
-
-
-def _parse_sweep(block: Mapping[str, Any]) -> SweepBlock:
-    _check_keys(block, {"axis", "range", "resolution", "initials_per_point"}, "sweep")
-    return SweepBlock(
-        axis=_field(block, "sweep", "axis", str),
-        bounds=_field(block, "sweep", "range", _list(float, 2)),
-        resolution=_field(block, "sweep", "resolution", int),
-        initials_per_point=_field(block, "sweep", "initials_per_point", _at_least(1),
-                                  SweepBlock.initials_per_point),
-    )
-
-
-def _parse_attractor(block: Mapping[str, Any]) -> AttractorBlock:
-    _check_keys(block, {"n_points"}, "attractor")
-    n_points = _field(block, "attractor", "n_points", _at_least(1), AttractorBlock.n_points)
-    return AttractorBlock(n_points=n_points)
-
-
-def _parse_boxdim(block: Mapping[str, Any]) -> BoxdimBlock:
-    _check_keys(block, {"eps_decades", "n_scales", "fit_range"}, "boxdim")
-    return BoxdimBlock(
-        eps_decades=_field(block, "boxdim", "eps_decades", float, BoxdimBlock.eps_decades),
-        n_scales=_field(block, "boxdim", "n_scales", _at_least(4), BoxdimBlock.n_scales),
-        fit_range=_field(block, "boxdim", "fit_range", _list(int, 2), BoxdimBlock.fit_range),
-    )
-
-
-def _parse_lyapunov(block: Mapping[str, Any]) -> LyapunovBlock:
-    _check_keys(block, {"steps", "x0"}, "lyapunov")
-    return LyapunovBlock(
-        steps=_field(block, "lyapunov", "steps", _at_least(1), LyapunovBlock.steps),
-        x0=_field(block, "lyapunov", "x0", float, LyapunovBlock.x0),
-    )
-
-
-def _parse_history(block: Mapping[str, Any]) -> HistorySpec:
-    path = "skew.history"
-    _check_keys(block, {"kind", "depth", "omega2", "level", "x0", "transient"}, path)
-    kind = _field(block, path, "kind", str)
-    if kind not in ("orbit", "constant"):
-        raise ConfigError("kind must be 'orbit' or 'constant'", key="skew.history.kind")
-    if kind == "orbit" and block.get("omega2") is None:
-        raise ConfigError("orbit history needs omega2", key="skew.history.omega2")
-    if kind == "constant" and block.get("level") is None:
-        raise ConfigError("constant history needs a level", key="skew.history.level")
-    return HistorySpec(
-        kind=kind,
-        depth=_field(block, path, "depth", _at_least(1)),
-        omega2=_field(block, path, "omega2", float, None),
-        level=_field(block, path, "level", float, None),
-        x0=_field(block, path, "x0", float, HistorySpec.x0),
-        transient=_field(block, path, "transient", _at_least(0), HistorySpec.transient),
-    )
-
-
-def _parse_skew(block: Mapping[str, Any]) -> SkewBlock:
-    _check_keys(block, {"omega1", "tol", "history"}, "skew")
-    return SkewBlock(
-        omega1=_field(block, "skew", "omega1", float),
-        tol=_field(block, "skew", "tol", float, SkewBlock.tol),
-        history=_field(block, "skew", "history", _parse_history, None),
-    )
-
-
-def _parse_micro(block: Mapping[str, Any]) -> MicroBlock:
-    _check_keys(block, {"n_intraday", "horizon", "equity_total", "zero_noise"}, "micro")
-    return MicroBlock(
-        n_intraday=_field(block, "micro", "n_intraday", int),
-        horizon=_field(block, "micro", "horizon", int),
-        equity_total=_field(block, "micro", "equity_total", float, MicroBlock.equity_total),
-        zero_noise=_field(block, "micro", "zero_noise", bool, MicroBlock.zero_noise),
-    )
-
-
-def _parse_stability(block: Mapping[str, Any]) -> StabilityBlock:
-    path = "stability"
-    _check_keys(
-        block, {"omega1_range", "omega2_range", "resolution", "pi1", "initials_per_point"}, path
-    )
-    return StabilityBlock(
-        omega1_range=_field(block, path, "omega1_range", _list(float, 2)),
-        omega2_range=_field(block, path, "omega2_range", _list(float, 2)),
-        resolution=_field(block, path, "resolution", _list(_at_least(2), 2)),
-        pi1=_field(block, path, "pi1", _unit),
-        initials_per_point=_field(block, path, "initials_per_point", _at_least(1),
-                                  StabilityBlock.initials_per_point),
-    )
-
-
-_BLOCK_PARSERS = {
-    "sweep": _parse_sweep,
-    "attractor": _parse_attractor,
-    "boxdim": _parse_boxdim,
-    "lyapunov": _parse_lyapunov,
-    "skew": _parse_skew,
-    "micro": _parse_micro,
-    "stability": _parse_stability,
-}
+        # the converters leave ModelParams only the sum of the weights to reject
+        raise ConfigError(str(exc), key="model.pis") from None
 
 
 def parse_config(document: Mapping[str, Any]) -> ExperimentConfig:
     """Validate a raw configuration mapping into typed blocks."""
     if not isinstance(document, Mapping):
         raise ConfigError("configuration root must be a JSON object")
-    _check_keys(document, {"model", "run"} | set(_BLOCK_PARSERS), "")
+    _check_keys(document, {"model", *_BLOCKS}, "")
     model = _field(document, "", "model", _parse_model)
-    run = _parse_run(document.get("run", {}))
-    if run.initial is not None and len(run.initial) != model.n_banks:
+    # an absent or null block takes its ExperimentConfig default
+    blocks = {name: _read(cls, document[name], name)
+              for name, cls in _BLOCKS.items() if document.get(name) is not None}
+    initial = blocks.get("run", RunBlock()).initial
+    if initial is not None and len(initial) != model.n_banks:
         raise ConfigError(
-            f"needs {model.n_banks} leverages, one per bank, got {len(run.initial)}",
+            f"needs {model.n_banks} leverages, one per bank, got {len(initial)}",
             key="run.initial",
         )
-    # an absent block takes its ExperimentConfig default
-    blocks = {name: _field(document, "", name, parser)
-              for name, parser in _BLOCK_PARSERS.items()
-              if document.get(name) is not None}
-    return ExperimentConfig(model=model, run=run, **blocks, sha256=config_hash(document))
+    return ExperimentConfig(model=model, **blocks, sha256=config_hash(document))
 
 
 def read_document(path: str) -> Any:

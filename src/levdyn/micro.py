@@ -268,7 +268,8 @@ def run_micro(
 
     Raises InsolvencyError or NonstationaryError with the period index
     when a run aborts (mirroring the discard protocol for violating
-    runs).
+    runs); in ``zero_noise`` mode a mean field at or past 1 + gamma is
+    nonstationary.
     """
     base = params.base
     n_banks = base.n_banks
@@ -298,6 +299,8 @@ def run_micro(
     for t in range(params.horizon):
         if params.zero_noise:
             phi = base.ar1_coef(mean_field(lambdas, base.pis))
+            if not abs(phi) < 1.0:
+                raise NonstationaryError(period=t, phi_hat=phi)
             lambdas, sigma_sq, floored = _retarget(
                 sigma_sq, base.omegas, base.sigma_eps_sq / ((1.0 - phi) ** 2),
                 base.alpha,

@@ -4,9 +4,10 @@ This is the simulator as it was written before its tick loop and
 re-target were shared: one function call per tick building a fresh
 weights list, a per-tick scan for the drift maximum, an inline seed-phi
 loop and a separate blend loop for the zero-noise limit.  Its three
-solvency and stationarity tests are written as ``levdyn.micro`` writes
-them, so that a NaN equity or regression raises instead of passing as
-data.  The tests hold ``levdyn.micro`` to it byte for byte, errors
+solvency and stationarity tests, and the stationarity test of the
+zero-noise limit, are written as ``levdyn.micro`` writes them, so that
+a NaN equity or regression raises instead of passing as data.  The
+tests hold ``levdyn.micro`` to it byte for byte, errors
 included.
 """
 
@@ -131,6 +132,8 @@ def run_micro(params: MicroParams, initial_lambdas, equities=None) -> MicroRun:
         if params.zero_noise:
             m = mean_field(lambdas, base.pis)
             phi = base.ar1_coef(m)
+            if not abs(phi) < 1.0:
+                raise NonstationaryError(period=t, phi_hat=phi)
             sigma_e_sq = base.sigma_eps_sq / ((1.0 - phi) ** 2)
             new_sigma = []
             new_lams = []

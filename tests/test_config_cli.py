@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import copy
 import io
 import json
 import logging
 import math
+from dataclasses import MISSING, fields
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,15 @@ import pytest
 from levdyn.cli import main
 from levdyn.config import (
     AttractorBlock,
+    BoxdimBlock,
     ConfigError,
+    HistorySpec,
+    LyapunovBlock,
+    MicroBlock,
+    RunBlock,
+    SkewBlock,
+    StabilityBlock,
+    SweepBlock,
     load_config,
     merge_preset,
     parse_config,
@@ -19,6 +30,25 @@ from levdyn.config import (
 from levdyn.output import format_value, read_csv, write_csv
 
 STD_MODEL = {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}
+
+
+#: the smallest valid form of every block
+EVERY_BLOCK = {
+    "run": {}, "attractor": {}, "boxdim": {}, "lyapunov": {},
+    "sweep": {"axis": "pi1", "range": [0.0, 1.0], "resolution": 3},
+    "skew": {"omega1": 0.5, "history": {"kind": "constant", "level": 80.0, "depth": 3}},
+    "micro": {"n_intraday": 10, "horizon": 2},
+    "stability": {"omega1_range": [0.0, 1.0], "omega2_range": [0.0, 1.0],
+                  "resolution": [2, 2], "pi1": 0.5},
+}
+
+
+def with_block(path: str, block: dict) -> dict:
+    """A document with every block, the one at dotted ``path`` replaced."""
+    document = {"model": STD_MODEL, **copy.deepcopy(EVERY_BLOCK)}
+    *outer, name = path.split(".")
+    reduce(dict.__getitem__, outer, document)[name] = block
+    return document
 
 
 def write_config(tmp_path: Path, document: dict, name: str = "cfg.json") -> str:
@@ -66,6 +96,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             parse_config({"model": {"omegas": [0.4], "beta": 2}})
         assert "model.beta" in str(info.value)
+
+    @pytest.mark.parametrize("path, cls", [
+        ("run", RunBlock), ("sweep", SweepBlock), ("attractor", AttractorBlock),
+        ("boxdim", BoxdimBlock), ("lyapunov", LyapunovBlock), ("skew", SkewBlock),
+        ("skew.history", HistorySpec), ("micro", MicroBlock), ("stability", StabilityBlock),
+    ])
+    def test_every_block_rejects_unknown_keys(self, path, cls):
+        def read(block):
+            return reduce(getattr, path.split("."), parse_config(with_block(path, block)))
+
+        minimal = reduce(dict.__getitem__, path.split("."), EVERY_BLOCK)
+        assert isinstance(read(minimal), cls)
+        with pytest.raises(ConfigError) as info:
+            read({**minimal, "stray": 1})
+        assert info.value.key == f"{path}.stray"
+        # an empty block is the default block; a null one is an absent one
+        if all(f.default is not MISSING for f in fields(cls)):
+            assert read({}) == read(None) == cls()
+        else:
+            with pytest.raises(ConfigError, match="missing required key"):
+                read({})
+            assert read(None) is None
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigError) as info:
@@ -228,12 +280,44 @@ class TestCliCommands:
              "skew.history.depth"),
             ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "transient": -1}}},
              "skew.history.transient"),
+            ("stability-map", {"run": {"seed": 1, "record": 2}, "stability": stability},
+             "run.record"),
+            ("stability-map", {"run": {"seed": 1},
+                               "stability": {**stability, "omega1_range": [-0.5, 1]}},
+             "stability.omega1_range"),
+            ("stability-map", {"run": {"seed": 1},
+                               "stability": {**stability, "omega2_range": [-0.5, 1]}},
+             "stability.omega2_range"),
+            ("boxdim", {"run": {"seed": 1}, "attractor": {"n_points": 1000},
+                        "boxdim": {"eps_decades": -1}}, "boxdim.eps_decades"),
+            ("boxdim", {"run": {"seed": 1}, "attractor": {"n_points": 1000},
+                        "boxdim": {"fit_range": [5, 3]}}, "boxdim.fit_range"),
+            ("simulate", {"model": {"omegas": [1.5]}, "run": {"seed": 1}}, "model.omegas"),
+            ("simulate", {"model": {**STD_MODEL, "alpha": 0}, "run": {"seed": 1}},
+             "model.alpha"),
         ]
         for command, document, key in cases:
             cfg = write_config(tmp_path, {"model": STD_MODEL, **document}, "case.json")
             assert main([command, "--config", cfg, "--workers", "1"]) == 2, key
             err = capsys.readouterr().err
             assert f"levdyn: configuration error: {key}: " in err, err
+
+    def test_micro_zero_noise_start_on_bound_exits_3(self, tmp_path, capsys):
+        # the mean field 101 = 1 + gamma makes phi = 1; this used to end
+        # in a ZeroDivisionError traceback and exit 1
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": STD_MODEL,
+                "run": {"seed": 1, "initial": [101, 101]},
+                "micro": {"n_intraday": 100, "horizon": 5, "zero_noise": True},
+            },
+        )
+        out = tmp_path / "micro.csv"
+        assert main(["micro", "--config", cfg, "--out", str(out)]) == 3
+        assert "levdyn: constraint violation: |phi_hat| = 1.000000 >= 1 in period 0" in (
+            capsys.readouterr().err
+        )
 
     def test_micro_overflowing_run_exits_3(self, tmp_path, capsys):
         # the returns overflow in period 1; the run used to write NaN

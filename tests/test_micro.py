@@ -252,6 +252,18 @@ class TestRunMicro:
             run_micro(mp, [35.0, 97.0])
         assert (info.value.period, info.value.bank) == (1, 0)
 
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    @pytest.mark.parametrize("start", [101.0, 101.5])
+    def test_start_at_or_past_bound_is_nonstationary(self, zero_noise, start):
+        # a mean field at 1 + gamma makes phi = 1; the zero-noise limit
+        # used to divide by (1 - phi)^2 = 0 there
+        mp = MicroParams(base=two_bank(0.5, 0.3, 0.5), n_intraday=100, horizon=5,
+                         rng_seed=1, zero_noise=zero_noise)
+        with pytest.raises(NonstationaryError) as info:
+            run_micro(mp, [start, start])
+        assert info.value.period == 0
+        assert info.value.phi_hat == (start - 1.0) / 100.0
+
     def test_initial_equities_match_configured_weights(self):
         base = two_bank(0.5, 0.3, 0.25)
         mp = MicroParams(base=base, n_intraday=100, horizon=1)
