@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloudError, OrbitViolationError
-from .orbits import _run
+from .errors import DegenerateCloudError
+from .orbits import _run_checked
 from .params import LeverageState, ModelParams
 
 #: below this cloud size the fit is warned about, not refused
@@ -74,11 +74,7 @@ def capture_cloud(
     if params.n_banks < 2:
         raise ValueError("attractor capture needs at least two banks")
     initial.require_feasible()
-    recorded, violation = _run(list(initial.lambdas), params, transient, n_points)
-    if violation is not None:
-        raise OrbitViolationError(*violation)
-    if recorded.shape[0] < n_points:
-        raise OrbitViolationError(transient + recorded.shape[0] + 1, "truncated")
+    recorded = _run_checked(list(initial.lambdas), params, transient, n_points)
     return AttractorCloud(
         points=recorded[:, :2].copy(), params=params, transient=transient
     )
@@ -94,9 +90,9 @@ def _as_points(cloud: AttractorCloud | np.ndarray) -> np.ndarray:
 def occupied_box_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
     """Occupied-box counts N(eps) on the unit-square-normalized cloud.
 
-    Grid anchored at the bounding-box lower corner; occupancy found by
-    integer flooring into a set of cell indices, so memory scales with
-    occupied cells only.
+    Grid anchored at the bounding-box lower corner; each point is floored
+    into an integer cell code and the distinct codes are counted with
+    ``np.unique``.
     """
     lo = points.min(axis=0)
     hi = points.max(axis=0)

@@ -140,19 +140,22 @@ def cmd_bifurcate(config: ExperimentConfig, out: TextIO, workers: int) -> int:
     if config.sweep is None:
         raise ConfigError("bifurcate needs a sweep block", key="sweep")
     seed = config.require_seed("bifurcate")
-    try:
-        spec = SweepSpec(
-            axis=config.sweep.axis,
-            bounds=config.sweep.bounds,
-            resolution=config.sweep.resolution,
-            fixed=config.model,
-            transient=config.run.transient,
-            record=config.run.record,
-            initials_per_point=config.sweep.initials_per_point,
-            rng_seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="sweep") from None
+    if config.run.record < 3:
+        raise ConfigError("bifurcate needs at least 3 recorded steps", key="run.record")
+    banks = 1 if config.sweep.axis == "omega" else 2
+    if config.model.n_banks != banks:
+        raise ConfigError(f"axis {config.sweep.axis!r} needs {banks} bank(s), "
+                          f"model has {config.model.n_banks}", key="sweep.axis")
+    spec = SweepSpec(
+        axis=config.sweep.axis,
+        bounds=config.sweep.bounds,
+        resolution=config.sweep.resolution,
+        fixed=config.model,
+        transient=config.run.transient,
+        record=config.run.record,
+        initials_per_point=config.sweep.initials_per_point,
+        rng_seed=seed,
+    )
     records = run_sweep(spec, workers=workers)
     columns = [
         "param_value", "branch", "step", "bank", "lambda",
@@ -287,17 +290,14 @@ def cmd_micro(config: ExperimentConfig, out: TextIO) -> int:
     if config.micro is None:
         raise ConfigError("micro needs a micro block", key="micro")
     seed = config.require_seed("micro")
-    try:
-        mp = MicroParams(
-            base=config.model,
-            n_intraday=config.micro.n_intraday,
-            horizon=config.micro.horizon,
-            rng_seed=seed,
-            equity_total=config.micro.equity_total,
-            zero_noise=config.micro.zero_noise,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="micro") from None
+    mp = MicroParams(
+        base=config.model,
+        n_intraday=config.micro.n_intraday,
+        horizon=config.micro.horizon,
+        rng_seed=seed,
+        equity_total=config.micro.equity_total,
+        zero_noise=config.micro.zero_noise,
+    )
     state, _ = _initial_state(config, "micro")
     run = run_micro(mp, state.lambdas)
     columns = [

@@ -24,6 +24,7 @@ from .params import (
     DEFAULT_ALPHA,
     DEFAULT_GAMMA,
     DEFAULT_SIGMA_EPS_SQ,
+    SWEEP_AXES,
     ModelParams,
 )
 
@@ -77,6 +78,20 @@ def _unit(value: Any) -> float:
     return float(value)
 
 
+def _memory(value: Any) -> float:
+    if not 0.0 <= float(value) < 1.0:
+        raise ValueError("must be in [0, 1)")
+    return float(value)
+
+
+def _one_of(choices: tuple[str, ...]) -> Callable[[Any], str]:
+    def convert(value: Any) -> str:
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return value
+    return convert
+
+
 def _list(kind: Callable[[Any], Any], length: int | None = None) -> Callable[[Any], tuple]:
     """A converter of a non-empty JSON list, of ``length`` entries if given."""
     def convert(value: Any) -> tuple:
@@ -85,6 +100,13 @@ def _list(kind: Callable[[Any], Any], length: int | None = None) -> Callable[[An
                              else f"must be a list of {length}")
         return tuple(kind(v) for v in value)
     return convert
+
+
+def _interval(value: Any) -> tuple[float, float]:
+    lo, hi = _list(_unit, 2)(value)
+    if not lo < hi:
+        raise ValueError("must be increasing")
+    return lo, hi
 
 
 def _key(kind: Callable[[Any], Any], default: Any = MISSING, name: str | None = None) -> Any:
@@ -117,9 +139,9 @@ class RunBlock:
 
 @dataclass(frozen=True)
 class SweepBlock:
-    axis: str = _key(str)
-    bounds: tuple[float, float] = _key(_list(float, 2), name="range")
-    resolution: int = _key(int)
+    axis: str = _key(_one_of(SWEEP_AXES))
+    bounds: tuple[float, float] = _key(_interval, name="range")
+    resolution: int = _key(_at_least(2))
     initials_per_point: int = _key(_at_least(1), 3)
 
 
@@ -168,16 +190,16 @@ class HistorySpec:
 
 @dataclass(frozen=True)
 class SkewBlock:
-    omega1: float = _key(float)
-    tol: float = _key(float, 1e-10)
+    omega1: float = _key(_memory)
+    tol: float = _key(_positive, 1e-10)
     history: HistorySpec | None = _key(HistorySpec, None)
 
 
 @dataclass(frozen=True)
 class MicroBlock:
-    n_intraday: int = _key(int)
-    horizon: int = _key(int)
-    equity_total: float = _key(float, 1.0)
+    n_intraday: int = _key(_at_least(2))
+    horizon: int = _key(_at_least(1))
+    equity_total: float = _key(_positive, 1.0)
     zero_noise: bool = _key(bool, False)
 
 
@@ -257,6 +279,10 @@ def parse_config(document: Mapping[str, Any]) -> ExperimentConfig:
             f"needs {model.n_banks} leverages, one per bank, got {len(initial)}",
             key="run.initial",
         )
+    history = blocks["skew"].history if "skew" in blocks else None
+    if history is not None and history.kind == "orbit" and not 0.0 < history.x0 < model.lambda_max:
+        raise ConfigError(f"must be in (0, 1 + gamma = {model.lambda_max})",
+                          key="skew.history.x0")
     return ExperimentConfig(model=model, **blocks, sha256=config_hash(document))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleStateError, OrbitViolationError
 from .maps import fiber_map, step_jacobian
-from .orbits import _run
+from .orbits import _run_checked
 from .params import LeverageState, ModelParams
 
 #: floor for log|derivative| at superstable points
@@ -52,16 +52,6 @@ class LyapunovEstimate:
 BLOCK_STEPS = 1024
 
 
-def _run_checked(
-    lambdas: list[float], params: ModelParams, transient: int, record: int, offset: int
-) -> np.ndarray:
-    recorded, violation = _run(lambdas, params, transient, record)
-    if violation is not None:
-        step, constraint = violation
-        raise OrbitViolationError(offset + step, constraint)
-    return recorded
-
-
 def _window_jacobians(
     lambdas: list[float], params: ModelParams, transient: int, steps: int
 ) -> Iterator[np.ndarray]:
@@ -76,7 +66,7 @@ def _window_jacobians(
     if steps < 1 or transient < 0:
         raise ValueError("need steps >= 1 and transient >= 0")
     if transient:
-        lambdas = _run_checked(lambdas, params, transient - 1, 1, 0)[0].tolist()
+        lambdas = _run_checked(lambdas, params, transient - 1, 1)[0].tolist()
     for done in range(0, steps, BLOCK_STEPS):
         block = _run_checked(
             lambdas, params, 0, min(BLOCK_STEPS, steps - done), transient + done

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientTraceError
+from .errors import InsufficientTraceError, OrbitViolationError
 from .params import LeverageState, ModelParams
 
 #: constraint names used in violation records
@@ -135,6 +135,18 @@ def _run(
             recorded[kept] = lams
             kept += 1
     return recorded[:kept], violation
+
+
+def _run_checked(
+    lambdas: list[float], params: ModelParams, transient: int, record: int, offset: int = 0
+) -> np.ndarray:
+    """``_run``'s recorded states, all ``record`` of them; a violation
+    raises OrbitViolationError at its step, shifted by ``offset``."""
+    recorded, violation = _run(lambdas, params, transient, record)
+    if violation is not None:
+        step, constraint = violation
+        raise OrbitViolationError(offset + step, constraint)
+    return recorded
 
 
 def iterate(

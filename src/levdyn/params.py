@@ -31,6 +31,9 @@ DEFAULT_ALPHA = 1.64
 DEFAULT_GAMMA = 100.0
 #: default aggregated exogenous return variance
 DEFAULT_SIGMA_EPS_SQ = 0.0015**2
+#: what a sweep can vary: the single-bank memory, the two-bank weight
+#: pi1 or either two-bank memory
+SWEEP_AXES = ("omega", "pi1", "omega1", "omega2")
 
 #: tolerance on sum(pis) == 1
 _PI_SUM_TOL = 1e-12

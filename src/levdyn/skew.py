@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, OrbitViolationError, TailBoundError
 from .lyap import lyapunov_1d
 from .maps import _check_open_domain, fiber_map, leverage_map
-from .orbits import PeriodReport, _run, classify, iterate, window_periods
+from .orbits import PeriodReport, _run_checked, classify, iterate, window_periods
 from .params import LeverageState, ModelParams
 
 
@@ -84,9 +84,7 @@ def history_from_orbit(
         raise ValueError("need depth >= 1 and transient >= 0")
     p = params.with_single_omega(omega2)
     _check_open_domain(x0, p.lambda_max, "leverage")
-    recorded, violation = _run([float(x0)], p, transient, depth)
-    if violation is not None:
-        raise OrbitViolationError(*violation)
+    recorded = _run_checked([float(x0)], p, transient, depth)
     orbit = recorded[:, 0]
     history = ForcingHistory(past=orbit[::-1].copy(), source="orbit-tail")
     y0 = leverage_map(float(orbit[-1]), omega2, p)

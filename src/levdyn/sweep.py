@@ -13,10 +13,10 @@ With one worker, each grid point runs the scalar reference path
 ``lyapunov_1d``, ``classify``).  With more, each worker takes one
 contiguous chunk of the grid and evaluates it in batches: every
 (grid point, initial) pair of a batch is one lane, and all lanes advance
-together in numpy arrays.  Every batched pass (the orbit, the tangent
-and the single-bank derivative) advances its lanes through one step,
+together in numpy arrays.  Both batched passes, the orbit and the
+tangent (for every bank count), advance their lanes through one step,
 ``_step``: ``orbits._run``'s update with its three checks in its order,
-so a lane stops where ``iterate`` would.  The tangent passes form their
+so a lane stops where ``iterate`` would.  The tangent pass forms its
 Jacobians with ``maps.step_jacobian``, as the scalar exponents do.  The
 batched arithmetic repeats the scalar path operation for operation, so a
 record is bit-identical to it and to any other chunking of the grid.
@@ -34,12 +34,10 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import OrbitViolationError
-from .lyap import LOG_FLOOR, lyapunov_1d, lyapunov_top
+from .lyap import lyapunov_1d, lyapunov_top
 from .maps import step_jacobian
 from .orbits import PeriodReport, classify, detect_period, iterate, window_periods
-from .params import LeverageState, ModelParams, mean_field
-
-SWEEP_AXES = ("omega", "pi1", "omega1", "omega2")
+from .params import SWEEP_AXES, LeverageState, ModelParams, mean_field
 
 #: steps used for the per-point top-exponent estimate
 LYAP_STEPS = 2000
@@ -261,27 +259,6 @@ def _orbit_pass(
     return start, recorded
 
 
-def _jacobians(
-    lams: np.ndarray,
-    omegas: np.ndarray,
-    pis: np.ndarray,
-    alive: np.ndarray,
-    model: ModelParams,
-    steps: int,
-) -> Iterator[np.ndarray]:
-    """The Jacobian stack of each of ``steps`` steps from ``lams``, as
-    ``maps.step_jacobian`` forms it from a state and its successor.
-
-    Clears ``alive`` as ``_step`` does, before the stack of the step
-    that killed a lane is yielded.
-    """
-    m = mean_field(lams.T, pis.T)
-    for _ in range(steps):
-        new, m = _step(lams, m, alive, omegas, pis, model)
-        yield step_jacobian(lams, new, omegas, pis, model)
-        lams = new
-
-
 def _logs(values: np.ndarray) -> np.ndarray:
     # math.log lane by lane: np.log is not correctly rounded everywhere
     return np.fromiter(map(math.log, values.tolist()), float, len(values))
@@ -299,17 +276,21 @@ def _tangent_pass(
     ``lams`` reached after the transient.
 
     The stacked ``np.matmul`` calls run the same BLAS kernels per lane
-    as ``jac @ v`` and ``np.linalg.norm(v)`` do.  Returns the summed log
-    growth, whether each lane stayed feasible, and whether its tangent
-    norm ever hit 0 (where the scalar path redraws the vector).
+    as ``jac @ v`` and ``np.linalg.norm(v)`` do.  On one bank the vector
+    stays exactly +-1 and its norm is |T'|, so the sum is
+    ``lyapunov_1d``'s.  Returns the summed log growth, whether each lane
+    stayed feasible, and whether its tangent norm ever hit 0.
     """
     q, n = lams.shape
     v = np.tile(v0, (q, 1))[:, :, None]
     total = np.zeros(q)
     ok = np.ones(q, dtype=bool)
     vanished = np.zeros(q, dtype=bool)
-    for jac in _jacobians(lams, omegas, pis, ok, model, steps):
-        v = np.matmul(jac, v)
+    m = mean_field(lams.T, pis.T)
+    for _ in range(steps):
+        new, m = _step(lams, m, ok, omegas, pis, model)
+        v = np.matmul(step_jacobian(lams, new, omegas, pis, model), v)
+        lams = new
         norm = np.sqrt(np.matmul(v.reshape(q, 1, n), v)).reshape(q)
         grew = norm > 0.0
         vanished |= ok & ~grew
@@ -318,22 +299,6 @@ def _tangent_pass(
         v /= norm[:, None, None]
         v[~ok] = 1.0
     return total, ok, vanished
-
-
-def _derivative_pass(
-    x: np.ndarray, omegas: np.ndarray, model: ModelParams, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``lyapunov_1d``'s loop on every single-bank lane, from the states
-    ``x`` reached after the transient: the summed log|T'| (LOG_FLOOR where
-    T' is 0) and whether each lane stayed feasible."""
-    total = np.zeros(len(x))
-    ok = np.ones(len(x), dtype=bool)
-    lams = x[:, None]
-    for jac in _jacobians(lams, omegas[:, None], np.ones_like(lams), ok, model, steps):
-        deriv = np.abs(jac[:, 0, 0])
-        grew = deriv > 0.0
-        total += np.where(grew, _logs(np.where(grew, deriv, 1.0)), LOG_FLOOR)
-    return total, ok
 
 
 def _evaluate(
@@ -389,26 +354,23 @@ def _evaluate_batch(
         lanes = firsts * k + survivors[firsts].argmax(axis=1)
         # an all-infeasible batch has no exponent to run
         steps = LYAP_STEPS if lanes.size else 0
-        if n == 1:
-            total, ok = _derivative_pass(start[lanes, 0], omegas[lanes, 0], model, steps)
-            vanished = np.zeros(len(lanes), dtype=bool)
-        else:
-            total, ok, vanished = _tangent_pass(
-                start[lanes], omegas[lanes], pis[lanes], model, steps,
-                _tangent_start(rng_seed, n),
-            )
+        total, ok, vanished = _tangent_pass(
+            start[lanes], omegas[lanes], pis[lanes], model, steps,
+            _tangent_start(rng_seed, n),
+        )
     periods = window_periods(
         recorded[:, lanes].transpose(1, 0, 2),
         min(DEFAULT_P_MAX, record // 3),
         DEFAULT_PERIOD_TOL,
     )
     found: dict[int, tuple[PeriodReport, float | None]] = {}
-    for point, lane, period, top, fine, redraw in zip(
+    for point, lane, period, top, fine, vanish in zip(
         firsts.tolist(), lanes.tolist(), periods,
         (total / LYAP_STEPS).tolist(), ok.tolist(), vanished.tolist(),
     ):
-        if redraw:
-            # the scalar path redraws a vanished tangent from its generator
+        if vanish:
+            # a vanished tangent takes the scalar path, which redraws it
+            # (lyapunov_top) or floors its log (lyapunov_1d)
             initial = LeverageState.from_lambdas(draws[lane], params[point])
             top = _top_exponent(initial, params[point], transient, rng_seed)
         elif not fine:

@@ -259,6 +259,8 @@ class TestCliCommands:
             "resolution": [3, 3], "pi1": 0.5,
         }
         history = {"kind": "orbit", "depth": 20, "omega2": 0.3}
+        sweep = {"axis": "omega", "range": [0.0, 1.0], "resolution": 5}
+        micro = {"n_intraday": 100, "horizon": 5}
         cases = [
             ("simulate", {"run": {"transient": "abc", "initial": [50.0, 60.0]}},
              "run.transient"),
@@ -295,6 +297,27 @@ class TestCliCommands:
             ("simulate", {"model": {"omegas": [1.5]}, "run": {"seed": 1}}, "model.omegas"),
             ("simulate", {"model": {**STD_MODEL, "alpha": 0}, "run": {"seed": 1}},
              "model.alpha"),
+            ("fixedpoint", {"skew": {"omega1": 1.5, "history": history}}, "skew.omega1"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "tol": -1, "history": history}},
+             "skew.tol"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "x0": 500}}},
+             "skew.history.x0"),
+            ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": 1, "record": 2},
+                           "sweep": sweep}, "run.record"),
+            ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": 1},
+                           "sweep": {**sweep, "axis": "zeta"}}, "sweep.axis"),
+            ("bifurcate", {"run": {"seed": 1}, "sweep": sweep}, "sweep.axis"),
+            ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": 1},
+                           "sweep": {**sweep, "range": [0.7, 0.2]}}, "sweep.range"),
+            ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": 1},
+                           "sweep": {**sweep, "range": [0.0, 1.5]}}, "sweep.range"),
+            ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": 1},
+                           "sweep": {**sweep, "resolution": 1}}, "sweep.resolution"),
+            ("micro", {"run": {"seed": 1}, "micro": {**micro, "n_intraday": 1}},
+             "micro.n_intraday"),
+            ("micro", {"run": {"seed": 1}, "micro": {**micro, "horizon": 0}}, "micro.horizon"),
+            ("micro", {"run": {"seed": 1}, "micro": {**micro, "equity_total": -1}},
+             "micro.equity_total"),
         ]
         for command, document, key in cases:
             cfg = write_config(tmp_path, {"model": STD_MODEL, **document}, "case.json")

@@ -271,7 +271,9 @@ ESCAPE_SPEC = SweepSpec(
 class TestBatchedEvaluator:
     """The batched grid evaluator against the scalar reference path,
     ``_eval_point``: iterate each initial, then detect_period,
-    lyapunov_top or lyapunov_1d, and classify on the first survivor."""
+    lyapunov_top or lyapunov_1d, and classify on the first survivor.
+    The batched tangent pass stands in for both exponents; a lane whose
+    tangent vanishes falls back to the scalar exponent."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=sweep_specs(), steps=st.integers(1, 300), data=st.data())
@@ -298,21 +300,27 @@ class TestBatchedEvaluator:
             assert rec.lyapunov_top is None
             assert rec.classification == "unresolved"
 
-    def test_vanished_tangent_falls_back_to_scalar(self):
+    @pytest.mark.parametrize(("axis", "fixed", "start", "fallbacks"), [
         # pi1 = 1 with omega2 = 0 maps the tangent (0, 1) to the zero
         # vector; the scalar path then redraws from its generator
+        pytest.param("pi1", two_bank(0.7, 0.0, 0.5), [0.0, 1.0], 1, id="pi1"),
+        # a zero single-bank tangent vanishes at once on every lane; the
+        # scalar path is lyapunov_1d
+        pytest.param("omega", STD1, [0.0], 2, id="omega"),
+    ])
+    def test_vanished_tangent_falls_back_to_scalar(self, axis, fixed, start, fallbacks):
         spec = SweepSpec(
-            axis="pi1", bounds=(0.5, 1.0), resolution=2,
-            fixed=two_bank(0.7, 0.0, 0.5), transient=50, record=30, rng_seed=4,
+            axis=axis, bounds=(0.5, 1.0), resolution=2,
+            fixed=fixed, transient=50, record=30, rng_seed=4,
         )
         values = [float(v) for v in spec.grid()]
         with (
             patch.object(sweep, "LYAP_STEPS", 200),
-            patch.object(sweep, "_tangent_start", return_value=np.array([0.0, 1.0])),
+            patch.object(sweep, "_tangent_start", return_value=np.array(start)),
             patch.object(sweep, "_top_exponent", wraps=sweep._top_exponent) as scalar,
         ):
             batched = _eval_chunk(values, spec)
-            assert scalar.call_count == 1
+            assert scalar.call_count == fallbacks
             expected = [_eval_point(spec, v) for v in values]
         assert batched[1].lyapunov_top is not None
         assert [record_key(r) for r in batched] == [record_key(r) for r in expected]
