@@ -32,6 +32,7 @@ from .config import (
     read_document,
 )
 from .errors import (
+    InfeasibleStateError,
     InsolvencyError,
     LevdynError,
     NonstationaryError,
@@ -122,13 +123,11 @@ def cmd_simulate(config: ExperimentConfig, out: TextIO) -> int:
     )
     n = config.model.n_banks
     columns = ["t", *(f"lambda_{i + 1}" for i in range(n)), "sync_12", "feasible"]
-    rows = []
-    t0 = config.run.transient
-    for k in range(trace.n_recorded):
-        lams = trace.recorded[k]
-        sync = pair_sync(lams[0], lams[1]) if n >= 2 else 0.0
-        rows.append([t0 + k + 1, *(float(v) for v in lams), sync, True])
-    write_csv(out, columns, rows, config.sha256, seed)
+    lams, t0 = trace.recorded, config.run.transient
+    sync = pair_sync(lams[:, 0], lams[:, 1]) if n >= 2 else np.zeros(len(lams))
+    steps = np.arange(t0 + 1, t0 + 1 + len(lams))
+    block = RowBlock((), (steps, *lams.T, sync, np.ones(len(lams), dtype=bool)), ())
+    write_csv(out, columns, [block], config.sha256, seed)
     if trace.violation is not None:
         step, constraint = trace.violation
         log.error("orbit violated %s at step %d", constraint, step)
@@ -169,8 +168,8 @@ def cmd_bifurcate(config: ExperimentConfig, out: TextIO, workers: int) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock | tuple]:
-    """The bifurcate rows, one RowBlock per grid point with survivors.
+def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock]:
+    """The bifurcate rows, one RowBlock per grid point.
 
     Rows run over the recorded steps, then the banks; a point with no
     survivors gets one row with branch and step -1, bank 0 and no lambda.
@@ -180,7 +179,7 @@ def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock | tuple]:
         tail = (rec.lyapunov_top, period, rec.survival_fraction, rec.classification)
         n, banks = rec.samples.shape
         if n == 0:
-            yield (rec.param_value, -1, -1, 0, None, *tail)
+            yield RowBlock((rec.param_value, -1, -1, 0), (np.array([None]),), tail)
             continue
         yield RowBlock(
             (rec.param_value,),
@@ -229,9 +228,8 @@ def cmd_lyapunov(config: ExperimentConfig, out: TextIO) -> int:
 def cmd_attractor(config: ExperimentConfig, out: TextIO) -> int:
     state, seed = _initial_state(config, "attractor")
     cloud = capture_cloud(state, config.model, config.run.transient, config.attractor.n_points)
-    columns = ["lambda1", "lambda2"]
-    rows = [RowBlock((), (cloud.points[:, 0], cloud.points[:, 1]), ())]
-    write_csv(out, columns, rows, config.sha256, seed)
+    block = RowBlock((), tuple(cloud.points.T), ())
+    write_csv(out, ["lambda1", "lambda2"], [block], config.sha256, seed)
     return EXIT_OK
 
 
@@ -304,18 +302,14 @@ def cmd_micro(config: ExperimentConfig, out: TextIO) -> int:
         "period", "bank", "lambda_stochastic", "lambda_deterministic",
         "pi_drift_max", "phi_hat", "sigma_hat_sq",
     ]
-    rows = []
-    for t in range(mp.horizon):
-        for bank in range(config.model.n_banks):
-            rows.append([
-                t, bank + 1,
-                float(run.lambdas_stochastic[t, bank]),
-                float(run.lambdas_deterministic[t, bank]),
-                float(run.pi_drift_max[t]),
-                float(run.phi_hat[t]),
-                float(run.sigma_eps_hat_sq[t]),
-            ])
-    write_csv(out, columns, rows, config.sha256, seed)
+    periods, banks = run.lambdas_stochastic.shape
+    per_period = (run.pi_drift_max, run.phi_hat, run.sigma_eps_hat_sq)
+    block = RowBlock((), (
+        np.repeat(np.arange(periods), banks), np.tile(np.arange(1, banks + 1), periods),
+        run.lambdas_stochastic.ravel(), run.lambdas_deterministic.ravel(),
+        *(np.repeat(a, banks) for a in per_period),
+    ), ())
+    write_csv(out, columns, [block], config.sha256, seed)
     return EXIT_OK
 
 
@@ -334,16 +328,14 @@ def cmd_stability_map(config: ExperimentConfig, out: TextIO, workers: int) -> in
         initials_per_point=block.initials_per_point,
         rng_seed=seed, workers=workers,
     )
-    columns = ["omega1", "omega2", "classification"]
-    rows = []
-    for i, w1 in enumerate(result.omega1s):
-        for j, w2 in enumerate(result.omega2s):
-            rows.append([float(w1), float(w2), result.classes[i, j]])
-    write_csv(out, columns, rows, config.sha256, seed)
-    flat = [c for row in result.classes for c in row]
-    infeasible = sum(1 for c in flat if c == "infeasible")
-    if infeasible > len(flat) / 2:
-        log.error("%d of %d cells fully violated", infeasible, len(flat))
+    classes = result.classes
+    n1, n2 = classes.shape
+    grid = (np.repeat(result.omega1s, n2), np.tile(result.omega2s, n1), classes.ravel())
+    write_csv(out, ["omega1", "omega2", "classification"], [RowBlock((), grid, ())],
+              config.sha256, seed)
+    infeasible = int(np.count_nonzero(classes == "infeasible"))
+    if infeasible > classes.size / 2:
+        log.error("%d of %d cells fully violated", infeasible, classes.size)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -402,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("configuration error: %s", exc)
         print(f"levdyn: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OrbitViolationError, InsolvencyError, NonstationaryError) as exc:
+    except (OrbitViolationError, InfeasibleStateError, InsolvencyError, NonstationaryError) as exc:
         log.error("constraint violation: %s", exc)
         print(f"levdyn: constraint violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

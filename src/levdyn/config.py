@@ -58,11 +58,11 @@ def _field(
         raise ConfigError(f"invalid value {block[key]!r} ({exc})", key=name) from None
 
 
-def _at_least(lo: int) -> Callable[[Any], int]:
-    def convert(value: Any) -> int:
-        if int(value) < lo:
+def _at_least(lo: float, kind: Callable[[Any], Any] = int) -> Callable[[Any], Any]:
+    def convert(value: Any) -> Any:
+        if not kind(value) >= lo:
             raise ValueError(f"must be at least {lo}")
-        return int(value)
+        return kind(value)
     return convert
 
 
@@ -134,7 +134,7 @@ class RunBlock:
     transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
     record: int = _key(_at_least(0), DEFAULT_RECORD)
     seed: int | None = _key(int, None)
-    initial: tuple[float, ...] | None = _key(_list(float), None)
+    initial: tuple[float, ...] | None = _key(_list(_at_least(1, float)), None)
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,14 @@ class BoxdimBlock:
 @dataclass(frozen=True)
 class LyapunovBlock:
     steps: int = _key(_at_least(1), 100_000)
-    x0: float | None = _key(float, None)
+    x0: float | None = _key(_at_least(1, float), None)
 
 
 @dataclass(frozen=True)
 class HistorySpec:
     kind: str = _key(str)  # "orbit" | "constant"
     depth: int = _key(_at_least(1))
-    omega2: float | None = _key(float, None)
+    omega2: float | None = _key(_unit, None)
     level: float | None = _key(float, None)
     x0: float = _key(float, 50.0)
     transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
@@ -280,9 +280,11 @@ def parse_config(document: Mapping[str, Any]) -> ExperimentConfig:
             key="run.initial",
         )
     history = blocks["skew"].history if "skew" in blocks else None
-    if history is not None and history.kind == "orbit" and not 0.0 < history.x0 < model.lambda_max:
-        raise ConfigError(f"must be in (0, 1 + gamma = {model.lambda_max})",
-                          key="skew.history.x0")
+    bound = model.lambda_max
+    if history is not None and history.kind == "orbit" and not 0.0 < history.x0 < bound:
+        raise ConfigError(f"must be in (0, 1 + gamma = {bound})", key="skew.history.x0")
+    if history is not None and history.kind == "constant" and not history.level < bound:
+        raise ConfigError(f"must be below 1 + gamma = {bound}", key="skew.history.level")
     return ExperimentConfig(model=model, **blocks, sha256=config_hash(document))
 
 

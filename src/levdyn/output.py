@@ -81,20 +81,17 @@ def _block_texts(block: RowBlock) -> Iterator[str]:
 def write_csv(
     stream: TextIO,
     columns: Sequence[str],
-    rows: Iterable[Sequence[Any] | RowBlock],
+    blocks: Iterable[RowBlock],
     config_sha256: str,
     seed: int | None,
 ) -> None:
-    """Provenance lines, the header, then each row or RowBlock as it arrives."""
+    """Provenance lines, the header, then each RowBlock's rows as it arrives."""
     for line in provenance_lines(config_sha256, seed):
         stream.write(line + "\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        if isinstance(row, RowBlock):
-            for text in _block_texts(row):
-                stream.write(text)
-        else:
-            stream.write(",".join(format_value(v) for v in row) + "\n")
+    for block in blocks:
+        for text in _block_texts(block):
+            stream.write(text)
 
 
 def read_csv(stream: TextIO) -> tuple[dict[str, str], list[str], list[list[str]]]:

@@ -9,6 +9,7 @@ from dataclasses import MISSING, fields
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levdyn.cli import main
@@ -27,7 +28,7 @@ from levdyn.config import (
     merge_preset,
     parse_config,
 )
-from levdyn.output import format_value, read_csv, write_csv
+from levdyn.output import RowBlock, format_value, read_csv, write_csv
 
 STD_MODEL = {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}
 
@@ -174,12 +175,13 @@ class TestCsvRoundTrip:
         values = [float(v) for v in rng.uniform(-1e6, 1e6, 100)]
         values += [1.0 / 3.0, math.pi, 2.25e-06, 81.0593900481541]
         buf = io.StringIO()
-        write_csv(buf, ["x"], [[v] for v in values], "deadbeef", 42)
+        write_csv(buf, ["x"], [RowBlock((), (np.array(values),), ())], "deadbeef", 42)
         buf.seek(0)
         provenance, columns, rows = read_csv(buf)
         assert columns == ["x"]
         assert provenance["config_sha256"] == "deadbeef"
         assert provenance["seed"] == "42"
+        assert rows == [[format_value(v)] for v in values]
         back = [float(r[0]) for r in rows]
         assert back == values
 
@@ -318,12 +320,41 @@ class TestCliCommands:
             ("micro", {"run": {"seed": 1}, "micro": {**micro, "horizon": 0}}, "micro.horizon"),
             ("micro", {"run": {"seed": 1}, "micro": {**micro, "equity_total": -1}},
              "micro.equity_total"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "omega2": 1.5}}},
+             "skew.history.omega2"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "history": {
+                "kind": "constant", "depth": 20, "level": 500}}}, "skew.history.level"),
+            ("simulate", {"run": {"initial": [0.5, 60.0]}}, "run.initial"),
+            ("attractor", {"run": {"initial": [0.5, 60.0]}}, "run.initial"),
+            ("lyapunov", {"run": {"initial": [0.5, 60.0]}}, "run.initial"),
+            ("micro", {"run": {"seed": 1, "initial": [0.5, 60.0]}, "micro": micro},
+             "run.initial"),
+            ("lyapunov", {"model": {"omegas": [0.5]}, "lyapunov": {"x0": 0.5}}, "lyapunov.x0"),
         ]
         for command, document, key in cases:
             cfg = write_config(tmp_path, {"model": STD_MODEL, **document}, "case.json")
             assert main([command, "--config", cfg, "--workers", "1"]) == 2, key
             err = capsys.readouterr().err
             assert f"levdyn: configuration error: {key}: " in err, err
+
+    def test_start_past_the_bound_exits_3(self, tmp_path, capsys):
+        # a mean field past 1 + gamma = 101 is a constraint violation in
+        # every command that starts from run.initial
+        past = {"initial": [150.0, 150.0]}
+        cases = [
+            ("simulate", {"model": {"omegas": [0.5]}, "run": {"initial": [200.0]}}),
+            ("attractor", {"model": STD_MODEL, "run": past}),
+            ("boxdim", {"model": STD_MODEL, "run": past}),
+            ("lyapunov", {"model": STD_MODEL, "run": past}),
+            ("lyapunov", {"model": {"omegas": [0.5]}, "lyapunov": {"x0": 150.0}}),
+            ("micro", {"model": STD_MODEL, "run": {**past, "seed": 1},
+                       "micro": {"n_intraday": 100, "horizon": 5}}),
+        ]
+        for command, document in cases:
+            cfg = write_config(tmp_path, document, "case.json")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3, (
+                command, document)
+            assert "levdyn: constraint violation: " in capsys.readouterr().err
 
     def test_micro_zero_noise_start_on_bound_exits_3(self, tmp_path, capsys):
         # the mean field 101 = 1 + gamma makes phi = 1; this used to end

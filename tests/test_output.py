@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import io
 import tracemalloc
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levdyn import cli, output
 from levdyn.config import parse_config
-from levdyn.orbits import PeriodReport
+from levdyn.orbits import OrbitTrace, PeriodReport, pair_sync
+from levdyn.params import LeverageState
 from levdyn.output import RowBlock, format_value, write_csv
 from levdyn.sweep import SweepRecord
 
@@ -68,10 +71,15 @@ def sweep_records(draw, banks: int) -> SweepRecord:
     )
 
 
-def csv_body(rows) -> str:
+def csv_body(blocks) -> str:
     buf = io.StringIO()
-    write_csv(buf, COLUMNS, rows, "deadbeef", 1)
+    write_csv(buf, COLUMNS, blocks, "deadbeef", 1)
     return buf.getvalue().partition(",".join(COLUMNS) + "\n")[2]
+
+
+def cell_text(rows) -> str:
+    """Rows formatted cell by cell with the reference formatter."""
+    return "".join(",".join(format_value(v) for v in row) + "\n" for row in rows)
 
 
 class TestBlockEmission:
@@ -115,7 +123,7 @@ class TestBlockEmission:
             (0.1, "x"),
         )
         rows = [[True, None, 7, i, f, w, 0.1, "x"] for i, f, w in zip(ints, flags, words)]
-        assert csv_body([block]) == csv_body(rows)
+        assert csv_body([block]) == cell_text(rows)
 
 
 class CountingSink:
@@ -151,3 +159,114 @@ def test_bifurcate_memory_bounded_by_one_grid_point(monkeypatch):
         tracemalloc.stop()
     assert sink.chars > 200 * 240 * 2 * 60
     assert peak < sink.chars / 4
+
+
+def simulate_rows(config, trace: OrbitTrace) -> list[list]:
+    """The cell rows simulate built before it emitted blocks."""
+    n = config.model.n_banks
+    rows = []
+    for k in range(trace.n_recorded):
+        lams = trace.recorded[k]
+        sync = pair_sync(lams[0], lams[1]) if n >= 2 else 0.0
+        rows.append([config.run.transient + k + 1, *(float(v) for v in lams), sync, True])
+    return rows
+
+
+def micro_rows(config, run) -> list[list]:
+    """The cell rows micro built before it emitted blocks."""
+    rows = []
+    for t in range(config.micro.horizon):
+        for bank in range(config.model.n_banks):
+            rows.append([
+                t, bank + 1,
+                float(run.lambdas_stochastic[t, bank]),
+                float(run.lambdas_deterministic[t, bank]),
+                float(run.pi_drift_max[t]),
+                float(run.phi_hat[t]),
+                float(run.sigma_eps_hat_sq[t]),
+            ])
+    return rows
+
+
+def stability_rows(config, result) -> list[list]:
+    """The cell rows stability-map built before it emitted blocks."""
+    rows = []
+    for i, w1 in enumerate(result.omega1s):
+        for j, w2 in enumerate(result.omega2s):
+            rows.append([float(w1), float(w2), result.classes[i, j]])
+    return rows
+
+
+TWO_BANKS = {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}
+MICRO = {"n_intraday": 200, "horizon": 12}
+
+#: name: (command, the function whose result it writes, old rows, config, rows)
+COMMAND_CASES = {
+    "simulate": (cli.cmd_simulate, "iterate", simulate_rows, {
+        "model": TWO_BANKS, "run": {"transient": 20, "record": 300, "initial": [50.0, 60.0]},
+    }, 300),
+    "simulate-first-step-escapes": (cli.cmd_simulate, "iterate", simulate_rows, {
+        "model": {"omegas": [0.5]}, "run": {"transient": 0, "record": 10, "initial": [101.0]},
+    }, 0),
+    "simulate-one-bank": (cli.cmd_simulate, "iterate", simulate_rows, {
+        "model": {"omegas": [0.5]}, "run": {"transient": 20, "record": 200, "initial": [50.0]},
+    }, 200),
+    "micro": (cli.cmd_micro, "run_micro", micro_rows, {
+        "model": TWO_BANKS, "run": {"seed": 3, "initial": [50.0, 60.0]}, "micro": MICRO,
+    }, 24),
+    "micro-zero-noise": (cli.cmd_micro, "run_micro", micro_rows, {
+        "model": TWO_BANKS, "run": {"seed": 3, "initial": [50.0, 60.0]},
+        "micro": {**MICRO, "zero_noise": True},
+    }, 24),
+    "stability-map": (partial(cli.cmd_stability_map, workers=1), "stability_map",
+                      stability_rows, {
+        "model": TWO_BANKS, "run": {"seed": 4, "transient": 50, "record": 30},
+        "stability": {"omega1_range": [0.1, 0.9], "omega2_range": [0.0, 1.0],
+                      "resolution": [3, 4], "pi1": 0.5, "initials_per_point": 1},
+    }, 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_CASES))
+def test_command_blocks_match_cell_rows(case, monkeypatch):
+    command, computes, old_rows, document, n_rows = COMMAND_CASES[case]
+    results = []
+    compute = getattr(cli, computes)
+
+    def keep(*args, **kwargs):
+        results.append(compute(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, computes, keep)
+    config = parse_config(document)
+    buf = io.StringIO()
+    command(config, buf)
+    body = "".join(buf.getvalue().splitlines(keepends=True)[5:])
+    rows = old_rows(config, results[0])
+    assert len(rows) == n_rows
+    assert body == cell_text(rows)
+
+
+def test_simulate_memory_holds_columns_not_rows(monkeypatch):
+    rows = 60_000
+    config = parse_config({
+        "model": TWO_BANKS, "run": {"transient": 1000, "record": rows, "initial": [50.0, 60.0]},
+    })
+    rng = np.random.default_rng(5)
+    trace = OrbitTrace(
+        config.model, LeverageState.from_lambdas([50.0, 60.0], config.model), 1000,
+        rng.uniform(1.0, 100.0, (rows, 2)), None,
+    )
+    monkeypatch.setattr(cli, "iterate", lambda *a, **k: trace)
+    # small slices leave the columns simulate adds to the orbit (step,
+    # sync_12 and feasible: 17 bytes a row) as the bulk of the peak
+    monkeypatch.setattr(output, "SLICE_ROWS", 1024)
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        assert cli.cmd_simulate(config, sink) == cli.EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > rows * 60
+    assert peak < sink.chars / 2
