@@ -196,18 +196,13 @@ def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock]:
 def cmd_lyapunov(config: ExperimentConfig, out: TextIO) -> int:
     steps = config.lyapunov.steps
     params = config.model
+    state, seed = _initial_state(config, "lyapunov")
     if params.n_banks == 1:
-        if config.lyapunov.x0 is not None:
-            x0, seed = config.lyapunov.x0, config.run.seed
-        else:
-            state, seed = _initial_state(config, "lyapunov")
-            x0 = state.lambdas[0]
         est = lyapunov_1d(
-            params.omegas[0], params, x0=x0,
+            params.omegas[0], params, x0=state.lambdas[0],
             transient=config.run.transient, steps=steps,
         )
     else:
-        state, seed = _initial_state(config, "lyapunov")
         est = lyapunov_spectrum(
             state, params, transient=config.run.transient, steps=steps
         )
@@ -288,6 +283,8 @@ def cmd_micro(config: ExperimentConfig, out: TextIO) -> int:
     if config.micro is None:
         raise ConfigError("micro needs a micro block", key="micro")
     seed = config.require_seed("micro")
+    if not min(config.model.pis) > 0.0:
+        raise ConfigError("micro needs every asset weight positive", key="model.pis")
     mp = MicroParams(
         base=config.model,
         n_intraday=config.micro.n_intraday,

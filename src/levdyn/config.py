@@ -167,7 +167,6 @@ class BoxdimBlock:
 @dataclass(frozen=True)
 class LyapunovBlock:
     steps: int = _key(_at_least(1), 100_000)
-    x0: float | None = _key(_at_least(1, float), None)
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ class HistorySpec:
     depth: int = _key(_at_least(1))
     omega2: float | None = _key(_unit, None)
     level: float | None = _key(float, None)
-    x0: float = _key(float, 50.0)
+    x0: float = _key(_at_least(1, float), 50.0)
     transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
 
     def __post_init__(self) -> None:
@@ -281,8 +280,8 @@ def parse_config(document: Mapping[str, Any]) -> ExperimentConfig:
         )
     history = blocks["skew"].history if "skew" in blocks else None
     bound = model.lambda_max
-    if history is not None and history.kind == "orbit" and not 0.0 < history.x0 < bound:
-        raise ConfigError(f"must be in (0, 1 + gamma = {bound})", key="skew.history.x0")
+    if history is not None and history.kind == "orbit" and not history.x0 < bound:
+        raise ConfigError(f"must be below 1 + gamma = {bound}", key="skew.history.x0")
     if history is not None and history.kind == "constant" and not history.level < bound:
         raise ConfigError(f"must be below 1 + gamma = {bound}", key="skew.history.level")
     return ExperimentConfig(model=model, **blocks, sha256=config_hash(document))

@@ -1,18 +1,16 @@
-"""Pure map evaluations: single-bank map, coupled N-bank step, forced
-fiber map, and their analytic derivatives.
+"""Pure map evaluations: the one per-bank update, the coupled N-bank
+step built from it, and their analytic derivatives.
 
-Single bank with memory omega:
+Every bank applies the same VaR update against a leverage y:
 
-    T(x) = (omega/x^2 + (1-omega) K / (1+gamma-x)^2)^(-1/2),
-    K = alpha^2 gamma^2 sigma_eps_sq,     x in (0, 1+gamma).
+    f_y(x) = (omega/x^2 + (1-omega) K / (1+gamma-y)^2)^(-1/2),
+    K = alpha^2 gamma^2 sigma_eps_sq,     x > 0,  y < 1+gamma.
 
-Coupled system (m is the weighted mean leverage sum pi_j lambda_j):
-
-    lambda_i' = (omega_i/lambda_i^2 + (1-omega_i) K / (1+gamma-m)^2)^(-1/2)
-
-Forced fiber map driven by a forcing leverage y:
-
-    f_y(x) = (omega_1/x^2 + (1-omega_1) K / (1+gamma-y)^2)^(-1/2)
+Only y differs between the three dynamics.  An isolated bank is its own
+mean field, T(x) = f_x(x) on x in (0, 1+gamma).  Coupled banks all see
+the weighted mean leverage m = sum pi_j lambda_j,
+lambda_i' = f_m(lambda_i) with omega_i.  A zero-weight bank forced by a
+large one sees the forcing leverage y.
 
 All evaluations run in 64-bit floats; every routine derives the mean
 field and intermediate terms in the same order so analytic Jacobians
@@ -30,34 +28,20 @@ from .errors import DomainError
 from .params import LeverageState, ModelParams, mean_field
 
 
-def _check_open_domain(x: float, lambda_max: float, what: str) -> None:
-    if not x > 0.0:
-        raise DomainError(f"{what} must be positive, got {x}")
-    if not x < lambda_max:
-        raise DomainError(f"{what} must be below 1 + gamma = {lambda_max}, got {x}")
-
-
 def leverage_map(x: float, omega: float, params: ModelParams) -> float:
-    """Single-bank leverage update T(x).
+    """Single-bank leverage update T(x) = f_x(x).
 
-    Requires 0 < x < 1 + gamma; the update is the inverse square root of
-    a convex combination of 1/x^2 and the variance kernel at x.  For
-    omega = 1 the map is the identity (up to floating-point rounding of
-    the inverse square root).
+    Requires 0 < x < 1 + gamma.  For omega = 1 the map is the identity
+    (up to floating-point rounding of the inverse square root).
     """
-    _check_open_domain(x, params.lambda_max, "leverage")
-    d = 1.0 + params.gamma - x
-    kernel = params.coupling_coef / (d * d)
-    g = omega / (x * x) + (1.0 - omega) * kernel
-    return 1.0 / math.sqrt(g)
+    return fiber_map(x, x, omega, params)
 
 
 def leverage_map_deriv(x: float, omega: float, params: ModelParams) -> float:
-    """Analytic derivative T'(x) = T(x)^3 [omega/x^3 - (1-omega) K/(1+gamma-x)^3]."""
+    """Analytic derivative T'(x) = T(x)^3 [omega/x^3 - (1-omega) K/(1+gamma-x)^3],
+    the 1 x 1 step_jacobian."""
     t = leverage_map(x, omega, params)
-    d = 1.0 + params.gamma - x
-    kernel3 = params.coupling_coef / (d * d * d)
-    return t * t * t * (omega / (x * x * x) - (1.0 - omega) * kernel3)
+    return float(step_jacobian([x], [t], [omega], [1.0], params)[0, 0])
 
 
 def advance(lambdas: Sequence[float], params: ModelParams) -> list[float]:
@@ -68,19 +52,7 @@ def advance(lambdas: Sequence[float], params: ModelParams) -> list[float]:
     the mean field reaches 1 + gamma (the variance kernel diverges).
     """
     m = mean_field(lambdas, params.pis)
-    if not m < params.lambda_max:
-        raise DomainError(
-            f"mean field {m} at or above 1 + gamma = {params.lambda_max}"
-        )
-    d = 1.0 + params.gamma - m
-    kernel = params.coupling_coef / (d * d)
-    out = []
-    for lam, omega in zip(lambdas, params.omegas):
-        if not lam > 0.0:
-            raise DomainError(f"leverage must be positive, got {lam}")
-        g = omega / (lam * lam) + (1.0 - omega) * kernel
-        out.append(1.0 / math.sqrt(g))
-    return out
+    return [fiber_map(lam, m, omega, params) for lam, omega in zip(lambdas, params.omegas)]
 
 
 def coupled_step(state: LeverageState, params: ModelParams) -> LeverageState:
@@ -130,7 +102,7 @@ def step_jacobian(
 
 
 def fiber_map(x: float, y: float, omega1: float, params: ModelParams) -> float:
-    """Forced-bank update f_y(x) under a fixed forcing leverage y.
+    """The update f_y(x) every bank applies, against the leverage y it sees.
 
     Monotonically increasing and concave in x, with horizontal asymptote
     ((1-omega1) var_kernel(y))^(-1/2) as x grows.  Requires x > 0 and
@@ -140,7 +112,7 @@ def fiber_map(x: float, y: float, omega1: float, params: ModelParams) -> float:
         raise DomainError(f"leverage must be positive, got {x}")
     if not y < params.lambda_max:
         raise DomainError(
-            f"forcing leverage must be below 1 + gamma = {params.lambda_max}, got {y}"
+            f"mean field must be below 1 + gamma = {params.lambda_max}, got {y}"
         )
     g = omega1 / (x * x) + (1.0 - omega1) * params.var_kernel(y)
     return 1.0 / math.sqrt(g)

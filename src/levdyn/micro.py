@@ -257,7 +257,6 @@ def initial_equities(params: MicroParams, lambdas: list[float]) -> list[float]:
 def run_micro(
     params: MicroParams,
     initial_lambdas: list[float] | tuple[float, ...],
-    equities: list[float] | None = None,
 ) -> MicroRun:
     """Simulate ``horizon`` slow periods and the deterministic reference.
 
@@ -278,9 +277,7 @@ def run_micro(
         raise ValueError(f"expected {n_banks} initial leverages")
     if any(lam < 1.0 for lam in lambdas):
         raise ValueError("initial leverages must be >= 1")
-    equities = (
-        initial_equities(params, lambdas) if equities is None else list(equities)
-    )
+    equities = initial_equities(params, lambdas)
     if not all(e > 0.0 for e in equities):
         raise ValueError("initial equities must be positive")
     sigma_sq = [1.0 / (base.alpha * lam) ** 2 for lam in lambdas]

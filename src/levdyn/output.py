@@ -31,19 +31,13 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def provenance_lines(
-    config_sha256: str, seed: int | None, timestamp: bool = True
-) -> list[str]:
-    lines = [
+def provenance_lines(config_sha256: str, seed: int | None) -> list[str]:
+    return [
         f"# levdyn_version: {__version__}",
         f"# config_sha256: {config_sha256}",
         f"# seed: {'none' if seed is None else seed}",
+        f"# timestamp: {datetime.now(timezone.utc).isoformat(timespec='seconds')}",
     ]
-    if timestamp:
-        lines.append(
-            f"# timestamp: {datetime.now(timezone.utc).isoformat(timespec='seconds')}"
-        )
-    return lines
 
 
 class RowBlock(NamedTuple):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, OrbitViolationError, TailBoundError
 from .lyap import lyapunov_1d
-from .maps import _check_open_domain, fiber_map, leverage_map
+from .maps import fiber_map, leverage_map
 from .orbits import PeriodReport, _run_checked, classify, iterate, window_periods
 from .params import LeverageState, ModelParams
 
@@ -83,7 +83,8 @@ def history_from_orbit(
     if depth < 1 or transient < 0:
         raise ValueError("need depth >= 1 and transient >= 0")
     p = params.with_single_omega(omega2)
-    _check_open_domain(x0, p.lambda_max, "leverage")
+    if not 0.0 < x0 < p.lambda_max:
+        raise DomainError(f"x0 must be in (0, 1 + gamma = {p.lambda_max}), got {x0}")
     recorded = _run_checked([float(x0)], p, transient, depth)
     orbit = recorded[:, 0]
     history = ForcingHistory(past=orbit[::-1].copy(), source="orbit-tail")

@@ -107,13 +107,11 @@ def close_period(returns, r0, sigma_sq, omegas, params: MicroParams):
     return new_lambdas, new_sigma, phi_hat, sigma_eps_hat_sq, floored
 
 
-def run_micro(params: MicroParams, initial_lambdas, equities=None) -> MicroRun:
+def run_micro(params: MicroParams, initial_lambdas) -> MicroRun:
     base = params.base
     n_banks = base.n_banks
     lambdas = [float(x) for x in initial_lambdas]
-    equities = (
-        initial_equities(params, lambdas) if equities is None else list(equities)
-    )
+    equities = initial_equities(params, lambdas)
     sigma_sq = [1.0 / (base.alpha * lam) ** 2 for lam in lambdas]
     target_assets = [lam * e for lam, e in zip(lambdas, equities)]
     rng = np.random.default_rng(params.rng_seed)

@@ -85,7 +85,7 @@ class TestConfigParsing:
         assert (cfg.boxdim.eps_decades, cfg.boxdim.n_scales, cfg.boxdim.fit_range) == (
             3.0, 12, None
         )
-        assert (cfg.lyapunov.steps, cfg.lyapunov.x0) == (100_000, None)
+        assert cfg.lyapunov.steps == 100_000
         assert cfg.sweep is None and cfg.micro is None
 
     def test_unknown_top_level_key_rejected(self):
@@ -329,13 +329,23 @@ class TestCliCommands:
             ("lyapunov", {"run": {"initial": [0.5, 60.0]}}, "run.initial"),
             ("micro", {"run": {"seed": 1, "initial": [0.5, 60.0]}, "micro": micro},
              "run.initial"),
-            ("lyapunov", {"model": {"omegas": [0.5]}, "lyapunov": {"x0": 0.5}}, "lyapunov.x0"),
+            ("lyapunov", {"model": {"omegas": [0.5]}, "run": {"initial": [0.5]}}, "run.initial"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "x0": 0.5,
+                                                                 "transient": 0}}},
+             "skew.history.x0"),
+            ("micro", {"model": {**STD_MODEL, "pis": [0.0, 1.0]}, "run": {"seed": 1},
+                       "micro": micro}, "model.pis"),
         ]
         for command, document, key in cases:
             cfg = write_config(tmp_path, {"model": STD_MODEL, **document}, "case.json")
             assert main([command, "--config", cfg, "--workers", "1"]) == 2, key
             err = capsys.readouterr().err
             assert f"levdyn: configuration error: {key}: " in err, err
+        # a one-bank lyapunov starts from run.initial; its old start key is gone
+        cfg = write_config(tmp_path, {"model": {"omegas": [0.5]}, "lyapunov": {"x0": 50.0}},
+                           "case.json")
+        assert main(["lyapunov", "--config", cfg]) == 2
+        assert "levdyn: configuration error: lyapunov.x0: unknown key" in capsys.readouterr().err
 
     def test_start_past_the_bound_exits_3(self, tmp_path, capsys):
         # a mean field past 1 + gamma = 101 is a constraint violation in
@@ -346,7 +356,7 @@ class TestCliCommands:
             ("attractor", {"model": STD_MODEL, "run": past}),
             ("boxdim", {"model": STD_MODEL, "run": past}),
             ("lyapunov", {"model": STD_MODEL, "run": past}),
-            ("lyapunov", {"model": {"omegas": [0.5]}, "lyapunov": {"x0": 150.0}}),
+            ("lyapunov", {"model": {"omegas": [0.5]}, "run": {"initial": [150.0]}}),
             ("micro", {"model": STD_MODEL, "run": {**past, "seed": 1},
                        "micro": {"n_intraday": 100, "horizon": 5}}),
         ]

@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levdyn.errors import DomainError, InfeasibleStateError
@@ -19,6 +19,7 @@ from levdyn.maps import (
     leverage_map,
     leverage_map_deriv,
 )
+from levdyn.orbits import iterate
 from levdyn.params import LeverageState, ModelParams, common_fixed_point
 
 from conftest import two_bank
@@ -261,6 +262,117 @@ class TestFiberMap:
             fiber_map(0.0, 50.0, 0.5, std1)
         with pytest.raises(DomainError):
             fiber_map(10.0, std1.lambda_max, 0.5, std1)
+
+
+def _closed_advance(lams, p: ModelParams) -> list[float]:
+    """lambda_i' = (omega_i/lambda_i^2 + (1-omega_i) K/(1+gamma-m)^2)^(-1/2)."""
+    k = p.alpha * p.alpha * p.gamma * p.gamma * p.sigma_eps_sq
+    m = 0.0
+    for pi, lam in zip(p.pis, lams):
+        m += pi * lam
+    if not m < 1.0 + p.gamma or not all(lam > 0.0 for lam in lams):
+        raise DomainError("outside the domain")
+    d = 1.0 + p.gamma - m
+    return [1.0 / math.sqrt(om / (lam * lam) + (1.0 - om) * (k / (d * d)))
+            for lam, om in zip(lams, p.omegas)]
+
+
+def _closed_jacobian(lams, p: ModelParams) -> np.ndarray:
+    """T_i^3 [omega_i delta_ij / lambda_i^3 - (1-omega_i) K pi_j/(1+gamma-m)^3]."""
+    k = p.alpha * p.alpha * p.gamma * p.gamma * p.sigma_eps_sq
+    new = _closed_advance(lams, p)
+    m = 0.0
+    for pi, lam in zip(p.pis, lams):
+        m += pi * lam
+    d = 1.0 + p.gamma - m
+    rows = []
+    for i, (lam, om, t) in enumerate(zip(lams, p.omegas, new)):
+        c = (1.0 - om) * (k / (d * d * d))
+        row = [-(c * pi) for pi in p.pis]
+        row[i] = om / (lam * lam * lam) - c * p.pis[i]
+        rows.append([t * t * t * e for e in row])
+    return np.array(rows)
+
+
+def _outcome(f, *args):
+    """The value's repr (bytes for arrays), or the type of the error raised."""
+    try:
+        value = f(*args)
+    except Exception as exc:
+        return type(exc)
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+
+def _leverages(top: float):
+    """Leverages inside (0, 1 + gamma), at its edges and past them."""
+    return st.one_of(
+        st.floats(1e-3, top, exclude_max=True),
+        st.sampled_from([-1.0, -0.0, 0.0, 1.0, top]),
+        st.floats(-1.0, 0.0),
+        st.floats(top, top + 5.0),
+    )
+
+
+class TestClosedForms:
+    """The single bank and the coupled step are one update written out in
+    the module docstring's closed forms; results agree to the bit and
+    DomainError is raised on exactly the same inputs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_bank(self, data):
+        p = ModelParams(gamma=data.draw(st.floats(1.0, 200.0)))
+        x = data.draw(_leverages(p.lambda_max))
+        omega = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        k = p.alpha * p.alpha * p.gamma * p.gamma * p.sigma_eps_sq
+
+        def closed_map(x, omega, p):
+            if not 0.0 < x < 1.0 + p.gamma:
+                raise DomainError("outside the domain")
+            d = 1.0 + p.gamma - x
+            return 1.0 / math.sqrt(omega / (x * x) + (1.0 - omega) * (k / (d * d)))
+
+        def closed_deriv(x, omega, p):
+            t = closed_map(x, omega, p)
+            d = 1.0 + p.gamma - x
+            return t * t * t * (omega / (x * x * x) - (1.0 - omega) * (k / (d * d * d)))
+
+        assert _outcome(leverage_map, x, omega, p) == _outcome(closed_map, x, omega, p)
+        assert _outcome(leverage_map_deriv, x, omega, p) == _outcome(closed_deriv, x, omega, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_coupled_step(self, data):
+        n = data.draw(st.integers(1, 4))
+        weights = [data.draw(st.integers(0, 3)) for _ in range(n)]
+        weights[0] += sum(weights) == 0
+        p = ModelParams(
+            gamma=data.draw(st.floats(1.0, 200.0)),
+            omegas=[data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+                    for _ in range(n)],
+            pis=[w / sum(weights) for w in weights],
+        )
+        lams = [data.draw(_leverages(p.lambda_max)) for _ in range(n)]
+        assert _outcome(advance, lams, p) == _outcome(_closed_advance, lams, p)
+        assert _outcome(coupled_jacobian, lams, p) == _outcome(_closed_jacobian, lams, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_orbit_loop_repeats_advance(self, data):
+        # orbits._run writes the update out again for speed; its states
+        # are those of repeated advance, bit for bit
+        n = data.draw(st.integers(1, 4))
+        p = ModelParams(
+            gamma=data.draw(st.floats(1.0, 200.0)),
+            omegas=[data.draw(st.floats(0.0, 1.0)) for _ in range(n)],
+            pis=[1.0 / n] * n,
+        )
+        lams = [data.draw(st.floats(1.0, p.lambda_max, exclude_max=True)) for _ in range(n)]
+        state = LeverageState.from_lambdas(lams, p)
+        assume(state.feasible)
+        for row in iterate(state, p, transient=0, record=30).recorded:
+            lams = advance(lams, p)
+            assert row.tobytes() == np.array(lams).tobytes()
 
 
 class TestAuxNotation:
