@@ -15,3 +15,6 @@ from .params import (  # noqa: E402,F401
     ModelParams,
     common_fixed_point,
 )
+
+# before any module that uses it: its self-check imports orbits and micro
+from . import _kernel  # noqa: E402,F401

@@ -31,6 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _kernel
 from .errors import InsolvencyError, NonstationaryError
 from .maps import advance
 from .params import ModelParams, mean_field
@@ -112,9 +113,32 @@ def _ticks(
     not positive (NaN included) raises InsolvencyError(period, bank).
     Returns the tick returns and the asset weights after each tick
     (ticks x banks), each row divided by its left-to-right sum.
+
+    The loop runs compiled (``levdyn_ticks`` in ``_kernel.c``) when that
+    loaded.  The Python loop below is its reference.  It runs where no
+    C compiler is found, and where the compiled loop stops at a step on
+    which Python raises ZeroDivisionError, to raise it.
     """
     banks = range(len(equities))
     phi = _impact(lambdas, assets, gamma)
+    lib = _kernel.lib
+    if lib is not None and len(equities) == len(assets) == len(lambdas):
+        if not isinstance(eps, memoryview):
+            eps = list(eps)  # the Python loop may iterate it again
+        shocks = np.ascontiguousarray(eps, dtype=float)
+        e, a, lam = (np.array(x, dtype=float) for x in (equities, assets, lambdas))
+        returns = np.empty(len(shocks))
+        weights = np.empty((len(shocks), len(banks)))
+        out = np.zeros(2, dtype=np.int64)
+        code = lib.levdyn_ticks(len(banks), e.ctypes.data, a.ctypes.data, lam.ctypes.data,
+                                r, phi, gamma, shocks.ctypes.data, len(shocks),
+                                returns.ctypes.data, weights.ctypes.data, out.ctypes.data)
+        if code != _kernel.DEFER:
+            equities[:] = e.tolist()
+            assets[:] = a.tolist()
+            if code:
+                raise InsolvencyError(period=period, bank=int(out[1]))
+            return returns, weights
     # raw doubles: 8 bytes a value, where a list of floats takes 32
     returns = array("d")
     held = array("d")

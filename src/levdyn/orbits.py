@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .errors import InsufficientTraceError, OrbitViolationError
 from .params import LeverageState, ModelParams
 
 #: constraint names used in violation records
 LEVERAGE_FLOOR = "leverage_floor"
 AR1_STATIONARITY = "ar1_stationarity"
+#: the compiled loop's violation codes
+_CONSTRAINTS = {1: LEVERAGE_FLOOR, 2: AR1_STATIONARITY}
 
 #: exponent threshold above which an unresolved period counts as aperiodic
 APERIODIC_EXPONENT_MIN = 1e-3
@@ -89,6 +92,11 @@ def _run(
     from has mean field at or above 1 + gamma, if a new leverage is
     below 1, or if the new mean field is above 1 + gamma.  A state
     exactly on the bound is recorded but cannot be advanced.
+
+    The loop runs compiled (``levdyn_run`` in ``_kernel.c``) when that
+    loaded.  The Python loop below is its reference.  It runs where no
+    C compiler is found, and where the compiled loop stops at a step on
+    which Python raises ZeroDivisionError, to raise it.
     """
     gamma = params.gamma
     lam_max = params.lambda_max
@@ -97,6 +105,16 @@ def _run(
     pis = params.pis
     n = len(lambdas)
     recorded = np.empty((record, n))
+    lib = _kernel.lib
+    if lib is not None and n == len(omegas):
+        lams, w, p = (np.array(a, dtype=float) for a in (lambdas, omegas, pis))
+        out = np.zeros(2, dtype=np.int64)
+        code = lib.levdyn_run(n, lams.ctypes.data, w.ctypes.data, p.ctypes.data, gamma,
+                              lam_max, coef, transient, record, recorded.ctypes.data,
+                              out.ctypes.data)
+        if code != _kernel.DEFER:
+            violation = (int(out[1]), _CONSTRAINTS[code]) if code else None
+            return recorded[:out[0]], violation
     kept = 0
     violation = None
     lams = list(lambdas)

@@ -3,9 +3,11 @@
 Each case runs one command through ``levdyn.cli.main`` and compares the
 sha256 of its output, with the ``# timestamp:`` line removed, against a
 committed digest.  A refactor or a speed-up that keeps these digests
-keeps the bytes every command writes.  When a change alters output on
-purpose, print the new digests with ``pytest tests/test_golden.py -s``
-and update them here in the same change.
+keeps the bytes every command writes.  Every case runs twice, through
+the compiled loops where they loaded and through the Python loops,
+against the same digest.  When a change alters output on purpose, print
+the new digests with ``pytest tests/test_golden.py -s`` and update them
+here in the same change.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from levdyn.cli import EXIT_OK, main
+
+from conftest import python_loops
 
 TWO_BANK = {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}
 
@@ -128,3 +132,9 @@ def test_golden_output(name, tmp_path):
     print(f"{name}: exit {code} sha256 {digest}")
     assert code == exit_code
     assert digest == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_python_loops(name, tmp_path):
+    with python_loops():
+        test_golden_output(name, tmp_path)

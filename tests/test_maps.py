@@ -18,6 +18,7 @@ from levdyn.maps import (
     fiber_map_deriv,
     leverage_map,
     leverage_map_deriv,
+    step_jacobian,
 )
 from levdyn.orbits import iterate
 from levdyn.params import LeverageState, ModelParams, common_fixed_point
@@ -91,9 +92,10 @@ class TestSingleBankMap:
     def test_unimodal_single_critical_point(self, std1):
         xs = np.linspace(1e-3, std1.lambda_max - 1e-3, 100_000)
         for omega in (0.1, 0.3, 0.5, 0.7, 0.9):
-            signs = np.array(
-                [leverage_map_deriv(float(x), omega, std1) > 0 for x in xs]
-            )
+            # leverage_map_deriv on the whole grid: one stack of 1 x 1 Jacobians
+            new = [leverage_map(x, omega, std1) for x in xs.tolist()]
+            derivs = step_jacobian(xs[:, None], np.array(new)[:, None], [omega], [1.0], std1)
+            signs = derivs[:, 0, 0] > 0
             assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 1
 
     @settings(max_examples=50, deadline=None)

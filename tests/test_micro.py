@@ -14,6 +14,7 @@ from levdyn.micro import (
     MicroParams,
     MicroState,
     close_period,
+    _ticks,
     initial_equities,
     run_micro,
     step_intraday,
@@ -21,7 +22,7 @@ from levdyn.micro import (
 from levdyn.params import ModelParams
 
 import micro_oracle as oracle
-from conftest import two_bank
+from conftest import needs_kernel, python_loops, two_bank
 
 
 class _StubRng:
@@ -362,3 +363,45 @@ def test_step_intraday_matches_oracle_tick(lambdas, data):
         assert _error_fields(got) == _error_fields(want)
     else:
         assert repr(got) == repr(want)
+
+
+def _ticks_outcome(equities, assets, lambdas, r, gamma, form, shocks, period):
+    """``_ticks`` on copies of ``equities`` and ``assets`` and on the
+    shocks in the given form: its returns and weights as bytes, or the
+    error it raises, with both lists after the call."""
+    equities, assets = list(equities), list(assets)
+    try:
+        returns, weights = _ticks(equities, assets, lambdas, r, gamma, form(shocks), period)
+        result = (returns.shape, returns.tobytes(), weights.shape, weights.tobytes())
+    except InsolvencyError as exc:
+        result = (type(exc), exc.period, exc.bank)
+    except ZeroDivisionError as exc:
+        result = (type(exc), exc.args)
+    return result, np.array(equities).tobytes(), np.array(assets).tobytes()
+
+
+@needs_kernel
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")  # inf / inf weights
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_compiled_ticks_match_python_loop(data):
+    """The compiled tick loop against the Python loop: 1-4 banks, up to
+    300 shocks given as a list, a one-pass iterator or a memoryview,
+    contiguous or strided,
+    NaN and infinite shocks and large leverages, so insolvency occurs;
+    zero leverages make the Python loop divide by zero."""
+    banks = data.draw(st.integers(1, 4))
+    lambdas = [data.draw(st.one_of(st.floats(0.5, 150.0), st.just(0.0))) for _ in range(banks)]
+    equities = [data.draw(st.floats(1e-6, 1.0)) for _ in range(banks)]
+    assets = [data.draw(st.floats(1e-6, 150.0)) for _ in range(banks)]
+    shock = st.one_of(st.floats(-0.05, 0.05), st.sampled_from([math.nan, math.inf, -math.inf]))
+    form = data.draw(st.sampled_from([
+        list, iter, lambda s: memoryview(np.array(s)),
+        lambda s: memoryview(np.repeat(np.array(s), 2)[::2]),  # strided
+    ]))
+    args = (lambdas, data.draw(st.floats(-0.05, 0.05)), data.draw(st.floats(5.0, 200.0)),
+            form, data.draw(st.lists(shock, max_size=300)), data.draw(st.integers(-1, 50)))
+    got = _ticks_outcome(equities, assets, *args)
+    with python_loops():
+        want = _ticks_outcome(equities, assets, *args)
+    assert got == want

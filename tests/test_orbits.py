@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levdyn.errors import InsufficientTraceError
 from levdyn.lyap import lyapunov_1d
 from levdyn.orbits import (
+    _run,
     classify,
     detect_period,
     estimate_feasible_set,
@@ -15,7 +20,7 @@ from levdyn.orbits import (
 )
 from levdyn.params import LeverageState, ModelParams, common_fixed_point, mean_field
 
-from conftest import two_bank
+from conftest import needs_kernel, python_loops, two_bank
 
 
 class TestIterate:
@@ -216,3 +221,46 @@ class TestClassify:
         assert classify(PeriodReport(None, 1e-7, 192), 0.5, True) == "aperiodic"
         assert classify(PeriodReport(None, 1e-7, 192), -0.2, True) == "unresolved"
         assert classify(PeriodReport(None, 1e-7, 192), None, True) == "unresolved"
+
+
+def _run_outcome(*args):
+    """``_run(*args)`` as bytes and values, or the error it raises."""
+    try:
+        recorded, violation = _run(*args)
+    except ArithmeticError as exc:
+        return type(exc), exc.args
+    return recorded.shape, recorded.tobytes(), violation
+
+
+@st.composite
+def orbit_setups(draw):
+    """``_run`` arguments for random 1-4 bank runs: gamma, memories,
+    weights, lengths and a start whose leverages lie inside the domain,
+    exactly on the 1 + gamma bound, past it or below 1, so both surviving
+    and escaping runs occur.  One start in sixteen has a zero leverage,
+    on which the Python loop divides by zero."""
+    banks = draw(st.integers(1, 4))
+    raw = [draw(st.floats(0.05, 1.0)) for _ in range(banks)]
+    params = ModelParams(
+        gamma=draw(st.floats(5.0, 200.0)),
+        omegas=tuple(draw(st.floats(0.0, 1.0)) for _ in range(banks)),
+        pis=tuple(x / math.fsum(raw) for x in raw),
+    )
+    top = params.lambda_max
+    lam = st.one_of(st.floats(1.0, top), st.just(top), st.floats(0.5, 1.2 * top))
+    start = [draw(lam) for _ in range(banks)]
+    if draw(st.integers(0, 15)) == 0:
+        start[draw(st.integers(0, banks - 1))] = 0.0
+    return start, params, draw(st.integers(0, 200)), draw(st.integers(0, 300))
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(setup=orbit_setups())
+@example(setup=([101.0], ModelParams(), 0, 5))  # a start on the bound cannot advance
+@example(setup=([50.0], ModelParams(omegas=(0.2,)), 0, 500))  # escapes at step 13
+def test_compiled_run_matches_python_loop(setup):
+    got = _run_outcome(*setup)
+    with python_loops():
+        want = _run_outcome(*setup)
+    assert got == want
