@@ -5,7 +5,8 @@ library named by the sha256 of the source, the flags and the machine,
 next to this module or, where that directory is not writable, in
 ``$XDG_CACHE_HOME/levdyn`` (``~/.cache/levdyn``, created with mode
 0700).  The compiler writes a unique temporary file that is then renamed
-into place, so processes building at once do not race.  ``lib`` is the
+into place, so processes building at once do not race; the libraries
+of earlier sources in that directory are then removed.  ``lib`` is the
 library once a short orbit and tick pass give the same bytes through it
 as through the Python loops; otherwise it is None, and ``orbits._run``
 and ``micro._ticks`` run their Python loops.
@@ -65,6 +66,12 @@ def _build(source: Path, directories: list[Path]) -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for stale in directory.glob("_kernel-*.so"):
+            if stale.name != name:
+                try:
+                    stale.unlink()
+                except OSError:
+                    pass
         return directory / name
     raise OSError(f"none of {[str(d) for d in directories]} is writable")
 

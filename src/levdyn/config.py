@@ -19,6 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import Any, Callable, Container, Mapping
 
+from .attractor import box_sizes
 from .errors import ConfigError
 from .params import (
     DEFAULT_ALPHA,
@@ -157,6 +158,10 @@ class BoxdimBlock:
     fit_range: tuple[int, int] | None = _key(_list(int, 2), None)
 
     def __post_init__(self) -> None:
+        try:
+            box_sizes(self.eps_decades, self.n_scales)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key="boxdim.eps_decades") from None
         if self.fit_range is not None:
             start, stop = self.fit_range
             if not (0 <= start and start + 2 <= stop <= self.n_scales):

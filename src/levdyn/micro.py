@@ -160,8 +160,12 @@ def _ticks(
         phi = demand / (gamma * total)
         returns.append(r)
     held_assets = np.frombuffer(held).reshape(len(returns), len(banks))
-    totals = sum(held_assets.T, np.zeros(len(returns)))
-    return np.frombuffer(returns), held_assets / totals[:, None]
+    # silent, as the compiled loop is, where an infinite last shock makes
+    # a row's total overflow or its weights inf / inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        totals = sum(held_assets.T, np.zeros(len(returns)))
+        weights = held_assets / totals[:, None]
+    return np.frombuffer(returns), weights
 
 
 def _retarget(

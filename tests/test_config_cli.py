@@ -296,6 +296,8 @@ class TestCliCommands:
                         "boxdim": {"eps_decades": -1}}, "boxdim.eps_decades"),
             ("boxdim", {"run": {"seed": 1}, "attractor": {"n_points": 1000},
                         "boxdim": {"fit_range": [5, 3]}}, "boxdim.fit_range"),
+            ("boxdim", {"run": {"seed": 1}, "attractor": {"n_points": 1000},
+                        "boxdim": {"eps_decades": 10}}, "boxdim.eps_decades"),
             ("simulate", {"model": {"omegas": [1.5]}, "run": {"seed": 1}}, "model.omegas"),
             ("simulate", {"model": {**STD_MODEL, "alpha": 0}, "run": {"seed": 1}},
              "model.alpha"),

@@ -37,7 +37,9 @@ def test_build_is_cached_by_source_in_the_first_writable_directory(tmp_path):
     # the same source next to the module and here share one name
     assert built.name == _kernel._build(_kernel.SOURCE, _kernel._directories()).name
     source.write_bytes(source.read_bytes() + b"\n/* edited */\n")
-    assert _kernel._build(source, [blocked, cache]).name != built.name
+    rebuilt = _kernel._build(source, [blocked, cache])
+    assert rebuilt.name != built.name
+    assert [p.name for p in cache.iterdir()] == [rebuilt.name]  # the earlier one removed
 
 
 @needs_cc

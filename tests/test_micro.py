@@ -381,7 +381,19 @@ def _ticks_outcome(equities, assets, lambdas, r, gamma, form, shocks, period):
 
 
 @needs_kernel
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")  # inf / inf weights
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_last_shock_gives_nan_weights_silently_on_both_paths():
+    # the last tick's assets and total are infinite, so its weight is inf / inf
+    args = ([10.0], 1e-4, 100.0, list, [1e-3, math.inf], 0)
+    got = _ticks_outcome([0.1], [1.0], *args)
+    with python_loops():
+        want = _ticks_outcome([0.1], [1.0], *args)
+    assert got == want
+    assert np.isnan(np.frombuffer(got[0][3])[-1])
+
+
+@needs_kernel
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # both loops are silent
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_compiled_ticks_match_python_loop(data):
