@@ -59,7 +59,29 @@ def _field(
         raise ConfigError(f"invalid value {block[key]!r} ({exc})", key=name) from None
 
 
-def _at_least(lo: float, kind: Callable[[Any], Any] = int) -> Callable[[Any], Any]:
+def _float(value: Any) -> float:
+    """A JSON number; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("must be a number")
+    return float(value)
+
+
+def _int(value: Any) -> int:
+    """A JSON integer, or an integral float such as 1e6."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("must be an integer")
+    return value
+
+
+def _bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be true or false")
+    return value
+
+
+def _at_least(lo: float, kind: Callable[[Any], Any] = _int) -> Callable[[Any], Any]:
     def convert(value: Any) -> Any:
         if not kind(value) >= lo:
             raise ValueError(f"must be at least {lo}")
@@ -67,22 +89,18 @@ def _at_least(lo: float, kind: Callable[[Any], Any] = int) -> Callable[[Any], An
     return convert
 
 
-def _positive(value: Any) -> float:
-    if not float(value) > 0.0:
-        raise ValueError("must be positive")
-    return float(value)
+def _number(test: Callable[[float], bool], rule: str) -> Callable[[Any], float]:
+    """A converter of the JSON numbers that pass ``test`` (NaN fails)."""
+    def convert(value: Any) -> float:
+        if not test(_float(value)):
+            raise ValueError(f"must be {rule}")
+        return float(value)
+    return convert
 
 
-def _unit(value: Any) -> float:
-    if not 0.0 <= float(value) <= 1.0:
-        raise ValueError("must be in [0, 1]")
-    return float(value)
-
-
-def _memory(value: Any) -> float:
-    if not 0.0 <= float(value) < 1.0:
-        raise ValueError("must be in [0, 1)")
-    return float(value)
+_positive = _number(lambda x: x > 0.0, "positive")
+_unit = _number(lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_memory = _number(lambda x: 0.0 <= x < 1.0, "in [0, 1)")
 
 
 def _one_of(choices: tuple[str, ...]) -> Callable[[Any], str]:
@@ -134,8 +152,8 @@ def _read(cls: type, block: Any, path: str) -> Any:
 class RunBlock:
     transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
     record: int = _key(_at_least(0), DEFAULT_RECORD)
-    seed: int | None = _key(int, None)
-    initial: tuple[float, ...] | None = _key(_list(_at_least(1, float)), None)
+    seed: int | None = _key(_int, None)
+    initial: tuple[float, ...] | None = _key(_list(_at_least(1, _float)), None)
 
 
 @dataclass(frozen=True)
@@ -155,7 +173,7 @@ class AttractorBlock:
 class BoxdimBlock:
     eps_decades: float = _key(_positive, 3.0)
     n_scales: int = _key(_at_least(4), 12)
-    fit_range: tuple[int, int] | None = _key(_list(int, 2), None)
+    fit_range: tuple[int, int] | None = _key(_list(_int, 2), None)
 
     def __post_init__(self) -> None:
         try:
@@ -179,8 +197,8 @@ class HistorySpec:
     kind: str = _key(str)  # "orbit" | "constant"
     depth: int = _key(_at_least(1))
     omega2: float | None = _key(_unit, None)
-    level: float | None = _key(float, None)
-    x0: float = _key(_at_least(1, float), 50.0)
+    level: float | None = _key(_float, None)
+    x0: float = _key(_at_least(1, _float), 50.0)
     transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
 
     def __post_init__(self) -> None:
@@ -204,7 +222,7 @@ class MicroBlock:
     n_intraday: int = _key(_at_least(2))
     horizon: int = _key(_at_least(1))
     equity_total: float = _key(_positive, 1.0)
-    zero_noise: bool = _key(bool, False)
+    zero_noise: bool = _key(_bool, False)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,9 @@ class LyapunovEstimate:
 
 
 #: states an exponent run holds at once; longer windows are walked in
-#: blocks of this many steps, so memory does not grow with ``steps``
-BLOCK_STEPS = 1024
+#: blocks of this many steps, so memory does not grow with ``steps``.
+#: The sweeps' lockstep exponents hold one block per lane.
+BLOCK_STEPS = 256
 
 
 def _window_jacobians(

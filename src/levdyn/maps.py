@@ -83,8 +83,8 @@ def step_jacobian(
     pis: Sequence[float] | np.ndarray,
     params: ModelParams,
 ) -> np.ndarray:
-    """coupled_jacobian at states ``lams`` (N, or states x N) whose step
-    is already known: ``new`` holds their successors.
+    """coupled_jacobian at states ``lams`` (N, or a stack of them,
+    ... x N) whose step is already known: ``new`` holds their successors.
 
     ``omegas`` and ``pis`` broadcast against ``lams``, so a stack of
     states may carry one memory and weight vector per state; ``params``
@@ -93,7 +93,7 @@ def step_jacobian(
     """
     lams, new, omegas, pis = (np.asarray(a, dtype=float) for a in (lams, new, omegas, pis))
     n = lams.shape[-1]
-    d = 1.0 + params.gamma - mean_field(lams.T, pis.T)
+    d = 1.0 + params.gamma - mean_field(np.moveaxis(lams, -1, 0), np.moveaxis(pis, -1, 0))
     kernel3 = params.coupling_coef / (d * d * d)
     entry = -((1.0 - omegas) * kernel3[..., None])[..., :, None] * pis[..., None, :]
     # the diagonal, as a strided view of the fresh array

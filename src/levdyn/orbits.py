@@ -98,15 +98,17 @@ def _run(
     C compiler is found, and where the compiled loop stops at a step on
     which Python raises ZeroDivisionError, to raise it.
     """
+    n = len(lambdas)
+    if n != params.n_banks:
+        raise ValueError(f"state has {n} leverages, params have {params.n_banks} banks")
     gamma = params.gamma
     lam_max = params.lambda_max
     coef = params.coupling_coef
     omegas = params.omegas
     pis = params.pis
-    n = len(lambdas)
     recorded = np.empty((record, n))
     lib = _kernel.lib
-    if lib is not None and n == len(omegas):
+    if lib is not None:
         lams, w, p = (np.array(a, dtype=float) for a in (lambdas, omegas, pis))
         out = np.zeros(2, dtype=np.int64)
         code = lib.levdyn_run(n, lams.ctypes.data, w.ctypes.data, p.ctypes.data, gamma,

@@ -121,8 +121,8 @@ def mean_field(lambdas: Sequence[float], pis: Sequence[float]) -> float:
 
     Single accumulation order everywhere keeps orbit iteration, map
     evaluation and the Jacobian bit-consistent with each other.  Given
-    arrays with the banks along the first axis (``lams.T``, ``pis.T``),
-    it forms the mean field of every state at once, in the same order.
+    arrays with the banks along the first axis, it forms the mean field
+    of every state at once, in the same order.
     """
     m = 0.0
     for p, lam in zip(pis, lambdas):

@@ -8,19 +8,18 @@ Lyapunov exponent and the survival fraction.  Per-point seeds derive
 from the parameter value so a refined grid reproduces coarse-grid points
 exactly.
 
-With one worker, each grid point runs the scalar reference path
-(``_eval_point``: ``iterate``, ``detect_period``, ``lyapunov_top`` or
-``lyapunov_1d``, ``classify``).  With more, each worker takes one
-contiguous chunk of the grid and evaluates it in batches: every
-(grid point, initial) pair of a batch is one lane, and all lanes advance
-together in numpy arrays.  Both batched passes, the orbit and the
-tangent (for every bank count), advance their lanes through one step,
-``_step``: ``orbits._run``'s update with its three checks in its order,
-so a lane stops where ``iterate`` would.  The tangent pass forms its
-Jacobians with ``maps.step_jacobian``, as the scalar exponents do.  The
-batched arithmetic repeats the scalar path operation for operation, so a
-record is bit-identical to it and to any other chunking of the grid.
-Results aggregate in grid order.
+Every orbit runs through ``iterate``, and so through ``orbits._run``,
+compiled where a C compiler is found.  With one worker, each grid point
+takes the scalar reference path (``_eval_point``: ``detect_period``,
+``lyapunov_top`` or ``lyapunov_1d``, ``classify``).  With more, the
+workers take contiguous chunks of at most CHUNK_POINTS grid points
+(``_evaluate``).  A chunk's first survivors have their periods tested
+all at once and their top exponents run in lockstep: every lane reads
+its Jacobians from ``lyap._window_jacobians``, as ``lyapunov_top``
+does, and advances its tangent vector through stacked ``np.matmul``
+calls.  That arithmetic repeats the scalar path operation for
+operation, so a record is bit-identical to it and to any other chunking
+of the grid.  Results aggregate in grid order.
 """
 
 from __future__ import annotations
@@ -29,23 +28,23 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from . import lyap
 from .errors import OrbitViolationError
 from .lyap import lyapunov_1d, lyapunov_top
-from .maps import step_jacobian
-from .orbits import PeriodReport, classify, detect_period, iterate, window_periods
-from .params import SWEEP_AXES, LeverageState, ModelParams, mean_field
+from .orbits import OrbitTrace, PeriodReport, classify, detect_period, iterate, window_periods
+from .params import SWEEP_AXES, LeverageState, ModelParams
 
 #: steps used for the per-point top-exponent estimate
 LYAP_STEPS = 2000
 DEFAULT_P_MAX = 64
 DEFAULT_PERIOD_TOL = 1e-7
-#: lanes a batch advances together, which bounds a worker's recorded
-#: states at BATCH_LANES x record x banks floats
-BATCH_LANES = 2048
+#: grid points one pool task evaluates; a worker holds their samples and
+#: a block of their lockstep exponents, so its memory stays bounded
+CHUNK_POINTS = 512
 
 
 def _check_run_lengths(transient: int, record: int, initials_per_point: int) -> None:
@@ -153,110 +152,64 @@ def _top_exponent(
         return None
 
 
-def _eval_point(spec: SweepSpec, value: float) -> SweepRecord:
-    """One grid point by the scalar reference path."""
-    params = spec.params_at(value)
-    rng = _point_rng(spec.rng_seed, value)
-    draws = rng.uniform(
-        1.0, params.lambda_max, size=(spec.initials_per_point, params.n_banks)
+def _survivors(
+    value: float,
+    params: ModelParams,
+    transient: int,
+    record: int,
+    initials_per_point: int,
+    rng_seed: int,
+) -> list[tuple[int, OrbitTrace]]:
+    """The clean orbits of grid point ``value``, with the indices of the
+    seeded initials they start from; infeasible initials are skipped."""
+    draws = _point_rng(rng_seed, value).uniform(
+        1.0, params.lambda_max, size=(initials_per_point, params.n_banks)
     )
-    kept: list[np.ndarray] = []
-    branch: list[np.ndarray] = []
-    first_trace = None
-    first_initial: LeverageState | None = None
+    survivors = []
     for idx, row in enumerate(draws):
         state = LeverageState.from_lambdas(row, params)
         if not state.feasible:
             continue
-        trace = iterate(state, params, transient=spec.transient, record=spec.record)
-        if not trace.survived:
-            continue
-        kept.append(trace.recorded)
-        branch.append(np.full(trace.n_recorded, idx, dtype=np.int64))
-        if first_trace is None:
-            first_trace = trace
-            first_initial = state
+        trace = iterate(state, params, transient=transient, record=record)
+        if trace.survived:
+            survivors.append((idx, trace))
+    return survivors
 
-    if first_trace is None:
-        return _infeasible(value, params.n_banks)
-    p_max = min(DEFAULT_P_MAX, first_trace.n_recorded // 3)
-    period = detect_period(first_trace, p_max=p_max, tol=DEFAULT_PERIOD_TOL)
-    top = _top_exponent(first_initial, params, spec.transient, spec.rng_seed)
+
+def _record(
+    value: float,
+    n_banks: int,
+    survivors: list[tuple[int, OrbitTrace]],
+    initials_per_point: int,
+    period: PeriodReport | None = None,
+    top: float | None = None,
+) -> SweepRecord:
+    """A grid point's record; "infeasible" when nothing survived."""
     return SweepRecord(
         param_value=value,
-        samples=np.vstack(kept),
-        branch=np.concatenate(branch),
+        samples=np.vstack([np.empty((0, n_banks)), *(t.recorded for _, t in survivors)]),
+        branch=np.repeat(np.array([idx for idx, _ in survivors], dtype=np.int64),
+                         [trace.n_recorded for _, trace in survivors]),
         lyapunov_top=top,
         period=period,
-        survival_fraction=len(kept) / spec.initials_per_point,
-        classification=classify(period, top, True),
+        survival_fraction=len(survivors) / initials_per_point,
+        classification=classify(period, top, bool(survivors)),
     )
 
 
-def _infeasible(value: float, n_banks: int) -> SweepRecord:
-    return SweepRecord(
-        param_value=value,
-        samples=np.empty((0, n_banks)),
-        branch=np.empty(0, dtype=np.int64),
-        lyapunov_top=None,
-        period=None,
-        survival_fraction=0.0,
-        classification="infeasible",
+def _eval_point(spec: SweepSpec, value: float) -> SweepRecord:
+    """One grid point by the scalar reference path."""
+    params = spec.params_at(value)
+    survivors = _survivors(
+        value, params, spec.transient, spec.record, spec.initials_per_point, spec.rng_seed
     )
-
-
-def _step(
-    lams: np.ndarray,
-    m: np.ndarray,
-    alive: np.ndarray,
-    omegas: np.ndarray,
-    pis: np.ndarray,
-    model: ModelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step of ``orbits._run`` on every lane of ``lams`` (lanes x
-    banks), whose mean fields are ``m``.
-
-    Clears ``alive`` where ``_run`` stops, with its three checks in its
-    order, and pins the leverages of a lane that has died at 1.  A
-    single-bank lane steps with pi = 1, since 0.0 + 1.0 * x is x.
-    Returns the new states and their mean fields.
-    """
-    alive &= m < model.lambda_max
-    d = 1.0 + model.gamma - m
-    kernel = model.coupling_coef / (d * d)
-    new = 1.0 / np.sqrt(omegas / (lams * lams) + (1.0 - omegas) * kernel[:, None])
-    alive &= ~(new < 1.0).any(axis=1)
-    new[~alive] = 1.0
-    m = mean_field(new.T, pis.T)
-    alive &= ~(m > model.lambda_max)
-    return new, m
-
-
-def _orbit_pass(
-    lams: np.ndarray,
-    omegas: np.ndarray,
-    pis: np.ndarray,
-    alive: np.ndarray,
-    model: ModelParams,
-    transient: int,
-    record: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``orbits._run`` on every lane of ``lams`` (lanes x banks) at once.
-
-    Clears ``alive`` at each lane's first violation.  Returns the state
-    at step ``transient`` and the recorded states, shaped (record,
-    lanes, banks).
-    """
-    start = lams
-    recorded = np.empty((record, *lams.shape))
-    m = mean_field(lams.T, pis.T)
-    for step in range(1, transient + record + 1):
-        lams, m = _step(lams, m, alive, omegas, pis, model)
-        if step == transient:
-            start = lams
-        elif step > transient:
-            recorded[step - transient - 1] = lams
-    return start, recorded
+    period = top = None
+    if survivors:
+        first = survivors[0][1]
+        p_max = min(DEFAULT_P_MAX, first.n_recorded // 3)
+        period = detect_period(first, p_max=p_max, tol=DEFAULT_PERIOD_TOL)
+        top = _top_exponent(first.initial, params, spec.transient, spec.rng_seed)
+    return _record(value, params.n_banks, survivors, spec.initials_per_point, period, top)
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
@@ -264,41 +217,63 @@ def _logs(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), float, len(values))
 
 
-def _tangent_pass(
-    lams: np.ndarray,
-    omegas: np.ndarray,
-    pis: np.ndarray,
-    model: ModelParams,
-    steps: int,
-    v0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``lyapunov_top``'s tangent loop on every lane, from the states
-    ``lams`` reached after the transient.
+def _top_exponents(
+    initials: Sequence[LeverageState],
+    params: Sequence[ModelParams],
+    transient: int,
+    rng_seed: int,
+) -> list[float | None]:
+    """``_top_exponent`` from every initial state, one lane a state, with
+    ``lyapunov_top``'s tangent loops run in lockstep.
 
-    The stacked ``np.matmul`` calls run the same BLAS kernels per lane
-    as ``jac @ v`` and ``np.linalg.norm(v)`` do.  On one bank the vector
-    stays exactly +-1 and its norm is |T'|, so the sum is
-    ``lyapunov_1d``'s.  Returns the summed log growth, whether each lane
-    stayed feasible, and whether its tangent norm ever hit 0.
+    Each round reads one block of every lane's Jacobians from
+    ``lyap._window_jacobians``, as ``lyapunov_top`` does, into one reused
+    buffer; a lane whose orbit escapes raises there and keeps no exponent.
+    The stacked ``np.matmul`` calls run the same BLAS kernels per lane as
+    ``jac @ v`` and ``np.linalg.norm(v)``.  On one bank the vector stays
+    exactly +-1 and its norm is |T'|, so the sum is ``lyapunov_1d``'s.
     """
-    q, n = lams.shape
-    v = np.tile(v0, (q, 1))[:, :, None]
+    blocks = [
+        lyap._window_jacobians(list(s.lambdas), p, transient, LYAP_STEPS)
+        for s, p in zip(initials, params)
+    ]
+    q, n = len(initials), params[0].n_banks
+    v = np.tile(_tangent_start(rng_seed, n), (q, 1))[:, :, None]
     total = np.zeros(q)
-    ok = np.ones(q, dtype=bool)
     vanished = np.zeros(q, dtype=bool)
-    m = mean_field(lams.T, pis.T)
-    for _ in range(steps):
-        new, m = _step(lams, m, ok, omegas, pis, model)
-        v = np.matmul(step_jacobian(lams, new, omegas, pis, model), v)
-        lams = new
-        norm = np.sqrt(np.matmul(v.reshape(q, 1, n), v)).reshape(q)
-        grew = norm > 0.0
-        vanished |= ok & ~grew
-        norm[~grew] = 1.0
-        total += _logs(norm)
-        v /= norm[:, None, None]
-        v[~ok] = 1.0
-    return total, ok, vanished
+    live = list(range(q))
+    buf = np.empty((min(lyap.BLOCK_STEPS, LYAP_STEPS), q, n, n))
+    for done in range(0, LYAP_STEPS, lyap.BLOCK_STEPS):
+        jacs = buf[: min(lyap.BLOCK_STEPS, LYAP_STEPS - done)]
+        kept = []
+        for lane in live:
+            try:
+                jacs[:, len(kept)] = next(blocks[lane])
+                kept.append(lane)
+            except OrbitViolationError:
+                pass
+        live = kept
+        if not live:
+            break
+        u, acc, hit = v[live], total[live], vanished[live]
+        for jac in jacs[:, : len(live)]:
+            u = np.matmul(jac, u)
+            norm = np.sqrt(np.matmul(u.reshape(len(live), 1, n), u)).reshape(len(live))
+            grew = norm > 0.0
+            hit |= ~grew
+            norm[~grew] = 1.0
+            acc += _logs(norm)
+            u /= norm[:, None, None]
+        v[live], total[live], vanished[live] = u, acc, hit
+    tops: list[float | None] = [None] * q
+    for lane in live:
+        # a vanished tangent takes the scalar path, which redraws it
+        # (lyapunov_top) or floors its log (lyapunov_1d)
+        tops[lane] = (
+            _top_exponent(initials[lane], params[lane], transient, rng_seed)
+            if vanished[lane] else float(total[lane]) / LYAP_STEPS
+        )
+    return tops
 
 
 def _evaluate(
@@ -308,91 +283,34 @@ def _evaluate(
     record: int,
     initials_per_point: int,
     rng_seed: int,
-) -> Iterator[SweepRecord]:
-    """Records of the grid points ``params`` in order, evaluated in
-    batches of at most BATCH_LANES lanes.
+) -> list[SweepRecord]:
+    """``_eval_point`` on the grid points ``params``, in order.
 
     ``values[i]`` is point i's parameter value, which seeds its initials.
     All points share alpha, gamma, sigma_eps_sq and the bank count.
     """
-    size = max(1, BATCH_LANES // initials_per_point)
-    for lo in range(0, len(values), size):
-        yield from _evaluate_batch(
-            values[lo : lo + size], params[lo : lo + size],
-            transient, record, initials_per_point, rng_seed,
-        )
-
-
-def _evaluate_batch(
-    values: Sequence[float],
-    params: Sequence[ModelParams],
-    transient: int,
-    record: int,
-    initials_per_point: int,
-    rng_seed: int,
-) -> Iterator[SweepRecord]:
-    """``_eval_point`` on every point of one batch at once.
-
-    The exponent of each point's first survivor starts from the state
-    the orbit pass reached at step ``transient``.
-    """
-    model = params[0]
-    k = initials_per_point
-    n = model.n_banks
-    draws = np.concatenate([
-        _point_rng(rng_seed, v).uniform(1.0, model.lambda_max, size=(k, n))
-        for v in values
-    ])
-    omegas = np.repeat([p.omegas for p in params], k, axis=0)
-    pis = np.repeat([p.pis for p in params], k, axis=0)
-    # LeverageState.feasible, lane by lane
-    alive = (draws >= 1.0).all(axis=1) & (mean_field(draws.T, pis.T) <= model.lambda_max)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        start, recorded = _orbit_pass(draws, omegas, pis, alive, model, transient, record)
-        survivors = alive.reshape(len(values), k)
-        firsts = np.flatnonzero(survivors.any(axis=1))
-        lanes = firsts * k + survivors[firsts].argmax(axis=1)
-        # an all-infeasible batch has no exponent to run
-        steps = LYAP_STEPS if lanes.size else 0
-        total, ok, vanished = _tangent_pass(
-            start[lanes], omegas[lanes], pis[lanes], model, steps,
-            _tangent_start(rng_seed, n),
-        )
+    records = []
+    # each surviving point's first initial; the rows of its orbit lead the
+    # point's samples, so no trace is held past its point
+    firsts: dict[int, LeverageState] = {}
+    for point, (value, p) in enumerate(zip(values, params)):
+        survivors = _survivors(value, p, transient, record, initials_per_point, rng_seed)
+        records.append(_record(value, p.n_banks, survivors, initials_per_point))
+        if survivors:
+            firsts[point] = survivors[0][1].initial
+    if not firsts:
+        return records
     periods = window_periods(
-        recorded[:, lanes].transpose(1, 0, 2),
-        min(DEFAULT_P_MAX, record // 3),
-        DEFAULT_PERIOD_TOL,
+        np.stack([records[point].samples[:record] for point in firsts]),
+        min(DEFAULT_P_MAX, record // 3), DEFAULT_PERIOD_TOL,
     )
-    found: dict[int, tuple[PeriodReport, float | None]] = {}
-    for point, lane, period, top, fine, vanish in zip(
-        firsts.tolist(), lanes.tolist(), periods,
-        (total / LYAP_STEPS).tolist(), ok.tolist(), vanished.tolist(),
-    ):
-        if vanish:
-            # a vanished tangent takes the scalar path, which redraws it
-            # (lyapunov_top) or floors its log (lyapunov_1d)
-            initial = LeverageState.from_lambdas(draws[lane], params[point])
-            top = _top_exponent(initial, params[point], transient, rng_seed)
-        elif not fine:
-            # orbit escaped in the longer exponent run; leave the exponent open
-            top = None
-        found[point] = (period, top)
-
-    for point, value in enumerate(values):
-        if point not in found:
-            yield _infeasible(value, n)
-            continue
-        period, top = found[point]
-        kept = np.flatnonzero(survivors[point])
-        yield SweepRecord(
-            param_value=value,
-            samples=recorded[:, point * k + kept].transpose(1, 0, 2).reshape(-1, n),
-            branch=np.repeat(kept.astype(np.int64), record),
-            lyapunov_top=top,
-            period=period,
-            survival_fraction=len(kept) / k,
+    tops = _top_exponents(list(firsts.values()), [params[p] for p in firsts], transient, rng_seed)
+    for point, period, top in zip(firsts, periods, tops):
+        records[point] = replace(
+            records[point], lyapunov_top=top, period=period,
             classification=classify(period, top, True),
         )
+    return records
 
 
 def _tangent_start(rng_seed: int, n: int) -> np.ndarray:
@@ -404,20 +322,20 @@ def _tangent_start(rng_seed: int, n: int) -> np.ndarray:
 def _in_chunks(
     fn: Callable[..., list], items: list, workers: int, *args: Any
 ) -> list:
-    """``fn(chunk, *args)`` over one contiguous chunk of ``items`` per
-    worker, one pool process each, concatenated in order."""
-    n = min(workers, len(items))
+    """``fn(chunk, *args)`` over contiguous chunks of ``items``, at least
+    one per worker and at most CHUNK_POINTS long, concatenated in order."""
+    n = min(max(workers, -(-len(items) // CHUNK_POINTS)), len(items))
     chunks = [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]
-    with ProcessPoolExecutor(max_workers=n) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
         parts = pool.map(fn, chunks, *(repeat(a) for a in args))
         return [out for part in parts for out in part]
 
 
 def _eval_chunk(values: list[float], spec: SweepSpec) -> list[SweepRecord]:
     params = [spec.params_at(v) for v in values]
-    return list(_evaluate(
+    return _evaluate(
         values, params, spec.transient, spec.record, spec.initials_per_point, spec.rng_seed
-    ))
+    )
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:

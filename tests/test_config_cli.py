@@ -76,6 +76,19 @@ class TestConfigParsing:
         assert cfg.run.transient == 1000
         assert cfg.run.record == 800
 
+    def test_integral_floats_read_as_integers(self):
+        cfg = parse_config({
+            "model": {"omegas": [0.4]},
+            "run": {"seed": 7.0, "transient": 2e3},
+            "attractor": {"n_points": 1e6},
+            "boxdim": {"fit_range": [2.0, 6]},
+        })
+        assert (cfg.run.seed, cfg.run.transient, cfg.attractor.n_points) == (7, 2000, 10**6)
+        assert cfg.boxdim.fit_range == (2, 6)
+        assert all(type(v) is int for v in (cfg.run.seed, cfg.run.transient,
+                                             cfg.attractor.n_points, *cfg.boxdim.fit_range))
+        assert parse_config({"model": {"omegas": [0.4]}, "run": {"seed": 2**70}}).run.seed == 2**70
+
     def test_absent_blocks_take_block_defaults(self):
         cfg = parse_config({"model": {"omegas": [0.4]}})
         assert cfg.attractor == AttractorBlock() == parse_config(
@@ -337,6 +350,31 @@ class TestCliCommands:
              "skew.history.x0"),
             ("micro", {"model": {**STD_MODEL, "pis": [0.0, 1.0]}, "run": {"seed": 1},
                        "micro": micro}, "model.pis"),
+            # integer keys take JSON integers and integral floats only
+            ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": 1},
+                           "sweep": {**sweep, "resolution": 2.5}}, "sweep.resolution"),
+            ("attractor", {"run": {"seed": 2.9}}, "run.seed"),
+            ("attractor", {"run": {"seed": True}}, "run.seed"),
+            ("attractor", {"run": {"seed": "1"}}, "run.seed"),
+            ("lyapunov", {"run": {"initial": [50.0, 60.0]}, "lyapunov": {"steps": True}},
+             "lyapunov.steps"),
+            ("boxdim", {"run": {"seed": 1}, "boxdim": {"fit_range": [2.5, 6]}},
+             "boxdim.fit_range"),
+            # float keys take JSON numbers only, not strings or booleans
+            ("stability-map", {"run": {"seed": 1}, "stability": {**stability, "pi1": "0.5"}},
+             "stability.pi1"),
+            ("simulate", {"model": {**STD_MODEL, "alpha": True}, "run": {"seed": 1}},
+             "model.alpha"),
+            ("simulate", {"model": {"omegas": [True]}, "run": {"seed": 1}}, "model.omegas"),
+            ("fixedpoint", {"skew": {"omega1": "0.5", "history": history}}, "skew.omega1"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "history": {
+                "kind": "constant", "depth": 20, "level": "80"}}}, "skew.history.level"),
+            ("simulate", {"run": {"initial": [50.0, "60"]}}, "run.initial"),
+            # zero_noise takes JSON booleans only
+            ("micro", {"run": {"seed": 1}, "micro": {**micro, "zero_noise": "no"}},
+             "micro.zero_noise"),
+            ("micro", {"run": {"seed": 1}, "micro": {**micro, "zero_noise": 1}},
+             "micro.zero_noise"),
         ]
         for command, document, key in cases:
             cfg = write_config(tmp_path, {"model": STD_MODEL, **document}, "case.json")

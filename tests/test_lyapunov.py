@@ -202,14 +202,14 @@ class TestWindow:
         }
         for name, run in runs.items():
             peaks = []
-            for steps in (2 * BLOCK_STEPS, 8 * BLOCK_STEPS):
+            for steps in (2048, 8192):
                 tracemalloc.start()
                 try:
                     run(steps)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-            # holding one float per step would add 48 KiB over the 6 extra blocks
+            # holding one float per step would add 48 KiB over the 6,144 extra steps
             assert peaks[1] < peaks[0] + 16 * 1024, (name, peaks)
 
 

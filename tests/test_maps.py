@@ -206,6 +206,31 @@ class TestJacobian:
                 for i in range(n):
                     assert jac[i, j] == pytest.approx(fd[i], rel=1e-5, abs=1e-8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        per_state=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_matches_per_state_calls(self, shape, per_state, seed):
+        """An (a, b, N) stack of states, with one memory and weight
+        vector for all of them or one per state, gives each state's own
+        Jacobian bit for bit."""
+        g = np.random.default_rng(seed)
+        n = shape[-1]
+        p = ModelParams(omegas=(0.5,) * n, pis=(1.0 / n,) * n)
+        lams = g.uniform(1.0, 100.0, shape)
+        omegas = g.uniform(0.0, 1.0, shape if per_state else n)
+        raw = g.uniform(0.05, 1.0, shape if per_state else n)
+        pis = raw / raw.sum(axis=-1, keepdims=True)
+        new = g.uniform(1.0, 100.0, shape)
+        stack = step_jacobian(lams, new, omegas, pis, p)
+        assert stack.shape == (*shape, n)
+        for i, j in np.ndindex(shape[:2]):
+            state = (i, j) if per_state else ()
+            one = step_jacobian(lams[i, j], new[i, j], omegas[state], pis[state], p)
+            assert stack[i, j].tobytes() == one.tobytes()
+
     def test_zero_weight_bank_decouples(self):
         # pi_1 = 0: own column of the forcing bank is exactly zero
         p = two_bank(0.45, 0.3, 0.0)

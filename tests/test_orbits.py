@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -66,6 +67,17 @@ class TestIterate:
         for row in trace.recorded:
             assert np.all(row >= 1.0)
             assert mean_field(list(row), p.pis) <= p.lambda_max
+
+    @pytest.mark.parametrize("loops", [None, python_loops])
+    def test_bank_count_must_match_params(self, std1, loops):
+        two = two_bank(0.5, 0.3, 0.5)
+        one_bank = LeverageState.from_lambdas([50.0], std1)
+        two_banks = LeverageState.from_lambdas([50.0, 60.0], two)
+        with loops() if loops else contextlib.nullcontext():
+            with pytest.raises(ValueError, match="1 leverages, params have 2 banks"):
+                iterate(one_bank, two, 0, 10)
+            with pytest.raises(ValueError, match="2 leverages, params have 1 banks"):
+                iterate(two_banks, std1, 0, 10)
 
     def test_determinism_bitwise(self, rng):
         p = two_bank(0.5, 0.3, 0.5)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levdyn import sweep
+from levdyn import lyap, sweep
 from levdyn.params import ModelParams
 from levdyn.skew import forcing_response_classification
 from levdyn.sweep import (
@@ -21,7 +22,7 @@ from levdyn.sweep import (
     stability_map,
 )
 
-from conftest import two_bank
+from conftest import python_loops, two_bank
 
 STD1 = ModelParams(omegas=(0.5,), pis=(1.0,))
 
@@ -116,8 +117,11 @@ class TestMemorySweep:
         spec = omega_sweep(resolution=13, record=210, transient=800)
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
-        assert len(serial) == len(parallel) == 13
-        for a, b in zip(serial, parallel):
+        # more chunks than workers, of at most CHUNK_POINTS points each
+        with patch.object(sweep, "CHUNK_POINTS", 4):
+            chunked = run_sweep(spec, workers=2)
+        assert len(serial) == len(parallel) == len(chunked) == 13
+        for a, b in [*zip(serial, parallel), *zip(serial, chunked)]:
             assert a.param_value == b.param_value
             assert a.classification == b.classification
             assert np.array_equal(a.samples, b.samples)
@@ -279,18 +283,21 @@ class TestBatchedEvaluator:
     @given(spec=sweep_specs(), steps=st.integers(1, 300), data=st.data())
     @example(spec=ESCAPE_SPEC, steps=2000, data=None)
     def test_matches_scalar_reference(self, spec, steps, data):
+        """``block`` shrinks the exponent blocks, so that the lockstep
+        rounds and escapes at block edges are compared too."""
         values = [float(v) for v in spec.grid()]
         cut = data.draw(st.integers(1, len(values) - 1)) if data else len(values) // 2
-        lanes = data.draw(st.integers(1, 8)) if data else 1
-        with patch.object(sweep, "LYAP_STEPS", steps):
+        block = data.draw(st.integers(1, 8)) if data else 1
+        loops = python_loops() if data and data.draw(st.booleans()) else nullcontext()
+        with loops, patch.object(sweep, "LYAP_STEPS", steps):
             expected = [record_key(_eval_point(spec, v)) for v in values]
             whole = _eval_chunk(values, spec)
             split = _eval_chunk(values[:cut], spec) + _eval_chunk(values[cut:], spec)
-            with patch.object(sweep, "BATCH_LANES", lanes):
-                batched = _eval_chunk(values, spec)
+            with patch.object(lyap, "BLOCK_STEPS", block):
+                blocked = _eval_chunk(values, spec)
         assert [record_key(r) for r in whole] == expected
         assert [record_key(r) for r in split] == expected
-        assert [record_key(r) for r in batched] == expected
+        assert [record_key(r) for r in blocked] == expected
 
     def test_escape_in_exponent_run_leaves_it_open(self):
         for records in (run_sweep(ESCAPE_SPEC), _eval_chunk([0.1, 0.15000000000000002],
