@@ -1,12 +1,14 @@
-"""Lyapunov exponents: scalar map exponent, full spectrum via QR
-products of analytic Jacobians, and the fiber exponent of the forced
-subsystem.
+"""Lyapunov exponents: scalar map exponent, top exponent by a
+renormalized tangent vector, full spectrum via QR products of analytic
+Jacobians, and the fiber exponent of the forced subsystem.
 
 The map exponents read their orbit from ``orbits._run``, the one scalar
 orbit loop, and build each Jacobian from a state and its recorded
 successor (``maps.step_jacobian``).  An orbit that leaves the feasible
 region has no exponent: they raise OrbitViolationError at the
-(step, constraint) that ``iterate`` records for it.
+(step, constraint) that ``iterate`` records for it.  ``_top_lanes`` is
+the one tangent-vector loop: ``lyapunov_top`` is its one-lane case and
+the sweeps run it over many orbits in lockstep.
 
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +51,7 @@ class LyapunovEstimate:
 
 #: states an exponent run holds at once; longer windows are walked in
 #: blocks of this many steps, so memory does not grow with ``steps``.
-#: The sweeps' lockstep exponents hold one block per lane.
+#: ``_top_lanes`` holds one block per lane.
 BLOCK_STEPS = 256
 
 
@@ -167,29 +169,78 @@ def lyapunov_top(
     steps: int = 2000,
     seed: int = 0,
 ) -> float:
-    """Top exponent only, via a single renormalized tangent vector.
-
-    Cheaper than the full spectrum; used by parameter sweeps where only
-    the sign and rough magnitude matter.
-    """
+    """Top exponent only, via a single renormalized tangent vector (the
+    one-lane case of ``_top_lanes``).  Cheaper than the full spectrum; used
+    by parameter sweeps where only the sign and rough magnitude matter."""
     initial.require_feasible()
-    n = params.n_banks
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    total = 0.0
-    for jacs in _window_jacobians(list(initial.lambdas), params, transient, steps):
-        for jac in jacs:
-            v = jac @ v
-            norm = float(np.linalg.norm(v))
-            if norm > 0.0:
-                total += math.log(norm)
-                v /= norm
-            else:
-                total += LOG_FLOOR
-                v = rng.standard_normal(n)
-                v /= np.linalg.norm(v)
-    return total / steps
+    (top,) = _top_lanes([initial], [params], transient, steps, seed)
+    if isinstance(top, OrbitViolationError):
+        raise top
+    return top
+
+
+def _tangent_start(seed: int, n: int) -> np.ndarray:
+    v = np.random.default_rng(seed).standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def _top_lanes(
+    initials: Sequence[LeverageState], params: Sequence[ModelParams],
+    transient: int, steps: int, seed: int,
+) -> list[float | OrbitViolationError]:
+    """``lyapunov_top`` from each initial state, one lane a state, run in
+    lockstep; a lane whose orbit escapes gets the OrbitViolationError it
+    raised.  All ``params`` share the bank count.
+
+    Each round copies one block of every lane's Jacobians into one reused
+    buffer.  The stacked ``np.matmul`` calls run the same BLAS kernels per
+    lane as ``jac @ v`` and ``np.linalg.norm(v)`` and the logs are
+    ``math.log``, so no lane's sum depends on the others.  A vector that
+    maps to exactly 0 adds LOG_FLOOR and is redrawn from the lane's own
+    ``default_rng(seed)``, past the start draw.  On one bank the vector
+    stays exactly +-1 and its norm is |T'|: the sum is ``lyapunov_1d``'s.
+    """
+    if steps < 1 or transient < 0:
+        raise ValueError("need steps >= 1 and transient >= 0")
+    q, n = len(initials), params[0].n_banks
+    blocks = [_window_jacobians(list(s.lambdas), p, transient, steps)
+              for s, p in zip(initials, params)]
+    tops: list[float | OrbitViolationError] = [0.0] * q
+    live = list(range(q))  # lanes whose orbit has not escaped
+    u = np.tile(_tangent_start(seed, n), (q, 1))[:, :, None]
+    acc = np.zeros(q)
+    redraws: dict[int, np.random.Generator] = {}
+    buf = np.empty((min(BLOCK_STEPS, steps), q, n, n))
+    for done in range(0, steps, BLOCK_STEPS):
+        jacs = buf[: min(BLOCK_STEPS, steps - done)]
+        kept = []
+        for k, lane in enumerate(live):
+            try:
+                jacs[:, len(kept)] = next(blocks[lane])
+                kept.append(k)
+            except OrbitViolationError as exc:
+                tops[lane] = exc
+        if not kept:
+            return tops
+        live, u, acc, m = [live[k] for k in kept], u[kept], acc[kept], len(kept)
+        for jac in jacs[:, :m]:
+            u = np.matmul(jac, u)
+            norm = np.sqrt(np.matmul(u.reshape(m, 1, n), u))
+            norms = norm.ravel().tolist()
+            if 0.0 in norms:
+                for k in [k for k, x in enumerate(norms) if x == 0.0]:
+                    if live[k] not in redraws:
+                        redraws[live[k]] = np.random.default_rng(seed)
+                        redraws[live[k]].standard_normal(n)  # the start draw
+                    # u /= norm normalises the draw, and log 1 adds 0
+                    u[k, :, 0] = redraws[live[k]].standard_normal(n)
+                    norm[k], norms[k] = np.linalg.norm(u[k]), 1.0
+                    acc[k] += LOG_FLOOR
+            acc += np.fromiter(map(math.log, norms), float, m)
+            u /= norm
+    for lane, total in zip(live, acc.tolist()):
+        tops[lane] = total / steps
+    return tops
 
 
 def fiber_exponent(

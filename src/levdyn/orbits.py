@@ -205,8 +205,7 @@ def sync_metric(state: LeverageState, i: int, j: int) -> float:
     lams = state.lambdas
     if not (0 <= i < len(lams)) or not (0 <= j < len(lams)):
         raise IndexError(f"bank index out of range: ({i}, {j}) for N={len(lams)}")
-    a, b = lams[i], lams[j]
-    return abs(a - b) / (a + b)
+    return pair_sync(lams[i], lams[j])
 
 
 def pair_sync(a: float, b: float) -> float:
@@ -219,9 +218,9 @@ def detect_period(
 ) -> PeriodReport:
     """Minimal period p <= p_max passing the window test, else aperiodic.
 
-    Verifies over the last 3 * p_max recorded states: for a candidate
-    lag p every pair of rows p apart must agree componentwise within
-    tol.  Requires a clean trace with at least 3 * p_max recorded steps.
+    Verifies over the last 3 * p_max recorded states that every pair of
+    rows p apart agrees componentwise within tol.  Requires p_max >= 1
+    and a clean trace with at least 3 * p_max recorded steps.
     """
     if not trace.survived:
         raise InsufficientTraceError(
@@ -242,6 +241,8 @@ def window_periods(blocks: np.ndarray, p_max: int, tol: float) -> list[PeriodRep
     The caller vouches that each block is a clean run with at least
     3 * p_max rows.
     """
+    if p_max < 1:
+        raise ValueError(f"p_max must be >= 1, got {p_max}")
     window = 3 * p_max
     w = blocks[:, -window:]
     periods: list[int | None] = [None] * len(w)
@@ -275,8 +276,8 @@ def estimate_feasible_set(
 ) -> FeasibleSetEstimate:
     """Sample initial conditions uniformly in [1, 1+gamma]^N and keep
     those whose orbits stay feasible for ``horizon`` steps."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if n_samples < 1 or horizon < 0:
+        raise ValueError("need n_samples >= 1 and horizon >= 0")
     rng = np.random.default_rng(rng_seed)
     draws = rng.uniform(1.0, params.lambda_max, size=(n_samples, params.n_banks))
     survivors = []

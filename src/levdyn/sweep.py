@@ -14,17 +14,15 @@ takes the scalar reference path (``_eval_point``: ``detect_period``,
 ``lyapunov_top`` or ``lyapunov_1d``, ``classify``).  With more, the
 workers take contiguous chunks of at most CHUNK_POINTS grid points
 (``_evaluate``).  A chunk's first survivors have their periods tested
-all at once and their top exponents run in lockstep: every lane reads
-its Jacobians from ``lyap._window_jacobians``, as ``lyapunov_top``
-does, and advances its tangent vector through stacked ``np.matmul``
-calls.  That arithmetic repeats the scalar path operation for
-operation, so a record is bit-identical to it and to any other chunking
-of the grid.  Results aggregate in grid order.
+all at once and their top exponents run as the lanes of
+``lyap._top_lanes``, the tangent loop of ``lyapunov_top``, where no
+lane's sum depends on the others.  So a record is bit-identical to the
+scalar path's and to any other chunking of the grid.  Results aggregate
+in grid order.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -32,9 +30,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import lyap
 from .errors import OrbitViolationError
-from .lyap import lyapunov_1d, lyapunov_top
+from .lyap import _top_lanes, lyapunov_1d, lyapunov_top
 from .orbits import OrbitTrace, PeriodReport, classify, detect_period, iterate, window_periods
 from .params import SWEEP_AXES, LeverageState, ModelParams
 
@@ -43,7 +40,7 @@ LYAP_STEPS = 2000
 DEFAULT_P_MAX = 64
 DEFAULT_PERIOD_TOL = 1e-7
 #: grid points one pool task evaluates; a worker holds their samples and
-#: a block of their lockstep exponents, so its memory stays bounded
+#: a block of their exponent lanes, so its memory stays bounded
 CHUNK_POINTS = 512
 
 
@@ -138,16 +135,9 @@ def _top_exponent(
     escapes in the exponent run, which is longer than the recorded one."""
     try:
         if params.n_banks == 1:
-            return lyapunov_1d(
-                params.omegas[0],
-                params,
-                x0=float(initial.lambdas[0]),
-                transient=transient,
-                steps=LYAP_STEPS,
-            ).top
-        return lyapunov_top(
-            initial, params, transient=transient, steps=LYAP_STEPS, seed=rng_seed
-        )
+            x0 = float(initial.lambdas[0])
+            return lyapunov_1d(params.omegas[0], params, x0, transient, LYAP_STEPS).top
+        return lyapunov_top(initial, params, transient, LYAP_STEPS, rng_seed)
     except OrbitViolationError:
         return None
 
@@ -212,70 +202,6 @@ def _eval_point(spec: SweepSpec, value: float) -> SweepRecord:
     return _record(value, params.n_banks, survivors, spec.initials_per_point, period, top)
 
 
-def _logs(values: np.ndarray) -> np.ndarray:
-    # math.log lane by lane: np.log is not correctly rounded everywhere
-    return np.fromiter(map(math.log, values.tolist()), float, len(values))
-
-
-def _top_exponents(
-    initials: Sequence[LeverageState],
-    params: Sequence[ModelParams],
-    transient: int,
-    rng_seed: int,
-) -> list[float | None]:
-    """``_top_exponent`` from every initial state, one lane a state, with
-    ``lyapunov_top``'s tangent loops run in lockstep.
-
-    Each round reads one block of every lane's Jacobians from
-    ``lyap._window_jacobians``, as ``lyapunov_top`` does, into one reused
-    buffer; a lane whose orbit escapes raises there and keeps no exponent.
-    The stacked ``np.matmul`` calls run the same BLAS kernels per lane as
-    ``jac @ v`` and ``np.linalg.norm(v)``.  On one bank the vector stays
-    exactly +-1 and its norm is |T'|, so the sum is ``lyapunov_1d``'s.
-    """
-    blocks = [
-        lyap._window_jacobians(list(s.lambdas), p, transient, LYAP_STEPS)
-        for s, p in zip(initials, params)
-    ]
-    q, n = len(initials), params[0].n_banks
-    v = np.tile(_tangent_start(rng_seed, n), (q, 1))[:, :, None]
-    total = np.zeros(q)
-    vanished = np.zeros(q, dtype=bool)
-    live = list(range(q))
-    buf = np.empty((min(lyap.BLOCK_STEPS, LYAP_STEPS), q, n, n))
-    for done in range(0, LYAP_STEPS, lyap.BLOCK_STEPS):
-        jacs = buf[: min(lyap.BLOCK_STEPS, LYAP_STEPS - done)]
-        kept = []
-        for lane in live:
-            try:
-                jacs[:, len(kept)] = next(blocks[lane])
-                kept.append(lane)
-            except OrbitViolationError:
-                pass
-        live = kept
-        if not live:
-            break
-        u, acc, hit = v[live], total[live], vanished[live]
-        for jac in jacs[:, : len(live)]:
-            u = np.matmul(jac, u)
-            norm = np.sqrt(np.matmul(u.reshape(len(live), 1, n), u)).reshape(len(live))
-            grew = norm > 0.0
-            hit |= ~grew
-            norm[~grew] = 1.0
-            acc += _logs(norm)
-            u /= norm[:, None, None]
-        v[live], total[live], vanished[live] = u, acc, hit
-    tops: list[float | None] = [None] * q
-    for lane in live:
-        # a vanished tangent takes the scalar path, which redraws it
-        # (lyapunov_top) or floors its log (lyapunov_1d)
-        tops[lane] = (
-            _top_exponent(initials[lane], params[lane], transient, rng_seed)
-            if vanished[lane] else float(total[lane]) / LYAP_STEPS
-        )
-    return tops
-
-
 def _evaluate(
     values: Sequence[float],
     params: Sequence[ModelParams],
@@ -304,19 +230,16 @@ def _evaluate(
         np.stack([records[point].samples[:record] for point in firsts]),
         min(DEFAULT_P_MAX, record // 3), DEFAULT_PERIOD_TOL,
     )
-    tops = _top_exponents(list(firsts.values()), [params[p] for p in firsts], transient, rng_seed)
+    tops = _top_lanes(list(firsts.values()), [params[p] for p in firsts], transient,
+                      LYAP_STEPS, rng_seed)
     for point, period, top in zip(firsts, periods, tops):
+        # as in _top_exponent, an escape leaves the exponent open
+        top = None if isinstance(top, OrbitViolationError) else top
         records[point] = replace(
             records[point], lyapunov_top=top, period=period,
             classification=classify(period, top, True),
         )
     return records
-
-
-def _tangent_start(rng_seed: int, n: int) -> np.ndarray:
-    # lyapunov_top's first tangent vector
-    v = np.random.default_rng(rng_seed).standard_normal(n)
-    return v / np.linalg.norm(v)
 
 
 def _in_chunks(

@@ -37,3 +37,17 @@ def rng() -> np.random.Generator:
 
 def two_bank(omega1: float, omega2: float, pi1: float) -> ModelParams:
     return ModelParams(omegas=(omega1, omega2), pis=(pi1, 1.0 - pi1))
+
+
+#: single-bank leverages x, y, z at memory 0.58 (standard alpha, gamma,
+#: sigma_eps_sq): T'(x) is exactly 0, T(y) == x and T(z) == y, so a
+#: tangent vector meets the zero derivative at its first, second or third
+#: step; the first entry at memory 0.43 has T' exactly 0 too
+SUPERSTABLE = {
+    0.43: (float.fromhex("0x1.1a43d15f23672p+6"),),
+    0.58: (
+        float.fromhex("0x1.2ab17c5446a71p+6"),
+        float.fromhex("0x1.dac2089b74f8ap+5"),
+        float.fromhex("0x1.6f02d4c315e62p+5"),
+    ),
+}

@@ -31,7 +31,7 @@ from levdyn.orbits import detect_period, iterate
 from levdyn.params import LeverageState, ModelParams
 from levdyn.skew import history_from_orbit
 
-from conftest import two_bank
+from conftest import SUPERSTABLE, two_bank
 
 
 def forcing_orbit(omega2: float, params: ModelParams, x0: float, transient: int, n: int):
@@ -360,6 +360,46 @@ def test_exponents_match_step_by_step_maps(
         # history_from_orbit takes x0 in (0, 1 + gamma) only
         expected = ("domain",)
     assert _outcome(history) == expected
+
+
+class TestTopLanes:
+    """``lyap._top_lanes``, the one tangent loop behind ``lyapunov_top``
+    and the sweeps' exponents, lane by lane against ``_reference_top``."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("block", [BLOCK_STEPS, 2])
+    def test_lanes_vanishing_at_different_steps_match_reference(self, seed, block):
+        steps = 300
+        x, y, z = SUPERSTABLE[0.58]
+        p1 = ModelParams(omegas=(0.58,), pis=(1.0,))
+        assert leverage_map_deriv(x, 0.58, p1) == 0.0
+        assert (leverage_map(y, 0.58, p1), leverage_map(z, 0.58, p1)) == (x, y)
+        # bank 2 has memory and weight 0, so its column of the Jacobian is
+        # 0, and bank 1 is alone in the mean field, so it follows T: at
+        # T' = 0 the tangent turns onto bank 2 and vanishes one step
+        # later.  On one bank it vanishes at T' = 0.  The last two-bank
+        # lane escapes at step 1.
+        p2 = ModelParams(omegas=(0.58, 0.0), pis=(1.0, 0.0))
+        cases = [
+            (p1, [[x], [y], [z], [40.0]]),
+            (p2, [[x, 30.0], [y, 30.0], [z, 30.0], [40.0, 30.0], [100.9, 30.0]]),
+        ]
+        for p, starts in cases:
+            initials = [LeverageState.from_lambdas(s, p) for s in starts]
+            with patch.object(lyap, "BLOCK_STEPS", block):
+                tops = lyap._top_lanes(initials, [p] * len(initials), 0, steps, seed)
+            assert all(top < LOG_FLOOR / steps for top in tops[:3])
+            for initial, top in zip(initials, tops):
+                got = (
+                    ("violation", top.step, top.constraint)
+                    if isinstance(top, OrbitViolationError) else repr(top)
+                )
+                escape = iterate(initial, p, 0, steps).violation
+                assert got == _expected(
+                    escape, lambda: _reference_top(initial, p, 0, steps, seed)
+                )
+                if p is p1:
+                    assert got == repr(lyapunov_1d(0.58, p, initial.lambdas[0], 0, steps).top)
 
 
 class TestFiberExponent:

@@ -18,6 +18,7 @@ from levdyn.orbits import (
     iterate,
     pair_sync,
     sync_metric,
+    window_periods,
 )
 from levdyn.params import LeverageState, ModelParams, common_fixed_point, mean_field
 
@@ -203,8 +204,20 @@ class TestDetectPeriod:
         with pytest.raises(InsufficientTraceError):
             detect_period(trace, p_max=8)
 
+    @pytest.mark.parametrize("p_max", [0, -2])
+    def test_p_max_below_one_raises(self, std1, p_max):
+        trace = iterate(LeverageState.from_lambdas([50.0], std1), std1, 0, 50)
+        with pytest.raises(ValueError, match="p_max must be >= 1"):
+            detect_period(trace, p_max=p_max)
+        with pytest.raises(ValueError, match="p_max must be >= 1"):
+            window_periods(trace.recorded[None], p_max, 1e-7)
+
 
 class TestFeasibleSet:
+    def test_negative_horizon_raises(self):
+        with pytest.raises(ValueError, match="horizon >= 0"):
+            estimate_feasible_set(two_bank(0.5, 0.3, 0.5), 20, -5, 0)
+
     def test_identity_dynamics_all_survive(self):
         p = two_bank(1.0, 1.0, 0.4)
         est = estimate_feasible_set(p, n_samples=200, horizon=200, rng_seed=9)

@@ -1,8 +1,7 @@
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from levdyn.sweep import (
     stability_map,
 )
 
-from conftest import python_loops, two_bank
+from conftest import SUPERSTABLE, python_loops, two_bank
 
 STD1 = ModelParams(omegas=(0.5,), pis=(1.0,))
 
@@ -276,8 +275,8 @@ class TestBatchedEvaluator:
     """The batched grid evaluator against the scalar reference path,
     ``_eval_point``: iterate each initial, then detect_period,
     lyapunov_top or lyapunov_1d, and classify on the first survivor.
-    The batched tangent pass stands in for both exponents; a lane whose
-    tangent vanishes falls back to the scalar exponent."""
+    The lockstep tangent loop, ``lyap._top_lanes``, stands in for both
+    exponents."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=sweep_specs(), steps=st.integers(1, 300), data=st.data())
@@ -307,29 +306,46 @@ class TestBatchedEvaluator:
             assert rec.lyapunov_top is None
             assert rec.classification == "unresolved"
 
-    @pytest.mark.parametrize(("axis", "fixed", "start", "fallbacks"), [
+    def test_vanished_tangent_matches_scalar_path(self):
         # pi1 = 1 with omega2 = 0 maps the tangent (0, 1) to the zero
-        # vector; the scalar path then redraws from its generator
-        pytest.param("pi1", two_bank(0.7, 0.0, 0.5), [0.0, 1.0], 1, id="pi1"),
-        # a zero single-bank tangent vanishes at once on every lane; the
-        # scalar path is lyapunov_1d
-        pytest.param("omega", STD1, [0.0], 2, id="omega"),
-    ])
-    def test_vanished_tangent_falls_back_to_scalar(self, axis, fixed, start, fallbacks):
+        # vector; the lane redraws it from its own generator, as
+        # lyapunov_top does
         spec = SweepSpec(
-            axis=axis, bounds=(0.5, 1.0), resolution=2,
-            fixed=fixed, transient=50, record=30, rng_seed=4,
+            axis="pi1", bounds=(0.5, 1.0), resolution=2,
+            fixed=two_bank(0.7, 0.0, 0.5), transient=50, record=30, rng_seed=4,
         )
         values = [float(v) for v in spec.grid()]
         with (
             patch.object(sweep, "LYAP_STEPS", 200),
-            patch.object(sweep, "_tangent_start", return_value=np.array(start)),
-            patch.object(sweep, "_top_exponent", wraps=sweep._top_exponent) as scalar,
+            patch.object(lyap, "_tangent_start", return_value=np.array([0.0, 1.0])),
         ):
             batched = _eval_chunk(values, spec)
-            assert scalar.call_count == fallbacks
             expected = [_eval_point(spec, v) for v in values]
         assert batched[1].lyapunov_top is not None
+        assert [record_key(r) for r in batched] == [record_key(r) for r in expected]
+
+    def test_zero_derivative_lanes_match_lyapunov_1d(self):
+        # every initial of a point starts at a zero derivative of its map:
+        # at the first tangent step for omega = 0.43, the second for 0.58
+        spec = SweepSpec(
+            axis="omega", bounds=(0.43, 0.58), resolution=2,
+            fixed=STD1, transient=0, record=30, rng_seed=4,
+        )
+        starts = {0.43: SUPERSTABLE[0.43][0], 0.58: SUPERSTABLE[0.58][1]}
+
+        def point_rng(rng_seed, value):
+            return Mock(uniform=lambda lo, hi, size: np.full(size, starts[value]))
+
+        values = [float(v) for v in spec.grid()]
+        with (
+            patch.object(sweep, "LYAP_STEPS", 200),
+            patch.object(sweep, "_point_rng", point_rng),
+        ):
+            batched = _eval_chunk(values, spec)
+            expected = [_eval_point(spec, v) for v in values]
+        for value in values:
+            params = spec.params_at(value)
+            assert lyap.lyapunov_1d(value, params, starts[value], 0, 200).saturated
         assert [record_key(r) for r in batched] == [record_key(r) for r in expected]
 
     def test_stability_cells_match_omega1_points(self):
@@ -346,10 +362,3 @@ class TestBatchedEvaluator:
     def test_stability_map_rejects_short_record(self):
         with pytest.raises(ValueError, match="record >= 3"):
             stability_map(np.array([0.5, 0.6]), np.array([0.5, 0.6]), 0.5, STD1, record=2)
-
-    def test_lane_logs_are_math_log(self):
-        # np.log rounds these inputs differently from math.log on some
-        # builds; the batched exponent sums math.log as the scalar path does
-        x = np.array([2.154630827426079, 1.0275974975708784, 2.1278710383618327,
-                      2.8789027629991506, *np.random.default_rng(0).uniform(0.05, 20.0, 500)])
-        assert sweep._logs(x).tolist() == [math.log(v) for v in x.tolist()]
