@@ -11,7 +11,16 @@
  * Python loop, which raises ZeroDivisionError there.
  */
 
+#include <float.h>
 #include <math.h>
+
+/* An x87 build (-m32 or -mfpmath=387) evaluates doubles in 80-bit
+ * registers and may round twice, so it could disagree with the Python
+ * loops on inputs the loader's probe never tries: fail the build there,
+ * and the Python loops run. */
+#if FLT_EVAL_METHOD != 0
+#error "the compiled loops need FLT_EVAL_METHOD == 0 (no excess precision)"
+#endif
 
 #define KERNEL_DEFER (-1)
 #define KERNEL_LEVERAGE_FLOOR 1

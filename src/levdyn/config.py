@@ -152,7 +152,7 @@ def _read(cls: type, block: Any, path: str) -> Any:
 class RunBlock:
     transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
     record: int = _key(_at_least(0), DEFAULT_RECORD)
-    seed: int | None = _key(_int, None)
+    seed: int | None = _key(_at_least(0), None)
     initial: tuple[float, ...] | None = _key(_list(_at_least(1, _float)), None)
 
 

@@ -8,6 +8,10 @@ Lyapunov exponent and the survival fraction.  Per-point seeds derive
 from the parameter value so a refined grid reproduces coarse-grid points
 exactly.
 
+A grid point is a ``(spec, value)`` pair on every path.  A stability
+cell (omega1, omega2) is the point omega1 of the omega1 sweep at fixed
+omega2, on one worker and on many; pool workers return only its class.
+
 Every orbit runs through ``iterate``, and so through ``orbits._run``,
 compiled where a C compiler is found.  With one worker, each grid point
 takes the scalar reference path (``_eval_point``: ``detect_period``,
@@ -25,8 +29,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,13 +47,6 @@ DEFAULT_PERIOD_TOL = 1e-7
 CHUNK_POINTS = 512
 
 
-def _check_run_lengths(transient: int, record: int, initials_per_point: int) -> None:
-    if initials_per_point < 1:
-        raise ValueError("initials_per_point must be >= 1")
-    if transient < 0 or record < 3:
-        raise ValueError("need transient >= 0 and record >= 3")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One-axis sweep description.
@@ -58,6 +54,8 @@ class SweepSpec:
     ``fixed`` supplies every parameter not being swept; the swept entry
     in it is ignored and replaced per grid point.  The "omega" axis
     needs a single-bank ``fixed``; the other axes need two banks.
+    ``_eval_point`` and ``_evaluate`` read ``axis``, ``fixed``, the run
+    lengths and the seed, never ``bounds`` or ``resolution``.
     """
 
     axis: str
@@ -80,7 +78,10 @@ class SweepSpec:
             )
         if self.resolution < 2:
             raise ValueError(f"resolution must be >= 2, got {self.resolution}")
-        _check_run_lengths(self.transient, self.record, self.initials_per_point)
+        if self.initials_per_point < 1:
+            raise ValueError("initials_per_point must be >= 1")
+        if self.transient < 0 or self.record < 3:
+            raise ValueError("need transient >= 0 and record >= 3")
         n_needed = 1 if self.axis == "omega" else 2
         if self.fixed.n_banks != n_needed:
             raise ValueError(
@@ -142,25 +143,19 @@ def _top_exponent(
         return None
 
 
-def _survivors(
-    value: float,
-    params: ModelParams,
-    transient: int,
-    record: int,
-    initials_per_point: int,
-    rng_seed: int,
-) -> list[tuple[int, OrbitTrace]]:
-    """The clean orbits of grid point ``value``, with the indices of the
-    seeded initials they start from; infeasible initials are skipped."""
-    draws = _point_rng(rng_seed, value).uniform(
-        1.0, params.lambda_max, size=(initials_per_point, params.n_banks)
+def _survivors(spec: SweepSpec, value: float, params: ModelParams) -> list[tuple[int, OrbitTrace]]:
+    """The clean orbits of grid point ``(spec, value)``, whose parameters
+    are ``params``, with the indices of the seeded initials they start
+    from; infeasible initials are skipped."""
+    draws = _point_rng(spec.rng_seed, value).uniform(
+        1.0, params.lambda_max, size=(spec.initials_per_point, params.n_banks)
     )
     survivors = []
     for idx, row in enumerate(draws):
         state = LeverageState.from_lambdas(row, params)
         if not state.feasible:
             continue
-        trace = iterate(state, params, transient=transient, record=record)
+        trace = iterate(state, params, transient=spec.transient, record=spec.record)
         if trace.survived:
             survivors.append((idx, trace))
     return survivors
@@ -190,9 +185,7 @@ def _record(
 def _eval_point(spec: SweepSpec, value: float) -> SweepRecord:
     """One grid point by the scalar reference path."""
     params = spec.params_at(value)
-    survivors = _survivors(
-        value, params, spec.transient, spec.record, spec.initials_per_point, spec.rng_seed
-    )
+    survivors = _survivors(spec, value, params)
     period = top = None
     if survivors:
         first = survivors[0][1]
@@ -202,36 +195,33 @@ def _eval_point(spec: SweepSpec, value: float) -> SweepRecord:
     return _record(value, params.n_banks, survivors, spec.initials_per_point, period, top)
 
 
-def _evaluate(
-    values: Sequence[float],
-    params: Sequence[ModelParams],
-    transient: int,
-    record: int,
-    initials_per_point: int,
-    rng_seed: int,
-) -> list[SweepRecord]:
-    """``_eval_point`` on the grid points ``params``, in order.
+def _evaluate(points: Sequence[tuple[SweepSpec, float]]) -> list[SweepRecord]:
+    """``_eval_point`` on the ``(spec, value)`` points, in order.
 
-    ``values[i]`` is point i's parameter value, which seeds its initials.
-    All points share alpha, gamma, sigma_eps_sq and the bank count.
+    Precondition: the specs share the run lengths and the seed, and the
+    points share alpha, gamma, sigma_eps_sq and the bank count, as the
+    points of one grid do; the period test and the exponent lanes take
+    the first spec's.
     """
+    spec = points[0][0]
+    params = [s.params_at(v) for s, v in points]
     records = []
     # each surviving point's first initial; the rows of its orbit lead the
     # point's samples, so no trace is held past its point
     firsts: dict[int, LeverageState] = {}
-    for point, (value, p) in enumerate(zip(values, params)):
-        survivors = _survivors(value, p, transient, record, initials_per_point, rng_seed)
-        records.append(_record(value, p.n_banks, survivors, initials_per_point))
+    for point, ((point_spec, value), p) in enumerate(zip(points, params)):
+        survivors = _survivors(point_spec, value, p)
+        records.append(_record(value, p.n_banks, survivors, point_spec.initials_per_point))
         if survivors:
             firsts[point] = survivors[0][1].initial
     if not firsts:
         return records
     periods = window_periods(
-        np.stack([records[point].samples[:record] for point in firsts]),
-        min(DEFAULT_P_MAX, record // 3), DEFAULT_PERIOD_TOL,
+        np.stack([records[point].samples[:spec.record] for point in firsts]),
+        min(DEFAULT_P_MAX, spec.record // 3), DEFAULT_PERIOD_TOL,
     )
-    tops = _top_lanes(list(firsts.values()), [params[p] for p in firsts], transient,
-                      LYAP_STEPS, rng_seed)
+    tops = _top_lanes(list(firsts.values()), [params[p] for p in firsts], spec.transient,
+                      LYAP_STEPS, spec.rng_seed)
     for point, period, top in zip(firsts, periods, tops):
         # as in _top_exponent, an escape leaves the exponent open
         top = None if isinstance(top, OrbitViolationError) else top
@@ -242,23 +232,13 @@ def _evaluate(
     return records
 
 
-def _in_chunks(
-    fn: Callable[..., list], items: list, workers: int, *args: Any
-) -> list:
-    """``fn(chunk, *args)`` over contiguous chunks of ``items``, at least
-    one per worker and at most CHUNK_POINTS long, concatenated in order."""
-    n = min(max(workers, -(-len(items) // CHUNK_POINTS)), len(items))
-    chunks = [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]
+def _in_chunks(fn: Callable[[list], list], points: list, workers: int) -> list:
+    """``fn`` over contiguous chunks of ``points``, at least one per
+    worker and at most CHUNK_POINTS long, concatenated in order."""
+    n = min(max(workers, -(-len(points) // CHUNK_POINTS)), len(points))
+    chunks = [points[len(points) * i // n : len(points) * (i + 1) // n] for i in range(n)]
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        parts = pool.map(fn, chunks, *(repeat(a) for a in args))
-        return [out for part in parts for out in part]
-
-
-def _eval_chunk(values: list[float], spec: SweepSpec) -> list[SweepRecord]:
-    params = [spec.params_at(v) for v in values]
-    return _evaluate(
-        values, params, spec.transient, spec.record, spec.initials_per_point, spec.rng_seed
-    )
+        return [out for part in pool.map(fn, chunks) for out in part]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
@@ -267,10 +247,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     Output order is always grid order; identical spec and seed give
     identical records for any worker count.
     """
-    values = [float(v) for v in spec.grid()]
+    points = [(spec, float(v)) for v in spec.grid()]
     if workers <= 1:
-        return [_eval_point(spec, v) for v in values]
-    return _in_chunks(_eval_chunk, values, workers, spec)
+        return [_eval_point(*point) for point in points]
+    return _in_chunks(_evaluate, points, workers)
 
 
 @dataclass(frozen=True)
@@ -279,23 +259,13 @@ class StabilityMap:
 
     omega1s: np.ndarray
     omega2s: np.ndarray
-    classes: np.ndarray  # shape (len(omega1s), len(omega2s)), dtype str
+    classes: np.ndarray  # shape (len(omega1s), len(omega2s)), dtype object (str entries)
     pi1: float
 
 
-def _classify_cells(
-    cells: list[tuple[float, float]],
-    base: ModelParams,
-    transient: int,
-    record: int,
-    initials_per_point: int,
-    rng_seed: int,
-) -> list[str]:
-    params = [replace(base, omegas=cell) for cell in cells]
-    records = _evaluate(
-        [w1 for w1, _ in cells], params, transient, record, initials_per_point, rng_seed
-    )
-    return [r.classification for r in records]
+def _classes(points: list[tuple[SweepSpec, float]]) -> list[str]:
+    """The classes of ``_evaluate``'s records, so workers return no samples."""
+    return [record.classification for record in _evaluate(points)]
 
 
 def stability_map(
@@ -318,32 +288,24 @@ def stability_map(
     omega2s = np.asarray(omega2s, dtype=float)
     if omega1s.size < 2 or omega2s.size < 2:
         raise ValueError("stability map needs at least a 2 x 2 grid")
-    base = replace(params, omegas=(0.5, 0.5), pis=(pi1, 1.0 - pi1))
-    _check_run_lengths(transient, record, initials_per_point)
-    if workers <= 1:
-        columns = [
-            SweepSpec(
-                axis="omega1",
-                bounds=(0.0, 1.0),
-                resolution=2,
-                fixed=replace(base, omegas=(0.5, float(w2))),
-                transient=transient,
-                record=record,
-                initials_per_point=initials_per_point,
-                rng_seed=rng_seed,
-            )
-            for w2 in omega2s
-        ]
-        classes = [
-            _eval_point(column, float(w1)).classification
-            for w1 in omega1s for column in columns
-        ]
-    else:
-        cells = [(float(w1), float(w2)) for w1 in omega1s for w2 in omega2s]
-        classes = _in_chunks(
-            _classify_cells, cells, workers,
-            base, transient, record, initials_per_point, rng_seed,
+    columns = [
+        SweepSpec(
+            axis="omega1",
+            bounds=(0.0, 1.0),
+            resolution=2,
+            fixed=replace(params, omegas=(0.5, float(w2)), pis=(pi1, 1.0 - pi1)),
+            transient=transient,
+            record=record,
+            initials_per_point=initials_per_point,
+            rng_seed=rng_seed,
         )
+        for w2 in omega2s
+    ]
+    points = [(column, float(w1)) for w1 in omega1s for column in columns]
+    if workers <= 1:
+        classes = [_eval_point(*point).classification for point in points]
+    else:
+        classes = _in_chunks(_classes, points, workers)
     return StabilityMap(
         omega1s=omega1s,
         omega2s=omega2s,

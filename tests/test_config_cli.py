@@ -216,7 +216,8 @@ class TestCliCommands:
         )
         out = tmp_path / "orbit.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        _, columns, rows = read_csv(out.open())
+        with out.open() as fh:
+            _, columns, rows = read_csv(fh)
         assert columns == ["t", "lambda_1", "lambda_2", "sync_12", "feasible"]
         sync = [float(r[3]) for r in rows]
         for a, b in zip(sync, sync[1:]):
@@ -234,7 +235,8 @@ class TestCliCommands:
         )
         out = tmp_path / "orbit.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        _, _, rows = read_csv(out.open())
+        with out.open() as fh:
+            _, _, rows = read_csv(fh)
         lams = {r[1] for r in rows}
         assert len(lams) <= 2  # identity map up to one rounding step
 
@@ -354,6 +356,10 @@ class TestCliCommands:
             ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": 1},
                            "sweep": {**sweep, "resolution": 2.5}}, "sweep.resolution"),
             ("attractor", {"run": {"seed": 2.9}}, "run.seed"),
+            # numpy's seeding takes non-negative integers only
+            ("simulate", {"run": {"seed": -1}}, "run.seed"),
+            ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": -1},
+                           "sweep": sweep}, "run.seed"),
             ("attractor", {"run": {"seed": True}}, "run.seed"),
             ("attractor", {"run": {"seed": "1"}}, "run.seed"),
             ("lyapunov", {"run": {"initial": [50.0, 60.0]}, "lyapunov": {"steps": True}},
@@ -501,7 +507,8 @@ class TestCliCommands:
         )
         out = tmp_path / "cloud.csv"
         assert main(["attractor", "--config", cfg, "--out", str(out)]) == 0
-        provenance, columns, rows = read_csv(out.open())
+        with out.open() as fh:
+            provenance, columns, rows = read_csv(fh)
         assert columns == ["lambda1", "lambda2"]
         assert len(rows) == 2000
         assert "levdyn_version" in provenance
@@ -517,7 +524,8 @@ class TestCliCommands:
         )
         out = tmp_path / "micro.csv"
         assert main(["micro", "--config", cfg, "--out", str(out)]) == 0
-        _, columns, rows = read_csv(out.open())
+        with out.open() as fh:
+            _, columns, rows = read_csv(fh)
         assert columns == [
             "period", "bank", "lambda_stochastic", "lambda_deterministic",
             "pi_drift_max", "phi_hat", "sigma_hat_sq",
@@ -541,7 +549,8 @@ class TestCliCommands:
         )
         out = tmp_path / "stab.csv"
         assert main(["stability-map", "--config", cfg, "--out", str(out)]) == 0
-        _, columns, rows = read_csv(out.open())
+        with out.open() as fh:
+            _, columns, rows = read_csv(fh)
         assert columns == ["omega1", "omega2", "classification"]
         assert len(rows) == 4
         assert rows[-1][2] == "fixed-point"
@@ -605,7 +614,8 @@ class TestCliCommands:
              "--workers", "1"]
         )
         assert code == 0
-        _, columns, rows = read_csv(out.open())
+        with out.open() as fh:
+            _, columns, rows = read_csv(fh)
         assert columns[0] == "param_value"
         values = sorted({float(r[0]) for r in rows})
         assert len(values) == 9
@@ -625,7 +635,8 @@ class TestCliCommands:
         out = tmp_path / "sweep.csv"
         code = main(["bifurcate", "--config", cfg, "--out", str(out), "--workers", "1"])
         assert code == 0
-        _, columns, rows = read_csv(out.open())
+        with out.open() as fh:
+            _, columns, rows = read_csv(fh)
         at = [r for r in rows if r[0] == "0.15000000000000002"]
         assert len(at) == 3 * 2
         assert {r[columns.index("lyapunov_top")] for r in at} == {""}

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ctypes
+import platform
 import shutil
 import stat
+import subprocess
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -53,3 +55,18 @@ def test_concurrent_builds_publish_one_whole_library(tmp_path):
     assert len(set(built)) == 1
     ctypes.CDLL(str(built[0])).levdyn_run
     assert [p.name for p in (tmp_path / "lib").iterdir()] == [built[0].name]
+
+
+@needs_cc
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="-mfpmath=387 is an x86-64 option")
+def test_x87_build_is_refused():
+    # x87 doubles live in 80-bit registers (FLT_EVAL_METHOD 2) and may be
+    # rounded twice, so the source refuses such a build
+    def check(*extra):
+        return subprocess.run(["cc", *_kernel.FLAGS, *extra, "-fsyntax-only", str(_kernel.SOURCE)],
+                              capture_output=True, text=True)
+
+    assert check().returncode == 0
+    x87 = check("-mfpmath=387")
+    assert x87.returncode != 0
+    assert "FLT_EVAL_METHOD" in x87.stderr

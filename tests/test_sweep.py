@@ -15,8 +15,8 @@ from levdyn.sweep import (
     SWEEP_AXES,
     SweepRecord,
     SweepSpec,
-    _eval_chunk,
     _eval_point,
+    _evaluate,
     run_sweep,
     stability_map,
 )
@@ -227,7 +227,13 @@ class TestStabilityMap:
         )
         serial = stability_map(omegas, omegas, **kwargs)
         parallel = stability_map(omegas, omegas, workers=2, **kwargs)
+        # five chunks of the nine cells: [0:1], [1:3], [3:5], [5:7], [7:9],
+        # so chunk boundaries split the rows and every omega2 column
+        with patch.object(sweep, "CHUNK_POINTS", 2):
+            chunked = stability_map(omegas, omegas, workers=2, **kwargs)
+        assert len(set(serial.classes.flat)) > 1
         assert np.array_equal(serial.classes, parallel.classes)
+        assert np.array_equal(serial.classes, chunked.classes)
 
 
 def record_key(rec: SweepRecord) -> tuple:
@@ -284,23 +290,54 @@ class TestBatchedEvaluator:
     def test_matches_scalar_reference(self, spec, steps, data):
         """``block`` shrinks the exponent blocks, so that the lockstep
         rounds and escapes at block edges are compared too."""
-        values = [float(v) for v in spec.grid()]
-        cut = data.draw(st.integers(1, len(values) - 1)) if data else len(values) // 2
+        points = [(spec, float(v)) for v in spec.grid()]
+        cut = data.draw(st.integers(1, len(points) - 1)) if data else len(points) // 2
         block = data.draw(st.integers(1, 8)) if data else 1
         loops = python_loops() if data and data.draw(st.booleans()) else nullcontext()
         with loops, patch.object(sweep, "LYAP_STEPS", steps):
-            expected = [record_key(_eval_point(spec, v)) for v in values]
-            whole = _eval_chunk(values, spec)
-            split = _eval_chunk(values[:cut], spec) + _eval_chunk(values[cut:], spec)
+            expected = [record_key(_eval_point(*point)) for point in points]
+            whole = _evaluate(points)
+            split = _evaluate(points[:cut]) + _evaluate(points[cut:])
             with patch.object(lyap, "BLOCK_STEPS", block):
-                blocked = _eval_chunk(values, spec)
+                blocked = _evaluate(points)
         assert [record_key(r) for r in whole] == expected
         assert [record_key(r) for r in split] == expected
         assert [record_key(r) for r in blocked] == expected
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pi1=st.floats(0.0, 1.0),
+        omega1s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        omega2s=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3, unique=True),
+        transient=st.integers(0, 60),
+        record=st.integers(3, 40),
+        initials=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_chunks_mixing_stability_columns_match_scalar_reference(
+        self, pi1, omega1s, omega2s, transient, record, initials, seed, steps, data
+    ):
+        """Stability cells of several omega2 columns, in row-major order as
+        ``stability_map`` builds them, cut into two chunks at a random point."""
+        columns = [
+            SweepSpec(axis="omega1", bounds=(0.0, 1.0), resolution=2,
+                      fixed=two_bank(0.5, w2, pi1), transient=transient, record=record,
+                      initials_per_point=initials, rng_seed=seed)
+            for w2 in omega2s
+        ]
+        points = [(column, w1) for w1 in omega1s for column in columns]
+        cut = data.draw(st.integers(1, len(points) - 1))
+        for loops in (nullcontext(), python_loops()):
+            with loops, patch.object(sweep, "LYAP_STEPS", steps):
+                expected = [record_key(_eval_point(*point)) for point in points]
+                split = _evaluate(points[:cut]) + _evaluate(points[cut:])
+            assert [record_key(r) for r in split] == expected
+
     def test_escape_in_exponent_run_leaves_it_open(self):
-        for records in (run_sweep(ESCAPE_SPEC), _eval_chunk([0.1, 0.15000000000000002],
-                                                             ESCAPE_SPEC)):
+        points = [(ESCAPE_SPEC, 0.1), (ESCAPE_SPEC, 0.15000000000000002)]
+        for records in (run_sweep(ESCAPE_SPEC), _evaluate(points)):
             rec = next(r for r in records if r.param_value == 0.15000000000000002)
             assert rec.survival_fraction > 0
             assert rec.lyapunov_top is None
@@ -319,7 +356,7 @@ class TestBatchedEvaluator:
             patch.object(sweep, "LYAP_STEPS", 200),
             patch.object(lyap, "_tangent_start", return_value=np.array([0.0, 1.0])),
         ):
-            batched = _eval_chunk(values, spec)
+            batched = _evaluate([(spec, v) for v in values])
             expected = [_eval_point(spec, v) for v in values]
         assert batched[1].lyapunov_top is not None
         assert [record_key(r) for r in batched] == [record_key(r) for r in expected]
@@ -341,7 +378,7 @@ class TestBatchedEvaluator:
             patch.object(sweep, "LYAP_STEPS", 200),
             patch.object(sweep, "_point_rng", point_rng),
         ):
-            batched = _eval_chunk(values, spec)
+            batched = _evaluate([(spec, v) for v in values])
             expected = [_eval_point(spec, v) for v in values]
         for value in values:
             params = spec.params_at(value)
