@@ -1,11 +1,14 @@
-/* Compiled copies of levdyn's two scalar hot loops: orbits._run, the
- * orbit iteration with its three escape checks, and micro._ticks, the
- * intraday tick pass.
+/* Compiled copies of levdyn's three scalar hot loops: orbits._run, the
+ * orbit iteration with its three escape checks, micro._ticks, the
+ * intraday tick pass, and lyap._tangent_steps, the top exponent's
+ * renormalised tangent pass.
  *
  * Each statement mirrors one Python statement of the reference loop, in
- * the same order.  Both loops use only +, -, *, / and sqrt, which IEEE
- * 754 rounds correctly, so built without contraction of multiply-adds
- * (-ffp-contract=off) they give the doubles the Python loops give.
+ * the same order.  The loops use only +, -, *, /, sqrt and fma, which
+ * IEEE 754 rounds correctly, and log, which is the libm function that
+ * Python's math.log calls; built without contraction of multiply-adds
+ * (-ffp-contract=off), so that every fma is one the source spells out,
+ * they give the doubles the Python loops give.
  * Where a Python loop would divide by zero, the compiled loop returns
  * KERNEL_DEFER, and the caller discards what it wrote and reruns the
  * Python loop, which raises ZeroDivisionError there.
@@ -126,4 +129,35 @@ int levdyn_ticks(int n, double *equities, double *assets, const double *lambdas,
             held[i] /= total;
     }
     return 0;
+}
+
+/* lyap._tangent_steps over a block of steps n x n Jacobians, rows of
+ * n * n: maps the unit vector u, adds the log of its norm to *total and
+ * renormalises u in place.  Returns the first step whose vector is
+ * exactly 0, adding nothing for it, else steps. */
+long long levdyn_tangent(int n, const double *jacs, long long steps,
+                         double *u, double *total)
+{
+    double x[n];
+    for (long long step = 0; step < steps; step++) {
+        const double *jac = jacs + step * n * n;
+        for (int i = 0; i < n; i++) {
+            const double *row = jac + i * n;
+            double xi = row[n - 1] * u[n - 1];
+            for (int j = n - 2; j >= 0; j--)
+                xi = fma(row[j], u[j], xi);
+            x[i] = xi;
+        }
+        /* _norm */
+        double sq = x[0] * x[0];
+        for (int j = 1; j < n; j++)
+            sq = fma(x[j], x[j], sq);
+        double norm = sqrt(sq);
+        if (norm == 0.0)
+            return step;
+        *total += log(norm);
+        for (int i = 0; i < n; i++)
+            u[i] = x[i] / norm;
+    }
+    return steps;
 }

@@ -7,9 +7,9 @@ next to this module or, where that directory is not writable, in
 0700).  The compiler writes a unique temporary file that is then renamed
 into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
-library once a short orbit and tick pass give the same bytes through it
-as through the Python loops; otherwise it is None, and ``orbits._run``
-and ``micro._ticks`` run their Python loops.
+library once a short orbit, tick and tangent pass give the same bytes
+through it as through the Python loops; otherwise it is None, and
+``orbits._run``, ``micro._ticks`` and ``lyap._tangent_steps`` loop in Python.
 """
 
 from __future__ import annotations
@@ -77,8 +77,12 @@ def _build(source: Path, directories: list[Path]) -> Path:
 
 
 def _probe() -> tuple:
-    """A two-bank orbit, one that escapes and a two-bank tick pass, as
-    bytes and values, through whichever loops ``lib`` selects."""
+    """A two-bank orbit, one that escapes, a tick pass and a tangent pass
+    that stops where its vector vanishes and goes on past it, as bytes and
+    values, through whichever loops ``lib`` selects."""
+    import numpy as np
+
+    from .lyap import _tangent_steps
     from .micro import _ticks
     from .orbits import _run
     from .params import ModelParams
@@ -88,8 +92,12 @@ def _probe() -> tuple:
     equities, assets = [0.01, 0.008], [0.5, 0.48]
     returns, weights = _ticks(equities, assets, [50.0, 60.0], 1e-4, 100.0,
                               [1e-3, -2e-3, 5e-4], 0)
+    jacs = np.array([[[0.9, -1.7], [0.4, 2.3]], [[0, 0], [0, 0]], [[-0.6, 1.1], [1.3, 0.2]]])
+    u = [0.6, -0.8]
+    vanish, total = _tangent_steps(jacs, u, 0.0)
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
-            returns.tobytes(), weights.tobytes(), equities, assets)
+            returns.tobytes(), weights.tobytes(), equities, assets,
+            vanish, total, _tangent_steps(jacs[vanish + 1:], u, total), u)
 
 
 def _load() -> ctypes.CDLL | None:
@@ -104,6 +112,8 @@ def _load() -> ctypes.CDLL | None:
                                      size, size, ptr, ptr]
     candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
                                        ptr, size, ptr, ptr, ptr]
+    candidate.levdyn_tangent.argtypes = [ctypes.c_int, ptr, size, ptr, ptr]
+    candidate.levdyn_tangent.restype = size
     expected = _probe()
     lib = candidate
     try:

@@ -6,9 +6,10 @@ The map exponents read their orbit from ``orbits._run``, the one scalar
 orbit loop, and build each Jacobian from a state and its recorded
 successor (``maps.step_jacobian``).  An orbit that leaves the feasible
 region has no exponent: they raise OrbitViolationError at the
-(step, constraint) that ``iterate`` records for it.  ``_top_lanes`` is
-the one tangent-vector loop: ``lyapunov_top`` is its one-lane case and
-the sweeps run it over many orbits in lockstep.
+(step, constraint) that ``iterate`` records for it.  ``_top`` is the one
+tangent-vector pass, behind ``lyapunov_1d``, ``lyapunov_top`` and every
+sweep lane; spelled out in fused multiply-adds, it does not depend on
+the BLAS kernel, as ``lyapunov_spectrum`` still does.
 
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _kernel
 from .errors import DomainError, InfeasibleStateError, OrbitViolationError
 from .maps import fiber_map, step_jacobian
 from .orbits import _run_checked
@@ -33,11 +36,9 @@ LOG_FLOOR = -700.0
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    """Per-step log-expansion rates, sorted descending.
-
-    ``saturated`` marks runs where a zero derivative forced the
-    LOG_FLOOR clamp (the true exponent is -inf at such parameters).
-    """
+    """Per-step log-expansion rates, sorted descending.  ``saturated``
+    marks runs where a zero derivative forced the LOG_FLOOR clamp (the
+    true exponent is -inf at such parameters)."""
 
     exponents: tuple[float, ...]
     steps_used: int
@@ -51,7 +52,6 @@ class LyapunovEstimate:
 
 #: states an exponent run holds at once; longer windows are walked in
 #: blocks of this many steps, so memory does not grow with ``steps``.
-#: ``_top_lanes`` holds one block per lane.
 BLOCK_STEPS = 256
 
 
@@ -86,34 +86,18 @@ def lyapunov_1d(
     transient: int = 1000,
     steps: int = 100_000,
 ) -> LyapunovEstimate:
-    """Exponent (1/steps) sum log|T'(x_t)| of the single-bank map.
-
-    Raises OrbitViolationError if the orbit leaves the feasible region,
-    at step 0 for an infeasible ``x0``; the exponent is undefined on a
-    truncated orbit.
-    """
+    """Exponent (1/steps) sum log|T'(x_t)| of the single-bank map, by the
+    tangent pass on one bank.  Raises OrbitViolationError if the orbit
+    leaves the feasible region, at step 0 for an infeasible ``x0``; the
+    exponent is undefined on a truncated orbit."""
     p = params.with_single_omega(omega)
     initial = LeverageState.from_lambdas([x0], p)
     try:
         initial.require_feasible()
     except InfeasibleStateError as exc:
         raise OrbitViolationError(0, exc.constraint) from None
-    total = 0.0
-    saturated = False
-    for jacs in _window_jacobians(list(initial.lambdas), p, transient, steps):
-        # a 1 x 1 Jacobian is T'(x)
-        for deriv in np.abs(jacs[:, 0, 0]).tolist():
-            if deriv > 0.0:
-                total += math.log(deriv)
-            else:
-                total += LOG_FLOOR
-                saturated = True
-    return LyapunovEstimate(
-        exponents=(total / steps,),
-        steps_used=steps,
-        transient=transient,
-        saturated=saturated,
-    )
+    total, saturated = _top(_window_jacobians(list(initial.lambdas), p, transient, steps), 1, 0)
+    return LyapunovEstimate((total / steps,), steps, transient, saturated)
 
 
 def lyapunov_spectrum(
@@ -121,31 +105,20 @@ def lyapunov_spectrum(
     params: ModelParams,
     transient: int = 1000,
     steps: int = 100_000,
-    reorth_every: int = 1,
 ) -> LyapunovEstimate:
-    """Full spectrum from QR-factorized products of analytic Jacobians.
-
-    The tangent basis is re-orthonormalized every ``reorth_every`` steps
-    (default every step; N is small so the cost is negligible and the
-    accumulated product cannot overflow in chaotic regimes).  Exponents
-    are the accumulated log magnitudes of the R diagonals divided by the
-    step count, sorted descending.
-    """
-    if steps < reorth_every or reorth_every < 1:
-        raise ValueError("need steps >= reorth_every >= 1")
+    """Full spectrum from QR-factorized products of analytic Jacobians,
+    re-orthonormalized every step (N is small, so the cost is negligible
+    and the product cannot overflow in chaotic regimes).  Exponents are
+    the accumulated log magnitudes of the R diagonals divided by the
+    step count, sorted descending."""
     initial.require_feasible()
     n = params.n_banks
     q = np.eye(n)
     acc = np.zeros(n)
     saturated = False
-    done = 0
     for jacs in _window_jacobians(list(initial.lambdas), params, transient, steps):
         for jac in jacs:
-            q = jac @ q
-            done += 1
-            if done % reorth_every and done < steps:
-                continue
-            q, r = np.linalg.qr(q)
+            q, r = np.linalg.qr(jac @ q)
             diag = np.abs(np.diag(r))
             for k in range(n):
                 if diag[k] > 0.0:
@@ -153,13 +126,8 @@ def lyapunov_spectrum(
                 else:
                     acc[k] += LOG_FLOOR
                     saturated = True
-    exps = np.sort(acc / steps)[::-1]
-    return LyapunovEstimate(
-        exponents=tuple(float(v) for v in exps),
-        steps_used=steps,
-        transient=transient,
-        saturated=saturated,
-    )
+    exps = tuple(float(v) for v in np.sort(acc / steps)[::-1])
+    return LyapunovEstimate(exps, steps, transient, saturated)
 
 
 def lyapunov_top(
@@ -169,78 +137,113 @@ def lyapunov_top(
     steps: int = 2000,
     seed: int = 0,
 ) -> float:
-    """Top exponent only, via a single renormalized tangent vector (the
-    one-lane case of ``_top_lanes``).  Cheaper than the full spectrum; used
-    by parameter sweeps where only the sign and rough magnitude matter."""
+    """Top exponent only, via a single renormalized tangent vector drawn
+    from ``seed``.  Cheaper than the full spectrum; used by parameter
+    sweeps where only the sign and rough magnitude matter."""
     initial.require_feasible()
-    (top,) = _top_lanes([initial], [params], transient, steps, seed)
-    if isinstance(top, OrbitViolationError):
-        raise top
-    return top
+    blocks = _window_jacobians(list(initial.lambdas), params, transient, steps)
+    return _top(blocks, params.n_banks, seed)[0] / steps
 
 
-def _tangent_start(seed: int, n: int) -> np.ndarray:
-    v = np.random.default_rng(seed).standard_normal(n)
-    return v / np.linalg.norm(v)
+#: Veltkamp's splitter 2**27 + 1 cuts a double into halves of at most 26
+#: bits, whose products are exact while the operands lie in (_TINY, _HUGE)
+_SPLIT, _TINY, _HUGE = 134217729.0, 2.0**-480, 2.0**480
 
 
-def _top_lanes(
-    initials: Sequence[LeverageState], params: Sequence[ModelParams],
-    transient: int, steps: int, seed: int,
-) -> list[float | OrbitViolationError]:
-    """``lyapunov_top`` from each initial state, one lane a state, run in
-    lockstep; a lane whose orbit escapes gets the OrbitViolationError it
-    raised.  All ``params`` share the bank count.
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as C99 ``fma``: ``math.fsum`` of the halves'
+    exact products and c, else (zero, non-finite or extreme operands, or
+    an overflowing sum) the exact rational sum, rounded."""
+    if _TINY < abs(a) < _HUGE and _TINY < abs(b) < _HUGE:
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        try:
+            return math.fsum((ah * bh, ah * bl, al * bh, al * bl, c))
+        except OverflowError:
+            pass
+    if not (a and b and math.isfinite(a) and math.isfinite(b)):
+        return a * b + c  # the product is exact: a signed zero, inf or nan
+    if not math.isfinite(c):
+        return c
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
-    Each round copies one block of every lane's Jacobians into one reused
-    buffer.  The stacked ``np.matmul`` calls run the same BLAS kernels per
-    lane as ``jac @ v`` and ``np.linalg.norm(v)`` and the logs are
-    ``math.log``, so no lane's sum depends on the others.  A vector that
-    maps to exactly 0 adds LOG_FLOOR and is redrawn from the lane's own
+
+def _norm(v: list[float]) -> float:
+    """The 2-norm, squared as v[0] v[0] then fma(v[j], v[j], .) for j >= 1."""
+    sq = v[0] * v[0]
+    for x in v[1:]:
+        sq = _fma(x, x, sq)
+    return math.sqrt(sq)
+
+
+def _unit(rng: np.random.Generator, n: int) -> list[float]:
+    v = rng.standard_normal(n).tolist()
+    norm = _norm(v)
+    return [x / norm for x in v]
+
+
+def _tangent_start(seed: int, n: int) -> list[float]:
+    return _unit(np.random.default_rng(seed), n)
+
+
+def _tangent_steps(jacs: np.ndarray, u: list[float], total: float) -> tuple[int, float]:
+    """The tangent pass over a block of Jacobians: each step maps the unit
+    vector ``u`` (entry i is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .)
+    for j = n-2 down to 0), adds the log of its norm to ``total`` and
+    renormalizes it in place.  Returns the first step whose vector is
+    exactly 0, adding nothing for it, or ``len(jacs)``, with the total.
+    Runs compiled (``levdyn_tangent``) when that loaded."""
+    if _kernel.lib is not None:
+        # the loop reads len(jacs) n x n blocks: another size raises here
+        jacs = np.ascontiguousarray(jacs, dtype=float).reshape(len(jacs), len(u), len(u))
+        vec, acc = np.array(u, dtype=float), np.array([total])
+        stop = _kernel.lib.levdyn_tangent(len(u), jacs.ctypes.data, len(jacs),
+                                          vec.ctypes.data, acc.ctypes.data)
+        u[:] = vec.tolist()
+        return stop, acc.item()
+    last = len(u) - 1
+    for step, jac in enumerate(jacs.tolist()):
+        x = []
+        for row in jac:
+            xi = row[last] * u[last]
+            for j in range(last - 1, -1, -1):
+                xi = _fma(row[j], u[j], xi)
+            x.append(xi)
+        norm = _norm(x)
+        if norm == 0.0:
+            return step, total
+        total += math.log(norm)
+        u[:] = [xi / norm for xi in x]
+    return len(jacs), total
+
+
+def _top(blocks: Iterable[np.ndarray], n: int, seed: int) -> tuple[float, bool]:
+    """The renormalized tangent-vector pass (Benettin et al. 1980) over
+    blocks of n x n Jacobians: the summed log growth of a unit vector
+    drawn from ``default_rng(seed)``, and whether it ever vanished.  A
+    vector mapped to exactly 0 adds LOG_FLOOR and is redrawn from a second
     ``default_rng(seed)``, past the start draw.  On one bank the vector
-    stays exactly +-1 and its norm is |T'|: the sum is ``lyapunov_1d``'s.
-    """
-    if steps < 1 or transient < 0:
-        raise ValueError("need steps >= 1 and transient >= 0")
-    q, n = len(initials), params[0].n_banks
-    blocks = [_window_jacobians(list(s.lambdas), p, transient, steps)
-              for s, p in zip(initials, params)]
-    tops: list[float | OrbitViolationError] = [0.0] * q
-    live = list(range(q))  # lanes whose orbit has not escaped
-    u = np.tile(_tangent_start(seed, n), (q, 1))[:, :, None]
-    acc = np.zeros(q)
-    redraws: dict[int, np.random.Generator] = {}
-    buf = np.empty((min(BLOCK_STEPS, steps), q, n, n))
-    for done in range(0, steps, BLOCK_STEPS):
-        jacs = buf[: min(BLOCK_STEPS, steps - done)]
-        kept = []
-        for k, lane in enumerate(live):
-            try:
-                jacs[:, len(kept)] = next(blocks[lane])
-                kept.append(k)
-            except OrbitViolationError as exc:
-                tops[lane] = exc
-        if not kept:
-            return tops
-        live, u, acc, m = [live[k] for k in kept], u[kept], acc[kept], len(kept)
-        for jac in jacs[:, :m]:
-            u = np.matmul(jac, u)
-            norm = np.sqrt(np.matmul(u.reshape(m, 1, n), u))
-            norms = norm.ravel().tolist()
-            if 0.0 in norms:
-                for k in [k for k, x in enumerate(norms) if x == 0.0]:
-                    if live[k] not in redraws:
-                        redraws[live[k]] = np.random.default_rng(seed)
-                        redraws[live[k]].standard_normal(n)  # the start draw
-                    # u /= norm normalises the draw, and log 1 adds 0
-                    u[k, :, 0] = redraws[live[k]].standard_normal(n)
-                    norm[k], norms[k] = np.linalg.norm(u[k]), 1.0
-                    acc[k] += LOG_FLOOR
-            acc += np.fromiter(map(math.log, norms), float, m)
-            u /= norm
-    for lane, total in zip(live, acc.tolist()):
-        tops[lane] = total / steps
-    return tops
+    stays exactly +-1 and its norm is |T'|."""
+    u = _tangent_start(seed, n)
+    total, redraws = 0.0, None
+    for jacs in blocks:
+        done, total = _tangent_steps(jacs, u, total)
+        while done < len(jacs):
+            if redraws is None:
+                redraws = np.random.default_rng(seed)
+                redraws.standard_normal(n)  # the start draw
+            u[:] = _unit(redraws, n)
+            jacs = jacs[done + 1:]
+            done, total = _tangent_steps(jacs, u, total + LOG_FLOOR)
+    return total, redraws is not None
 
 
 def fiber_exponent(
@@ -260,13 +263,9 @@ def fiber_exponent(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if len(forcing_orbit) < steps:
-        raise ValueError(
-            f"forcing orbit has {len(forcing_orbit)} entries, need {steps}"
-        )
+        raise ValueError(f"forcing orbit has {len(forcing_orbit)} entries, need {steps}")
     if omega1 == 0.0:
-        return LyapunovEstimate(
-            exponents=(LOG_FLOOR,), steps_used=steps, transient=0, saturated=True
-        )
+        return LyapunovEstimate((LOG_FLOOR,), steps, 0, saturated=True)
     if not x0 > 0.0:
         raise DomainError(f"fiber initial must be positive, got {x0}")
     x = x0
@@ -277,6 +276,4 @@ def fiber_exponent(
         x_next = fiber_map(x, float(forcing_orbit[t]), omega1, params)
         total += log_omega1 + 3.0 * (math.log(x_next) - math.log(x))
         x = x_next
-    return LyapunovEstimate(
-        exponents=(total / steps,), steps_used=steps, transient=0, saturated=False
-    )
+    return LyapunovEstimate((total / steps,), steps, 0, saturated=False)

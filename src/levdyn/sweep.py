@@ -13,16 +13,15 @@ cell (omega1, omega2) is the point omega1 of the omega1 sweep at fixed
 omega2, on one worker and on many; pool workers return only its class.
 
 Every orbit runs through ``iterate``, and so through ``orbits._run``,
-compiled where a C compiler is found.  With one worker, each grid point
-takes the scalar reference path (``_eval_point``: ``detect_period``,
-``lyapunov_top`` or ``lyapunov_1d``, ``classify``).  With more, the
-workers take contiguous chunks of at most CHUNK_POINTS grid points
-(``_evaluate``).  A chunk's first survivors have their periods tested
-all at once and their top exponents run as the lanes of
-``lyap._top_lanes``, the tangent loop of ``lyapunov_top``, where no
-lane's sum depends on the others.  So a record is bit-identical to the
-scalar path's and to any other chunking of the grid.  Results aggregate
-in grid order.
+and every top exponent through ``lyapunov_top``, and so through the
+tangent pass ``lyap._top``; both are compiled where a C compiler is
+found.  With one worker, each grid point takes the scalar reference path
+(``_eval_point``: ``detect_period``, ``lyapunov_top``, ``classify``).
+With more, the workers take contiguous chunks of at most CHUNK_POINTS
+grid points (``_evaluate``), where the first survivors of a chunk have
+their periods tested all at once and then their exponents run one by
+one.  So a record is bit-identical to the scalar path's and to any other
+chunking of the grid.  Results aggregate in grid order.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import OrbitViolationError
-from .lyap import _top_lanes, lyapunov_1d, lyapunov_top
+from .lyap import lyapunov_top
 from .orbits import OrbitTrace, PeriodReport, classify, detect_period, iterate, window_periods
 from .params import SWEEP_AXES, LeverageState, ModelParams
 
@@ -42,8 +41,8 @@ from .params import SWEEP_AXES, LeverageState, ModelParams
 LYAP_STEPS = 2000
 DEFAULT_P_MAX = 64
 DEFAULT_PERIOD_TOL = 1e-7
-#: grid points one pool task evaluates; a worker holds their samples and
-#: a block of their exponent lanes, so its memory stays bounded
+#: grid points one pool task evaluates; a worker holds their samples, so
+#: its memory stays bounded
 CHUNK_POINTS = 512
 
 
@@ -132,12 +131,9 @@ def _point_rng(rng_seed: int, value: float) -> np.random.Generator:
 def _top_exponent(
     initial: LeverageState, params: ModelParams, transient: int, rng_seed: int
 ) -> float | None:
-    """The scalar top exponent from ``initial``; None when the orbit
-    escapes in the exponent run, which is longer than the recorded one."""
+    """The top exponent from ``initial``; None when the orbit escapes in
+    the exponent run, which is longer than the recorded one."""
     try:
-        if params.n_banks == 1:
-            x0 = float(initial.lambdas[0])
-            return lyapunov_1d(params.omegas[0], params, x0, transient, LYAP_STEPS).top
         return lyapunov_top(initial, params, transient, LYAP_STEPS, rng_seed)
     except OrbitViolationError:
         return None
@@ -199,9 +195,8 @@ def _evaluate(points: Sequence[tuple[SweepSpec, float]]) -> list[SweepRecord]:
     """``_eval_point`` on the ``(spec, value)`` points, in order.
 
     Precondition: the specs share the run lengths and the seed, and the
-    points share alpha, gamma, sigma_eps_sq and the bank count, as the
-    points of one grid do; the period test and the exponent lanes take
-    the first spec's.
+    points share the bank count, as the points of one grid do; the period
+    test and the exponents take the first spec's.
     """
     spec = points[0][0]
     params = [s.params_at(v) for s, v in points]
@@ -220,11 +215,8 @@ def _evaluate(points: Sequence[tuple[SweepSpec, float]]) -> list[SweepRecord]:
         np.stack([records[point].samples[:spec.record] for point in firsts]),
         min(DEFAULT_P_MAX, spec.record // 3), DEFAULT_PERIOD_TOL,
     )
-    tops = _top_lanes(list(firsts.values()), [params[p] for p in firsts], spec.transient,
-                      LYAP_STEPS, spec.rng_seed)
-    for point, period, top in zip(firsts, periods, tops):
-        # as in _top_exponent, an escape leaves the exponent open
-        top = None if isinstance(top, OrbitViolationError) else top
+    for (point, first), period in zip(firsts.items(), periods):
+        top = _top_exponent(first, params[point], spec.transient, spec.rng_seed)
         records[point] = replace(
             records[point], lyapunov_top=top, period=period,
             classification=classify(period, top, True),

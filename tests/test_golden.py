@@ -14,10 +14,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import levdyn
 from levdyn.cli import EXIT_OK, main
 
 from conftest import python_loops
@@ -138,3 +143,47 @@ def test_golden_output(name, tmp_path):
 def test_golden_output_python_loops(name, tmp_path):
     with python_loops():
         test_golden_output(name, tmp_path)
+
+
+#: the cases whose digests hold on any BLAS kernel: every top exponent goes
+#: through ``lyap._top``, which spells out its multiply-adds.  ``boxdim``,
+#: ``micro`` and ``lyapunov-2d`` still reach BLAS or LAPACK calls.
+KERNEL_FREE = ("bifurcate-omega", "bifurcate-pi1", "bifurcate-preset", "lyapunov-1d",
+               "stability-map")
+#: runs each (command, config, out) triple of argv[1] through the CLI
+RUN_CASES = """
+import json, sys
+from levdyn.cli import main
+sys.exit(max(main([c, "--config", cfg, "--out", out, *extra])
+             for c, extra, cfg, out in json.loads(sys.argv[1])))
+"""
+
+
+def _has_avx2_fma() -> bool:
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+    return "avx2" in flags and "fma" in flags
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_top_exponents_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
+    """OpenBLAS picks its kernels by CPU; ``OPENBLAS_CORETYPE`` forces one
+    for a process, and each case must still give its pinned digest."""
+    if coretype == "Haswell" and not _has_avx2_fma():
+        pytest.skip("the Haswell kernels need AVX2 and FMA")
+    runs = []
+    for name in KERNEL_FREE:
+        command, extra, document, _, _ = CASES[name]
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(document))
+        runs.append((command, extra, str(cfg), str(tmp_path / f"{name}.out")))
+    src = str(Path(levdyn.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", RUN_CASES, json.dumps(runs)], env=env, check=True)
+    digests = {name: output_digest(tmp_path / f"{name}.out") for name in KERNEL_FREE}
+    assert digests == {name: CASES[name][4] for name in KERNEL_FREE}

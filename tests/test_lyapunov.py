@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import math
+import struct
 import tracemalloc
+from contextlib import nullcontext
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -10,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levdyn import lyap
-from levdyn.errors import DomainError, OrbitViolationError
+from levdyn.errors import DomainError, InfeasibleStateError, OrbitViolationError
 from levdyn.lyap import (
     BLOCK_STEPS,
     LOG_FLOOR,
@@ -31,7 +35,7 @@ from levdyn.orbits import detect_period, iterate
 from levdyn.params import LeverageState, ModelParams
 from levdyn.skew import history_from_orbit
 
-from conftest import SUPERSTABLE, two_bank
+from conftest import SUPERSTABLE, needs_kernel, python_loops, two_bank
 
 
 def forcing_orbit(omega2: float, params: ModelParams, x0: float, transient: int, n: int):
@@ -120,14 +124,6 @@ class TestSpectrum:
         )
         for x, y in zip(a.exponents, b.exponents):
             assert x == pytest.approx(y, abs=5e-2)
-
-    def test_reorthonormalization_grouping_consistent(self):
-        p = two_bank(0.5, 0.3, 0.5)
-        state = LeverageState.from_lambdas([50.0, 60.0], p)
-        a = lyapunov_spectrum(state, p, 1000, 5000, reorth_every=1)
-        b = lyapunov_spectrum(state, p, 1000, 5000, reorth_every=5)
-        for x, y in zip(a.exponents, b.exponents):
-            assert x == pytest.approx(y, abs=1e-8)
 
     def test_exactly_degenerate_direction_floors(self):
         # a zero-weight, zero-memory bank contributes an exactly null
@@ -218,6 +214,8 @@ def _outcome(fn):
         value = fn()
     except OrbitViolationError as exc:
         return ("violation", exc.step, exc.constraint)
+    except InfeasibleStateError as exc:
+        return ("infeasible", exc.constraint)
     except DomainError:
         return ("domain",)
     return repr(value)
@@ -270,23 +268,32 @@ def _reference_top(initial, p, transient, steps, seed):
     return total / steps
 
 
-def _reference_spectrum(initial, p, transient, steps, reorth_every):
+def _reference_spectrum(initial, p, transient, steps):
     lams = list(initial.lambdas)
     for _ in range(transient):
         lams = advance(lams, p)
     q = np.eye(p.n_banks)
     acc = [0.0] * p.n_banks
-    for t in range(1, steps + 1):
-        q = coupled_jacobian(lams, p) @ q
+    for _ in range(steps):
+        q, r = np.linalg.qr(coupled_jacobian(lams, p) @ q)
         lams = advance(lams, p)
-        if t % reorth_every == 0 or t == steps:
-            q, r = np.linalg.qr(q)
-            for k, x in enumerate(np.abs(np.diag(r))):
-                acc[k] += _log_or_floor(x)
+        for k, x in enumerate(np.abs(np.diag(r))):
+            acc[k] += _log_or_floor(x)
     return tuple(float(v) for v in np.sort(np.array(acc) / steps)[::-1])
 
 
+def _escape(initial, p, steps):
+    """iterate's violation record, or the InfeasibleStateError of a start
+    whose mean field rounds past 1 + gamma."""
+    try:
+        return iterate(initial, p, 0, steps).violation
+    except InfeasibleStateError as exc:
+        return exc
+
+
 def _expected(violation, reference):
+    if isinstance(violation, InfeasibleStateError):
+        return ("infeasible", violation.constraint)
     if violation is not None:
         return ("violation", *violation)
     return _outcome(reference)
@@ -300,29 +307,32 @@ def _expected(violation, reference):
     starts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     transient=st.integers(0, 40),
     steps=st.integers(1, 60),
-    reorth_every=st.integers(1, 4),
     seed=st.integers(0, 3),
     block=st.one_of(st.none(), st.integers(1, 16)),
 )
 @example(
     omegas=(0.5, 0.3), pi1=0.5, gamma=100.0, starts=(0.5, 0.6), transient=300,
-    steps=2 * BLOCK_STEPS + 50, reorth_every=3, seed=0, block=None,
+    steps=2 * BLOCK_STEPS + 50, seed=0, block=None,
 )
 @example(
     omegas=(0.3, 0.7), pi1=0.2, gamma=100.0, starts=(0.4, 0.55), transient=0,
-    steps=BLOCK_STEPS + 1, reorth_every=1, seed=1, block=None,
+    steps=BLOCK_STEPS + 1, seed=1, block=None,
 )
 @example(
     omegas=(0.05, 0.15000000000000002), pi1=0.4, gamma=100.0,
-    starts=(0.9595171505688967, 0.90702620462896), transient=0, steps=5,
-    reorth_every=1, seed=0, block=2,
+    starts=(0.9595171505688967, 0.90702620462896), transient=0, steps=5, seed=0,
+    block=2,
 )
 @example(
     omegas=(0.0, 0.0), pi1=0.0, gamma=20.0, starts=(1.0, 0.0), transient=0,
-    steps=1, reorth_every=1, seed=0, block=None,
+    steps=1, seed=0, block=None,
+)
+@example(  # the start's mean field rounds to just past 1 + gamma
+    omegas=(0.0, 0.0), pi1=0.08237388418672965, gamma=100.0, starts=(1.0, 1.0),
+    transient=0, steps=1, seed=0, block=None,
 )
 def test_exponents_match_step_by_step_maps(
-    omegas, pi1, gamma, starts, transient, steps, reorth_every, seed, block
+    omegas, pi1, gamma, starts, transient, steps, seed, block
 ):
     """Each exponent and history_from_orbit equals, repr for repr, a
     composition of the public map functions one step at a time; on an
@@ -332,9 +342,8 @@ def test_exponents_match_step_by_step_maps(
     p1 = p.with_single_omega(omegas[0])
     initial = LeverageState.from_lambdas([1.0 + f * gamma for f in starts], p)
     x0 = initial.lambdas[0]
-    reorth_every = min(reorth_every, steps)
-    escape = iterate(initial, p, 0, transient + steps).violation
-    escape_1d = iterate(LeverageState.from_lambdas([x0], p1), p1, 0, transient + steps).violation
+    escape = _escape(initial, p, transient + steps)
+    escape_1d = _escape(LeverageState.from_lambdas([x0], p1), p1, transient + steps)
     with patch.object(lyap, "BLOCK_STEPS", block or BLOCK_STEPS):
         assert _outcome(lambda: lyapunov_1d(omegas[0], p, x0, transient, steps).exponents) == (
             _expected(escape_1d, lambda: _reference_1d(omegas[0], p1, x0, transient, steps))
@@ -342,10 +351,8 @@ def test_exponents_match_step_by_step_maps(
         assert _outcome(lambda: lyapunov_top(initial, p, transient, steps, seed)) == (
             _expected(escape, lambda: _reference_top(initial, p, transient, steps, seed))
         )
-        assert _outcome(
-            lambda: lyapunov_spectrum(initial, p, transient, steps, reorth_every).exponents
-        ) == _expected(
-            escape, lambda: _reference_spectrum(initial, p, transient, steps, reorth_every)
+        assert _outcome(lambda: lyapunov_spectrum(initial, p, transient, steps).exponents) == (
+            _expected(escape, lambda: _reference_spectrum(initial, p, transient, steps))
         )
 
     def history():
@@ -362,9 +369,21 @@ def test_exponents_match_step_by_step_maps(
     assert _outcome(history) == expected
 
 
+def _pass_outcome(initial, p, steps, seed):
+    """``lyap._top`` on the orbit from ``initial``: the exponent's repr
+    with the saturation flag, or the escape."""
+    try:
+        blocks = lyap._window_jacobians(list(initial.lambdas), p, 0, steps)
+        total, saturated = lyap._top(blocks, p.n_banks, seed)
+    except OrbitViolationError as exc:
+        return ("violation", exc.step, exc.constraint), None
+    return repr(total / steps), saturated
+
+
 class TestTopLanes:
-    """``lyap._top_lanes``, the one tangent loop behind ``lyapunov_top``
-    and the sweeps' exponents, lane by lane against ``_reference_top``."""
+    """``lyap._top``, the one tangent pass behind ``lyapunov_1d``,
+    ``lyapunov_top`` and the sweeps' exponents, one orbit (lane) at a
+    time against ``_reference_top``."""
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("block", [BLOCK_STEPS, 2])
@@ -384,22 +403,112 @@ class TestTopLanes:
             (p1, [[x], [y], [z], [40.0]]),
             (p2, [[x, 30.0], [y, 30.0], [z, 30.0], [40.0, 30.0], [100.9, 30.0]]),
         ]
-        for p, starts in cases:
+        for (p, starts), loops in itertools.product(cases, (nullcontext, python_loops)):
             initials = [LeverageState.from_lambdas(s, p) for s in starts]
-            with patch.object(lyap, "BLOCK_STEPS", block):
-                tops = lyap._top_lanes(initials, [p] * len(initials), 0, steps, seed)
-            assert all(top < LOG_FLOOR / steps for top in tops[:3])
-            for initial, top in zip(initials, tops):
-                got = (
-                    ("violation", top.step, top.constraint)
-                    if isinstance(top, OrbitViolationError) else repr(top)
-                )
+            with loops(), patch.object(lyap, "BLOCK_STEPS", block):
+                outcomes = [_pass_outcome(initial, p, steps, seed) for initial in initials]
+            assert all(float(top) < LOG_FLOOR / steps and saturated
+                       for top, saturated in outcomes[:3])
+            for initial, (got, _) in zip(initials, outcomes):
                 escape = iterate(initial, p, 0, steps).violation
                 assert got == _expected(
                     escape, lambda: _reference_top(initial, p, 0, steps, seed)
                 )
                 if p is p1:
                     assert got == repr(lyapunov_1d(0.58, p, initial.lambdas[0], 0, steps).top)
+
+
+def _exact_fma(a, b, c):
+    """a * b + c, rounded once to nearest-even by exact rational arithmetic."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        # IEEE 754: an exact zero sum is +0, unless it adds two -0
+        negative_zero_product = (a == 0 or b == 0) and math.copysign(1.0, a * b) < 0
+        return -0.0 if negative_zero_product and math.copysign(1.0, c) < 0 else 0.0
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+#: magnitudes whose products lie about the overflow threshold 2**1024
+near_overflow = st.builds(lambda m, sign: sign * m, st.floats(2.0**505, 2.0**519),
+                          st.sampled_from([1.0, -1.0]))
+operands = st.one_of(finite, near_overflow, st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]))
+
+
+class TestFma:
+    """``lyap._fma``, the Python pass's fused multiply-add."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(a=operands, b=operands, c=operands)
+    @example(a=2.0**-540, b=3.0 * 2.0**-540, c=5e-324)  # a subnormal result
+    @example(a=2.0**-600, b=-(2.0**-600), c=0.0)  # rounds to -0
+    @example(a=0.1, b=10.0, c=-1.0)  # the fused result is the rounding error
+    @example(a=2.0**512, b=2.0**512 - 2.0**459, c=-(2.0**970))  # just below overflow
+    @example(a=2.0**512, b=2.0**512 - 2.0**459, c=2.0**970)  # rounds to overflow
+    @example(a=1.7e308, b=1.0, c=1.7e308)  # overflows in the sum
+    @example(a=-0.0, b=3.0, c=-0.0)
+    def test_rounds_once_like_exact_arithmetic(self, a, b, c):
+        assert lyap._fma(a, b, c).hex() == _exact_fma(a, b, c).hex()
+
+    @pytest.mark.parametrize("a, b, c, expected", [
+        (math.inf, 0.0, 1.0, math.nan),
+        (math.inf, 2.0, -math.inf, math.nan),
+        (-math.inf, 2.0, 1.0, -math.inf),
+        (2.0**600, 2.0**600, -math.inf, -math.inf),  # the product alone overflows
+        (1.0, 2.0, math.nan, math.nan),
+        (math.nan, 0.0, 1.0, math.nan),
+        (3.0, 2.0, math.inf, math.inf),
+    ])
+    def test_non_finite_operands(self, a, b, c, expected):
+        got = lyap._fma(a, b, c)
+        assert (math.isnan(got) and math.isnan(expected)) or got == expected
+
+
+def _pass_state(blocks, n, seed):
+    """``lyap._top`` over ``blocks``, and the unit vector ``_tangent_steps``
+    leaves after the first block, as bytes.  Every NaN is packed as one
+    NaN: IEEE 754 leaves open which NaN operand a product passes on, so
+    the compiler's operand order may change a NaN's sign and payload."""
+    total, saturated = lyap._top(blocks, n, seed)
+    u = lyap._tangent_start(seed, n)
+    stop, first = lyap._tangent_steps(blocks[0], u, 0.0)
+    total, first, *u = (x if x == x else math.nan for x in (total, first, *u))
+    return struct.pack(f"<d?qd{n}d", total, saturated, stop, first, *u)
+
+
+entries = st.one_of(st.floats(-3.0, 3.0), st.floats(), st.just(0.0))
+
+
+@st.composite
+def jacobian_blocks(draw):
+    """1 to 3 blocks of n x n Jacobians, n from 1 to 3, with exactly zero
+    rows and matrices and non-finite entries among them."""
+    n = draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        steps = draw(st.integers(1, 12))
+        rows = draw(st.lists(st.one_of(st.lists(entries, min_size=n, max_size=n),
+                                       st.just([0.0] * n)),
+                             min_size=steps * n, max_size=steps * n))
+        blocks.append(np.array(rows, dtype=float).reshape(steps, n, n))
+    return n, blocks
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(case=jacobian_blocks(), seed=st.integers(0, 3))
+@example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]], [[0.0, 0.0], [0.0, 0.0]]])]), seed=1)
+@example(case=(3, [np.full((2, 3, 3), 1e300)]), seed=0)  # the norm overflows
+@example(case=(1, [np.array([[[1e-200]], [[1e-200]]])]), seed=0)  # the norm underflows
+def test_compiled_tangent_pass_matches_python_pass(case, seed):
+    """``levdyn_tangent`` gives the Python pass's bytes, redraws included."""
+    n, blocks = case
+    compiled = _pass_state(blocks, n, seed)
+    with python_loops():
+        assert _pass_state(blocks, n, seed) == compiled
 
 
 class TestFiberExponent:

@@ -280,16 +280,14 @@ ESCAPE_SPEC = SweepSpec(
 class TestBatchedEvaluator:
     """The batched grid evaluator against the scalar reference path,
     ``_eval_point``: iterate each initial, then detect_period,
-    lyapunov_top or lyapunov_1d, and classify on the first survivor.
-    The lockstep tangent loop, ``lyap._top_lanes``, stands in for both
-    exponents."""
+    lyapunov_top and classify on the first survivor."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=sweep_specs(), steps=st.integers(1, 300), data=st.data())
     @example(spec=ESCAPE_SPEC, steps=2000, data=None)
     def test_matches_scalar_reference(self, spec, steps, data):
-        """``block`` shrinks the exponent blocks, so that the lockstep
-        rounds and escapes at block edges are compared too."""
+        """``block`` shrinks the exponent blocks, so that escapes at block
+        edges are compared too."""
         points = [(spec, float(v)) for v in spec.grid()]
         cut = data.draw(st.integers(1, len(points) - 1)) if data else len(points) // 2
         block = data.draw(st.integers(1, 8)) if data else 1
@@ -345,8 +343,7 @@ class TestBatchedEvaluator:
 
     def test_vanished_tangent_matches_scalar_path(self):
         # pi1 = 1 with omega2 = 0 maps the tangent (0, 1) to the zero
-        # vector; the lane redraws it from its own generator, as
-        # lyapunov_top does
+        # vector; the pass redraws it from its own generator
         spec = SweepSpec(
             axis="pi1", bounds=(0.5, 1.0), resolution=2,
             fixed=two_bank(0.7, 0.0, 0.5), transient=50, record=30, rng_seed=4,
@@ -354,7 +351,7 @@ class TestBatchedEvaluator:
         values = [float(v) for v in spec.grid()]
         with (
             patch.object(sweep, "LYAP_STEPS", 200),
-            patch.object(lyap, "_tangent_start", return_value=np.array([0.0, 1.0])),
+            patch.object(lyap, "_tangent_start", lambda seed, n: [0.0, 1.0]),
         ):
             batched = _evaluate([(spec, v) for v in values])
             expected = [_eval_point(spec, v) for v in values]
