@@ -1,7 +1,10 @@
-/* Compiled copies of levdyn's three scalar hot loops: orbits._run, the
- * orbit iteration with its three escape checks, micro._ticks, the
- * intraday tick pass, and lyap._tangent_steps, the top exponent's
- * renormalised tangent pass.
+/* Compiled copies of levdyn's scalar hot loops: orbits._run, the orbit
+ * iteration with its three escape checks, micro._ticks, the intraday
+ * tick pass, and lyap._top's fused pass, which advances the orbit, forms
+ * each step's Jacobian as maps.step_jacobian does and runs the top
+ * exponent's renormalised tangent step (lyap._tangent_steps) in one loop.
+ * The orbit step is written once, map_step, which levdyn_run and
+ * levdyn_top both call.
  *
  * Each statement mirrors one Python statement of the reference loop, in
  * the same order.  The loops use only +, -, *, /, sqrt and fma, which
@@ -29,6 +32,52 @@
 #define KERNEL_LEVERAGE_FLOOR 1
 #define KERNEL_AR1_STATIONARITY 2
 #define KERNEL_INSOLVENT 1
+#define KERNEL_VANISHED 3
+
+/* One step of orbits._run from the n leverages in lams, whose mean field
+ * is *m: writes their successors to next (which may be lams) and their
+ * mean field to *m.  Returns 0, a violation code, or KERNEL_DEFER. */
+static int map_step(int n, const double *lams, double *next, const double *omegas,
+                    const double *pis, double gamma, double lam_max, double coef,
+                    double *m)
+{
+    if (!(*m < lam_max))
+        return KERNEL_AR1_STATIONARITY;
+    double d = 1.0 + gamma - *m;
+    double kernel = coef / (d * d);
+    int ok = 1;
+    for (int i = 0; i < n; i++) {
+        double lam = lams[i];
+        double w = omegas[i];
+        double lam2 = lam * lam;
+        if (lam2 == 0.0)
+            return KERNEL_DEFER;
+        double g = w / lam2 + (1.0 - w) * kernel;
+        if (g <= 0.0)
+            return KERNEL_DEFER;
+        double new = 1.0 / sqrt(g);
+        if (new < 1.0)
+            ok = 0;
+        next[i] = new;
+    }
+    if (!ok)
+        return KERNEL_LEVERAGE_FLOOR;
+    double sum = 0.0;
+    for (int i = 0; i < n; i++)
+        sum += pis[i] * next[i];
+    *m = sum;
+    if (sum > lam_max)
+        return KERNEL_AR1_STATIONARITY;
+    return 0;
+}
+
+static double mean_field(int n, const double *lams, const double *pis)
+{
+    double m = 0.0;
+    for (int i = 0; i < n; i++)
+        m += pis[i] * lams[i];
+    return m;
+}
 
 /* orbits._run on the n leverages in lams (overwritten).  Writes the
  * recorded states, rows of n, to recorded and their count to
@@ -40,44 +89,14 @@ int levdyn_run(int n, double *lams, const double *omegas, const double *pis,
                double *recorded, long long *out)
 {
     long long kept = 0;
-    double m = 0.0;
-    int code = 0;
+    double m = mean_field(n, lams, pis);
     out[0] = 0;
-    for (int i = 0; i < n; i++)
-        m += pis[i] * lams[i];
     for (long long step = 1; step <= transient + record; step++) {
         out[1] = step;
-        if (!(m < lam_max)) {
-            code = KERNEL_AR1_STATIONARITY;
-            break;
-        }
-        double d = 1.0 + gamma - m;
-        double kernel = coef / (d * d);
-        int ok = 1;
-        for (int i = 0; i < n; i++) {
-            double lam = lams[i];
-            double w = omegas[i];
-            double lam2 = lam * lam;
-            if (lam2 == 0.0)
-                return KERNEL_DEFER;
-            double g = w / lam2 + (1.0 - w) * kernel;
-            if (g <= 0.0)
-                return KERNEL_DEFER;
-            double next = 1.0 / sqrt(g);
-            if (next < 1.0)
-                ok = 0;
-            lams[i] = next;
-        }
-        if (!ok) {
-            code = KERNEL_LEVERAGE_FLOOR;
-            break;
-        }
-        m = 0.0;
-        for (int i = 0; i < n; i++)
-            m += pis[i] * lams[i];
-        if (m > lam_max) {
-            code = KERNEL_AR1_STATIONARITY;
-            break;
+        int code = map_step(n, lams, lams, omegas, pis, gamma, lam_max, coef, &m);
+        if (code) {
+            out[0] = kept;
+            return code;
         }
         if (step > transient) {
             for (int i = 0; i < n; i++)
@@ -86,7 +105,7 @@ int levdyn_run(int n, double *lams, const double *omegas, const double *pis,
         }
     }
     out[0] = kept;
-    return code;
+    return 0;
 }
 
 /* micro._ticks on n banks over the given shocks, starting from return r
@@ -131,33 +150,58 @@ int levdyn_ticks(int n, double *equities, double *assets, const double *lambdas,
     return 0;
 }
 
-/* lyap._tangent_steps over a block of steps n x n Jacobians, rows of
- * n * n: maps the unit vector u, adds the log of its norm to *total and
- * renormalises u in place.  Returns the first step whose vector is
- * exactly 0, adding nothing for it, else steps. */
-long long levdyn_tangent(int n, const double *jacs, long long steps,
-                         double *u, double *total)
+/* lyap._top's pass over steps steps of the orbit from the n leverages in
+ * lams: each step advances the orbit as levdyn_run does, forms the
+ * Jacobian row by row as maps.step_jacobian does, maps the unit vector
+ * u (lyap._tangent_steps), adds the log of its norm to *total and
+ * renormalises u.  Returns 0 after all steps, KERNEL_DEFER, or with the
+ * step, from 0, in out[0]: the violation code, or KERNEL_VANISHED where
+ * the vector is exactly 0, adding nothing for it, with lams advanced
+ * past that step and u left as it was. */
+int levdyn_top(int n, double *lams, const double *omegas, const double *pis,
+               double gamma, double lam_max, double coef, long long steps,
+               double *u, double *total, long long *out)
 {
-    double x[n];
+    double next[n], x[n];
+    double m = mean_field(n, lams, pis);
     for (long long step = 0; step < steps; step++) {
-        const double *jac = jacs + step * n * n;
+        out[0] = step;
+        double d = 1.0 + gamma - m;
+        int code = map_step(n, lams, next, omegas, pis, gamma, lam_max, coef, &m);
+        if (code)
+            return code;
+        double kernel3 = coef / ((d * d) * d);
         for (int i = 0; i < n; i++) {
-            const double *row = jac + i * n;
-            double xi = row[n - 1] * u[n - 1];
-            for (int j = n - 2; j >= 0; j--)
-                xi = fma(row[j], u[j], xi);
+            double lam = lams[i];
+            double w = omegas[i];
+            double a = -((1.0 - w) * kernel3);
+            double diag = w / ((lam * lam) * lam);
+            double cube = (next[i] * next[i]) * next[i];
+            /* row i of J, from column n - 1 down to 0 */
+            double e = a * pis[n - 1];
+            if (i == n - 1)
+                e += diag;
+            double xi = (cube * e) * u[n - 1];
+            for (int j = n - 2; j >= 0; j--) {
+                e = a * pis[j];
+                if (i == j)
+                    e += diag;
+                xi = fma(cube * e, u[j], xi);
+            }
             x[i] = xi;
         }
+        for (int i = 0; i < n; i++)
+            lams[i] = next[i];
         /* _norm */
         double sq = x[0] * x[0];
         for (int j = 1; j < n; j++)
             sq = fma(x[j], x[j], sq);
         double norm = sqrt(sq);
         if (norm == 0.0)
-            return step;
+            return KERNEL_VANISHED;
         *total += log(norm);
         for (int i = 0; i < n; i++)
             u[i] = x[i] / norm;
     }
-    return steps;
+    return 0;
 }

@@ -7,9 +7,11 @@ next to this module or, where that directory is not writable, in
 0700).  The compiler writes a unique temporary file that is then renamed
 into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
-library once a short orbit, tick and tangent pass give the same bytes
-through it as through the Python loops; otherwise it is None, and
-``orbits._run``, ``micro._ticks`` and ``lyap._tangent_steps`` loop in Python.
+library once a short orbit, tick and top-exponent pass give the same
+bytes through it as through the Python loops; otherwise it is None, and
+``orbits._run``, ``micro._ticks`` and ``lyap._top`` loop in Python.  The
+compiled top-exponent pass, ``levdyn_top``, fuses the orbit step, the
+step's Jacobian and the tangent step into one loop.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SOURCE = Path(__file__).with_name("_kernel.c")
 #: what a compiled loop returns where the Python loop would raise
 DEFER = -1
+#: what ``levdyn_top`` returns at a step whose tangent vector is exactly 0
+VANISHED = 3
 
 log = logging.getLogger(__name__)
 lib: ctypes.CDLL | None = None
@@ -77,12 +81,11 @@ def _build(source: Path, directories: list[Path]) -> Path:
 
 
 def _probe() -> tuple:
-    """A two-bank orbit, one that escapes, a tick pass and a tangent pass
-    that stops where its vector vanishes and goes on past it, as bytes and
-    values, through whichever loops ``lib`` selects."""
-    import numpy as np
-
-    from .lyap import _tangent_steps
+    """A two-bank orbit, one that escapes, a tick pass, a top-exponent pass
+    whose vector vanishes, is redrawn and goes on, and one whose orbit
+    escapes, as bytes and values, through whichever loops ``lib`` selects."""
+    from .errors import OrbitViolationError
+    from .lyap import _top
     from .micro import _ticks
     from .orbits import _run
     from .params import ModelParams
@@ -92,12 +95,22 @@ def _probe() -> tuple:
     equities, assets = [0.01, 0.008], [0.5, 0.48]
     returns, weights = _ticks(equities, assets, [50.0, 60.0], 1e-4, 100.0,
                               [1e-3, -2e-3, 5e-4], 0)
-    jacs = np.array([[[0.9, -1.7], [0.4, 2.3]], [[0, 0], [0, 0]], [[-0.6, 1.1], [1.3, 0.2]]])
-    u = [0.6, -0.8]
-    vanish, total = _tangent_steps(jacs, u, 0.0)
+    # bank 1 meets T' = 0 at the third step, which turns the tangent vector
+    # onto bank 2, whose Jacobian column is 0: it vanishes at the fourth.
+    # Fixed vectors keep numpy.random, and its memory, out of the import.
+    def vectors():
+        return iter([[0.6, -0.8], [0.8, 0.6], [-0.28, 0.96], [0.0, 1.0]])
+
+    superstable = ModelParams(omegas=(0.58, 0.0), pis=(1.0, 0.0))
+    vanishing = _top([float.fromhex("0x1.6f02d4c315e62p+5"), 30.0], superstable, 0, 6, vectors)
+    try:
+        escape = _top([96.95171505688967, 91.702620462896],
+                      ModelParams(omegas=(0.05, 0.15000000000000002), pis=(0.4, 0.6)), 2, 6,
+                      vectors)
+    except OrbitViolationError as exc:
+        escape = (exc.step, exc.constraint)
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
-            returns.tobytes(), weights.tobytes(), equities, assets,
-            vanish, total, _tangent_steps(jacs[vanish + 1:], u, total), u)
+            returns.tobytes(), weights.tobytes(), equities, assets, vanishing, escape)
 
 
 def _load() -> ctypes.CDLL | None:
@@ -112,8 +125,9 @@ def _load() -> ctypes.CDLL | None:
                                      size, size, ptr, ptr]
     candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
                                        ptr, size, ptr, ptr, ptr]
-    candidate.levdyn_tangent.argtypes = [ctypes.c_int, ptr, size, ptr, ptr]
-    candidate.levdyn_tangent.restype = size
+    candidate.levdyn_top.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
+                                     size, ptr, ptr, ptr]
+    candidate.levdyn_top.restype = ctypes.c_int
     expected = _probe()
     lib = candidate
     try:

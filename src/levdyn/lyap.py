@@ -3,13 +3,13 @@ renormalized tangent vector, full spectrum via QR products of analytic
 Jacobians, and the fiber exponent of the forced subsystem.
 
 The map exponents read their orbit from ``orbits._run``, the one scalar
-orbit loop, and build each Jacobian from a state and its recorded
-successor (``maps.step_jacobian``).  An orbit that leaves the feasible
-region has no exponent: they raise OrbitViolationError at the
-(step, constraint) that ``iterate`` records for it.  ``_top`` is the one
-tangent-vector pass, behind ``lyapunov_1d``, ``lyapunov_top`` and every
-sweep lane; spelled out in fused multiply-adds, it does not depend on
-the BLAS kernel, as ``lyapunov_spectrum`` still does.
+orbit loop, and form each Jacobian from a state and its successor
+(``maps.step_jacobian``).  An orbit that leaves the feasible region has
+no exponent: they raise OrbitViolationError at the (step, constraint)
+that ``iterate`` records for it.  ``_top`` is the one tangent-vector
+pass, behind ``lyapunov_1d``, ``lyapunov_top`` and every sweep lane.
+Its fused multiply-adds are spelled out, so no BLAS kernel enters it,
+and its compiled copy ``levdyn_top`` steps the orbit in the same loop.
 
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import _kernel
 from .errors import DomainError, InfeasibleStateError, OrbitViolationError
 from .maps import fiber_map, step_jacobian
-from .orbits import _run_checked
+from .orbits import _CONSTRAINTS, _run_checked
 from .params import LeverageState, ModelParams
 
 #: floor for log|derivative| at superstable points
@@ -50,30 +51,26 @@ class LyapunovEstimate:
         return self.exponents[0]
 
 
-#: states an exponent run holds at once; longer windows are walked in
-#: blocks of this many steps, so memory does not grow with ``steps``.
+#: states per block of ``_window_jacobians``, so memory does not grow with steps
 BLOCK_STEPS = 256
 
 
-def _window_jacobians(
-    lambdas: list[float], params: ModelParams, transient: int, steps: int
-) -> Iterator[np.ndarray]:
-    """Jacobians at the states transient .. transient + steps - 1 of the
-    orbit from ``lambdas``, in stacks of at most BLOCK_STEPS.
-
-    The orbit runs through ``orbits._run`` and each Jacobian is formed
-    from a state and its recorded successor.  Raises OrbitViolationError
-    with the (step, constraint) that ``iterate`` reports, before any
-    Jacobian of the block holding that step is yielded.
-    """
+def _after_transient(lambdas: list[float], params: ModelParams, transient: int, steps: int):
+    """The state at step ``transient`` of the orbit from ``lambdas``."""
     if steps < 1 or transient < 0:
         raise ValueError("need steps >= 1 and transient >= 0")
-    if transient:
-        lambdas = _run_checked(lambdas, params, transient - 1, 1)[0].tolist()
+    return _run_checked(lambdas, params, transient - 1, 1)[0].tolist() if transient else lambdas
+
+
+def _window_jacobians(lambdas: list[float], params: ModelParams, transient: int,
+                      steps: int) -> Iterator[np.ndarray]:
+    """Jacobians at the states transient .. transient + steps - 1 of the
+    orbit from ``lambdas``, in stacks of at most BLOCK_STEPS; an escape
+    raises OrbitViolationError, as ``iterate`` records it, before its block."""
+    lambdas = _after_transient(lambdas, params, transient, steps)
     for done in range(0, steps, BLOCK_STEPS):
-        block = _run_checked(
-            lambdas, params, 0, min(BLOCK_STEPS, steps - done), transient + done
-        )
+        block = _run_checked(lambdas, params, 0, min(BLOCK_STEPS, steps - done),
+                             transient + done)
         states = np.vstack(([lambdas], block))
         yield step_jacobian(states[:-1], states[1:], params.omegas, params.pis, params)
         lambdas = block[-1].tolist()
@@ -96,7 +93,8 @@ def lyapunov_1d(
         initial.require_feasible()
     except InfeasibleStateError as exc:
         raise OrbitViolationError(0, exc.constraint) from None
-    total, saturated = _top(_window_jacobians(list(initial.lambdas), p, transient, steps), 1, 0)
+    vectors = partial(_tangent_vectors, 0, 1)
+    total, saturated = _top(list(initial.lambdas), p, transient, steps, vectors)
     return LyapunovEstimate((total / steps,), steps, transient, saturated)
 
 
@@ -119,13 +117,9 @@ def lyapunov_spectrum(
     for jacs in _window_jacobians(list(initial.lambdas), params, transient, steps):
         for jac in jacs:
             q, r = np.linalg.qr(jac @ q)
-            diag = np.abs(np.diag(r))
-            for k in range(n):
-                if diag[k] > 0.0:
-                    acc[k] += math.log(diag[k])
-                else:
-                    acc[k] += LOG_FLOOR
-                    saturated = True
+            for k, x in enumerate(np.abs(np.diag(r))):
+                acc[k] += math.log(x) if x > 0.0 else LOG_FLOOR
+                saturated |= not x > 0.0
     exps = tuple(float(v) for v in np.sort(acc / steps)[::-1])
     return LyapunovEstimate(exps, steps, transient, saturated)
 
@@ -141,8 +135,8 @@ def lyapunov_top(
     from ``seed``.  Cheaper than the full spectrum; used by parameter
     sweeps where only the sign and rough magnitude matter."""
     initial.require_feasible()
-    blocks = _window_jacobians(list(initial.lambdas), params, transient, steps)
-    return _top(blocks, params.n_banks, seed)[0] / steps
+    vectors = partial(_tangent_vectors, seed, params.n_banks)
+    return _top(list(initial.lambdas), params, transient, steps, vectors)[0] / steps
 
 
 #: Veltkamp's splitter 2**27 + 1 cuts a double into halves of at most 26
@@ -184,31 +178,22 @@ def _norm(v: list[float]) -> float:
     return math.sqrt(sq)
 
 
-def _unit(rng: np.random.Generator, n: int) -> list[float]:
-    v = rng.standard_normal(n).tolist()
-    norm = _norm(v)
-    return [x / norm for x in v]
-
-
-def _tangent_start(seed: int, n: int) -> list[float]:
-    return _unit(np.random.default_rng(seed), n)
+def _tangent_vectors(seed: int, n: int) -> Iterator[list[float]]:
+    """``_top``'s unit vectors, from ``default_rng(seed)``: the start, then
+    one for each vector that vanishes."""
+    rng = np.random.default_rng(seed)
+    while True:
+        v = rng.standard_normal(n).tolist()
+        norm = _norm(v)
+        yield [x / norm for x in v]
 
 
 def _tangent_steps(jacs: np.ndarray, u: list[float], total: float) -> tuple[int, float]:
     """The tangent pass over a block of Jacobians: each step maps the unit
     vector ``u`` (entry i is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .)
     for j = n-2 down to 0), adds the log of its norm to ``total`` and
-    renormalizes it in place.  Returns the first step whose vector is
-    exactly 0, adding nothing for it, or ``len(jacs)``, with the total.
-    Runs compiled (``levdyn_tangent``) when that loaded."""
-    if _kernel.lib is not None:
-        # the loop reads len(jacs) n x n blocks: another size raises here
-        jacs = np.ascontiguousarray(jacs, dtype=float).reshape(len(jacs), len(u), len(u))
-        vec, acc = np.array(u, dtype=float), np.array([total])
-        stop = _kernel.lib.levdyn_tangent(len(u), jacs.ctypes.data, len(jacs),
-                                          vec.ctypes.data, acc.ctypes.data)
-        u[:] = vec.tolist()
-        return stop, acc.item()
+    renormalizes it in place.  Returns the first step whose vector is 0,
+    adding nothing for it, else ``len(jacs)``, with the total."""
     last = len(u) - 1
     for step, jac in enumerate(jacs.tolist()):
         x = []
@@ -225,25 +210,40 @@ def _tangent_steps(jacs: np.ndarray, u: list[float], total: float) -> tuple[int,
     return len(jacs), total
 
 
-def _top(blocks: Iterable[np.ndarray], n: int, seed: int) -> tuple[float, bool]:
+def _top(lambdas: list[float], params: ModelParams, transient: int, steps: int,
+         vectors: Callable[[], Iterator[list[float]]]) -> tuple[float, bool]:
     """The renormalized tangent-vector pass (Benettin et al. 1980) over
-    blocks of n x n Jacobians: the summed log growth of a unit vector
-    drawn from ``default_rng(seed)``, and whether it ever vanished.  A
-    vector mapped to exactly 0 adds LOG_FLOOR and is redrawn from a second
-    ``default_rng(seed)``, past the start draw.  On one bank the vector
-    stays exactly +-1 and its norm is |T'|."""
-    u = _tangent_start(seed, n)
-    total, redraws = 0.0, None
-    for jacs in blocks:
+    ``steps`` steps after ``transient`` of the orbit from ``lambdas``: the
+    summed log growth of the first of ``vectors()``, and whether a vector
+    vanished; that adds LOG_FLOOR and goes on from the next.  Runs
+    ``levdyn_top``; where that defers or did not load, the Python pass runs
+    from the start."""
+    lib, unit = _kernel.lib, vectors()
+    if lib is not None:
+        lams, omegas, pis = (np.array(a, dtype=float) for a in (
+            _after_transient(lambdas, params, transient, steps), params.omegas, params.pis))
+        u, total, out = np.array(next(unit)), np.zeros(1), np.zeros(1, np.int64)
+        orbit = (params.n_banks, lams.ctypes.data, omegas.ctypes.data, pis.ctypes.data,
+                 params.gamma, params.lambda_max, params.coupling_coef)
+        tangent, done = (u.ctypes.data, total.ctypes.data, out.ctypes.data), 0
+        while (code := lib.levdyn_top(*orbit, steps - done, *tangent)) == _kernel.VANISHED:
+            done += int(out[0]) + 1
+            total[0] += LOG_FLOOR
+            u[:] = next(unit)
+        if code == 0:
+            return total.item(), done > 0  # done moves only past a vanished vector
+        if code != _kernel.DEFER:
+            raise OrbitViolationError(transient + done + int(out[0]) + 1, _CONSTRAINTS[code])
+        unit = vectors()
+    u, total, saturated = next(unit), 0.0, False
+    for jacs in _window_jacobians(lambdas, params, transient, steps):
         done, total = _tangent_steps(jacs, u, total)
         while done < len(jacs):
-            if redraws is None:
-                redraws = np.random.default_rng(seed)
-                redraws.standard_normal(n)  # the start draw
-            u[:] = _unit(redraws, n)
+            u[:] = next(unit)
+            saturated = True
             jacs = jacs[done + 1:]
             done, total = _tangent_steps(jacs, u, total + LOG_FLOOR)
-    return total, redraws is not None
+    return total, saturated
 
 
 def fiber_exponent(

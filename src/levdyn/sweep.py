@@ -15,7 +15,8 @@ omega2, on one worker and on many; pool workers return only its class.
 Every orbit runs through ``iterate``, and so through ``orbits._run``,
 and every top exponent through ``lyapunov_top``, and so through the
 tangent pass ``lyap._top``; both are compiled where a C compiler is
-found.  With one worker, each grid point takes the scalar reference path
+found, the pass as one loop (``levdyn_top``) that steps its orbit too.
+With one worker, each grid point takes the scalar reference path
 (``_eval_point``: ``detect_period``, ``lyapunov_top``, ``classify``).
 With more, the workers take contiguous chunks of at most CHUNK_POINTS
 grid points (``_evaluate``), where the first survivors of a chunk have

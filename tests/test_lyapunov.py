@@ -6,6 +6,7 @@ import struct
 import tracemalloc
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levdyn import lyap
+from levdyn import _kernel, lyap
 from levdyn.errors import DomainError, InfeasibleStateError, OrbitViolationError
 from levdyn.lyap import (
     BLOCK_STEPS,
@@ -337,23 +338,22 @@ def test_exponents_match_step_by_step_maps(
     """Each exponent and history_from_orbit equals, repr for repr, a
     composition of the public map functions one step at a time; on an
     escaping orbit it raises the (step, constraint) that iterate reports.
-    ``block`` shrinks the exponents' block so that runs span several."""
+    ``block`` shrinks the exponents' block so that runs span several.
+    Both loop paths are held to the same references."""
     p = ModelParams(gamma=gamma, omegas=omegas, pis=(pi1, 1.0 - pi1))
     p1 = p.with_single_omega(omegas[0])
     initial = LeverageState.from_lambdas([1.0 + f * gamma for f in starts], p)
     x0 = initial.lambdas[0]
     escape = _escape(initial, p, transient + steps)
     escape_1d = _escape(LeverageState.from_lambdas([x0], p1), p1, transient + steps)
-    with patch.object(lyap, "BLOCK_STEPS", block or BLOCK_STEPS):
-        assert _outcome(lambda: lyapunov_1d(omegas[0], p, x0, transient, steps).exponents) == (
-            _expected(escape_1d, lambda: _reference_1d(omegas[0], p1, x0, transient, steps))
-        )
-        assert _outcome(lambda: lyapunov_top(initial, p, transient, steps, seed)) == (
-            _expected(escape, lambda: _reference_top(initial, p, transient, steps, seed))
-        )
-        assert _outcome(lambda: lyapunov_spectrum(initial, p, transient, steps).exponents) == (
-            _expected(escape, lambda: _reference_spectrum(initial, p, transient, steps))
-        )
+    exponents = [
+        (lambda: lyapunov_1d(omegas[0], p, x0, transient, steps).exponents,
+         _expected(escape_1d, lambda: _reference_1d(omegas[0], p1, x0, transient, steps))),
+        (lambda: lyapunov_top(initial, p, transient, steps, seed),
+         _expected(escape, lambda: _reference_top(initial, p, transient, steps, seed))),
+        (lambda: lyapunov_spectrum(initial, p, transient, steps).exponents,
+         _expected(escape, lambda: _reference_spectrum(initial, p, transient, steps))),
+    ]
 
     def history():
         forcing, y0 = history_from_orbit(omegas[0], p, steps, transient, x0)
@@ -366,15 +366,19 @@ def test_exponents_match_step_by_step_maps(
     else:
         # history_from_orbit takes x0 in (0, 1 + gamma) only
         expected = ("domain",)
-    assert _outcome(history) == expected
+    for loops in (nullcontext, python_loops):
+        with loops(), patch.object(lyap, "BLOCK_STEPS", block or BLOCK_STEPS):
+            for exponent, reference in exponents:
+                assert _outcome(exponent) == reference
+            assert _outcome(history) == expected
 
 
 def _pass_outcome(initial, p, steps, seed):
     """``lyap._top`` on the orbit from ``initial``: the exponent's repr
     with the saturation flag, or the escape."""
     try:
-        blocks = lyap._window_jacobians(list(initial.lambdas), p, 0, steps)
-        total, saturated = lyap._top(blocks, p.n_banks, seed)
+        vectors = partial(lyap._tangent_vectors, seed, p.n_banks)
+        total, saturated = lyap._top(list(initial.lambdas), p, 0, steps, vectors)
     except OrbitViolationError as exc:
         return ("violation", exc.step, exc.constraint), None
     return repr(total / steps), saturated
@@ -467,16 +471,55 @@ class TestFma:
         assert (math.isnan(got) and math.isnan(expected)) or got == expected
 
 
-def _pass_state(blocks, n, seed):
-    """``lyap._top`` over ``blocks``, and the unit vector ``_tangent_steps``
-    leaves after the first block, as bytes.  Every NaN is packed as one
-    NaN: IEEE 754 leaves open which NaN operand a product passes on, so
-    the compiler's operand order may change a NaN's sign and payload."""
-    total, saturated = lyap._top(blocks, n, seed)
-    u = lyap._tangent_start(seed, n)
-    stop, first = lyap._tangent_steps(blocks[0], u, 0.0)
-    total, first, *u = (x if x == x else math.nan for x in (total, first, *u))
-    return struct.pack(f"<d?qd{n}d", total, saturated, stop, first, *u)
+def _ieee_fma(a, b, c):
+    """C99 ``fma``: ``_exact_fma`` on finite operands; otherwise the exact
+    product is a signed infinity or NaN, or it is finite and leaves c."""
+    if math.isfinite(a) and math.isfinite(b):
+        return _exact_fma(a, b, c) if math.isfinite(c) else c
+    return a * b + c
+
+
+def _exact_tangent_steps(jacs, u, total):
+    """``lyap._tangent_steps`` restated on ``_ieee_fma``: entry i of J u
+    is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .) for j = n-2 down to 0;
+    the squared norm is x[0] x[0], then fma(x[j], x[j], .)."""
+    n = len(u)
+    for step, jac in enumerate(jacs.tolist()):
+        x = []
+        for row in jac:
+            xi = row[n - 1] * u[n - 1]
+            for j in range(n - 2, -1, -1):
+                xi = _ieee_fma(row[j], u[j], xi)
+            x.append(xi)
+        sq = x[0] * x[0]
+        for xj in x[1:]:
+            sq = _ieee_fma(xj, xj, sq)
+        norm = math.sqrt(sq)
+        if norm == 0.0:
+            return step, total
+        total += math.log(norm)
+        u[:] = [xi / norm for xi in x]
+    return len(jacs), total
+
+
+def _pass_state(tangent_steps, blocks, n, seed):
+    """``tangent_steps`` over ``blocks`` from a unit vector drawn from
+    ``seed``, going on past each step whose vector vanishes with the next
+    vector, as ``lyap._top``'s Python pass does: every stop, the total and
+    the final vector, as bytes.  Every NaN is packed as one NaN: IEEE 754
+    leaves open which NaN operand a product passes on."""
+    vectors = lyap._tangent_vectors(seed, n)
+    u, total, stops = next(vectors), 0.0, []
+    for jacs in blocks:
+        stop, total = tangent_steps(jacs, u, total)
+        stops.append(stop)
+        while stop < len(jacs):
+            u[:] = next(vectors)
+            jacs = jacs[stop + 1:]
+            stop, total = tangent_steps(jacs, u, total + LOG_FLOOR)
+            stops.append(stop)
+    total, *u = (x if x == x else math.nan for x in (total, *u))
+    return struct.pack(f"<{len(stops)}qd{n}d", *stops, total, *u)
 
 
 entries = st.one_of(st.floats(-3.0, 3.0), st.floats(), st.just(0.0))
@@ -497,18 +540,102 @@ def jacobian_blocks(draw):
     return n, blocks
 
 
-@needs_kernel
 @settings(max_examples=300, deadline=None)
 @given(case=jacobian_blocks(), seed=st.integers(0, 3))
 @example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]], [[0.0, 0.0], [0.0, 0.0]]])]), seed=1)
 @example(case=(3, [np.full((2, 3, 3), 1e300)]), seed=0)  # the norm overflows
 @example(case=(1, [np.array([[[1e-200]], [[1e-200]]])]), seed=0)  # the norm underflows
-def test_compiled_tangent_pass_matches_python_pass(case, seed):
-    """``levdyn_tangent`` gives the Python pass's bytes, redraws included."""
+def test_tangent_steps_match_exact_arithmetic(case, seed):
+    """The Python tangent pass rounds each multiply-add once, on Jacobians
+    the map never forms too: zero rows, non-finite entries, a norm that
+    overflows or underflows."""
     n, blocks = case
-    compiled = _pass_state(blocks, n, seed)
+    assert _pass_state(lyap._tangent_steps, blocks, n, seed) == (
+        _pass_state(_exact_tangent_steps, blocks, n, seed)
+    )
+
+
+class _DeferringLib:
+    """The compiled library, with ``levdyn_top`` returning KERNEL_DEFER
+    from its ``defer_at``-th call on, after running, so that the caller
+    holds a partial pass."""
+
+    def __init__(self, lib, defer_at):
+        self._lib, self._calls, self._defer_at = lib, 0, defer_at
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def levdyn_top(self, *args):
+        code = self._lib.levdyn_top(*args)
+        self._calls += 1
+        return _kernel.DEFER if self._calls >= self._defer_at else code
+
+
+def _top_bytes(lambdas, p, transient, steps, seed):
+    """``lyap._top``'s total and flag as bytes, or what it raised."""
+    try:
+        vectors = partial(lyap._tangent_vectors, seed, p.n_banks)
+        total, saturated = lyap._top(list(lambdas), p, transient, steps, vectors)
+    except OrbitViolationError as exc:
+        return ("violation", exc.step, exc.constraint)
+    except ZeroDivisionError:
+        return ("zero division",)
+    return struct.pack("<d?", total, saturated)
+
+
+@st.composite
+def top_cases(draw):
+    """Parameters of 1 to 3 banks, gamma 20 or 100, and a start in
+    [1, 1 + gamma] per bank."""
+    n = draw(st.integers(1, 3))
+    gamma = draw(st.sampled_from([20.0, 100.0]))
+    pis, rest = [], 1.0
+    for _ in range(n - 1):
+        pis.append(draw(st.floats(0.0, rest)))
+        rest -= pis[-1]
+    p = ModelParams(gamma=gamma, omegas=[draw(st.floats(0.0, 1.0)) for _ in range(n)],
+                    pis=(*pis, rest))
+    return p, [draw(st.floats(1.0, 1.0 + gamma)) for _ in range(n)]
+
+
+_P1 = ModelParams(omegas=(0.58,), pis=(1.0,))
+#: bank 2 has memory and weight 0: its Jacobian column is 0
+_P2 = ModelParams(omegas=(0.58, 0.0), pis=(1.0, 0.0))
+_ESCAPING = (ModelParams(omegas=(0.05, 0.15000000000000002), pis=(0.4, 0.6)),
+             [96.95171505688967, 91.702620462896])  # leaves at step 5
+_X, _Y, _Z = SUPERSTABLE[0.58]
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(case=top_cases(), transient=st.integers(0, 40), steps=st.integers(1, 60),
+       seed=st.integers(0, 3), defer_at=st.sampled_from([None, 1, 2]))
+@example(case=(_P2, [100.9, 30.0]), transient=0, steps=5, seed=0, defer_at=None)  # first step
+@example(case=_ESCAPING, transient=2, steps=10, seed=1, defer_at=None)  # a middle step
+@example(case=_ESCAPING, transient=0, steps=5, seed=0, defer_at=None)  # the last step
+@example(case=_ESCAPING, transient=7, steps=5, seed=0, defer_at=None)  # in the transient
+@example(case=(_P1, [_X]), transient=0, steps=6, seed=0, defer_at=None)  # vanishes at once
+@example(case=(_P1, [_Z]), transient=0, steps=3, seed=2, defer_at=None)  # on the last step
+@example(case=(_P1, [_Z]), transient=1, steps=2, seed=3, defer_at=None)
+@example(case=(_P2, [_Y, 30.0]), transient=0, steps=40, seed=1, defer_at=None)
+@example(case=(_P2, [_Z, 30.0]), transient=0, steps=4, seed=0, defer_at=None)  # last, 2 banks
+@example(case=(ModelParams(omegas=(0.43,), pis=(1.0,)), [SUPERSTABLE[0.43][0]]),
+         transient=0, steps=30, seed=1, defer_at=None)
+@example(case=(_P2, [_Y, 30.0]), transient=0, steps=40, seed=1, defer_at=2)  # after a redraw
+@example(case=(_P1, [0.0]), transient=0, steps=3, seed=0, defer_at=None)  # the loop defers
+def test_fused_top_pass_matches_python_pass(case, transient, steps, seed, defer_at):
+    """``levdyn_top``, which steps the orbit, forms each Jacobian and steps
+    the tangent vector in one loop, gives the Python pass's bytes: its
+    escapes, vanishing vectors and redraws included.  Where it defers,
+    from its ``defer_at``-th call, ``lyap._top`` discards its partial
+    pass and gives the Python pass's bytes too."""
+    p, lambdas = case
+    lib = _kernel.lib if defer_at is None else _DeferringLib(_kernel.lib, defer_at)
+    with patch.object(_kernel, "lib", lib):
+        fused = _top_bytes(lambdas, p, transient, steps, seed)
     with python_loops():
-        assert _pass_state(blocks, n, seed) == compiled
+        assert fused == _top_bytes(lambdas, p, transient, steps, seed)
 
 
 class TestFiberExponent:

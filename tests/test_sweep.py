@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from contextlib import nullcontext
 from unittest.mock import Mock, patch
 
@@ -349,9 +350,16 @@ class TestBatchedEvaluator:
             fixed=two_bank(0.7, 0.0, 0.5), transient=50, record=30, rng_seed=4,
         )
         values = [float(v) for v in spec.grid()]
+        draws = lyap._tangent_vectors
+
+        def start_on_bank_2(seed, n):
+            redraws = draws(seed, n)
+            next(redraws)  # the start draw
+            return itertools.chain([[0.0, 1.0]], redraws)
+
         with (
             patch.object(sweep, "LYAP_STEPS", 200),
-            patch.object(lyap, "_tangent_start", lambda seed, n: [0.0, 1.0]),
+            patch.object(lyap, "_tangent_vectors", start_on_bank_2),
         ):
             batched = _evaluate([(spec, v) for v in values])
             expected = [_eval_point(spec, v) for v in values]
