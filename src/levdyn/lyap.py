@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernel
 from .errors import DomainError, InfeasibleStateError, OrbitViolationError
 from .maps import fiber_map, step_jacobian
-from .orbits import _CONSTRAINTS, _run_checked
+from .orbits import _CONSTRAINTS, _bank_count, _run_checked
 from .params import LeverageState, ModelParams
 
 #: floor for log|derivative| at superstable points
@@ -51,26 +51,39 @@ class LyapunovEstimate:
         return self.exponents[0]
 
 
-#: states per block of ``_window_jacobians``, so memory does not grow with steps
+#: states an exponent run holds at once; longer windows are walked in
+#: blocks of this many steps, so memory does not grow with ``steps``.
 BLOCK_STEPS = 256
 
 
 def _after_transient(lambdas: list[float], params: ModelParams, transient: int, steps: int):
-    """The state at step ``transient`` of the orbit from ``lambdas``."""
+    """The state at step ``transient`` of the orbit from ``lambdas``.
+    Raises ValueError, as ``orbits._run`` does, unless ``lambdas`` holds
+    one leverage per bank of ``params``: the compiled pass reads that many."""
     if steps < 1 or transient < 0:
         raise ValueError("need steps >= 1 and transient >= 0")
-    return _run_checked(lambdas, params, transient - 1, 1)[0].tolist() if transient else lambdas
+    _bank_count(lambdas, params)
+    if transient:
+        lambdas = _run_checked(lambdas, params, transient - 1, 1)[0].tolist()
+    return lambdas
 
 
-def _window_jacobians(lambdas: list[float], params: ModelParams, transient: int,
-                      steps: int) -> Iterator[np.ndarray]:
+def _window_jacobians(
+    lambdas: list[float], params: ModelParams, transient: int, steps: int
+) -> Iterator[np.ndarray]:
     """Jacobians at the states transient .. transient + steps - 1 of the
-    orbit from ``lambdas``, in stacks of at most BLOCK_STEPS; an escape
-    raises OrbitViolationError, as ``iterate`` records it, before its block."""
+    orbit from ``lambdas``, in stacks of at most BLOCK_STEPS.
+
+    The orbit runs through ``orbits._run`` and each Jacobian is formed
+    from a state and its recorded successor.  Raises OrbitViolationError
+    with the (step, constraint) that ``iterate`` reports, before any
+    Jacobian of the block holding that step is yielded.
+    """
     lambdas = _after_transient(lambdas, params, transient, steps)
     for done in range(0, steps, BLOCK_STEPS):
-        block = _run_checked(lambdas, params, 0, min(BLOCK_STEPS, steps - done),
-                             transient + done)
+        block = _run_checked(
+            lambdas, params, 0, min(BLOCK_STEPS, steps - done), transient + done
+        )
         states = np.vstack(([lambdas], block))
         yield step_jacobian(states[:-1], states[1:], params.omegas, params.pis, params)
         lambdas = block[-1].tolist()
@@ -117,9 +130,13 @@ def lyapunov_spectrum(
     for jacs in _window_jacobians(list(initial.lambdas), params, transient, steps):
         for jac in jacs:
             q, r = np.linalg.qr(jac @ q)
-            for k, x in enumerate(np.abs(np.diag(r))):
-                acc[k] += math.log(x) if x > 0.0 else LOG_FLOOR
-                saturated |= not x > 0.0
+            diag = np.abs(np.diag(r))
+            for k in range(n):
+                if diag[k] > 0.0:
+                    acc[k] += math.log(diag[k])
+                else:
+                    acc[k] += LOG_FLOOR
+                    saturated = True
     exps = tuple(float(v) for v in np.sort(acc / steps)[::-1])
     return LyapunovEstimate(exps, steps, transient, saturated)
 

@@ -77,6 +77,14 @@ class PeriodReport:
         return "aperiodic" if self.period is None else str(self.period)
 
 
+def _bank_count(lambdas: list[float], params: ModelParams) -> int:
+    """len(lambdas); a ValueError unless it is the number of banks in params."""
+    n = len(lambdas)
+    if n != params.n_banks:
+        raise ValueError(f"state has {n} leverages, params have {params.n_banks} banks")
+    return n
+
+
 def _run(
     lambdas: list[float],
     params: ModelParams,
@@ -98,9 +106,7 @@ def _run(
     C compiler is found, and where the compiled loop stops at a step on
     which Python raises ZeroDivisionError, to raise it.
     """
-    n = len(lambdas)
-    if n != params.n_banks:
-        raise ValueError(f"state has {n} leverages, params have {params.n_banks} banks")
+    n = _bank_count(lambdas, params)
     gamma = params.gamma
     lam_max = params.lambda_max
     coef = params.coupling_coef

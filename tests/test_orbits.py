@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levdyn.errors import InsufficientTraceError
-from levdyn.lyap import lyapunov_1d
+from levdyn.lyap import lyapunov_1d, lyapunov_top
 from levdyn.orbits import (
     _run,
     classify,
@@ -79,6 +79,13 @@ class TestIterate:
                 iterate(one_bank, two, 0, 10)
             with pytest.raises(ValueError, match="2 leverages, params have 1 banks"):
                 iterate(two_banks, std1, 0, 10)
+            # with no transient the orbit loop is not reached before the
+            # fused exponent pass, which reads one leverage per bank
+            for transient in (0, 5):
+                with pytest.raises(ValueError, match="1 leverages, params have 2 banks"):
+                    lyapunov_top(one_bank, two, transient, 10)
+                with pytest.raises(ValueError, match="2 leverages, params have 1 banks"):
+                    lyapunov_top(two_banks, std1, transient, 10)
 
     def test_determinism_bitwise(self, rng):
         p = two_bank(0.5, 0.3, 0.5)
