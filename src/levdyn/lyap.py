@@ -7,7 +7,7 @@ orbit loop, and form each Jacobian from a state and its successor
 (``maps.step_jacobian``).  An orbit that leaves the feasible region has
 no exponent: they raise OrbitViolationError at the (step, constraint)
 that ``iterate`` records for it.  ``_top`` is the one tangent-vector
-pass, behind ``lyapunov_1d``, ``lyapunov_top`` and every sweep lane.
+pass, behind ``lyapunov_1d`` and ``lyapunov_top``.
 Its fused multiply-adds are spelled out, so no BLAS kernel enters it,
 and its compiled copy ``levdyn_top`` steps the orbit in the same loop.
 

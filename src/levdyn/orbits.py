@@ -237,30 +237,27 @@ def detect_period(
         raise InsufficientTraceError(
             f"need at least {window} recorded steps, have {trace.n_recorded}"
         )
-    return window_periods(trace.recorded[None], p_max, tol)[0]
+    return window_period(trace.recorded, p_max, tol)
 
 
-def window_periods(blocks: np.ndarray, p_max: int, tol: float) -> list[PeriodReport]:
-    """detect_period's window test on the last 3 * p_max rows of every
-    block of a (blocks x rows x columns) array, all lags at once.
+def window_period(rows: np.ndarray, p_max: int, tol: float) -> PeriodReport:
+    """detect_period's window test on the last 3 * p_max of ``rows``, one
+    state per row.
 
-    The caller vouches that each block is a clean run with at least
-    3 * p_max rows.
+    A lag p can pass only if row p of the window agrees with row 0, a
+    pair its test compares, so the full test runs only on the lags that
+    pass this screen; a NaN fails both.  The caller vouches that ``rows``
+    is a clean run with at least 3 * p_max rows.
     """
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     window = 3 * p_max
-    w = blocks[:, -window:]
-    periods: list[int | None] = [None] * len(w)
-    open_ = np.ones(len(w), dtype=bool)
-    for p in range(1, p_max + 1):
-        if not open_.any():
-            break
-        hits = open_ & (np.max(np.abs(w[:, p:] - w[:, :-p]), axis=(1, 2)) < tol)
-        for b in np.flatnonzero(hits).tolist():
-            periods[b] = p
-        open_ &= ~hits
-    return [PeriodReport(period=p, tol=tol, window=window) for p in periods]
+    w = rows[-window:]
+    screened = np.max(np.abs(w[1 : p_max + 1] - w[0]), axis=1) < tol
+    for p in (np.flatnonzero(screened) + 1).tolist():
+        if np.max(np.abs(w[p:] - w[:-p])) < tol:
+            return PeriodReport(period=p, tol=tol, window=window)
+    return PeriodReport(period=None, tol=tol, window=window)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, OrbitViolationError, TailBoundError
 from .lyap import lyapunov_1d
 from .maps import fiber_map, leverage_map
-from .orbits import PeriodReport, _run_checked, classify, iterate, window_periods
+from .orbits import PeriodReport, _run_checked, classify, iterate, window_period
 from .params import LeverageState, ModelParams
 
 
@@ -237,8 +237,10 @@ def forcing_response_classification(
         step, constraint = trace.violation
         raise OrbitViolationError(step, constraint)
 
-    # one block per coordinate: bank 1 is forced, bank 2 forces
-    forced_period, forcing_period = window_periods(trace.recorded.T[:, :, None], p_max, tol)
+    # one period test per coordinate: bank 1 is forced, bank 2 forces
+    forced_period, forcing_period = (
+        window_period(trace.recorded[:, [bank]], p_max, tol) for bank in (0, 1)
+    )
 
     forcing_exp = lyapunov_1d(
         omega2, params, x0=y0, transient=transient, steps=20_000

@@ -8,34 +8,34 @@ Lyapunov exponent and the survival fraction.  Per-point seeds derive
 from the parameter value so a refined grid reproduces coarse-grid points
 exactly.
 
-A grid point is a ``(spec, value)`` pair on every path.  A stability
-cell (omega1, omega2) is the point omega1 of the omega1 sweep at fixed
-omega2, on one worker and on many; pool workers return only its class.
+A grid point is a ``(spec, value)`` pair, and one evaluator,
+``_eval_point``, gives its record on every path: it iterates each
+initial, then runs ``detect_period``, ``lyapunov_top`` and ``classify``
+on the first survivor.  A stability cell (omega1, omega2) is the point
+omega1 of the omega1 sweep at fixed omega2.
 
 Every orbit runs through ``iterate``, and so through ``orbits._run``,
 and every top exponent through ``lyapunov_top``, and so through the
 tangent pass ``lyap._top``; both are compiled where a C compiler is
 found, the pass as one loop (``levdyn_top``) that steps its orbit too.
-With one worker, each grid point takes the scalar reference path
-(``_eval_point``: ``detect_period``, ``lyapunov_top``, ``classify``).
-With more, the workers take contiguous chunks of at most CHUNK_POINTS
-grid points (``_evaluate``), where the first survivors of a chunk have
-their periods tested all at once and then their exponents run one by
-one.  So a record is bit-identical to the scalar path's and to any other
-chunking of the grid.  Results aggregate in grid order.
+With one worker the points run in process.  With more, the pool workers
+take contiguous chunks of at most CHUNK_POINTS of them, and for a
+stability map return only each cell's class.  So a record does not
+depend on the worker count or the chunking, and results aggregate in
+grid order.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import OrbitViolationError
 from .lyap import lyapunov_top
-from .orbits import OrbitTrace, PeriodReport, classify, detect_period, iterate, window_periods
+from .orbits import OrbitTrace, PeriodReport, classify, detect_period, iterate
 from .params import SWEEP_AXES, LeverageState, ModelParams
 
 #: steps used for the per-point top-exponent estimate
@@ -54,8 +54,9 @@ class SweepSpec:
     ``fixed`` supplies every parameter not being swept; the swept entry
     in it is ignored and replaced per grid point.  The "omega" axis
     needs a single-bank ``fixed``; the other axes need two banks.
-    ``_eval_point`` and ``_evaluate`` read ``axis``, ``fixed``, the run
-    lengths and the seed, never ``bounds`` or ``resolution``.
+    ``_eval_point`` reads ``axis``, ``fixed``, the run lengths and the
+    seed, never ``bounds`` or ``resolution``, so any spec of the right
+    axis and bank count can carry a grid point.
     """
 
     axis: str
@@ -129,17 +130,6 @@ def _point_rng(rng_seed: int, value: float) -> np.random.Generator:
     return np.random.default_rng([rng_seed, value_bits])
 
 
-def _top_exponent(
-    initial: LeverageState, params: ModelParams, transient: int, rng_seed: int
-) -> float | None:
-    """The top exponent from ``initial``; None when the orbit escapes in
-    the exponent run, which is longer than the recorded one."""
-    try:
-        return lyapunov_top(initial, params, transient, LYAP_STEPS, rng_seed)
-    except OrbitViolationError:
-        return None
-
-
 def _survivors(spec: SweepSpec, value: float, params: ModelParams) -> list[tuple[int, OrbitTrace]]:
     """The clean orbits of grid point ``(spec, value)``, whose parameters
     are ``params``, with the indices of the seeded initials they start
@@ -158,29 +148,12 @@ def _survivors(spec: SweepSpec, value: float, params: ModelParams) -> list[tuple
     return survivors
 
 
-def _record(
-    value: float,
-    n_banks: int,
-    survivors: list[tuple[int, OrbitTrace]],
-    initials_per_point: int,
-    period: PeriodReport | None = None,
-    top: float | None = None,
-) -> SweepRecord:
-    """A grid point's record; "infeasible" when nothing survived."""
-    return SweepRecord(
-        param_value=value,
-        samples=np.vstack([np.empty((0, n_banks)), *(t.recorded for _, t in survivors)]),
-        branch=np.repeat(np.array([idx for idx, _ in survivors], dtype=np.int64),
-                         [trace.n_recorded for _, trace in survivors]),
-        lyapunov_top=top,
-        period=period,
-        survival_fraction=len(survivors) / initials_per_point,
-        classification=classify(period, top, bool(survivors)),
-    )
-
-
 def _eval_point(spec: SweepSpec, value: float) -> SweepRecord:
-    """One grid point by the scalar reference path."""
+    """The record of grid point ``(spec, value)``, the one evaluator of
+    every worker count, run in process or in a pool chunk; "infeasible"
+    when no initial survived.  The period and the top exponent come from
+    the first survivor, and the exponent stays None when that orbit
+    escapes in the exponent run, which is longer than the recorded one."""
     params = spec.params_at(value)
     survivors = _survivors(spec, value, params)
     period = top = None
@@ -188,62 +161,46 @@ def _eval_point(spec: SweepSpec, value: float) -> SweepRecord:
         first = survivors[0][1]
         p_max = min(DEFAULT_P_MAX, first.n_recorded // 3)
         period = detect_period(first, p_max=p_max, tol=DEFAULT_PERIOD_TOL)
-        top = _top_exponent(first.initial, params, spec.transient, spec.rng_seed)
-    return _record(value, params.n_banks, survivors, spec.initials_per_point, period, top)
-
-
-def _evaluate(points: Sequence[tuple[SweepSpec, float]]) -> list[SweepRecord]:
-    """``_eval_point`` on the ``(spec, value)`` points, in order.
-
-    Precondition: the specs share the run lengths and the seed, and the
-    points share the bank count, as the points of one grid do; the period
-    test and the exponents take the first spec's.
-    """
-    spec = points[0][0]
-    params = [s.params_at(v) for s, v in points]
-    records = []
-    # each surviving point's first initial; the rows of its orbit lead the
-    # point's samples, so no trace is held past its point
-    firsts: dict[int, LeverageState] = {}
-    for point, ((point_spec, value), p) in enumerate(zip(points, params)):
-        survivors = _survivors(point_spec, value, p)
-        records.append(_record(value, p.n_banks, survivors, point_spec.initials_per_point))
-        if survivors:
-            firsts[point] = survivors[0][1].initial
-    if not firsts:
-        return records
-    periods = window_periods(
-        np.stack([records[point].samples[:spec.record] for point in firsts]),
-        min(DEFAULT_P_MAX, spec.record // 3), DEFAULT_PERIOD_TOL,
+        try:
+            top = lyapunov_top(first.initial, params, spec.transient, LYAP_STEPS, spec.rng_seed)
+        except OrbitViolationError:
+            pass
+    return SweepRecord(
+        param_value=value,
+        samples=np.vstack([np.empty((0, params.n_banks)), *(t.recorded for _, t in survivors)]),
+        branch=np.repeat(np.array([idx for idx, _ in survivors], dtype=np.int64),
+                         [trace.n_recorded for _, trace in survivors]),
+        lyapunov_top=top,
+        period=period,
+        survival_fraction=len(survivors) / spec.initials_per_point,
+        classification=classify(period, top, bool(survivors)),
     )
-    for (point, first), period in zip(firsts.items(), periods):
-        top = _top_exponent(first, params[point], spec.transient, spec.rng_seed)
-        records[point] = replace(
-            records[point], lyapunov_top=top, period=period,
-            classification=classify(period, top, True),
-        )
-    return records
 
 
-def _in_chunks(fn: Callable[[list], list], points: list, workers: int) -> list:
-    """``fn`` over contiguous chunks of ``points``, at least one per
-    worker and at most CHUNK_POINTS long, concatenated in order."""
+def _classify(spec: SweepSpec, value: float) -> str:
+    """The class of grid point ``(spec, value)``, so map workers return
+    no samples."""
+    return _eval_point(spec, value).classification
+
+
+def _map(fn: Callable, points: list[tuple[SweepSpec, float]], workers: int) -> list:
+    """``fn(spec, value)`` over ``points``, in order: in process for one
+    worker, else in pool chunks of contiguous points, one chunk per worker
+    unless that would make a chunk longer than CHUNK_POINTS."""
+    if workers <= 1:
+        return [fn(*point) for point in points]
     n = min(max(workers, -(-len(points) // CHUNK_POINTS)), len(points))
-    chunks = [points[len(points) * i // n : len(points) * (i + 1) // n] for i in range(n)]
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        return [out for part in pool.map(fn, chunks) for out in part]
+        return list(pool.map(fn, *zip(*points), chunksize=-(-len(points) // n)))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
-    """Evaluate every grid point, in parallel batches when workers > 1.
+    """Evaluate every grid point, in pool chunks when workers > 1.
 
     Output order is always grid order; identical spec and seed give
     identical records for any worker count.
     """
-    points = [(spec, float(v)) for v in spec.grid()]
-    if workers <= 1:
-        return [_eval_point(*point) for point in points]
-    return _in_chunks(_evaluate, points, workers)
+    return _map(_eval_point, [(spec, float(v)) for v in spec.grid()], workers)
 
 
 @dataclass(frozen=True)
@@ -254,11 +211,6 @@ class StabilityMap:
     omega2s: np.ndarray
     classes: np.ndarray  # shape (len(omega1s), len(omega2s)), dtype object (str entries)
     pi1: float
-
-
-def _classes(points: list[tuple[SweepSpec, float]]) -> list[str]:
-    """The classes of ``_evaluate``'s records, so workers return no samples."""
-    return [record.classification for record in _evaluate(points)]
 
 
 def stability_map(
@@ -295,10 +247,7 @@ def stability_map(
         for w2 in omega2s
     ]
     points = [(column, float(w1)) for w1 in omega1s for column in columns]
-    if workers <= 1:
-        classes = [_eval_point(*point).classification for point in points]
-    else:
-        classes = _in_chunks(_classes, points, workers)
+    classes = _map(_classify, points, workers)
     return StabilityMap(
         omega1s=omega1s,
         omega2s=omega2s,

@@ -18,7 +18,7 @@ from levdyn.orbits import (
     iterate,
     pair_sync,
     sync_metric,
-    window_periods,
+    window_period,
 )
 from levdyn.params import LeverageState, ModelParams, common_fixed_point, mean_field
 
@@ -148,6 +148,43 @@ class TestSyncMetric:
         assert worst < 1e-6
 
 
+def all_lags_period(rows: np.ndarray, p_max: int, tol: float) -> int | None:
+    """Brute-force oracle for window_period: the full window test on every
+    lag from 1 up, with no screen."""
+    w = rows[-3 * p_max:]
+    for p in range(1, p_max + 1):
+        if np.max(np.abs(w[p:] - w[:-p])) < tol:
+            return p
+    return None
+
+
+@st.composite
+def periodic_windows(draw) -> tuple[np.ndarray, int, float]:
+    """Rows of 1-3 columns, exactly periodic with period 1..p_max + 2, then
+    some entries moved by 0, tol / 2, exactly tol or 2 tol, and some set
+    to NaN or +-inf, at any row or next to the window's edge.  With the
+    power-of-two tolerances the moves are exact, so a move of exactly tol
+    lands on the test's boundary."""
+    p_max = draw(st.integers(1, 64))
+    tol = draw(st.sampled_from([1e-7, 2.0**-23, 2.0**-10]))
+    period = draw(st.integers(1, p_max + 2))
+    cols = draw(st.integers(1, 3))
+    n_rows = 3 * p_max + draw(st.integers(0, 4))
+    entry = st.sampled_from([1.0, 2.5, 50.0])
+    cycle = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=period, max_size=period))
+    rows = np.tile(np.array(cycle), (-(-n_rows // period), 1))[:n_rows]
+    # any row, or one at either side of the window's first row
+    edges = [r for r in (n_rows - 3 * p_max - 1, n_rows - 3 * p_max) if r >= 0]
+    row = st.one_of(st.integers(0, n_rows - 1), st.sampled_from(edges))
+    cell = st.tuples(row, st.integers(0, cols - 1))
+    for r, c in draw(st.lists(cell, max_size=4)):
+        rows[r, c] += draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -1.0, -2.0])) * tol
+    for r, c in draw(st.lists(cell, max_size=2)):
+        rows[r, c] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return rows, p_max, tol
+
+
 class TestDetectPeriod:
     def test_constant_trace_is_period_one(self):
         p = ModelParams(omegas=(1.0,), pis=(1.0,))
@@ -217,7 +254,17 @@ class TestDetectPeriod:
         with pytest.raises(ValueError, match="p_max must be >= 1"):
             detect_period(trace, p_max=p_max)
         with pytest.raises(ValueError, match="p_max must be >= 1"):
-            window_periods(trace.recorded[None], p_max, 1e-7)
+            window_period(trace.recorded, p_max, 1e-7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=periodic_windows())
+    def test_screened_lags_match_all_lags(self, case):
+        rows, p_max, tol = case
+        # inf - inf is NaN by design here, where clean runs never hold one
+        with np.errstate(invalid="ignore"):
+            report = window_period(rows, p_max, tol)
+            expected = all_lags_period(rows, p_max, tol)
+        assert (report.period, report.tol, report.window) == (expected, tol, 3 * p_max)
 
 
 class TestFeasibleSet:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import nullcontext
+from dataclasses import replace
 from unittest.mock import Mock, patch
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levdyn import lyap, sweep
+from levdyn.errors import OrbitViolationError
 from levdyn.params import ModelParams
 from levdyn.skew import forcing_response_classification
 from levdyn.sweep import (
@@ -17,7 +19,6 @@ from levdyn.sweep import (
     SweepRecord,
     SweepSpec,
     _eval_point,
-    _evaluate,
     run_sweep,
     stability_map,
 )
@@ -279,68 +280,63 @@ ESCAPE_SPEC = SweepSpec(
 
 
 class TestBatchedEvaluator:
-    """The batched grid evaluator against the scalar reference path,
-    ``_eval_point``: iterate each initial, then detect_period,
-    lyapunov_top and classify on the first survivor."""
+    """Grid points evaluated in contiguous pool chunks against the same
+    points run one by one in process by ``_eval_point``: iterate each
+    initial, then detect_period, lyapunov_top and classify on the first
+    survivor."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=sweep_specs(), steps=st.integers(1, 300), data=st.data())
     @example(spec=ESCAPE_SPEC, steps=2000, data=None)
     def test_matches_scalar_reference(self, spec, steps, data):
-        """``block`` shrinks the exponent blocks, so that escapes at block
-        edges are compared too."""
-        points = [(spec, float(v)) for v in spec.grid()]
-        cut = data.draw(st.integers(1, len(points) - 1)) if data else len(points) // 2
+        """Sweeps and stability maps on two workers, in chunks of one to
+        three points, on both loop paths.  The map's cells mix omega2
+        columns in row-major order, as ``stability_map`` builds them.
+        ``block`` shrinks the exponent blocks of the chunked runs, so that
+        escapes at block edges are compared too."""
+        unit = st.floats(0.0, 1.0)
+        chunk = data.draw(st.sampled_from([1, 2, 3])) if data else 1
         block = data.draw(st.integers(1, 8)) if data else 1
-        loops = python_loops() if data and data.draw(st.booleans()) else nullcontext()
-        with loops, patch.object(sweep, "LYAP_STEPS", steps):
-            expected = [record_key(_eval_point(*point)) for point in points]
-            whole = _evaluate(points)
-            split = _evaluate(points[:cut]) + _evaluate(points[cut:])
-            with patch.object(lyap, "BLOCK_STEPS", block):
-                blocked = _evaluate(points)
-        assert [record_key(r) for r in whole] == expected
-        assert [record_key(r) for r in split] == expected
-        assert [record_key(r) for r in blocked] == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        pi1=st.floats(0.0, 1.0),
-        omega1s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-        omega2s=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3, unique=True),
-        transient=st.integers(0, 60),
-        record=st.integers(3, 40),
-        initials=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-        steps=st.integers(1, 300),
-        data=st.data(),
-    )
-    def test_chunks_mixing_stability_columns_match_scalar_reference(
-        self, pi1, omega1s, omega2s, transient, record, initials, seed, steps, data
-    ):
-        """Stability cells of several omega2 columns, in row-major order as
-        ``stability_map`` builds them, cut into two chunks at a random point."""
-        columns = [
-            SweepSpec(axis="omega1", bounds=(0.0, 1.0), resolution=2,
-                      fixed=two_bank(0.5, w2, pi1), transient=transient, record=record,
-                      initials_per_point=initials, rng_seed=seed)
-            for w2 in omega2s
+        pi1 = data.draw(unit) if data else 0.4
+        omega1s = data.draw(st.lists(unit, min_size=2, max_size=3)) if data else [0.1, 0.15]
+        omega2s = (data.draw(st.lists(unit, min_size=2, max_size=3, unique=True))
+                   if data else [0.15, 0.5])
+        map_args = (np.array(omega1s), np.array(omega2s), pi1, spec.fixed, spec.transient,
+                    spec.record, spec.initials_per_point, spec.rng_seed)
+        cells = [
+            (replace(spec, axis="omega1", fixed=replace(spec.fixed, omegas=(0.5, w2),
+                                                        pis=(pi1, 1.0 - pi1))), w1)
+            for w1 in omega1s for w2 in omega2s
         ]
-        points = [(column, w1) for w1 in omega1s for column in columns]
-        cut = data.draw(st.integers(1, len(points) - 1))
         for loops in (nullcontext(), python_loops()):
             with loops, patch.object(sweep, "LYAP_STEPS", steps):
-                expected = [record_key(_eval_point(*point)) for point in points]
-                split = _evaluate(points[:cut]) + _evaluate(points[cut:])
-            assert [record_key(r) for r in split] == expected
+                expected = [record_key(_eval_point(spec, float(v))) for v in spec.grid()]
+                classes = [_eval_point(*cell).classification for cell in cells]
+                with (
+                    patch.object(sweep, "CHUNK_POINTS", chunk),
+                    patch.object(lyap, "BLOCK_STEPS", block),
+                ):
+                    pooled = run_sweep(spec, workers=2)
+                    in_process = run_sweep(spec)
+                    mapped = stability_map(*map_args, workers=2)
+            assert [record_key(r) for r in pooled] == expected
+            assert [record_key(r) for r in in_process] == expected
+            assert mapped.classes.ravel().tolist() == classes
 
     def test_escape_in_exponent_run_leaves_it_open(self):
-        points = [(ESCAPE_SPEC, 0.1), (ESCAPE_SPEC, 0.15000000000000002)]
-        for records in (run_sweep(ESCAPE_SPEC), _evaluate(points)):
-            rec = next(r for r in records if r.param_value == 0.15000000000000002)
-            assert rec.survival_fraction > 0
-            assert rec.lyapunov_top is None
-            assert rec.classification == "unresolved"
+        value = 0.15000000000000002
+        params = ESCAPE_SPEC.params_at(value)
+        first = sweep._survivors(ESCAPE_SPEC, value, params)[0][1]
+        with pytest.raises(OrbitViolationError):
+            lyap.lyapunov_top(first.initial, params, ESCAPE_SPEC.transient, sweep.LYAP_STEPS,
+                              ESCAPE_SPEC.rng_seed)
+        point = _eval_point(ESCAPE_SPEC, value)
+        assert point.survival_fraction > 0
+        assert point.lyapunov_top is None
+        assert point.classification == "unresolved"
+        for records in (run_sweep(ESCAPE_SPEC), run_sweep(ESCAPE_SPEC, workers=2)):
+            rec = next(r for r in records if r.param_value == value)
+            assert record_key(rec) == record_key(point)
 
     def test_vanished_tangent_matches_scalar_path(self):
         # pi1 = 1 with omega2 = 0 maps the tangent (0, 1) to the zero
@@ -361,10 +357,14 @@ class TestBatchedEvaluator:
             patch.object(sweep, "LYAP_STEPS", 200),
             patch.object(lyap, "_tangent_vectors", start_on_bank_2),
         ):
-            batched = _evaluate([(spec, v) for v in values])
             expected = [_eval_point(spec, v) for v in values]
-        assert batched[1].lyapunov_top is not None
-        assert [record_key(r) for r in batched] == [record_key(r) for r in expected]
+            params = spec.params_at(1.0)
+            first = sweep._survivors(spec, 1.0, params)[0][1]
+            direct = lyap.lyapunov_top(first.initial, params, spec.transient, 200, spec.rng_seed)
+            pooled = run_sweep(spec, workers=2)
+        assert expected[1].lyapunov_top is not None
+        assert repr(expected[1].lyapunov_top) == repr(direct)
+        assert [record_key(r) for r in pooled] == [record_key(r) for r in expected]
 
     def test_zero_derivative_lanes_match_lyapunov_1d(self):
         # every initial of a point starts at a zero derivative of its map:
@@ -383,12 +383,13 @@ class TestBatchedEvaluator:
             patch.object(sweep, "LYAP_STEPS", 200),
             patch.object(sweep, "_point_rng", point_rng),
         ):
-            batched = _evaluate([(spec, v) for v in values])
             expected = [_eval_point(spec, v) for v in values]
-        for value in values:
-            params = spec.params_at(value)
-            assert lyap.lyapunov_1d(value, params, starts[value], 0, 200).saturated
-        assert [record_key(r) for r in batched] == [record_key(r) for r in expected]
+            pooled = run_sweep(spec, workers=2)
+        for value, record in zip(values, expected):
+            direct = lyap.lyapunov_1d(value, spec.params_at(value), starts[value], 0, 200)
+            assert direct.saturated
+            assert repr(record.lyapunov_top) == repr(direct.top)
+        assert [record_key(r) for r in pooled] == [record_key(r) for r in expected]
 
     def test_stability_cells_match_omega1_points(self):
         omega1s = np.array([0.1, 0.45, 0.8])
