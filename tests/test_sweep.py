@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import nullcontext
-from dataclasses import replace
 from unittest.mock import Mock, patch
 
 import numpy as np
@@ -289,39 +288,60 @@ class TestBatchedEvaluator:
     @given(spec=sweep_specs(), steps=st.integers(1, 300), data=st.data())
     @example(spec=ESCAPE_SPEC, steps=2000, data=None)
     def test_matches_scalar_reference(self, spec, steps, data):
-        """Sweeps and stability maps on two workers, in chunks of one to
-        three points, on both loop paths.  The map's cells mix omega2
-        columns in row-major order, as ``stability_map`` builds them.
-        ``block`` shrinks the exponent blocks of the chunked runs, so that
-        escapes at block edges are compared too."""
-        unit = st.floats(0.0, 1.0)
+        """Sweeps on two workers, in chunks of one to three points, on both
+        loop paths.  ``block`` shrinks the exponent blocks of the chunked
+        runs, so that escapes at block edges are compared too."""
         chunk = data.draw(st.sampled_from([1, 2, 3])) if data else 1
         block = data.draw(st.integers(1, 8)) if data else 1
-        pi1 = data.draw(unit) if data else 0.4
-        omega1s = data.draw(st.lists(unit, min_size=2, max_size=3)) if data else [0.1, 0.15]
-        omega2s = (data.draw(st.lists(unit, min_size=2, max_size=3, unique=True))
-                   if data else [0.15, 0.5])
-        map_args = (np.array(omega1s), np.array(omega2s), pi1, spec.fixed, spec.transient,
-                    spec.record, spec.initials_per_point, spec.rng_seed)
-        cells = [
-            (replace(spec, axis="omega1", fixed=replace(spec.fixed, omegas=(0.5, w2),
-                                                        pis=(pi1, 1.0 - pi1))), w1)
-            for w1 in omega1s for w2 in omega2s
-        ]
         for loops in (nullcontext(), python_loops()):
             with loops, patch.object(sweep, "LYAP_STEPS", steps):
                 expected = [record_key(_eval_point(spec, float(v))) for v in spec.grid()]
-                classes = [_eval_point(*cell).classification for cell in cells]
                 with (
                     patch.object(sweep, "CHUNK_POINTS", chunk),
                     patch.object(lyap, "BLOCK_STEPS", block),
                 ):
                     pooled = run_sweep(spec, workers=2)
                     in_process = run_sweep(spec)
-                    mapped = stability_map(*map_args, workers=2)
             assert [record_key(r) for r in pooled] == expected
             assert [record_key(r) for r in in_process] == expected
-            assert mapped.classes.ravel().tolist() == classes
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pi1=st.floats(0.0, 1.0),
+        omega1s=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3),
+        omega2s=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3, unique=True),
+        transient=st.integers(0, 60),
+        record=st.integers(3, 40),
+        initials=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_chunks_mixing_stability_columns_match_scalar_reference(
+        self, pi1, omega1s, omega2s, transient, record, initials, seed, steps, data
+    ):
+        """Stability maps on two workers, in chunks of one to three cells,
+        on both loop paths.  The cells mix omega2 columns in row-major
+        order, as ``stability_map`` builds them."""
+        chunk = data.draw(st.sampled_from([1, 2, 3]))
+        block = data.draw(st.integers(1, 8))
+        cells = [
+            (SweepSpec(axis="omega1", bounds=(0.0, 1.0), resolution=2,
+                       fixed=two_bank(0.5, w2, pi1), transient=transient, record=record,
+                       initials_per_point=initials, rng_seed=seed), w1)
+            for w1 in omega1s for w2 in omega2s
+        ]
+        map_args = (np.array(omega1s), np.array(omega2s), pi1, two_bank(0.5, 0.5, pi1),
+                    transient, record, initials, seed)
+        for loops in (nullcontext(), python_loops()):
+            with loops, patch.object(sweep, "LYAP_STEPS", steps):
+                expected = [_eval_point(*cell).classification for cell in cells]
+                with (
+                    patch.object(sweep, "CHUNK_POINTS", chunk),
+                    patch.object(lyap, "BLOCK_STEPS", block),
+                ):
+                    mapped = stability_map(*map_args, workers=2)
+            assert mapped.classes.ravel().tolist() == expected
 
     def test_escape_in_exponent_run_leaves_it_open(self):
         value = 0.15000000000000002
