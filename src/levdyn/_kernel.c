@@ -6,8 +6,12 @@
  * The orbit step is written once, map_step, which levdyn_run and
  * levdyn_top both call.
  *
- * Each statement mirrors one Python statement of the reference loop, in
- * the same order.  The loops use only +, -, *, /, sqrt and fma, which
+ * In levdyn_run and levdyn_ticks each statement mirrors one Python
+ * statement of the reference loop, in the same order.  levdyn_top has no
+ * one Python loop to mirror: each step is orbits._run's step, then
+ * maps.step_jacobian's entries of one row at a time, then
+ * lyap._tangent_steps's step, each with its Python operations in their
+ * order.  The loops use only +, -, *, /, sqrt and fma, which
  * IEEE 754 rounds correctly, and log, which is the libm function that
  * Python's math.log calls; built without contraction of multiply-adds
  * (-ffp-contract=off), so that every fma is one the source spells out,

@@ -22,7 +22,7 @@ from typing import Any, Iterator, TextIO
 import numpy as np
 
 from . import __version__
-from .attractor import box_dimension, capture_cloud
+from .attractor import AttractorCloud, box_dimension, capture_cloud
 from .config import (
     ExperimentConfig,
     ConfigError,
@@ -220,9 +220,17 @@ def cmd_lyapunov(config: ExperimentConfig, out: TextIO) -> int:
     return EXIT_OK
 
 
+def _cloud(config: ExperimentConfig, command: str) -> tuple[AttractorCloud, int | None]:
+    """The attractor cloud from ``command``'s initial state, and its seed."""
+    if config.model.n_banks < 2:
+        raise ConfigError(f"{command} needs at least two banks", key="model.omegas")
+    state, seed = _initial_state(config, command)
+    return capture_cloud(state, config.model, config.run.transient,
+                         config.attractor.n_points), seed
+
+
 def cmd_attractor(config: ExperimentConfig, out: TextIO) -> int:
-    state, seed = _initial_state(config, "attractor")
-    cloud = capture_cloud(state, config.model, config.run.transient, config.attractor.n_points)
+    cloud, seed = _cloud(config, "attractor")
     block = RowBlock((), tuple(cloud.points.T), ())
     write_csv(out, ["lambda1", "lambda2"], [block], config.sha256, seed)
     return EXIT_OK
@@ -230,8 +238,7 @@ def cmd_attractor(config: ExperimentConfig, out: TextIO) -> int:
 
 def cmd_boxdim(config: ExperimentConfig, out: TextIO) -> int:
     block = config.boxdim
-    state, seed = _initial_state(config, "boxdim")
-    cloud = capture_cloud(state, config.model, config.run.transient, config.attractor.n_points)
+    cloud, seed = _cloud(config, "boxdim")
     fit = box_dimension(
         cloud, eps_decades=block.eps_decades, n_scales=block.n_scales, fit_range=block.fit_range
     )

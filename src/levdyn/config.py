@@ -329,20 +329,14 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(read_document(path))
 
 
-def merge_preset(
-    document: Mapping[str, Any], preset: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Overlay a preset under a user document (user keys win, per block)."""
-    merged: dict[str, Any] = {}
-    for key in set(document) | set(preset):
-        if key in document and key in preset:
-            a, b = preset[key], document[key]
-            if isinstance(a, Mapping) and isinstance(b, Mapping):
-                merged[key] = {**a, **b}
-            else:
-                merged[key] = b
-        elif key in document:
-            merged[key] = document[key]
-        else:
-            merged[key] = preset[key]
+def merge_preset(document: Any, preset: Mapping[str, Any]) -> Any:
+    """Overlay a preset under a user document (user keys win, per block).
+    A document that is not a JSON object is returned as it is, for
+    ``parse_config`` to reject."""
+    if not isinstance(document, Mapping):
+        return document
+    merged = {**preset, **document}
+    for key, block in preset.items():
+        if isinstance(block, Mapping) and isinstance(document.get(key), Mapping):
+            merged[key] = {**block, **document[key]}
     return merged

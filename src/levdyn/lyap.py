@@ -7,9 +7,10 @@ orbit loop, and form each Jacobian from a state and its successor
 (``maps.step_jacobian``).  An orbit that leaves the feasible region has
 no exponent: they raise OrbitViolationError at the (step, constraint)
 that ``iterate`` records for it.  ``_top`` is the one tangent-vector
-pass, behind ``lyapunov_1d`` and ``lyapunov_top``.
-Its fused multiply-adds are spelled out, so no BLAS kernel enters it,
-and its compiled copy ``levdyn_top`` steps the orbit in the same loop.
+pass, behind ``lyapunov_1d`` and ``lyapunov_top``: its Python pass walks
+the window's Jacobian blocks once, with the fused multiply-adds spelled
+out so no BLAS kernel enters it, and its compiled copy ``levdyn_top``
+steps the orbit and forms each Jacobian in one loop.
 
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def _window_jacobians(
             lambdas, params, 0, min(BLOCK_STEPS, steps - done), transient + done
         )
         states = np.vstack(([lambdas], block))
-        yield step_jacobian(states[:-1], states[1:], params.omegas, params.pis, params)
+        yield step_jacobian(states[:-1], states[1:], params)
         lambdas = block[-1].tolist()
 
 
@@ -205,26 +206,32 @@ def _tangent_vectors(seed: int, n: int) -> Iterator[list[float]]:
         yield [x / norm for x in v]
 
 
-def _tangent_steps(jacs: np.ndarray, u: list[float], total: float) -> tuple[int, float]:
-    """The tangent pass over a block of Jacobians: each step maps the unit
-    vector ``u`` (entry i is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .)
-    for j = n-2 down to 0), adds the log of its norm to ``total`` and
-    renormalizes it in place.  Returns the first step whose vector is 0,
-    adding nothing for it, else ``len(jacs)``, with the total."""
-    last = len(u) - 1
-    for step, jac in enumerate(jacs.tolist()):
-        x = []
-        for row in jac:
-            xi = row[last] * u[last]
-            for j in range(last - 1, -1, -1):
-                xi = _fma(row[j], u[j], xi)
-            x.append(xi)
-        norm = _norm(x)
-        if norm == 0.0:
-            return step, total
-        total += math.log(norm)
-        u[:] = [xi / norm for xi in x]
-    return len(jacs), total
+def _tangent_steps(blocks: Iterable[np.ndarray], u: list[float],
+                   unit: Iterator[list[float]]) -> tuple[float, bool]:
+    """The tangent pass over a window of Jacobian blocks: each step maps
+    the unit vector ``u`` (entry i is J[i, n-1] u[n-1], then
+    fma(J[i, j], u[j], .) for j = n-2 down to 0), adds the log of its norm
+    to the total and renormalizes it in place.  A vector that maps to 0
+    adds LOG_FLOOR instead and is replaced in place by the next of
+    ``unit``.  Returns the total, and whether that happened."""
+    last, total, saturated = len(u) - 1, 0.0, False
+    for jacs in blocks:
+        for jac in jacs.tolist():
+            x = []
+            for row in jac:
+                xi = row[last] * u[last]
+                for j in range(last - 1, -1, -1):
+                    xi = _fma(row[j], u[j], xi)
+                x.append(xi)
+            norm = _norm(x)
+            if norm == 0.0:
+                total += LOG_FLOOR
+                saturated = True
+                u[:] = next(unit)
+            else:
+                total += math.log(norm)
+                u[:] = [xi / norm for xi in x]
+    return total, saturated
 
 
 def _top(lambdas: list[float], params: ModelParams, transient: int, steps: int,
@@ -233,8 +240,8 @@ def _top(lambdas: list[float], params: ModelParams, transient: int, steps: int,
     ``steps`` steps after ``transient`` of the orbit from ``lambdas``: the
     summed log growth of the first of ``vectors()``, and whether a vector
     vanished; that adds LOG_FLOOR and goes on from the next.  Runs
-    ``levdyn_top``; where that defers or did not load, the Python pass runs
-    from the start."""
+    ``levdyn_top``; where that defers or did not load, the Python pass
+    (``_tangent_steps`` over ``_window_jacobians``) runs from the start."""
     lib, unit = _kernel.lib, vectors()
     if lib is not None:
         lams, omegas, pis = (np.array(a, dtype=float) for a in (
@@ -252,15 +259,7 @@ def _top(lambdas: list[float], params: ModelParams, transient: int, steps: int,
         if code != _kernel.DEFER:
             raise OrbitViolationError(transient + done + int(out[0]) + 1, _CONSTRAINTS[code])
         unit = vectors()
-    u, total, saturated = next(unit), 0.0, False
-    for jacs in _window_jacobians(lambdas, params, transient, steps):
-        done, total = _tangent_steps(jacs, u, total)
-        while done < len(jacs):
-            u[:] = next(unit)
-            saturated = True
-            jacs = jacs[done + 1:]
-            done, total = _tangent_steps(jacs, u, total + LOG_FLOOR)
-    return total, saturated
+    return _tangent_steps(_window_jacobians(lambdas, params, transient, steps), next(unit), unit)
 
 
 def fiber_exponent(

@@ -41,7 +41,7 @@ def leverage_map_deriv(x: float, omega: float, params: ModelParams) -> float:
     """Analytic derivative T'(x) = T(x)^3 [omega/x^3 - (1-omega) K/(1+gamma-x)^3],
     the 1 x 1 step_jacobian."""
     t = leverage_map(x, omega, params)
-    return float(step_jacobian([x], [t], [omega], [1.0], params)[0, 0])
+    return float(step_jacobian([x], [t], params.with_single_omega(omega))[0, 0])
 
 
 def advance(lambdas: Sequence[float], params: ModelParams) -> list[float]:
@@ -73,29 +73,24 @@ def coupled_jacobian(lambdas: Sequence[float], params: ModelParams) -> np.ndarra
                           - (1-omega_i) K pi_j / (1+gamma-m)^3]
     where T_i is the updated leverage of bank i.
     """
-    return step_jacobian(lambdas, advance(lambdas, params), params.omegas, params.pis, params)
+    return step_jacobian(lambdas, advance(lambdas, params), params)
 
 
 def step_jacobian(
-    lams: Sequence[float] | np.ndarray,
-    new: Sequence[float] | np.ndarray,
-    omegas: Sequence[float] | np.ndarray,
-    pis: Sequence[float] | np.ndarray,
-    params: ModelParams,
+    lams: Sequence[float] | np.ndarray, new: Sequence[float] | np.ndarray, params: ModelParams
 ) -> np.ndarray:
     """coupled_jacobian at states ``lams`` (N, or a stack of them,
     ... x N) whose step is already known: ``new`` holds their successors.
-
-    ``omegas`` and ``pis`` broadcast against ``lams``, so a stack of
-    states may carry one memory and weight vector per state; ``params``
-    supplies gamma and the coupling coefficient.  Returns (..., N, N).
-    N = 1 with pi = 1 gives leverage_map_deriv exactly.
+    Every state takes its memories, weights, gamma and coupling
+    coefficient from ``params``.  Returns (..., N, N); one bank gives
+    leverage_map_deriv exactly.
     """
-    lams, new, omegas, pis = (np.asarray(a, dtype=float) for a in (lams, new, omegas, pis))
+    lams, new, omegas, pis = (
+        np.asarray(a, dtype=float) for a in (lams, new, params.omegas, params.pis))
     n = lams.shape[-1]
-    d = 1.0 + params.gamma - mean_field(np.moveaxis(lams, -1, 0), np.moveaxis(pis, -1, 0))
+    d = 1.0 + params.gamma - mean_field(np.moveaxis(lams, -1, 0), pis)
     kernel3 = params.coupling_coef / (d * d * d)
-    entry = -((1.0 - omegas) * kernel3[..., None])[..., :, None] * pis[..., None, :]
+    entry = -((1.0 - omegas) * kernel3[..., None])[..., :, None] * pis
     # the diagonal, as a strided view of the fresh array
     entry.reshape(*entry.shape[:-2], n * n)[..., :: n + 1] += omegas / (lams * lams * lams)
     return (new * new * new)[..., :, None] * entry

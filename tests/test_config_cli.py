@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levdyn.cli import main
 from levdyn.config import (
@@ -31,6 +33,28 @@ from levdyn.config import (
 from levdyn.output import RowBlock, format_value, read_csv, write_csv
 
 STD_MODEL = {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}
+
+#: JSON documents of scalars and one level of nested objects, over few
+#: keys, so that a document and a preset often share keys and blocks
+_keys = st.sampled_from(["model", "run", "sweep", "a", "b"])
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                     st.text(max_size=3), st.lists(st.integers(), max_size=2))
+_documents = st.dictionaries(
+    _keys, st.one_of(_scalars, st.dictionaries(_keys, _scalars, max_size=4)), max_size=5)
+
+
+def _merge_by_key(document, preset):
+    """The preset overlay as a walk over every key: a key in both takes
+    the user's value, or the union of both objects with the user's keys
+    winning where both values are objects."""
+    merged = {}
+    for key in set(document) | set(preset):
+        if key in document and key in preset:
+            a, b = preset[key], document[key]
+            merged[key] = {**a, **b} if isinstance(a, dict) and isinstance(b, dict) else b
+        else:
+            merged[key] = document[key] if key in document else preset[key]
+    return merged
 
 
 #: the smallest valid form of every block
@@ -158,6 +182,20 @@ class TestConfigParsing:
         assert merged["model"]["pis"] == [0.5, 0.5]
         assert merged["sweep"]["resolution"] == 12
         assert merged["sweep"]["axis"] == "pi1"
+
+    @settings(deadline=None)
+    @given(document=_documents, preset=_documents)
+    def test_preset_merge_matches_key_walk(self, document, preset):
+        assert merge_preset(document, preset) == _merge_by_key(document, preset)
+
+    @pytest.mark.parametrize("root", [None, [1, 2]])
+    @pytest.mark.parametrize("preset", [[], ["--preset", "fig5"]])
+    def test_root_not_an_object_exits_2(self, tmp_path, capsys, root, preset):
+        cfg = tmp_path / "root.json"
+        cfg.write_text(json.dumps(root))
+        assert main(["bifurcate", "--config", str(cfg), *preset]) == 2
+        assert ("levdyn: configuration error: configuration root must be a JSON object"
+                in capsys.readouterr().err.splitlines())
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -294,6 +332,8 @@ class TestCliCommands:
              "stability.initials_per_point"),
             ("attractor", {"run": {"seed": 1}, "attractor": {"n_points": 0}},
              "attractor.n_points"),
+            ("attractor", {"model": {"omegas": [0.5]}, "run": {"seed": 1}}, "model.omegas"),
+            ("boxdim", {"model": {"omegas": [0.5]}, "run": {"seed": 1}}, "model.omegas"),
             ("boxdim", {"run": {"seed": 1}, "boxdim": {"n_scales": 2}}, "boxdim.n_scales"),
             ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "depth": 0}}},
              "skew.history.depth"),

@@ -479,47 +479,64 @@ def _ieee_fma(a, b, c):
     return a * b + c
 
 
-def _exact_tangent_steps(jacs, u, total):
+def _exact_tangent_steps(blocks, u, unit):
     """``lyap._tangent_steps`` restated on ``_ieee_fma``: entry i of J u
     is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .) for j = n-2 down to 0;
-    the squared norm is x[0] x[0], then fma(x[j], x[j], .)."""
-    n = len(u)
-    for step, jac in enumerate(jacs.tolist()):
-        x = []
-        for row in jac:
-            xi = row[n - 1] * u[n - 1]
-            for j in range(n - 2, -1, -1):
-                xi = _ieee_fma(row[j], u[j], xi)
-            x.append(xi)
-        sq = x[0] * x[0]
-        for xj in x[1:]:
-            sq = _ieee_fma(xj, xj, sq)
-        norm = math.sqrt(sq)
-        if norm == 0.0:
-            return step, total
-        total += math.log(norm)
-        u[:] = [xi / norm for xi in x]
-    return len(jacs), total
+    the squared norm is x[0] x[0], then fma(x[j], x[j], .).  A vector that
+    maps to 0 adds LOG_FLOOR and is replaced by the next of ``unit``."""
+    n, total, saturated = len(u), 0.0, False
+    for jacs in blocks:
+        for jac in jacs.tolist():
+            x = []
+            for row in jac:
+                xi = row[n - 1] * u[n - 1]
+                for j in range(n - 2, -1, -1):
+                    xi = _ieee_fma(row[j], u[j], xi)
+                x.append(xi)
+            sq = x[0] * x[0]
+            for xj in x[1:]:
+                sq = _ieee_fma(xj, xj, sq)
+            norm = math.sqrt(sq)
+            if norm == 0.0:
+                total, saturated = total + LOG_FLOOR, True
+                u[:] = next(unit)
+            else:
+                total += math.log(norm)
+                u[:] = [xi / norm for xi in x]
+    return total, saturated
+
+
+class _CountedBlock:
+    """A block of Jacobians whose ``tolist`` counts in ``handed[0]`` the
+    Jacobians it has handed out."""
+
+    def __init__(self, jacs, handed):
+        self._jacs, self._handed = jacs, handed
+
+    def tolist(self):
+        for jac in self._jacs.tolist():
+            self._handed[0] += 1
+            yield jac
 
 
 def _pass_state(tangent_steps, blocks, n, seed):
     """``tangent_steps`` over ``blocks`` from a unit vector drawn from
-    ``seed``, going on past each step whose vector vanishes with the next
-    vector, as ``lyap._top``'s Python pass does: every stop, the total and
-    the final vector, as bytes.  Every NaN is packed as one NaN: IEEE 754
-    leaves open which NaN operand a product passes on."""
-    vectors = lyap._tangent_vectors(seed, n)
-    u, total, stops = next(vectors), 0.0, []
-    for jacs in blocks:
-        stop, total = tangent_steps(jacs, u, total)
-        stops.append(stop)
-        while stop < len(jacs):
-            u[:] = next(vectors)
-            jacs = jacs[stop + 1:]
-            stop, total = tangent_steps(jacs, u, total + LOG_FLOOR)
-            stops.append(stop)
+    ``seed``, redrawing from the same generator, as ``lyap._top``'s Python
+    pass does: the step of every redraw, counted from 1 over the whole
+    window, the total, the flag and the final vector, as bytes.  Every NaN
+    is packed as one NaN: IEEE 754 leaves open which NaN operand a product
+    passes on."""
+    vectors, handed, redraws = lyap._tangent_vectors(seed, n), [0], []
+
+    def unit():
+        for v in vectors:
+            redraws.append(handed[0])
+            yield v
+
+    u = next(vectors)
+    total, saturated = tangent_steps([_CountedBlock(jacs, handed) for jacs in blocks], u, unit())
     total, *u = (x if x == x else math.nan for x in (total, *u))
-    return struct.pack(f"<{len(stops)}qd{n}d", *stops, total, *u)
+    return struct.pack(f"<{len(redraws)}qd?{n}d", *redraws, total, saturated, *u)
 
 
 entries = st.one_of(st.floats(-3.0, 3.0), st.floats(), st.just(0.0))
@@ -545,6 +562,13 @@ def jacobian_blocks(draw):
 @example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]], [[0.0, 0.0], [0.0, 0.0]]])]), seed=1)
 @example(case=(3, [np.full((2, 3, 3), 1e300)]), seed=0)  # the norm overflows
 @example(case=(1, [np.array([[[1e-200]], [[1e-200]]])]), seed=0)  # the norm underflows
+@example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]]]),  # vanishes on a block's first
+                   np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.1, 0.2], [-0.3, 0.8]]])]), seed=2)
+@example(case=(1, [np.array([[[0.5]], [[2.0]], [[0.0]]]), np.array([[[3.0]]])]),
+         seed=3)  # vanishes on a block's last
+@example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]], np.zeros((2, 2))]),
+                   np.array([np.zeros((2, 2)), [[1.1, 0.2], [-0.3, 0.8]]])]),
+         seed=1)  # vanishes on two steps in a row, across a block boundary
 def test_tangent_steps_match_exact_arithmetic(case, seed):
     """The Python tangent pass rounds each multiply-add once, on Jacobians
     the map never forms too: zero rows, non-finite entries, a norm that

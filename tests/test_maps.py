@@ -94,7 +94,7 @@ class TestSingleBankMap:
         for omega in (0.1, 0.3, 0.5, 0.7, 0.9):
             # leverage_map_deriv on the whole grid: one stack of 1 x 1 Jacobians
             new = [leverage_map(x, omega, std1) for x in xs.tolist()]
-            derivs = step_jacobian(xs[:, None], np.array(new)[:, None], [omega], [1.0], std1)
+            derivs = step_jacobian(xs[:, None], np.array(new)[:, None], std1.with_single_omega(omega))
             signs = derivs[:, 0, 0] > 0
             assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 1
 
@@ -209,26 +209,21 @@ class TestJacobian:
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
-        per_state=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_stack_matches_per_state_calls(self, shape, per_state, seed):
-        """An (a, b, N) stack of states, with one memory and weight
-        vector for all of them or one per state, gives each state's own
-        Jacobian bit for bit."""
+    def test_stack_matches_per_state_calls(self, shape, seed):
+        """An (a, b, N) stack of states, all with the memories and weights
+        of one ModelParams, gives each state's own Jacobian bit for bit."""
         g = np.random.default_rng(seed)
         n = shape[-1]
-        p = ModelParams(omegas=(0.5,) * n, pis=(1.0 / n,) * n)
+        raw = g.uniform(0.05, 1.0, n)
+        p = ModelParams(omegas=g.uniform(0.0, 1.0, n), pis=raw / math.fsum(raw))
         lams = g.uniform(1.0, 100.0, shape)
-        omegas = g.uniform(0.0, 1.0, shape if per_state else n)
-        raw = g.uniform(0.05, 1.0, shape if per_state else n)
-        pis = raw / raw.sum(axis=-1, keepdims=True)
         new = g.uniform(1.0, 100.0, shape)
-        stack = step_jacobian(lams, new, omegas, pis, p)
+        stack = step_jacobian(lams, new, p)
         assert stack.shape == (*shape, n)
         for i, j in np.ndindex(shape[:2]):
-            state = (i, j) if per_state else ()
-            one = step_jacobian(lams[i, j], new[i, j], omegas[state], pis[state], p)
+            one = step_jacobian(lams[i, j], new[i, j], p)
             assert stack[i, j].tobytes() == one.tobytes()
 
     def test_zero_weight_bank_decouples(self):
