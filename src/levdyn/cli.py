@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from typing import Any, Iterator, TextIO
@@ -90,11 +91,20 @@ def _setup_logging() -> None:
 
 @contextmanager
 def _open_out(path: str | None) -> Iterator[TextIO]:
+    """The output stream; a regular file is removed again when an exception
+    escapes the command, so a failed run leaves no empty or partial file."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        try:
             yield fh
+        except BaseException:
+            if regular:
+                fh.close()
+                os.remove(path)
+            raise
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -160,7 +170,7 @@ def cmd_bifurcate(config: ExperimentConfig, out: TextIO, workers: int) -> int:
         "param_value", "branch", "step", "bank", "lambda",
         "lyapunov_top", "period", "survival_fraction", "classification",
     ]
-    write_csv(out, columns, _sweep_rows(records), config.sha256, seed)
+    write_csv(out, columns, _sweep_rows(records), config.sha256, seed, workers=workers)
     infeasible = sum(1 for rec in records if rec.classification == "infeasible")
     if infeasible > len(records) / 2:
         log.error("%d of %d grid points fully violated", infeasible, len(records))
@@ -173,7 +183,11 @@ def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock]:
 
     Rows run over the recorded steps, then the banks; a point with no
     survivors gets one row with branch and step -1, bank 0 and no lambda.
+    The branch, step and bank cells depend only on the point's survivor
+    pattern, so they are formatted as one string column, again only when
+    the pattern differs from the previous point's.
     """
+    pattern, labels = None, None
     for rec in records:
         period = None if rec.period is None else rec.period.label
         tail = (rec.lyapunov_top, period, rec.survival_fraction, rec.classification)
@@ -181,16 +195,14 @@ def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock]:
         if n == 0:
             yield RowBlock((rec.param_value, -1, -1, 0), (np.array([None]),), tail)
             continue
-        yield RowBlock(
-            (rec.param_value,),
-            (
-                np.repeat(rec.branch, banks),
-                np.repeat(np.arange(n), banks),
-                np.tile(np.arange(1, banks + 1), n),
-                rec.samples.ravel(),
-            ),
-            tail,
-        )
+        if (banks, rec.branch.tobytes()) != pattern:
+            pattern = (banks, rec.branch.tobytes())
+            labels = np.array([
+                f"{branch},{step},{bank}"
+                for step, branch in enumerate(rec.branch.tolist())
+                for bank in range(1, banks + 1)
+            ])
+        yield RowBlock((rec.param_value,), (labels, rec.samples.ravel()), tail)
 
 
 def cmd_lyapunov(config: ExperimentConfig, out: TextIO) -> int:
@@ -402,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("constraint violation: %s", exc)
         print(f"levdyn: constraint violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (LevdynError, ValueError, TypeError) as exc:
+    except (LevdynError, ValueError, TypeError, OSError) as exc:
         log.error("runtime error: %s", exc)
         print(f"levdyn: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

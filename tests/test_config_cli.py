@@ -289,6 +289,38 @@ class TestCliCommands:
         out = tmp_path / "orbit.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
 
+    def test_violating_orbit_keeps_its_rows(self, tmp_path):
+        # exit 3 returned by the command: the rows up to the escape are data
+        cfg = write_config(
+            tmp_path,
+            {"model": {"omegas": [0.2]}, "run": {"transient": 0, "record": 100,
+                                                 "initial": [50.0]}},
+        )
+        out = tmp_path / "orbit.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        with out.open() as fh:
+            assert len(read_csv(fh)[2]) > 0
+
+    def test_out_in_missing_directory_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": STD_MODEL, "run": {"initial": [50.0, 60.0]}})
+        out = tmp_path / "no-such-dir" / "z.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("levdyn: error: ")
+        assert str(out) in err[0]
+
+    @pytest.mark.parametrize("command, document, code", [
+        ("bifurcate", {"model": STD_MODEL, "run": {"seed": 1}}, 2),
+        ("simulate", {"model": {"omegas": [0.5]}, "run": {"initial": [200.0]}}, 3),
+    ])
+    def test_failed_command_leaves_no_out_file(self, tmp_path, command, document, code):
+        # an exception escaping the command used to leave an empty file
+        cfg = write_config(tmp_path, document)
+        out = tmp_path / "z.csv"
+        out.write_text("an older run\n")
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert not out.exists()
+
     def test_config_errors_exit_2(self, tmp_path, capsys):
         bad = write_config(
             tmp_path, {"model": {"omegas": [0.5, 0.3], "pis": [0.5, 0.4]}}

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import io
+import math
+import multiprocessing
+import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from unittest.mock import patch
 
@@ -71,9 +76,9 @@ def sweep_records(draw, banks: int) -> SweepRecord:
     )
 
 
-def csv_body(blocks) -> str:
+def csv_body(blocks, workers: int = 1) -> str:
     buf = io.StringIO()
-    write_csv(buf, COLUMNS, blocks, "deadbeef", 1)
+    write_csv(buf, COLUMNS, blocks, "deadbeef", 1, workers=workers)
     return buf.getvalue().partition(",".join(COLUMNS) + "\n")[2]
 
 
@@ -126,16 +131,104 @@ class TestBlockEmission:
         assert csv_body([block]) == cell_text(rows)
 
 
-class CountingSink:
-    def __init__(self) -> None:
-        self.chars = 0
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072009e-308, 1e-310]
+any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS + EDGE_FLOATS), st.floats())
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-(2**63), 2**63 - 1), any_floats,
+                    st.text("ab, 1.-", max_size=4))
+#: (numpy dtype, cell strategy) of every column kind a RowBlock carries
+COLUMN_KINDS = [
+    (np.float64, any_floats),
+    (np.int64, st.integers(-(2**63), 2**63 - 1)),
+    (bool, st.booleans()),
+    (object, scalars),
+    (str, st.text("ab, 1.-", max_size=6)),
+]
+
+
+@st.composite
+def row_blocks(draw) -> tuple[RowBlock, list[list]]:
+    """A RowBlock and its rows as cells."""
+    n = draw(st.integers(0, 12))
+    head = draw(st.lists(scalars, max_size=3))
+    tail = draw(st.lists(scalars, max_size=3))
+    columns, cells = [], []
+    for dtype, values in draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=3)):
+        column = draw(st.lists(values, min_size=n, max_size=n))
+        cells.append(column)
+        columns.append(np.array(column, dtype=dtype) if n else np.empty(0, dtype=dtype))
+    rows = [[*head, *row, *tail] for row in zip(*cells)]
+    return RowBlock(head, columns, tail), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(row_blocks(), max_size=6), slice_rows=st.sampled_from([1, 2, 3, 5, 8192]))
+def test_pool_formatting_gives_the_same_bytes(blocks, slice_rows):
+    expected = cell_text(row for _, rows in blocks for row in rows)
+    with patch.object(output, "SLICE_ROWS", slice_rows):
+        serial = csv_body([block for block, _ in blocks])
+        pooled = csv_body([block for block, _ in blocks], workers=2)
+    assert serial == expected
+    assert pooled == expected
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_formatting_of_long_blocks(workers):
+    # blocks longer than SLICE_ROWS are cut, short ones share a task
+    rng = np.random.default_rng(8)
+    long = output.SLICE_ROWS * 5 // 2
+    blocks = [
+        RowBlock((0.5, 7), (rng.normal(size=n), np.arange(n)), ("x",))
+        for n in (long, 3, 0, 1000, long, 17)
+    ]
+    assert csv_body(blocks, workers=workers) == csv_body(blocks)
+
+
+class BreakingSink:
+    """A stream whose write raises, as into a closed pipe, after ``writes``."""
+
+    def __init__(self, writes: int) -> None:
+        self.writes = writes
 
     def write(self, text: str) -> int:
+        if self.writes == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes -= 1
+        return len(text)
+
+
+def test_failed_write_leaves_no_pool_process(monkeypatch):
+    pools = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            pools.append(1)
+
+    monkeypatch.setattr(output, "SLICE_ROWS", 16)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    blocks = [RowBlock((float(i),), (np.linspace(0.0, 1.0, 40),), ()) for i in range(50)]
+    # the provenance lines, the header and three row texts
+    with pytest.raises(BrokenPipeError):
+        write_csv(BreakingSink(5 + 3), COLUMNS, blocks, "deadbeef", 1, workers=2)
+    assert pools == [1]
+    assert multiprocessing.active_children() == []
+
+
+class CountingSink:
+    def __init__(self, delay: float = 0.0) -> None:
+        self.chars = 0
+        self.delay = delay
+
+    def write(self, text: str) -> int:
+        time.sleep(self.delay)
         self.chars += len(text)
         return len(text)
 
 
-def test_bifurcate_memory_bounded_by_one_grid_point(monkeypatch):
+def bifurcate_peak(monkeypatch, workers: int, delay: float = 0.0) -> tuple[int, int]:
+    """The main process's tracemalloc peak while bifurcate writes 96,000
+    rows of ready records, each write taking ``delay`` seconds, and the
+    characters it wrote."""
     rng = np.random.default_rng(3)
     records = [
         SweepRecord(
@@ -150,15 +243,33 @@ def test_bifurcate_memory_bounded_by_one_grid_point(monkeypatch):
         "run": {"seed": 1, "record": 80},
         "sweep": {"axis": "pi1", "range": [0.0, 1.0], "resolution": 200},
     })
-    sink = CountingSink()
+    sink = CountingSink(delay)
     tracemalloc.start()
     try:
-        assert cli.cmd_bifurcate(config, sink, workers=1) == cli.EXIT_OK
+        assert cli.cmd_bifurcate(config, sink, workers=workers) == cli.EXIT_OK
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sink.chars > 200 * 240 * 2 * 60
-    assert peak < sink.chars / 4
+    return peak, sink.chars
+
+
+def test_bifurcate_memory_bounded_by_one_grid_point(monkeypatch):
+    peak, chars = bifurcate_peak(monkeypatch, workers=1)
+    assert peak < chars / 4
+
+
+def test_bifurcate_memory_bounded_by_the_pool_window(monkeypatch):
+    # the main process holds at most TASKS_PER_WORKER * workers tasks of
+    # SLICE_ROWS rows, each as its columns and then as its text; the
+    # stream is slower than the pool, so an unbounded window would pile
+    # up the texts of the whole file
+    monkeypatch.setattr(output, "SLICE_ROWS", 1024)
+    peak, chars = bifurcate_peak(monkeypatch, workers=2, delay=0.015)
+    window = output.TASKS_PER_WORKER * 2 * output.SLICE_ROWS
+    row_chars = chars / (200 * 240 * 2)
+    assert peak < 2 * window * row_chars
+    assert peak < chars / 4
 
 
 def simulate_rows(config, trace: OrbitTrace) -> list[list]:
