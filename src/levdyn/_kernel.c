@@ -1,8 +1,10 @@
 /* Compiled copies of levdyn's scalar hot loops: orbits._run, the orbit
  * iteration with its three escape checks, micro._ticks, the intraday
- * tick pass, and lyap._top's fused pass, which advances the orbit, forms
+ * tick pass, lyap._top's fused pass, which advances the orbit, forms
  * each step's Jacobian as maps.step_jacobian does and runs the top
- * exponent's renormalised tangent step (lyap._tangent_steps) in one loop.
+ * exponent's renormalised tangent step (lyap._tangent_steps) in one loop,
+ * and levdyn_rows, which formats the CSV rows of output._block_texts as
+ * output._format_column and output.format_value do.
  * The orbit step is written once, map_step, which levdyn_run and
  * levdyn_top both call.
  *
@@ -23,6 +25,8 @@
 
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 /* An x87 build (-m32 or -mfpmath=387) evaluates doubles in 80-bit
  * registers and may round twice, so it could disagree with the Python
@@ -30,6 +34,13 @@
  * and the Python loops run. */
 #if FLT_EVAL_METHOD != 0
 #error "the compiled loops need FLT_EVAL_METHOD == 0 (no excess precision)"
+#endif
+
+/* The row writer scales a double's mantissa exactly in 128 bits: where
+ * the compiler has no such integer, fail the build, and the Python loops
+ * and formatters run. */
+#ifndef __SIZEOF_INT128__
+#error "the row writer needs unsigned __int128"
 #endif
 
 #define KERNEL_DEFER (-1)
@@ -208,4 +219,202 @@ int levdyn_top(int n, double *lams, const double *omegas, const double *pis,
             u[i] = x[i] / norm;
     }
     return 0;
+}
+
+/* The CSV writer.  It formats as Python's str and format(x, ".17g") do
+ * and, like every loop above, calls no printf-family function: those
+ * would follow the locale's LC_NUMERIC. */
+
+__extension__ typedef unsigned __int128 u128;
+
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
+    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
+    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
+    1000000000000000000ULL, 10000000000000000000ULL,
+};
+
+/* m * 10^p for p <= 21: below 2^123 for a 53-bit m */
+static u128 times_pow10(uint64_t m, int p)
+{
+    u128 scaled = (u128)m * POW10[p > 19 ? 19 : p];
+    return p > 19 ? scaled * POW10[p - 19] : scaled;
+}
+
+/* format(x, ".17g") at out, at most 23 characters: its length, or 0 where
+ * x is a normal double outside 2^-14 <= |x| < 2^52.
+ *
+ * In that range x = m / 2^s with a 53-bit mantissa m and 1 <= s <= 66,
+ * and its decimal exponent k, 10^k <= |x| < 10^(k+1), lies in [-5, 15].
+ * The 17 significant digits are m * 10^(16-k) / 2^s rounded half to even,
+ * the rounding that Python's dtoa applies; the product is exact in 128
+ * bits (Steele & White 1990).  Rounding never carries to 10^17: below
+ * 10^(k+1), |x| is at least one ulp, over 1.1e-16 |x|, away from it.
+ * Python's 'g' layout then writes -4 <= k < 17 in fixed notation and
+ * the rest, here only k = -5, with an exponent, dropping trailing zeros
+ * and a bare point. */
+static int format_double(double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t fraction = bits & ((1ULL << 52) - 1);
+    char *q = out;
+    if (biased == 0x7ff && fraction) {
+        memcpy(out, "nan", 3); /* whatever its sign bit */
+        return 3;
+    }
+    if (bits >> 63)
+        *q++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(q, "inf", 3);
+        return (int)(q + 3 - out);
+    }
+    if (biased == 0 && fraction == 0) {
+        *q++ = '0';
+        return (int)(q - out);
+    }
+    if (biased < 1023 - 14 || biased >= 1023 + 52)
+        return 0;
+    uint64_t m = fraction | 1ULL << 52;
+    int s = 1023 + 52 - biased;
+    /* floor(e log10 2) for 2^e <= |x| < 2^(e+1): k, or one less */
+    int k = ((biased - 1023) * 1233) >> 12;
+    u128 scaled = times_pow10(m, 16 - k);
+    if (scaled >= (u128)POW10[17] << s)
+        scaled = times_pow10(m, 16 - ++k);
+    uint64_t digits = (uint64_t)(scaled >> s);
+    u128 rest = scaled & (((u128)1 << s) - 1);
+    u128 half = (u128)1 << (s - 1);
+    if (rest > half || (rest == half && (digits & 1)))
+        digits++;
+    char d[17];
+    for (int i = 16; i >= 0; i--) {
+        d[i] = (char)('0' + digits % 10);
+        digits /= 10;
+    }
+    int nd = 17;
+    while (d[nd - 1] == '0')
+        nd--;
+    if (k < -4) {
+        *q++ = d[0];
+        if (nd > 1) {
+            *q++ = '.';
+            memcpy(q, d + 1, nd - 1);
+            q += nd - 1;
+        }
+        memcpy(q, "e-0", 3);
+        q[3] = (char)('0' - k);
+        return (int)(q + 4 - out);
+    }
+    if (k < 0) {
+        *q++ = '0';
+        *q++ = '.';
+        for (int i = -1; i > k; i--)
+            *q++ = '0';
+        memcpy(q, d, nd);
+        return (int)(q + nd - out);
+    }
+    int whole = k + 1;
+    if (nd <= whole) {
+        memcpy(q, d, nd);
+        memset(q + nd, '0', whole - nd);
+        return (int)(q + whole - out);
+    }
+    memcpy(q, d, whole);
+    q[whole] = '.';
+    memcpy(q + whole + 1, d + whole, nd - whole);
+    return (int)(q + nd + 1 - out);
+}
+
+/* str(v) at out, at most 20 characters: its length */
+static int format_int(long long v, char *out)
+{
+    char d[20];
+    int n = 0;
+    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+    do {
+        d[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    char *q = out;
+    if (v < 0)
+        *q++ = '-';
+    while (n)
+        *q++ = d[--n];
+    return (int)(q - out);
+}
+
+/* Rows first .. first + rows - 1 of ncols columns as output._block_texts
+ * writes them: each row is head, the cells joined by commas, then tail.
+ * Column j starts at columns[j], steps strides[j] bytes a row and is of
+ * kind kinds[j]: 'f' float64, 'i' int64, 'b' bool, or 'U' with chars[j]
+ * UCS-4 code points a cell, of which trailing NULs are padding, as numpy
+ * takes them.  Writes at most capacity bytes to out and returns their
+ * count, or -1, having written part of the rows, at a float outside
+ * format_double's range, a code point above 127 or a full buffer. */
+long long levdyn_rows(int ncols, const char *kinds, const long long *chars,
+                      const char *const *columns, const long long *strides,
+                      long long first, long long rows,
+                      const char *head, long long head_len,
+                      const char *tail, long long tail_len,
+                      char *out, long long capacity)
+{
+    char *q = out;
+    const char *end = out + capacity;
+    for (long long r = first; r < first + rows; r++) {
+        if (head_len > end - q)
+            return -1;
+        memcpy(q, head, head_len);
+        q += head_len;
+        for (int j = 0; j < ncols; j++) {
+            const char *cell = columns[j] + r * strides[j];
+            char text[24];
+            int len;
+            if (j) {
+                if (q == end)
+                    return -1;
+                *q++ = ',';
+            }
+            if (kinds[j] == 'U') {
+                long long n = chars[j];
+                uint32_t code;
+                while (n > 0 && (memcpy(&code, cell + 4 * (n - 1), 4), code == 0))
+                    n--;
+                if (n > end - q)
+                    return -1;
+                for (long long i = 0; i < n; i++) {
+                    memcpy(&code, cell + 4 * i, 4);
+                    if (code > 127)
+                        return -1;
+                    *q++ = (char)code;
+                }
+                continue;
+            }
+            if (kinds[j] == 'f') {
+                double x;
+                memcpy(&x, cell, sizeof x);
+                len = format_double(x, text);
+                if (len == 0)
+                    return -1;
+            } else if (kinds[j] == 'i') {
+                long long v;
+                memcpy(&v, cell, sizeof v);
+                len = format_int(v, text);
+            } else {
+                text[0] = *cell ? '1' : '0';
+                len = 1;
+            }
+            if (len > end - q)
+                return -1;
+            memcpy(q, text, len);
+            q += len;
+        }
+        if (tail_len > end - q)
+            return -1;
+        memcpy(q, tail, tail_len);
+        q += tail_len;
+    }
+    return q - out;
 }

@@ -7,11 +7,13 @@ next to this module or, where that directory is not writable, in
 0700).  The compiler writes a unique temporary file that is then renamed
 into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
-library once a short orbit, tick and top-exponent pass give the same
-bytes through it as through the Python loops; otherwise it is None, and
-``orbits._run``, ``micro._ticks`` and ``lyap._top`` loop in Python.  The
+library once a short orbit, tick and top-exponent pass and a block of
+CSV rows give the same bytes through it as through the Python loops;
+otherwise it is None, ``orbits._run``, ``micro._ticks`` and ``lyap._top``
+loop in Python and ``output`` formats every cell in Python.  The
 compiled top-exponent pass, ``levdyn_top``, fuses the orbit step, the
-step's Jacobian and the tangent step into one loop.
+step's Jacobian and the tangent step into one loop.  The row writer,
+``levdyn_rows``, formats the cells of ``output._block_texts``.
 """
 
 from __future__ import annotations
@@ -82,12 +84,16 @@ def _build(source: Path, directories: list[Path]) -> Path:
 
 def _probe() -> tuple:
     """A two-bank orbit, one that escapes, a tick pass, a top-exponent pass
-    whose vector vanishes, is redrawn and goes on, and one whose orbit
-    escapes, as bytes and values, through whichever loops ``lib`` selects."""
+    whose vector vanishes, is redrawn and goes on, one whose orbit
+    escapes, and the rows of a block of edge-case cells, as bytes and
+    values, through whichever loops ``lib`` selects."""
+    import numpy as np
+
     from .errors import OrbitViolationError
     from .lyap import _top
     from .micro import _ticks
     from .orbits import _run
+    from .output import RowBlock, _block_texts
     from .params import ModelParams
 
     params = ModelParams(omegas=(0.5, 0.3), pis=(0.5, 0.5))
@@ -109,8 +115,18 @@ def _probe() -> tuple:
                       vectors)
     except OrbitViolationError as exc:
         escape = (exc.step, exc.constraint)
+    # signed zeros and nan, infinities, both ties of 17 digits, the range's
+    # ends, exponent and fixed notation, and int64's extremes
+    floats = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+              1000000000000000.25, -1000000000000000.75, 2.0 ** -14, -(2.0 ** 52 - 0.5),
+              9.9999999999999991e-05, 0.1, 100.0, 1.0 / 3.0]
+    n = len(floats)
+    ints = np.array([-2 ** 63, 2 ** 63 - 1, *range(n - 2)])
+    words = np.array(["a,b", ""] * (n // 2))
+    cells = RowBlock((0.5, None), (np.array(floats), ints, ints % 3 == 0, words), ("x",))
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
-            returns.tobytes(), weights.tobytes(), equities, assets, vanishing, escape)
+            returns.tobytes(), weights.tobytes(), equities, assets, vanishing, escape,
+            "".join(_block_texts(cells)))
 
 
 def _load() -> ctypes.CDLL | None:
@@ -128,6 +144,10 @@ def _load() -> ctypes.CDLL | None:
     candidate.levdyn_top.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
                                      size, ptr, ptr, ptr]
     candidate.levdyn_top.restype = ctypes.c_int
+    text = ctypes.c_char_p
+    candidate.levdyn_rows.argtypes = [ctypes.c_int, text, ptr, ptr, ptr, size, size,
+                                      text, size, text, size, ptr, size]
+    candidate.levdyn_rows.restype = size
     expected = _probe()
     lib = candidate
     try:

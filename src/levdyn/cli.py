@@ -170,7 +170,7 @@ def cmd_bifurcate(config: ExperimentConfig, out: TextIO, workers: int) -> int:
         "param_value", "branch", "step", "bank", "lambda",
         "lyapunov_top", "period", "survival_fraction", "classification",
     ]
-    write_csv(out, columns, _sweep_rows(records), config.sha256, seed, workers=workers)
+    write_csv(out, columns, _sweep_rows(records), config.sha256, seed)
     infeasible = sum(1 for rec in records if rec.classification == "infeasible")
     if infeasible > len(records) / 2:
         log.error("%d of %d grid points fully violated", infeasible, len(records))

@@ -3,25 +3,30 @@
 CSV files open with '#'-prefixed provenance lines (tool version, config
 hash, seed, timestamp) followed by a header row; floats are serialized
 with 17 significant digits so every value round-trips exactly, and None
-is an empty cell.  JSON reports carry the same provenance (minus the
+is an empty cell.  Rows are formatted a slice of at most ``SLICE_ROWS``
+at a time, in the calling process: by the compiled writer
+``levdyn_rows`` where the library loaded and covers every cell of the
+slice, else by ``_format_column`` and ``format_value``, the reference,
+with the same text.  JSON reports carry the same provenance (minus the
 timestamp) as an embedded object, keeping the file valid JSON and
 byte-identical across reruns.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
-from collections import deque
 from datetime import datetime, timezone
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from . import __version__
+import numpy as np
 
-#: most rows of a RowBlock formatted into one text, and of one pool task;
-#: bounds the text held
+from . import __version__, _kernel
+
+#: most rows of a RowBlock formatted into one text; bounds the text held
 SLICE_ROWS = 8192
-#: pool tasks in flight per worker when write_csv formats in a pool
-TASKS_PER_WORKER = 2
+#: the most characters levdyn_rows writes for a float64, int64 or bool cell
+CELL_CHARS = {"f": 23, "i": 20, "b": 1}
 
 
 def format_value(value: Any) -> str:
@@ -48,11 +53,12 @@ class RowBlock(NamedTuple):
     """Rows that share their leading and trailing cells.
 
     Row i is ``[*head, *(c[i] for c in columns), *tail]``.  ``columns``
-    holds one or more equal-length 1-d numpy arrays.  The shared cells
-    are formatted once for the block and each column once per dtype, so
-    the text equals formatting every cell with ``format_value``.  A
-    string (``U``-kind) column is written as it is, so it can carry
-    several cells already joined by commas.
+    holds one or more equal-length 1-d numpy arrays; other shapes raise
+    ValueError before any row is written.  The shared cells are
+    formatted once for the block and each column once per dtype, so the
+    text equals formatting every cell with ``format_value``.  A string
+    (``U``-kind) column is written as it is, so it can carry several
+    cells already joined by commas.
     """
 
     head: Sequence[Any]
@@ -72,57 +78,58 @@ def _format_column(values: Any) -> Iterator[str]:
     return map(format_value, items)
 
 
+def _rows(columns: Sequence[Any]) -> int:
+    """The columns' common length; ValueError unless they are one or more
+    1-d arrays of one length."""
+    shapes = [c.shape for c in columns]
+    if not shapes or len(shapes[0]) != 1 or set(shapes) != {shapes[0]}:
+        raise ValueError(f"a RowBlock needs 1-d columns of one length, got shapes {shapes}")
+    return shapes[0][0]
+
+
+def _compiled_writer(head: str, columns: Sequence[Any],
+                     tail: str) -> Callable[[int, int], str | None] | None:
+    """levdyn_rows bound to one block's cells: a function of a slice's first
+    row and its row count that returns the slice's text, or None where a
+    cell is out of the writer's reach.  None where the library did not
+    load, a column is not float64, int64, bool or native ``U``, or the
+    head or tail text is not ASCII."""
+    lib = _kernel.lib
+    kinds = [c.dtype.kind for c in columns
+             if c.dtype.isnative and (c.dtype.kind in "fi" and c.dtype.itemsize == 8
+                                      or c.dtype.kind in "bU")]
+    if lib is None or len(kinds) != len(columns) or not (head + tail).isascii():
+        return None
+    ncols = len(columns)
+    chars = (ctypes.c_longlong * ncols)(*(c.dtype.itemsize // 4 if k == "U" else CELL_CHARS[k]
+                                          for c, k in zip(columns, kinds)))
+    data = (ctypes.c_void_p * ncols)(*(c.ctypes.data for c in columns))
+    strides = (ctypes.c_longlong * ncols)(*(c.strides[0] for c in columns))
+    code, head_bytes, tail_bytes = "".join(kinds).encode(), head.encode(), tail.encode()
+    row_chars = len(head) + sum(chars) + ncols - 1 + len(tail)
+
+    def write(start: int, rows: int) -> str | None:
+        capacity = rows * row_chars
+        buffer = np.empty(capacity, dtype=np.uint8)
+        length = lib.levdyn_rows(ncols, code, chars, data, strides, start, rows,
+                                 head_bytes, len(head_bytes), tail_bytes, len(tail_bytes),
+                                 buffer.ctypes.data, capacity)
+        return None if length < 0 else str(buffer.data[:length], "ascii")
+
+    return write
+
+
 def _block_texts(block: RowBlock) -> Iterator[str]:
+    n = _rows(block.columns)
     head = "".join(format_value(v) + "," for v in block.head)
     tail = "".join("," + format_value(v) for v in block.tail) + "\n"
-    for start in range(0, len(block.columns[0]), SLICE_ROWS):
-        cells = [_format_column(c[start:start + SLICE_ROWS]) for c in block.columns]
-        yield head + (tail + head).join(map(",".join, zip(*cells))) + tail
-
-
-def _tasks(blocks: Iterable[RowBlock]) -> Iterator[list[RowBlock]]:
-    """The blocks' rows in order, as lists of consecutive slices of at
-    most SLICE_ROWS rows in all: a long block is cut, and short ones
-    share a list."""
-    task: list[RowBlock] = []
-    rows = 0
-    for head, columns, tail in blocks:
-        n = len(columns[0])
-        for start in range(0, n, SLICE_ROWS):
-            size = min(SLICE_ROWS, n - start)
-            if rows + size > SLICE_ROWS:
-                yield task
-                task, rows = [], 0
-            task.append(RowBlock(head, [c[start:start + SLICE_ROWS] for c in columns], tail))
-            rows += size
-    if task:
-        yield task
-
-
-def _format_task(task: list[RowBlock]) -> str:
-    return "".join(text for block in task for text in _block_texts(block))
-
-
-def _write_pooled(stream: TextIO, blocks: Iterable[RowBlock], workers: int) -> None:
-    """Format the blocks' tasks in a pool of ``workers`` processes, at most
-    TASKS_PER_WORKER tasks per worker in flight, and write their texts in
-    order."""
-    # imported here, so the commands that never format in a pool do not load
-    # it; the default start method, as in the sweep's pool, since spawned
-    # workers would import levdyn again: 0.3-0.5 s of fig5's 1.6 s on 2 vCPUs
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        pending: deque = deque()
-        for task in _tasks(blocks):
-            if len(pending) == TASKS_PER_WORKER * workers:
-                stream.write(pending.popleft().result())
-            pending.append(pool.submit(_format_task, task))
-        while pending:
-            stream.write(pending.popleft().result())
-    finally:
-        pool.shutdown(cancel_futures=True)
+    compiled = _compiled_writer(head, block.columns, tail)
+    for start in range(0, n, SLICE_ROWS):
+        text = compiled(start, min(SLICE_ROWS, n - start)) if compiled else None
+        if text is None:
+            cells = [_format_column(c[start:start + SLICE_ROWS]) for c in block.columns]
+            text = head + (tail + head).join(map(",".join, zip(*cells))) + tail
+        yield text
 
 
 def write_csv(
@@ -131,19 +138,11 @@ def write_csv(
     blocks: Iterable[RowBlock],
     config_sha256: str,
     seed: int | None,
-    workers: int = 1,
 ) -> None:
-    """Provenance lines, the header, then each RowBlock's rows as it arrives.
-
-    With more than one worker the rows are formatted in a pool and
-    written in the same order, so the bytes do not depend on ``workers``.
-    """
+    """Provenance lines, the header, then each RowBlock's rows as it arrives."""
     for line in provenance_lines(config_sha256, seed):
         stream.write(line + "\n")
     stream.write(",".join(columns) + "\n")
-    if workers > 1:
-        _write_pooled(stream, blocks, workers)
-        return
     for block in blocks:
         for text in _block_texts(block):
             stream.write(text)

@@ -18,7 +18,9 @@ needs_kernel = pytest.mark.skipif(
 
 @contextmanager
 def python_loops() -> Iterator[None]:
-    """Run orbits._run and micro._ticks through their Python loops."""
+    """Run every compiled copy's Python reference instead: orbits._run,
+    micro._ticks and lyap._top loop in Python, and output formats every
+    CSV cell with _format_column and format_value."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "lib", None)
         yield

@@ -57,16 +57,44 @@ def test_concurrent_builds_publish_one_whole_library(tmp_path):
     assert [p.name for p in (tmp_path / "lib").iterdir()] == [built[0].name]
 
 
+def syntax_check(*extra: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["cc", *_kernel.FLAGS, *extra, "-fsyntax-only", str(_kernel.SOURCE)],
+                          capture_output=True, text=True)
+
+
 @needs_cc
 @pytest.mark.skipif(platform.machine() != "x86_64", reason="-mfpmath=387 is an x86-64 option")
 def test_x87_build_is_refused():
     # x87 doubles live in 80-bit registers (FLT_EVAL_METHOD 2) and may be
     # rounded twice, so the source refuses such a build
-    def check(*extra):
-        return subprocess.run(["cc", *_kernel.FLAGS, *extra, "-fsyntax-only", str(_kernel.SOURCE)],
-                              capture_output=True, text=True)
-
-    assert check().returncode == 0
-    x87 = check("-mfpmath=387")
+    assert syntax_check().returncode == 0
+    x87 = syntax_check("-mfpmath=387")
     assert x87.returncode != 0
     assert "FLT_EVAL_METHOD" in x87.stderr
+
+
+@needs_cc
+def test_build_without_int128_is_refused():
+    # the row writer scales each mantissa exactly in 128 bits
+    missing = syntax_check("-U__SIZEOF_INT128__")
+    assert missing.returncode != 0
+    assert "__int128" in missing.stderr
+
+
+@needs_cc
+def test_a_row_writer_that_disagrees_is_not_loaded(tmp_path, monkeypatch):
+    # the probe's block holds both ties of 17 digits, so a writer that
+    # rounds them up rather than to even disagrees with format() and the
+    # whole library is refused; the source as it is loads
+    monkeypatch.setattr(_kernel, "lib", _kernel.lib)
+    monkeypatch.setattr(_kernel, "_directories", lambda: [tmp_path])
+    text = _kernel.SOURCE.read_text()
+    tie = "rest == half && (digits & 1)"
+    assert tie in text
+    for name, source, loads in (("as-is", text, True),
+                                ("ties-up", text.replace(tie, "rest == half"), False)):
+        path = tmp_path / name / "_kernel.c"
+        path.parent.mkdir()
+        path.write_text(source)
+        monkeypatch.setattr(_kernel, "SOURCE", path)
+        assert (_kernel._load() is not None) == loads, name

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import io
+import itertools
 import math
 import multiprocessing
-import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 from unittest.mock import patch
 
@@ -17,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levdyn import cli, output
+from conftest import needs_kernel, python_loops
+from levdyn import _kernel, cli, output
 from levdyn.config import parse_config
 from levdyn.orbits import OrbitTrace, PeriodReport, pair_sync
 from levdyn.params import LeverageState
@@ -76,9 +76,9 @@ def sweep_records(draw, banks: int) -> SweepRecord:
     )
 
 
-def csv_body(blocks, workers: int = 1) -> str:
+def csv_body(blocks) -> str:
     buf = io.StringIO()
-    write_csv(buf, COLUMNS, blocks, "deadbeef", 1, workers=workers)
+    write_csv(buf, COLUMNS, blocks, "deadbeef", 1)
     return buf.getvalue().partition(",".join(COLUMNS) + "\n")[2]
 
 
@@ -133,15 +133,18 @@ class TestBlockEmission:
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072009e-308, 1e-310]
 any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS + EDGE_FLOATS), st.floats())
+#: a non-ASCII character sends a slice to the reference formatters; a U
+#: array keeps a NUL unless it trails
+TEXT = "ab, 1.-\x00\xe9"
 scalars = st.one_of(st.none(), st.booleans(), st.integers(-(2**63), 2**63 - 1), any_floats,
-                    st.text("ab, 1.-", max_size=4))
+                    st.text(TEXT, max_size=4))
 #: (numpy dtype, cell strategy) of every column kind a RowBlock carries
 COLUMN_KINDS = [
     (np.float64, any_floats),
     (np.int64, st.integers(-(2**63), 2**63 - 1)),
     (bool, st.booleans()),
     (object, scalars),
-    (str, st.text("ab, 1.-", max_size=6)),
+    (str, st.text(TEXT, max_size=6)),
 ]
 
 
@@ -153,34 +156,130 @@ def row_blocks(draw) -> tuple[RowBlock, list[list]]:
     tail = draw(st.lists(scalars, max_size=3))
     columns, cells = [], []
     for dtype, values in draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=3)):
-        column = draw(st.lists(values, min_size=n, max_size=n))
-        cells.append(column)
-        columns.append(np.array(column, dtype=dtype) if n else np.empty(0, dtype=dtype))
+        drawn = draw(st.lists(values, min_size=n, max_size=n))
+        column = np.array(drawn, dtype=dtype) if n else np.empty(0, dtype=dtype)
+        columns.append(column)
+        # a U array drops its strings' trailing NULs
+        cells.append(column.tolist() if dtype is str else drawn)
     rows = [[*head, *row, *tail] for row in zip(*cells)]
     return RowBlock(head, columns, tail), rows
 
 
+def both_paths(blocks) -> str:
+    """The rows of ``blocks`` through the compiled writer, where it loaded,
+    after checking that the reference formatters give the same text."""
+    with python_loops():
+        reference = csv_body(blocks)
+    assert csv_body(blocks) == reference
+    return reference
+
+
 @settings(max_examples=60, deadline=None)
 @given(blocks=st.lists(row_blocks(), max_size=6), slice_rows=st.sampled_from([1, 2, 3, 5, 8192]))
-def test_pool_formatting_gives_the_same_bytes(blocks, slice_rows):
-    expected = cell_text(row for _, rows in blocks for row in rows)
+def test_compiled_rows_give_the_same_bytes(blocks, slice_rows):
     with patch.object(output, "SLICE_ROWS", slice_rows):
-        serial = csv_body([block for block, _ in blocks])
-        pooled = csv_body([block for block, _ in blocks], workers=2)
-    assert serial == expected
-    assert pooled == expected
+        text = both_paths([block for block, _ in blocks])
+    assert text == cell_text(row for _, rows in blocks for row in rows)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_pool_formatting_of_long_blocks(workers):
-    # blocks longer than SLICE_ROWS are cut, short ones share a task
+def test_compiled_rows_of_long_blocks():
+    # blocks longer than SLICE_ROWS are cut into slices
     rng = np.random.default_rng(8)
     long = output.SLICE_ROWS * 5 // 2
     blocks = [
         RowBlock((0.5, 7), (rng.normal(size=n), np.arange(n)), ("x",))
         for n in (long, 3, 0, 1000, long, 17)
     ]
-    assert csv_body(blocks, workers=workers) == csv_body(blocks)
+    rows = [[0.5, 7, x, i, "x"] for block in blocks for x, i in zip(*map(list, block.columns))]
+    assert both_paths(blocks) == cell_text(rows)
+
+
+#: the compiled writer formats floats with 2^-14 <= |x| < 2^52
+LOW, HIGH = 2.0 ** -14, 2.0 ** 52
+
+
+def compiled_cells(*columns, head: str = "", tail: str = "\n") -> str | None:
+    """All rows of ``columns`` through levdyn_rows alone, None where it
+    leaves them to the reference formatters."""
+    return output._compiled_writer(head, columns, tail)(0, len(columns[0]))
+
+
+def check_float_cell(x: float) -> None:
+    text = compiled_cells(np.array([x]))
+    if math.isfinite(x) and x != 0 and not LOW <= abs(x) < HIGH:
+        assert text is None
+    else:
+        assert text == format(x, ".17g") + "\n"
+
+
+def edge_floats() -> list[float]:
+    """Signed zeros and nan, subnormals, DBL_MAX, the ties of 17 digits,
+    the powers of ten from 1e-7 to 1e17 and the range's edges, each with
+    its neighbours one ulp away."""
+    centres = [float(f"1e{p}") for p in range(-7, 18)] + [LOW, HIGH]
+    around = [math.nextafter(c, d) for c in centres for d in (-math.inf, math.inf)]
+    values = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310, 1.7976931348623157e308,
+              1000000000000000.25, 1000000000000000.75, *centres, *around]
+    return [math.copysign(math.nan, -1.0), math.nan, math.inf, -0.0, *values,
+            *(-v for v in values)]
+
+
+@needs_kernel
+@settings(max_examples=1000, deadline=None)
+@given(x=st.floats())
+def test_compiled_float_cells_match_format(x):
+    check_float_cell(x)
+
+
+@needs_kernel
+def test_compiled_edge_cells_match_format():
+    for x in edge_floats():
+        check_float_cell(x)
+    ints = np.array([-(2**63), 2**63 - 1, 0, -1, 10**18], dtype=np.int64)
+    assert compiled_cells(ints) == "".join(f"{v}\n" for v in ints.tolist())
+
+
+@needs_kernel
+def test_compiled_writer_fills_its_buffer_and_no_more():
+    # a slice of the longest cells of every kind is exactly as long as the
+    # capacity the writer is given; one byte less and it writes nothing past it
+    n = output.SLICE_ROWS
+    floats = np.resize([-math.nextafter(LOW, 1.0), -0.00012345678901234567], n)
+    columns = (floats, np.full(n, -(2**63), dtype=np.int64), np.ones(n, dtype=bool),
+               np.full(n, "a,b\x00c"))
+    head, tail = "0.5,nan,", ",x,-0\n"
+    text = compiled_cells(*columns, head=head, tail=tail)
+    assert len(text) == n * (len(head) + 23 + 20 + 1 + 5 + 3 + len(tail))
+    assert text == "".join(
+        head + ",".join(output.format_value(v) for v in row) + tail
+        for row in zip(*(c.tolist() for c in columns))
+    )
+    full = len(text)
+    chars = np.array([23, 20, 1, 5], dtype=np.int64)
+    data = np.array([c.ctypes.data for c in columns], dtype=np.uintp)
+    strides = np.array([c.strides[0] for c in columns], dtype=np.int64)
+    for capacity in (full, full - 1, 0):
+        buffer = np.full(full + 64, 0xAB, dtype=np.uint8)
+        length = _kernel.lib.levdyn_rows(4, b"fibU", chars.ctypes.data, data.ctypes.data,
+                                         strides.ctypes.data, 0, n, head.encode(), len(head),
+                                         tail.encode(), len(tail), buffer.ctypes.data, capacity)
+        assert length == (full if capacity == full else -1)
+        assert (buffer[capacity:] == 0xAB).all()
+
+
+@pytest.mark.parametrize("columns", [
+    (np.arange(3.0), np.arange(2)),
+    (np.arange(2), np.arange(3.0)),
+    (np.ones((2, 2)),),
+    (np.arange(4.0), np.ones((4, 1))),
+    (),
+])
+def test_columns_of_the_wrong_shape_raise_before_any_row(columns):
+    for loops in (nullcontext, python_loops):
+        buf = io.StringIO()
+        with loops(), pytest.raises(ValueError, match="1-d columns of one length"):
+            write_csv(buf, COLUMNS, [RowBlock((0.5,), columns, ("x",))], "deadbeef", 1)
+        assert buf.getvalue().endswith(",".join(COLUMNS) + "\n")
 
 
 class BreakingSink:
@@ -196,39 +295,30 @@ class BreakingSink:
         return len(text)
 
 
-def test_failed_write_leaves_no_pool_process(monkeypatch):
-    pools = []
-
-    class CountedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            pools.append(1)
-
-    monkeypatch.setattr(output, "SLICE_ROWS", 16)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    blocks = [RowBlock((float(i),), (np.linspace(0.0, 1.0, 40),), ()) for i in range(50)]
-    # the provenance lines, the header and three row texts
+def test_failed_write_leaves_no_pool_process():
+    config = parse_config({
+        "model": {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]},
+        "run": {"seed": 1, "transient": 50, "record": 20},
+        "sweep": {"axis": "pi1", "range": [0.2, 0.8], "resolution": 6},
+    })
+    # the provenance lines, the header and three grid points' rows
     with pytest.raises(BrokenPipeError):
-        write_csv(BreakingSink(5 + 3), COLUMNS, blocks, "deadbeef", 1, workers=2)
-    assert pools == [1]
+        cli.cmd_bifurcate(config, BreakingSink(5 + 3), workers=2)
     assert multiprocessing.active_children() == []
 
 
 class CountingSink:
-    def __init__(self, delay: float = 0.0) -> None:
+    def __init__(self) -> None:
         self.chars = 0
-        self.delay = delay
 
     def write(self, text: str) -> int:
-        time.sleep(self.delay)
         self.chars += len(text)
         return len(text)
 
 
-def bifurcate_peak(monkeypatch, workers: int, delay: float = 0.0) -> tuple[int, int]:
+def bifurcate_peak(monkeypatch, workers: int) -> tuple[int, int]:
     """The main process's tracemalloc peak while bifurcate writes 96,000
-    rows of ready records, each write taking ``delay`` seconds, and the
-    characters it wrote."""
+    rows of ready records, and the characters it wrote."""
     rng = np.random.default_rng(3)
     records = [
         SweepRecord(
@@ -243,7 +333,7 @@ def bifurcate_peak(monkeypatch, workers: int, delay: float = 0.0) -> tuple[int, 
         "run": {"seed": 1, "record": 80},
         "sweep": {"axis": "pi1", "range": [0.0, 1.0], "resolution": 200},
     })
-    sink = CountingSink(delay)
+    sink = CountingSink()
     tracemalloc.start()
     try:
         assert cli.cmd_bifurcate(config, sink, workers=workers) == cli.EXIT_OK
@@ -255,21 +345,10 @@ def bifurcate_peak(monkeypatch, workers: int, delay: float = 0.0) -> tuple[int, 
 
 
 def test_bifurcate_memory_bounded_by_one_grid_point(monkeypatch):
-    peak, chars = bifurcate_peak(monkeypatch, workers=1)
-    assert peak < chars / 4
-
-
-def test_bifurcate_memory_bounded_by_the_pool_window(monkeypatch):
-    # the main process holds at most TASKS_PER_WORKER * workers tasks of
-    # SLICE_ROWS rows, each as its columns and then as its text; the
-    # stream is slower than the pool, so an unbounded window would pile
-    # up the texts of the whole file
-    monkeypatch.setattr(output, "SLICE_ROWS", 1024)
-    peak, chars = bifurcate_peak(monkeypatch, workers=2, delay=0.015)
-    window = output.TASKS_PER_WORKER * 2 * output.SLICE_ROWS
-    row_chars = chars / (200 * 240 * 2)
-    assert peak < 2 * window * row_chars
-    assert peak < chars / 4
+    for loops, workers in itertools.product((nullcontext, python_loops), (1, 2)):
+        with loops():
+            peak, chars = bifurcate_peak(monkeypatch, workers=workers)
+        assert peak < chars / 4, (loops, workers)
 
 
 def simulate_rows(config, trace: OrbitTrace) -> list[list]:
