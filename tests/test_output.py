@@ -182,10 +182,12 @@ def test_compiled_rows_give_the_same_bytes(blocks, slice_rows):
     assert text == cell_text(row for _, rows in blocks for row in rows)
 
 
-def test_compiled_rows_of_long_blocks():
-    # blocks longer than SLICE_ROWS are cut into slices
+@pytest.mark.parametrize("slices", [2, 3])
+def test_pool_formatting_of_long_blocks(slices):
+    # blocks longer than SLICE_ROWS are cut into ``slices`` slices, the last
+    # one half full (the name is from the formatting pool this once checked)
     rng = np.random.default_rng(8)
-    long = output.SLICE_ROWS * 5 // 2
+    long = output.SLICE_ROWS * slices - output.SLICE_ROWS // 2
     blocks = [
         RowBlock((0.5, 7), (rng.normal(size=n), np.arange(n)), ("x",))
         for n in (long, 3, 0, 1000, long, 17)
