@@ -1,17 +1,17 @@
 /* Compiled copies of levdyn's scalar hot loops: orbits._run, the orbit
  * iteration with its three escape checks, micro._ticks, the intraday
- * tick pass, lyap._top's fused pass, which advances the orbit, forms
- * each step's Jacobian as maps.step_jacobian does and runs the top
- * exponent's renormalised tangent step (lyap._tangent_steps) in one loop,
- * and levdyn_rows, which formats the CSV rows of output._block_texts as
- * output._format_column and output.format_value do.
- * The orbit step is written once, map_step, which levdyn_run and
- * levdyn_top both call.
+ * tick pass, lyap._tangent's fused pass, which advances the orbit, forms
+ * each step's Jacobian as maps.step_jacobian does and runs the
+ * renormalised tangent step of k vectors (lyap._tangent_steps) in one
+ * loop, and levdyn_rows, which formats the CSV rows of
+ * output._block_texts as output._format_column and output.format_value
+ * do.  The orbit step is written once, map_step, which levdyn_run and
+ * levdyn_tangent both call.
  *
  * In levdyn_run and levdyn_ticks each statement mirrors one Python
- * statement of the reference loop, in the same order.  levdyn_top has no
- * one Python loop to mirror: each step is orbits._run's step, then
- * maps.step_jacobian's entries of one row at a time, then
+ * statement of the reference loop, in the same order.  levdyn_tangent
+ * has no one Python loop to mirror: each step is orbits._run's step,
+ * then maps.step_jacobian's entries of one row at a time, then
  * lyap._tangent_steps's step, each with its Python operations in their
  * order.  The loops use only +, -, *, /, sqrt and fma, which
  * IEEE 754 rounds correctly, and log, which is the libm function that
@@ -47,7 +47,6 @@
 #define KERNEL_LEVERAGE_FLOOR 1
 #define KERNEL_AR1_STATIONARITY 2
 #define KERNEL_INSOLVENT 1
-#define KERNEL_VANISHED 3
 
 /* One step of orbits._run from the n leverages in lams, whose mean field
  * is *m: writes their successors to next (which may be lams) and their
@@ -165,19 +164,18 @@ int levdyn_ticks(int n, double *equities, double *assets, const double *lambdas,
     return 0;
 }
 
-/* lyap._top's pass over steps steps of the orbit from the n leverages in
- * lams: each step advances the orbit as levdyn_run does, forms the
- * Jacobian row by row as maps.step_jacobian does, maps the unit vector
- * u (lyap._tangent_steps), adds the log of its norm to *total and
- * renormalises u.  Returns 0 after all steps, KERNEL_DEFER, or with the
- * step, from 0, in out[0]: the violation code, or KERNEL_VANISHED where
- * the vector is exactly 0, adding nothing for it, with lams advanced
- * past that step and u left as it was. */
-int levdyn_top(int n, double *lams, const double *omegas, const double *pis,
-               double gamma, double lam_max, double coef, long long steps,
-               double *u, double *total, long long *out)
+/* lyap._tangent's pass of the k vectors q, rows of n, over steps steps of
+ * the orbit from the n leverages in lams: each step advances the orbit as
+ * levdyn_run does, forms the Jacobian row by row as maps.step_jacobian
+ * does and runs lyap._tangent_steps's step, adding vector v's log growth
+ * to totals[v].  Returns 0 after all steps, the violation code with its
+ * step, from 0, in out[0], or KERNEL_DEFER, also where a vector is
+ * exactly 0: the Python pass replaces it. */
+int levdyn_tangent(int n, double *lams, const double *omegas, const double *pis,
+                   double gamma, double lam_max, double coef, long long steps,
+                   int k, double *q, double *totals, long long *out)
 {
-    double next[n], x[n];
+    double next[n], row[n], x[k * n];
     double m = mean_field(n, lams, pis);
     for (long long step = 0; step < steps; step++) {
         out[0] = step;
@@ -192,31 +190,39 @@ int levdyn_top(int n, double *lams, const double *omegas, const double *pis,
             double a = -((1.0 - w) * kernel3);
             double diag = w / ((lam * lam) * lam);
             double cube = (next[i] * next[i]) * next[i];
-            /* row i of J, from column n - 1 down to 0 */
-            double e = a * pis[n - 1];
-            if (i == n - 1)
-                e += diag;
-            double xi = (cube * e) * u[n - 1];
-            for (int j = n - 2; j >= 0; j--) {
-                e = a * pis[j];
-                if (i == j)
-                    e += diag;
-                xi = fma(cube * e, u[j], xi);
+            for (int j = 0; j < n; j++)
+                row[j] = cube * (i == j ? a * pis[j] + diag : a * pis[j]);
+            /* entry i of J u, from column n - 1 down to 0 */
+            for (int v = 0; v < k; v++) {
+                const double *u = q + v * n;
+                double xi = row[n - 1] * u[n - 1];
+                for (int j = n - 2; j >= 0; j--)
+                    xi = fma(row[j], u[j], xi);
+                x[v * n + i] = xi;
             }
-            x[i] = xi;
         }
-        for (int i = 0; i < n; i++)
-            lams[i] = next[i];
-        /* _norm */
-        double sq = x[0] * x[0];
-        for (int j = 1; j < n; j++)
-            sq = fma(x[j], x[j], sq);
-        double norm = sqrt(sq);
-        if (norm == 0.0)
-            return KERNEL_VANISHED;
-        *total += log(norm);
-        for (int i = 0; i < n; i++)
-            u[i] = x[i] / norm;
+        memcpy(lams, next, n * sizeof *lams);
+        for (int v = 0; v < k; v++) {
+            double *xv = x + v * n;
+            /* modified Gram-Schmidt against the new vectors before it */
+            for (int w = 0; w < v; w++) {
+                const double *qw = q + w * n;
+                double r = qw[0] * xv[0];
+                for (int j = 1; j < n; j++)
+                    r = fma(qw[j], xv[j], r);
+                for (int j = 0; j < n; j++)
+                    xv[j] = fma(-r, qw[j], xv[j]);
+            }
+            double sq = xv[0] * xv[0];
+            for (int j = 1; j < n; j++)
+                sq = fma(xv[j], xv[j], sq);
+            double norm = sqrt(sq);
+            if (norm == 0.0)
+                return KERNEL_DEFER;
+            totals[v] += log(norm);
+            for (int j = 0; j < n; j++)
+                q[v * n + j] = xv[j] / norm;
+        }
     }
     return 0;
 }

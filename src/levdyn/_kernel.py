@@ -7,12 +7,13 @@ next to this module or, where that directory is not writable, in
 0700).  The compiler writes a unique temporary file that is then renamed
 into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
-library once a short orbit, tick and top-exponent pass and a block of
-CSV rows give the same bytes through it as through the Python loops;
-otherwise it is None, ``orbits._run``, ``micro._ticks`` and ``lyap._top``
-loop in Python and ``output`` formats every cell in Python.  The
-compiled top-exponent pass, ``levdyn_top``, fuses the orbit step, the
-step's Jacobian and the tangent step into one loop.  The row writer,
+library once a short orbit, tick and two-vector tangent pass and a block
+of CSV rows give the same bytes through it as through the Python loops;
+otherwise it is None, ``orbits._run``, ``micro._ticks`` and
+``lyap._tangent`` loop in Python and ``output`` formats every cell in
+Python.  The compiled tangent pass, ``levdyn_tangent``, fuses the orbit
+step, the step's Jacobian and the step of k tangent vectors into one
+loop; where a vector vanishes it defers to the Python pass.  The row writer,
 ``levdyn_rows``, formats the cells of ``output._block_texts``.
 """
 
@@ -33,8 +34,6 @@ FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SOURCE = Path(__file__).with_name("_kernel.c")
 #: what a compiled loop returns where the Python loop would raise
 DEFER = -1
-#: what ``levdyn_top`` returns at a step whose tangent vector is exactly 0
-VANISHED = 3
 
 log = logging.getLogger(__name__)
 lib: ctypes.CDLL | None = None
@@ -83,14 +82,14 @@ def _build(source: Path, directories: list[Path]) -> Path:
 
 
 def _probe() -> tuple:
-    """A two-bank orbit, one that escapes, a tick pass, a top-exponent pass
-    whose vector vanishes, is redrawn and goes on, one whose orbit
-    escapes, and the rows of a block of edge-case cells, as bytes and
-    values, through whichever loops ``lib`` selects."""
+    """A two-bank orbit, one that escapes, a tick pass, a two-vector
+    tangent pass on that orbit, one whose orbit escapes, and the rows of a
+    block of edge-case cells, as bytes and values, through whichever loops
+    ``lib`` selects."""
     import numpy as np
 
     from .errors import OrbitViolationError
-    from .lyap import _top
+    from .lyap import _tangent
     from .micro import _ticks
     from .orbits import _run
     from .output import RowBlock, _block_texts
@@ -101,18 +100,12 @@ def _probe() -> tuple:
     equities, assets = [0.01, 0.008], [0.5, 0.48]
     returns, weights = _ticks(equities, assets, [50.0, 60.0], 1e-4, 100.0,
                               [1e-3, -2e-3, 5e-4], 0)
-    # bank 1 meets T' = 0 at the third step, which turns the tangent vector
-    # onto bank 2, whose Jacobian column is 0: it vanishes at the fourth.
-    # Fixed vectors keep numpy.random, and its memory, out of the import.
-    def vectors():
-        return iter([[0.6, -0.8], [0.8, 0.6], [-0.28, 0.96], [0.0, 1.0]])
-
-    superstable = ModelParams(omegas=(0.58, 0.0), pis=(1.0, 0.0))
-    vanishing = _top([float.fromhex("0x1.6f02d4c315e62p+5"), 30.0], superstable, 0, 6, vectors)
+    # fixed vectors keep numpy.random, and its memory, out of the import
+    tangent = _tangent([50.0, 60.0], params, 3, 40, [[0.6, -0.8], [0.8, 0.6]], iter([[0.0, 1.0]]))
     try:
-        escape = _top([96.95171505688967, 91.702620462896],
-                      ModelParams(omegas=(0.05, 0.15000000000000002), pis=(0.4, 0.6)), 2, 6,
-                      vectors)
+        escape = _tangent([96.95171505688967, 91.702620462896],
+                          ModelParams(omegas=(0.05, 0.15000000000000002), pis=(0.4, 0.6)), 2,
+                          6, [[0.6, -0.8]], iter([[0.0, 1.0]]))
     except OrbitViolationError as exc:
         escape = (exc.step, exc.constraint)
     # signed zeros and nan, infinities, both ties of 17 digits, the range's
@@ -125,7 +118,7 @@ def _probe() -> tuple:
     words = np.array(["a,b", ""] * (n // 2))
     cells = RowBlock((0.5, None), (np.array(floats), ints, ints % 3 == 0, words), ("x",))
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
-            returns.tobytes(), weights.tobytes(), equities, assets, vanishing, escape,
+            returns.tobytes(), weights.tobytes(), equities, assets, tangent, escape,
             "".join(_block_texts(cells)))
 
 
@@ -141,9 +134,9 @@ def _load() -> ctypes.CDLL | None:
                                      size, size, ptr, ptr]
     candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
                                        ptr, size, ptr, ptr, ptr]
-    candidate.levdyn_top.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
-                                     size, ptr, ptr, ptr]
-    candidate.levdyn_top.restype = ctypes.c_int
+    candidate.levdyn_tangent.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
+                                         size, ctypes.c_int, ptr, ptr, ptr]
+    candidate.levdyn_tangent.restype = ctypes.c_int
     text = ctypes.c_char_p
     candidate.levdyn_rows.argtypes = [ctypes.c_int, text, ptr, ptr, ptr, size, size,
                                       text, size, text, size, ptr, size]

@@ -1,16 +1,17 @@
-"""Lyapunov exponents: scalar map exponent, top exponent by a
-renormalized tangent vector, full spectrum via QR products of analytic
-Jacobians, and the fiber exponent of the forced subsystem.
+"""Lyapunov exponents: the scalar map exponent, the top exponent and the
+full spectrum from one renormalised tangent pass, and the fiber exponent
+of the forced subsystem.
 
 The map exponents read their orbit from ``orbits._run``, the one scalar
 orbit loop, and form each Jacobian from a state and its successor
 (``maps.step_jacobian``).  An orbit that leaves the feasible region has
 no exponent: they raise OrbitViolationError at the (step, constraint)
-that ``iterate`` records for it.  ``_top`` is the one tangent-vector
-pass, behind ``lyapunov_1d`` and ``lyapunov_top``: its Python pass walks
-the window's Jacobian blocks once, with the fused multiply-adds spelled
-out so no BLAS kernel enters it, and its compiled copy ``levdyn_top``
-steps the orbit and forms each Jacobian in one loop.
+that ``iterate`` records for it.  ``_tangent``, the pass of k vectors, is
+behind ``lyapunov_1d``, ``lyapunov_top`` (k = 1) and ``lyapunov_spectrum``
+(k = n).  Its Python pass walks the window's Jacobian blocks once, with
+the fused multiply-adds spelled out so no BLAS or LAPACK kernel enters
+it; its compiled copy ``levdyn_tangent`` steps the orbit and forms each
+Jacobian in the same loop.
 
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
@@ -21,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterable, Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,9 +108,9 @@ def lyapunov_1d(
         initial.require_feasible()
     except InfeasibleStateError as exc:
         raise OrbitViolationError(0, exc.constraint) from None
-    vectors = partial(_tangent_vectors, 0, 1)
-    total, saturated = _top(list(initial.lambdas), p, transient, steps, vectors)
-    return LyapunovEstimate((total / steps,), steps, transient, saturated)
+    vectors = _tangent_vectors(0, 1)
+    totals, saturated = _tangent(initial.lambdas, p, transient, steps, [next(vectors)], vectors)
+    return LyapunovEstimate((totals[0] / steps,), steps, transient, saturated)
 
 
 def lyapunov_spectrum(
@@ -118,27 +119,14 @@ def lyapunov_spectrum(
     transient: int = 1000,
     steps: int = 100_000,
 ) -> LyapunovEstimate:
-    """Full spectrum from QR-factorized products of analytic Jacobians,
-    re-orthonormalized every step (N is small, so the cost is negligible
-    and the product cannot overflow in chaotic regimes).  Exponents are
-    the accumulated log magnitudes of the R diagonals divided by the
-    step count, sorted descending."""
+    """Full spectrum by the tangent pass of the identity's n columns,
+    re-orthonormalised every step: each vector's summed log growth over
+    the step count, sorted descending."""
     initial.require_feasible()
-    n = params.n_banks
-    q = np.eye(n)
-    acc = np.zeros(n)
-    saturated = False
-    for jacs in _window_jacobians(list(initial.lambdas), params, transient, steps):
-        for jac in jacs:
-            q, r = np.linalg.qr(jac @ q)
-            diag = np.abs(np.diag(r))
-            for k in range(n):
-                if diag[k] > 0.0:
-                    acc[k] += math.log(diag[k])
-                else:
-                    acc[k] += LOG_FLOOR
-                    saturated = True
-    exps = tuple(float(v) for v in np.sort(acc / steps)[::-1])
+    basis = np.eye(params.n_banks).tolist()
+    totals, saturated = _tangent(initial.lambdas, params, transient, steps, basis,
+                                 repeat(basis[0]))
+    exps = tuple(sorted((total / steps for total in totals), reverse=True))
     return LyapunovEstimate(exps, steps, transient, saturated)
 
 
@@ -153,8 +141,8 @@ def lyapunov_top(
     from ``seed``.  Cheaper than the full spectrum; used by parameter
     sweeps where only the sign and rough magnitude matter."""
     initial.require_feasible()
-    vectors = partial(_tangent_vectors, seed, params.n_banks)
-    return _top(list(initial.lambdas), params, transient, steps, vectors)[0] / steps
+    unit = _tangent_vectors(seed, params.n_banks)
+    return _tangent(initial.lambdas, params, transient, steps, [next(unit)], unit)[0][0] / steps
 
 
 #: Veltkamp's splitter 2**27 + 1 cuts a double into halves of at most 26
@@ -188,78 +176,89 @@ def _fma(a: float, b: float, c: float) -> float:
         return math.inf if exact > 0 else -math.inf
 
 
-def _norm(v: list[float]) -> float:
-    """The 2-norm, squared as v[0] v[0] then fma(v[j], v[j], .) for j >= 1."""
-    sq = v[0] * v[0]
-    for x in v[1:]:
-        sq = _fma(x, x, sq)
-    return math.sqrt(sq)
+def _orthogonalised(x: list[float], q: list[list[float]]) -> tuple[list[float], float]:
+    """x orthogonalised against each of ``q`` in turn (r = q_j[0] x[0], then
+    fma(q_j[m], x[m], r); x[m] = fma(-r, q_j[m], x[m])), and its 2-norm,
+    squared as x[0] x[0] then fma(x[m], x[m], .)."""
+    for qj in q:
+        r = qj[0] * x[0]
+        for a, b in zip(qj[1:], x[1:]):
+            r = _fma(a, b, r)
+        x = [_fma(-r, a, b) for a, b in zip(qj, x)]
+    sq = x[0] * x[0]
+    for b in x[1:]:
+        sq = _fma(b, b, sq)
+    return x, math.sqrt(sq)
 
 
 def _tangent_vectors(seed: int, n: int) -> Iterator[list[float]]:
-    """``_top``'s unit vectors, from ``default_rng(seed)``: the start, then
-    one for each vector that vanishes."""
+    """Unit vectors from ``default_rng(seed)``: the start of ``lyapunov_1d``'s
+    and ``lyapunov_top``'s pass, then one for each time it vanishes."""
     rng = np.random.default_rng(seed)
     while True:
-        v = rng.standard_normal(n).tolist()
-        norm = _norm(v)
+        v, norm = _orthogonalised(rng.standard_normal(n).tolist(), [])
         yield [x / norm for x in v]
 
 
-def _tangent_steps(blocks: Iterable[np.ndarray], u: list[float],
-                   unit: Iterator[list[float]]) -> tuple[float, bool]:
-    """The tangent pass over a window of Jacobian blocks: each step maps
-    the unit vector ``u`` (entry i is J[i, n-1] u[n-1], then
-    fma(J[i, j], u[j], .) for j = n-2 down to 0), adds the log of its norm
-    to the total and renormalizes it in place.  A vector that maps to 0
-    adds LOG_FLOOR instead and is replaced in place by the next of
-    ``unit``.  Returns the total, and whether that happened."""
-    last, total, saturated = len(u) - 1, 0.0, False
+def _tangent_steps(blocks: Iterable[np.ndarray], q: list[list[float]],
+                   unit: Iterator[list[float]]) -> tuple[list[float], bool]:
+    """The tangent pass of the k unit vectors ``q`` over a window of
+    Jacobian blocks.  Each step takes the vectors in order: vector i is
+    mapped (entry r of J u is J[r, n-1] u[n-1], then fma(J[r, j], u[j], .)
+    for j = n-2 down to 0), orthogonalised against the new vectors
+    0 .. i-1, the log of its norm added to its total, and normalised.  A
+    vector that is then exactly 0 adds LOG_FLOOR instead and is replaced:
+    vector 0 by the next of ``unit``, as drawn, vector i > 0 by the first
+    of e_1 .. e_n that stays nonzero when so orthogonalised, normalised.
+    Returns the totals and whether a vector vanished; leaves ``q`` at the
+    last step's vectors."""
+    last, totals, saturated = len(q[0]) - 1, [0.0] * len(q), False
+    basis = np.eye(last + 1).tolist()
     for jacs in blocks:
         for jac in jacs.tolist():
-            x = []
-            for row in jac:
-                xi = row[last] * u[last]
-                for j in range(last - 1, -1, -1):
-                    xi = _fma(row[j], u[j], xi)
-                x.append(xi)
-            norm = _norm(x)
-            if norm == 0.0:
-                total += LOG_FLOOR
-                saturated = True
-                u[:] = next(unit)
-            else:
-                total += math.log(norm)
-                u[:] = [xi / norm for xi in x]
-    return total, saturated
+            new = []
+            for i, u in enumerate(q):
+                x = []
+                for row in jac:
+                    xi = row[last] * u[last]
+                    for j in range(last - 1, -1, -1):
+                        xi = _fma(row[j], u[j], xi)
+                    x.append(xi)
+                x, norm = _orthogonalised(x, new)
+                if norm == 0.0:
+                    totals[i] += LOG_FLOOR
+                    saturated = True
+                    new.append(next(unit) if i == 0 else next(
+                        [y / size for y in e] for e, size in
+                        (_orthogonalised(e, new) for e in basis) if size != 0.0))
+                else:
+                    totals[i] += math.log(norm)
+                    new.append([xi / norm for xi in x])
+            q[:] = new
+    return totals, saturated
 
 
-def _top(lambdas: list[float], params: ModelParams, transient: int, steps: int,
-         vectors: Callable[[], Iterator[list[float]]]) -> tuple[float, bool]:
-    """The renormalized tangent-vector pass (Benettin et al. 1980) over
-    ``steps`` steps after ``transient`` of the orbit from ``lambdas``: the
-    summed log growth of the first of ``vectors()``, and whether a vector
-    vanished; that adds LOG_FLOOR and goes on from the next.  Runs
-    ``levdyn_top``; where that defers or did not load, the Python pass
-    (``_tangent_steps`` over ``_window_jacobians``) runs from the start."""
-    lib, unit = _kernel.lib, vectors()
-    if lib is not None:
-        lams, omegas, pis = (np.array(a, dtype=float) for a in (
-            _after_transient(lambdas, params, transient, steps), params.omegas, params.pis))
-        u, total, out = np.array(next(unit)), np.zeros(1), np.zeros(1, np.int64)
-        orbit = (params.n_banks, lams.ctypes.data, omegas.ctypes.data, pis.ctypes.data,
-                 params.gamma, params.lambda_max, params.coupling_coef)
-        tangent, done = (u.ctypes.data, total.ctypes.data, out.ctypes.data), 0
-        while (code := lib.levdyn_top(*orbit, steps - done, *tangent)) == _kernel.VANISHED:
-            done += int(out[0]) + 1
-            total[0] += LOG_FLOOR
-            u[:] = next(unit)
+def _tangent(lambdas: Sequence[float], params: ModelParams, transient: int, steps: int,
+             q: list[list[float]], unit: Iterator[list[float]]) -> tuple[list[float], bool]:
+    """The renormalised tangent pass (Benettin et al. 1980) of the k unit
+    vectors ``q``, re-orthonormalised by modified Gram-Schmidt (Shimada &
+    Nagashima 1979), over ``steps`` steps after ``transient`` of the orbit
+    from ``lambdas``: ``_tangent_steps``'s totals and flag, with ``unit``.
+    Runs ``levdyn_tangent``; where that defers, as it does where a vector
+    vanishes, or did not load, the Python pass runs from the start."""
+    if _kernel.lib is not None:
+        lams, omegas, pis, start = (np.array(a, dtype=float) for a in (
+            _after_transient(lambdas, params, transient, steps), params.omegas, params.pis, q))
+        totals, out = np.zeros(len(q)), np.zeros(1, np.int64)
+        code = _kernel.lib.levdyn_tangent(
+            params.n_banks, lams.ctypes.data, omegas.ctypes.data, pis.ctypes.data,
+            params.gamma, params.lambda_max, params.coupling_coef, steps,
+            len(q), start.ctypes.data, totals.ctypes.data, out.ctypes.data)
         if code == 0:
-            return total.item(), done > 0  # done moves only past a vanished vector
+            return totals.tolist(), False
         if code != _kernel.DEFER:
-            raise OrbitViolationError(transient + done + int(out[0]) + 1, _CONSTRAINTS[code])
-        unit = vectors()
-    return _tangent_steps(_window_jacobians(lambdas, params, transient, steps), next(unit), unit)
+            raise OrbitViolationError(transient + int(out[0]) + 1, _CONSTRAINTS[code])
+    return _tangent_steps(_window_jacobians(lambdas, params, transient, steps), q, unit)
 
 
 def fiber_exponent(

@@ -19,7 +19,7 @@ needs_kernel = pytest.mark.skipif(
 @contextmanager
 def python_loops() -> Iterator[None]:
     """Run every compiled copy's Python reference instead: orbits._run,
-    micro._ticks and lyap._top loop in Python, and output formats every
+    micro._ticks and lyap._tangent loop in Python, and output formats every
     CSV cell with _format_column and format_value."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "lib", None)

@@ -75,7 +75,7 @@ CASES = {
         {"model": TWO_BANK, "run": {"seed": 1, "transient": 300},
          "lyapunov": {"steps": 3000}},
         EXIT_OK,
-        "533475c9c5f46aad6dec97be1501630c21dd9b331e20ef9ddb9e8fbb323598db",
+        "05e1315ece3caf675b3b7dc6cf1f95e5e1aaf89dcb37f9fea27381fde92982c1",
     ),
     "attractor": (
         "attractor", [],
@@ -145,11 +145,11 @@ def test_golden_output_python_loops(name, tmp_path):
         test_golden_output(name, tmp_path)
 
 
-#: the cases whose digests hold on any BLAS kernel: every top exponent goes
-#: through ``lyap._top``, which spells out its multiply-adds.  ``boxdim``,
-#: ``micro`` and ``lyapunov-2d`` still reach BLAS or LAPACK calls.
+#: the cases whose digests hold on any BLAS kernel: every exponent goes
+#: through ``lyap._tangent``, which spells out its multiply-adds.  ``boxdim``
+#: and ``micro`` still reach BLAS calls.
 KERNEL_FREE = ("bifurcate-omega", "bifurcate-pi1", "bifurcate-preset", "lyapunov-1d",
-               "stability-map")
+               "lyapunov-2d", "stability-map")
 #: runs each (command, config, out) triple of argv[1] through the CLI
 RUN_CASES = """
 import json, sys
@@ -159,22 +159,27 @@ sys.exit(max(main([c, "--config", cfg, "--out", out, *extra])
 """
 
 
-def _has_avx2_fma() -> bool:
+#: the CPU flags each forced kernel needs, as /proc/cpuinfo names them
+KERNEL_FLAGS = {"Prescott": (), "SandyBridge": ("avx",), "Haswell": ("avx2", "fma"),
+                "SkylakeX": ("avx512f", "avx512bw", "avx512dq", "avx512vl", "avx512cd")}
+
+
+def _cpu_flags() -> set[str]:
     try:
-        flags = Path("/proc/cpuinfo").read_text().split()
+        return set(Path("/proc/cpuinfo").read_text().split())
     except OSError:
-        return False
-    return "avx2" in flags and "fma" in flags
+        return set()
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="OPENBLAS_CORETYPE names x86-64 kernels")
-@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+@pytest.mark.parametrize("coretype", sorted(KERNEL_FLAGS))
 def test_top_exponents_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
     """OpenBLAS picks its kernels by CPU; ``OPENBLAS_CORETYPE`` forces one
     for a process, and each case must still give its pinned digest."""
-    if coretype == "Haswell" and not _has_avx2_fma():
-        pytest.skip("the Haswell kernels need AVX2 and FMA")
+    missing = set(KERNEL_FLAGS[coretype]) - _cpu_flags()
+    if missing:
+        pytest.skip(f"the {coretype} kernels need {', '.join(sorted(missing))}")
     runs = []
     for name in KERNEL_FREE:
         command, extra, document, _, _ = CASES[name]

@@ -6,7 +6,6 @@ import struct
 import tracemalloc
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -270,17 +269,18 @@ def _reference_top(initial, p, transient, steps, seed):
 
 
 def _reference_spectrum(initial, p, transient, steps):
+    """Modified Gram-Schmidt from the identity's columns, one step of
+    ``coupled_jacobian`` and ``advance`` at a time, on ``_ieee_fma``."""
     lams = list(initial.lambdas)
     for _ in range(transient):
         lams = advance(lams, p)
-    q = np.eye(p.n_banks)
-    acc = [0.0] * p.n_banks
+    n = p.n_banks
+    q, acc = [[float(i == j) for j in range(n)] for i in range(n)], [0.0] * n
+    first = itertools.repeat(q[0])
     for _ in range(steps):
-        q, r = np.linalg.qr(coupled_jacobian(lams, p) @ q)
+        _exact_step(coupled_jacobian(lams, p).tolist(), q, first, acc)
         lams = advance(lams, p)
-        for k, x in enumerate(np.abs(np.diag(r))):
-            acc[k] += _log_or_floor(x)
-    return tuple(float(v) for v in np.sort(np.array(acc) / steps)[::-1])
+    return tuple(sorted((x / steps for x in acc), reverse=True))
 
 
 def _escape(initial, p, steps):
@@ -374,18 +374,19 @@ def test_exponents_match_step_by_step_maps(
 
 
 def _pass_outcome(initial, p, steps, seed):
-    """``lyap._top`` on the orbit from ``initial``: the exponent's repr
-    with the saturation flag, or the escape."""
+    """``lyap._tangent`` of one vector on the orbit from ``initial``: the
+    exponent's repr with the saturation flag, or the escape."""
     try:
-        vectors = partial(lyap._tangent_vectors, seed, p.n_banks)
-        total, saturated = lyap._top(list(initial.lambdas), p, 0, steps, vectors)
+        vectors = lyap._tangent_vectors(seed, p.n_banks)
+        (total,), saturated = lyap._tangent(list(initial.lambdas), p, 0, steps,
+                                            [next(vectors)], vectors)
     except OrbitViolationError as exc:
         return ("violation", exc.step, exc.constraint), None
     return repr(total / steps), saturated
 
 
 class TestTopLanes:
-    """``lyap._top``, the one tangent pass behind ``lyapunov_1d``,
+    """``lyap._tangent``, the one tangent pass behind ``lyapunov_1d``,
     ``lyapunov_top`` and the sweeps' exponents, one orbit (lane) at a
     time against ``_reference_top``."""
 
@@ -479,31 +480,65 @@ def _ieee_fma(a, b, c):
     return a * b + c
 
 
-def _exact_tangent_steps(blocks, u, unit):
-    """``lyap._tangent_steps`` restated on ``_ieee_fma``: entry i of J u
-    is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .) for j = n-2 down to 0;
-    the squared norm is x[0] x[0], then fma(x[j], x[j], .).  A vector that
-    maps to 0 adds LOG_FLOOR and is replaced by the next of ``unit``."""
-    n, total, saturated = len(u), 0.0, False
+def _exact_orthogonalised(x, q):
+    """x against each of q in turn, r = q_j[0] x[0] then fma(q_j[m], x[m], r)
+    and x[m] = fma(-r, q_j[m], x[m]), on ``_ieee_fma``; with its norm,
+    squared as x[0] x[0] then fma(x[m], x[m], .)."""
+    for qj in q:
+        r = qj[0] * x[0]
+        for m in range(1, len(x)):
+            r = _ieee_fma(qj[m], x[m], r)
+        x = [_ieee_fma(-r, qj[m], x[m]) for m in range(len(x))]
+    sq = x[0] * x[0]
+    for xm in x[1:]:
+        sq = _ieee_fma(xm, xm, sq)
+    return x, math.sqrt(sq)
+
+
+def _exact_step(jac, q, unit, totals):
+    """One step of ``lyap._tangent_steps`` restated on ``_ieee_fma``: entry
+    i of J u is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .) for j = n-2
+    down to 0, for every vector of q; then vector i is orthogonalised
+    against the new vectors before it, its log norm added to totals[i]
+    and it is normalised.  A vector that is then 0 adds LOG_FLOOR and is
+    replaced: vector 0 by the next of ``unit``, vector i > 0 by the first
+    basis vector that is not 0 once orthogonalised, normalised.  Returns
+    whether a vector vanished."""
+    n, vanished = len(jac), False
+    xs = []
+    for u in q:
+        x = []
+        for row in jac:
+            xi = row[n - 1] * u[n - 1]
+            for j in range(n - 2, -1, -1):
+                xi = _ieee_fma(row[j], u[j], xi)
+            x.append(xi)
+        xs.append(x)
+    for i, x in enumerate(xs):
+        x, norm = _exact_orthogonalised(x, q[:i])
+        if norm != 0.0:
+            totals[i] += math.log(norm)
+            q[i] = [xj / norm for xj in x]
+            continue
+        totals[i], vanished = totals[i] + LOG_FLOOR, True
+        if i == 0:
+            q[0] = next(unit)
+            continue
+        for m in range(n):
+            y, size = _exact_orthogonalised([float(j == m) for j in range(n)], q[:i])
+            if size != 0.0:
+                break
+        q[i] = [yj / size for yj in y]
+    return vanished
+
+
+def _exact_tangent_steps(blocks, q, unit):
+    """``lyap._tangent_steps`` restated: ``_exact_step`` on every Jacobian."""
+    totals, saturated = [0.0] * len(q), False
     for jacs in blocks:
         for jac in jacs.tolist():
-            x = []
-            for row in jac:
-                xi = row[n - 1] * u[n - 1]
-                for j in range(n - 2, -1, -1):
-                    xi = _ieee_fma(row[j], u[j], xi)
-                x.append(xi)
-            sq = x[0] * x[0]
-            for xj in x[1:]:
-                sq = _ieee_fma(xj, xj, sq)
-            norm = math.sqrt(sq)
-            if norm == 0.0:
-                total, saturated = total + LOG_FLOOR, True
-                u[:] = next(unit)
-            else:
-                total += math.log(norm)
-                u[:] = [xi / norm for xi in x]
-    return total, saturated
+            saturated |= _exact_step(jac, q, unit, totals)
+    return totals, saturated
 
 
 class _CountedBlock:
@@ -519,13 +554,13 @@ class _CountedBlock:
             yield jac
 
 
-def _pass_state(tangent_steps, blocks, n, seed):
-    """``tangent_steps`` over ``blocks`` from a unit vector drawn from
-    ``seed``, redrawing from the same generator, as ``lyap._top``'s Python
-    pass does: the step of every redraw, counted from 1 over the whole
-    window, the total, the flag and the final vector, as bytes.  Every NaN
-    is packed as one NaN: IEEE 754 leaves open which NaN operand a product
-    passes on."""
+def _pass_state(tangent_steps, blocks, n, seed, k):
+    """``tangent_steps`` over ``blocks`` from k unit vectors drawn from
+    ``seed``, redrawing vector 0 from the same generator, as
+    ``lyap._tangent``'s Python pass does: the step of every redraw,
+    counted from 1 over the whole window, the totals, the flag and the
+    final vectors, as bytes.  Every NaN is packed as one NaN: IEEE 754
+    leaves open which NaN operand a product passes on."""
     vectors, handed, redraws = lyap._tangent_vectors(seed, n), [0], []
 
     def unit():
@@ -533,10 +568,11 @@ def _pass_state(tangent_steps, blocks, n, seed):
             redraws.append(handed[0])
             yield v
 
-    u = next(vectors)
-    total, saturated = tangent_steps([_CountedBlock(jacs, handed) for jacs in blocks], u, unit())
-    total, *u = (x if x == x else math.nan for x in (total, *u))
-    return struct.pack(f"<{len(redraws)}qd?{n}d", *redraws, total, saturated, *u)
+    q = [next(vectors) for _ in range(k)]
+    totals, saturated = tangent_steps([_CountedBlock(jacs, handed) for jacs in blocks], q, unit())
+    totals = [x if x == x else math.nan for x in totals]
+    entries = [x if x == x else math.nan for u in q for x in u]
+    return struct.pack(f"<{len(redraws)}q{k}d?{k * n}d", *redraws, *totals, saturated, *entries)
 
 
 entries = st.one_of(st.floats(-3.0, 3.0), st.floats(), st.just(0.0))
@@ -558,54 +594,72 @@ def jacobian_blocks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=jacobian_blocks(), seed=st.integers(0, 3))
-@example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]], [[0.0, 0.0], [0.0, 0.0]]])]), seed=1)
-@example(case=(3, [np.full((2, 3, 3), 1e300)]), seed=0)  # the norm overflows
-@example(case=(1, [np.array([[[1e-200]], [[1e-200]]])]), seed=0)  # the norm underflows
+@given(case=jacobian_blocks(), seed=st.integers(0, 3), k=st.integers(1, 3))
+@example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]], [[0.0, 0.0], [0.0, 0.0]]])]), seed=1,
+         k=1)
+@example(case=(3, [np.full((2, 3, 3), 1e300)]), seed=0, k=1)  # the norm overflows
+@example(case=(1, [np.array([[[1e-200]], [[1e-200]]])]), seed=0, k=1)  # the norm underflows
 @example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]]]),  # vanishes on a block's first
-                   np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.1, 0.2], [-0.3, 0.8]]])]), seed=2)
+                   np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.1, 0.2], [-0.3, 0.8]]])]), seed=2,
+         k=1)
 @example(case=(1, [np.array([[[0.5]], [[2.0]], [[0.0]]]), np.array([[[3.0]]])]),
-         seed=3)  # vanishes on a block's last
+         seed=3, k=1)  # vanishes on a block's last
 @example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]], np.zeros((2, 2))]),
                    np.array([np.zeros((2, 2)), [[1.1, 0.2], [-0.3, 0.8]]])]),
-         seed=1)  # vanishes on two steps in a row, across a block boundary
-def test_tangent_steps_match_exact_arithmetic(case, seed):
-    """The Python tangent pass rounds each multiply-add once, on Jacobians
-    the map never forms too: zero rows, non-finite entries, a norm that
-    overflows or underflows."""
+         seed=1, k=1)  # vanishes on two steps in a row, across a block boundary
+# both vectors vanish at once: vector 1 is replaced by e_1 orthogonalised
+@example(case=(2, [np.array([[[0.9, -1.7], [0.4, 2.3]], [[0.0, 0.0], [0.0, 0.0]]])]), seed=1,
+         k=2)
+# rank 1: vector 1 vanishes at every step, and e_1, parallel to vector 0,
+# gives way to e_2
+@example(case=(2, [np.array([[[0.9, -1.7], [0.0, 0.0]]] * 3)]), seed=0, k=2)
+# vector 1 and vector 2 vanish; vector 2 takes e_3
+@example(case=(3, [np.array([[[0.5, -1.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 2)]),
+         seed=3, k=3)
+@example(case=(3, [np.full((2, 3, 3), 1e300)]), seed=0, k=3)  # the norm overflows
+def test_tangent_steps_match_exact_arithmetic(case, seed, k):
+    """The Python tangent pass of k vectors rounds each multiply-add once,
+    on Jacobians the map never forms too: zero rows, non-finite entries, a
+    norm that overflows or underflows, a vector that vanishes after
+    orthogonalisation."""
     n, blocks = case
-    assert _pass_state(lyap._tangent_steps, blocks, n, seed) == (
-        _pass_state(_exact_tangent_steps, blocks, n, seed)
+    k = min(k, n)
+    assert _pass_state(lyap._tangent_steps, blocks, n, seed, k) == (
+        _pass_state(_exact_tangent_steps, blocks, n, seed, k)
     )
 
 
 class _DeferringLib:
-    """The compiled library, with ``levdyn_top`` returning KERNEL_DEFER
-    from its ``defer_at``-th call on, after running, so that the caller
-    holds a partial pass."""
+    """The compiled library, with ``levdyn_tangent`` returning KERNEL_DEFER
+    after running, so that the caller holds a partial pass."""
 
-    def __init__(self, lib, defer_at):
-        self._lib, self._calls, self._defer_at = lib, 0, defer_at
+    def __init__(self, lib):
+        self._lib = lib
 
     def __getattr__(self, name):
         return getattr(self._lib, name)
 
-    def levdyn_top(self, *args):
-        code = self._lib.levdyn_top(*args)
-        self._calls += 1
-        return _kernel.DEFER if self._calls >= self._defer_at else code
+    def levdyn_tangent(self, *args):
+        self._lib.levdyn_tangent(*args)
+        return _kernel.DEFER
 
 
-def _top_bytes(lambdas, p, transient, steps, seed):
-    """``lyap._top``'s total and flag as bytes, or what it raised."""
+def _tangent_bytes(lambdas, p, transient, steps, seed, k):
+    """``lyap._tangent``'s totals and flag as bytes, or what it raised: one
+    vector drawn from ``seed``, or the spectrum's identity columns."""
+    if k == 1:
+        unit = lyap._tangent_vectors(seed, p.n_banks)
+        q = [next(unit)]
+    else:
+        q = [[float(i == j) for j in range(k)] for i in range(k)]
+        unit = itertools.repeat(q[0])
     try:
-        vectors = partial(lyap._tangent_vectors, seed, p.n_banks)
-        total, saturated = lyap._top(list(lambdas), p, transient, steps, vectors)
+        totals, saturated = lyap._tangent(list(lambdas), p, transient, steps, q, unit)
     except OrbitViolationError as exc:
         return ("violation", exc.step, exc.constraint)
     except ZeroDivisionError:
         return ("zero division",)
-    return struct.pack("<d?", total, saturated)
+    return struct.pack(f"<{k}d?", *totals, saturated)
 
 
 @st.composite
@@ -634,32 +688,49 @@ _X, _Y, _Z = SUPERSTABLE[0.58]
 @needs_kernel
 @settings(max_examples=300, deadline=None)
 @given(case=top_cases(), transient=st.integers(0, 40), steps=st.integers(1, 60),
-       seed=st.integers(0, 3), defer_at=st.sampled_from([None, 1, 2]))
-@example(case=(_P2, [100.9, 30.0]), transient=0, steps=5, seed=0, defer_at=None)  # first step
-@example(case=_ESCAPING, transient=2, steps=10, seed=1, defer_at=None)  # a middle step
-@example(case=_ESCAPING, transient=0, steps=5, seed=0, defer_at=None)  # the last step
-@example(case=_ESCAPING, transient=7, steps=5, seed=0, defer_at=None)  # in the transient
-@example(case=(_P1, [_X]), transient=0, steps=6, seed=0, defer_at=None)  # vanishes at once
-@example(case=(_P1, [_Z]), transient=0, steps=3, seed=2, defer_at=None)  # on the last step
-@example(case=(_P1, [_Z]), transient=1, steps=2, seed=3, defer_at=None)
-@example(case=(_P2, [_Y, 30.0]), transient=0, steps=40, seed=1, defer_at=None)
-@example(case=(_P2, [_Z, 30.0]), transient=0, steps=4, seed=0, defer_at=None)  # last, 2 banks
+       seed=st.integers(0, 3), spectrum=st.booleans(), defer=st.booleans())
+@example(case=(_P2, [100.9, 30.0]), transient=0, steps=5, seed=0, spectrum=False,
+         defer=False)  # escapes at the first step
+@example(case=_ESCAPING, transient=2, steps=10, seed=1, spectrum=False,
+         defer=False)  # a middle step
+@example(case=_ESCAPING, transient=0, steps=5, seed=0, spectrum=False,
+         defer=False)  # the last step
+@example(case=_ESCAPING, transient=0, steps=5, seed=0, spectrum=True, defer=False)
+@example(case=_ESCAPING, transient=7, steps=5, seed=0, spectrum=False,
+         defer=False)  # in the transient
+@example(case=(_P1, [_X]), transient=0, steps=6, seed=0, spectrum=False,
+         defer=False)  # vanishes at once
+@example(case=(_P1, [_Z]), transient=0, steps=3, seed=2, spectrum=False,
+         defer=False)  # on the last step
+@example(case=(_P1, [_Z]), transient=1, steps=2, seed=3, spectrum=False, defer=False)
+@example(case=(_P2, [_Y, 30.0]), transient=0, steps=40, seed=1, spectrum=False, defer=False)
+@example(case=(_P2, [_Z, 30.0]), transient=0, steps=4, seed=0, spectrum=False,
+         defer=False)  # on the last step, 2 banks
+@example(case=(_P2, [_Y, 30.0]), transient=0, steps=40, seed=1, spectrum=True, defer=False)
 @example(case=(ModelParams(omegas=(0.43,), pis=(1.0,)), [SUPERSTABLE[0.43][0]]),
-         transient=0, steps=30, seed=1, defer_at=None)
-@example(case=(_P2, [_Y, 30.0]), transient=0, steps=40, seed=1, defer_at=2)  # after a redraw
-@example(case=(_P1, [0.0]), transient=0, steps=3, seed=0, defer_at=None)  # the loop defers
-def test_fused_top_pass_matches_python_pass(case, transient, steps, seed, defer_at):
-    """``levdyn_top``, which steps the orbit, forms each Jacobian and steps
-    the tangent vector in one loop, gives the Python pass's bytes: its
-    escapes, vanishing vectors and redraws included.  Where it defers,
-    from its ``defer_at``-th call, ``lyap._top`` discards its partial
-    pass and gives the Python pass's bytes too."""
+         transient=0, steps=30, seed=1, spectrum=False, defer=False)
+@example(case=(_P2, [_Y, 30.0]), transient=0, steps=40, seed=1, spectrum=False,
+         defer=True)  # a deferred pass that would have vanished
+@example(case=(_P1, [0.0]), transient=0, steps=3, seed=0, spectrum=False,
+         defer=False)  # the loop defers
+# the spectrum's first vector, e_1, maps to 0 at every step: the pass
+# defers and the Python pass floors it
+@example(case=(two_bank(0.0, 0.5, 0.0), [50.0, 60.0]), transient=100, steps=50, seed=0,
+         spectrum=True, defer=False)
+def test_fused_top_pass_matches_python_pass(case, transient, steps, seed, spectrum, defer):
+    """``levdyn_tangent``, which steps the orbit, forms each Jacobian and
+    steps the tangent vectors in one loop, gives the Python pass's bytes,
+    for one vector and for the spectrum's n: its escapes included, and
+    where a vector vanishes it defers and the Python pass runs.  Where it
+    defers after running (``defer``), ``lyap._tangent`` discards its
+    partial pass and gives the Python pass's bytes too."""
     p, lambdas = case
-    lib = _kernel.lib if defer_at is None else _DeferringLib(_kernel.lib, defer_at)
+    k = p.n_banks if spectrum else 1
+    lib = _DeferringLib(_kernel.lib) if defer else _kernel.lib
     with patch.object(_kernel, "lib", lib):
-        fused = _top_bytes(lambdas, p, transient, steps, seed)
+        fused = _tangent_bytes(lambdas, p, transient, steps, seed, k)
     with python_loops():
-        assert fused == _top_bytes(lambdas, p, transient, steps, seed)
+        assert fused == _tangent_bytes(lambdas, p, transient, steps, seed, k)
 
 
 class TestFiberExponent:
