@@ -1,17 +1,16 @@
-/* Compiled copies of levdyn's scalar hot loops: orbits._run, the orbit
- * iteration with its three escape checks, micro._ticks, the intraday
- * tick pass, lyap._tangent's fused pass, which advances the orbit, forms
- * each step's Jacobian as maps.step_jacobian does and runs the
- * renormalised tangent step of k vectors (lyap._tangent_steps) in one
- * loop, and levdyn_rows, which formats the CSV rows of
- * output._block_texts as output._format_column and output.format_value
- * do.  The orbit step is written once, map_step, which levdyn_run and
- * levdyn_tangent both call.
+/* Compiled copies of levdyn's scalar hot loops: levdyn_orbit, the orbit
+ * iteration of orbits._run with its three escape checks, which also runs
+ * lyap._tangent's pass, forming each step's Jacobian as
+ * maps.step_jacobian does and running the renormalised tangent step of
+ * k vectors (lyap._tangent_steps) in the same loop; levdyn_ticks,
+ * micro._ticks's intraday tick pass; and levdyn_rows, which formats the
+ * CSV rows of output._block_texts as output._format_column and
+ * output.format_value do.  The orbit step is written once, map_step.
  *
- * In levdyn_run and levdyn_ticks each statement mirrors one Python
- * statement of the reference loop, in the same order.  levdyn_tangent
- * has no one Python loop to mirror: each step is orbits._run's step,
- * then maps.step_jacobian's entries of one row at a time, then
+ * In map_step and levdyn_ticks each statement mirrors one Python
+ * statement of the reference loop, in the same order.  A tangent step
+ * of levdyn_orbit has no one Python loop to mirror: it is orbits._run's
+ * step, then maps.step_jacobian's entries of one row at a time, then
  * lyap._tangent_steps's step, each with its Python operations in their
  * order.  The loops use only +, -, *, /, sqrt and fma, which
  * IEEE 754 rounds correctly, and log, which is the libm function that
@@ -48,6 +47,14 @@
 #define KERNEL_AR1_STATIONARITY 2
 #define KERNEL_INSOLVENT 1
 
+static double mean_field(int n, const double *lams, const double *pis)
+{
+    double m = 0.0;
+    for (int i = 0; i < n; i++)
+        m += pis[i] * lams[i];
+    return m;
+}
+
 /* One step of orbits._run from the n leverages in lams, whose mean field
  * is *m: writes their successors to next (which may be lams) and their
  * mean field to *m.  Returns 0, a violation code, or KERNEL_DEFER. */
@@ -76,49 +83,82 @@ static int map_step(int n, const double *lams, double *next, const double *omega
     }
     if (!ok)
         return KERNEL_LEVERAGE_FLOOR;
-    double sum = 0.0;
-    for (int i = 0; i < n; i++)
-        sum += pis[i] * next[i];
-    *m = sum;
-    if (sum > lam_max)
+    *m = mean_field(n, next, pis);
+    if (*m > lam_max)
         return KERNEL_AR1_STATIONARITY;
     return 0;
 }
 
-static double mean_field(int n, const double *lams, const double *pis)
+/* orbits._run, and lyap._tangent's pass, on the n leverages in lams
+ * (overwritten): transient steps, then steps more, each of which writes
+ * its state, a row of n, to recorded unless that is NULL, forms the
+ * step's Jacobian row by row as maps.step_jacobian does and runs
+ * lyap._tangent_steps's step on the k >= 0 vectors q, rows of n, adding
+ * vector v's log growth to totals[v].  out[0] counts the states written.
+ * Returns 0 after all steps, the violation code with its step, from 1
+ * over the whole run, in out[1], or KERNEL_DEFER, also where a vector is
+ * exactly 0: the Python pass replaces it. */
+int levdyn_orbit(int n, double *lams, const double *omegas, const double *pis,
+                 double gamma, double lam_max, double coef,
+                 long long transient, long long steps, double *recorded,
+                 int k, double *q, double *totals, long long *out)
 {
-    double m = 0.0;
-    for (int i = 0; i < n; i++)
-        m += pis[i] * lams[i];
-    return m;
-}
-
-/* orbits._run on the n leverages in lams (overwritten).  Writes the
- * recorded states, rows of n, to recorded and their count to
- * out[0]; returns 0 for a clean run, else the violation code with its
- * step in out[1]. */
-int levdyn_run(int n, double *lams, const double *omegas, const double *pis,
-               double gamma, double lam_max, double coef,
-               long long transient, long long record,
-               double *recorded, long long *out)
-{
-    long long kept = 0;
+    double buf[n], row[n], x[k * n + 1];
+    double *next = k ? buf : lams;
     double m = mean_field(n, lams, pis);
     out[0] = 0;
-    for (long long step = 1; step <= transient + record; step++) {
+    for (long long step = 1; step <= transient + steps; step++) {
         out[1] = step;
-        int code = map_step(n, lams, lams, omegas, pis, gamma, lam_max, coef, &m);
-        if (code) {
-            out[0] = kept;
+        double d = 1.0 + gamma - m;
+        int code = map_step(n, lams, next, omegas, pis, gamma, lam_max, coef, &m);
+        if (code)
             return code;
+        if (recorded && step > transient)
+            memcpy(recorded + out[0]++ * n, next, n * sizeof *next);
+        if (k && step > transient) {
+            double kernel3 = coef / ((d * d) * d);
+            for (int i = 0; i < n; i++) {
+                double lam = lams[i];
+                double w = omegas[i];
+                double a = -((1.0 - w) * kernel3);
+                double diag = w / ((lam * lam) * lam);
+                double cube = (next[i] * next[i]) * next[i];
+                for (int j = 0; j < n; j++)
+                    row[j] = cube * (i == j ? a * pis[j] + diag : a * pis[j]);
+                /* entry i of J u, from column n - 1 down to 0 */
+                for (int v = 0; v < k; v++) {
+                    const double *u = q + v * n;
+                    double xi = row[n - 1] * u[n - 1];
+                    for (int j = n - 2; j >= 0; j--)
+                        xi = fma(row[j], u[j], xi);
+                    x[v * n + i] = xi;
+                }
+            }
+            for (int v = 0; v < k; v++) {
+                double *xv = x + v * n;
+                /* modified Gram-Schmidt against the new vectors before it */
+                for (int w = 0; w < v; w++) {
+                    const double *qw = q + w * n;
+                    double r = qw[0] * xv[0];
+                    for (int j = 1; j < n; j++)
+                        r = fma(qw[j], xv[j], r);
+                    for (int j = 0; j < n; j++)
+                        xv[j] = fma(-r, qw[j], xv[j]);
+                }
+                double sq = xv[0] * xv[0];
+                for (int j = 1; j < n; j++)
+                    sq = fma(xv[j], xv[j], sq);
+                double norm = sqrt(sq);
+                if (norm == 0.0)
+                    return KERNEL_DEFER;
+                totals[v] += log(norm);
+                for (int j = 0; j < n; j++)
+                    q[v * n + j] = xv[j] / norm;
+            }
         }
-        if (step > transient) {
-            for (int i = 0; i < n; i++)
-                recorded[kept * n + i] = lams[i];
-            kept++;
-        }
+        if (next != lams)
+            memcpy(lams, next, n * sizeof *lams);
     }
-    out[0] = kept;
     return 0;
 }
 
@@ -160,69 +200,6 @@ int levdyn_ticks(int n, double *equities, double *assets, const double *lambdas,
         /* the Python loop's weights: each row over its left-to-right sum */
         for (int i = 0; i < n; i++)
             held[i] /= total;
-    }
-    return 0;
-}
-
-/* lyap._tangent's pass of the k vectors q, rows of n, over steps steps of
- * the orbit from the n leverages in lams: each step advances the orbit as
- * levdyn_run does, forms the Jacobian row by row as maps.step_jacobian
- * does and runs lyap._tangent_steps's step, adding vector v's log growth
- * to totals[v].  Returns 0 after all steps, the violation code with its
- * step, from 0, in out[0], or KERNEL_DEFER, also where a vector is
- * exactly 0: the Python pass replaces it. */
-int levdyn_tangent(int n, double *lams, const double *omegas, const double *pis,
-                   double gamma, double lam_max, double coef, long long steps,
-                   int k, double *q, double *totals, long long *out)
-{
-    double next[n], row[n], x[k * n];
-    double m = mean_field(n, lams, pis);
-    for (long long step = 0; step < steps; step++) {
-        out[0] = step;
-        double d = 1.0 + gamma - m;
-        int code = map_step(n, lams, next, omegas, pis, gamma, lam_max, coef, &m);
-        if (code)
-            return code;
-        double kernel3 = coef / ((d * d) * d);
-        for (int i = 0; i < n; i++) {
-            double lam = lams[i];
-            double w = omegas[i];
-            double a = -((1.0 - w) * kernel3);
-            double diag = w / ((lam * lam) * lam);
-            double cube = (next[i] * next[i]) * next[i];
-            for (int j = 0; j < n; j++)
-                row[j] = cube * (i == j ? a * pis[j] + diag : a * pis[j]);
-            /* entry i of J u, from column n - 1 down to 0 */
-            for (int v = 0; v < k; v++) {
-                const double *u = q + v * n;
-                double xi = row[n - 1] * u[n - 1];
-                for (int j = n - 2; j >= 0; j--)
-                    xi = fma(row[j], u[j], xi);
-                x[v * n + i] = xi;
-            }
-        }
-        memcpy(lams, next, n * sizeof *lams);
-        for (int v = 0; v < k; v++) {
-            double *xv = x + v * n;
-            /* modified Gram-Schmidt against the new vectors before it */
-            for (int w = 0; w < v; w++) {
-                const double *qw = q + w * n;
-                double r = qw[0] * xv[0];
-                for (int j = 1; j < n; j++)
-                    r = fma(qw[j], xv[j], r);
-                for (int j = 0; j < n; j++)
-                    xv[j] = fma(-r, qw[j], xv[j]);
-            }
-            double sq = xv[0] * xv[0];
-            for (int j = 1; j < n; j++)
-                sq = fma(xv[j], xv[j], sq);
-            double norm = sqrt(sq);
-            if (norm == 0.0)
-                return KERNEL_DEFER;
-            totals[v] += log(norm);
-            for (int j = 0; j < n; j++)
-                q[v * n + j] = xv[j] / norm;
-        }
     }
     return 0;
 }

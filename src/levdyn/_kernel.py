@@ -9,12 +9,15 @@ into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
 library once a short orbit, tick and two-vector tangent pass and a block
 of CSV rows give the same bytes through it as through the Python loops;
-otherwise it is None, ``orbits._run``, ``micro._ticks`` and
-``lyap._tangent`` loop in Python and ``output`` formats every cell in
-Python.  The compiled tangent pass, ``levdyn_tangent``, fuses the orbit
-step, the step's Jacobian and the step of k tangent vectors into one
-loop; where a vector vanishes it defers to the Python pass.  The row writer,
-``levdyn_rows``, formats the cells of ``output._block_texts``.
+otherwise, also where that self-check raises, it is None,
+``orbits._run``, ``micro._ticks`` and ``lyap._tangent`` loop in Python
+and ``output`` formats every cell in Python.  There are three compiled
+loops.  ``levdyn_orbit`` runs an orbit's transient and then its window,
+recording the states, stepping k tangent vectors on the step's Jacobian,
+or both: ``orbits._run`` calls it with k = 0 and ``lyap._tangent`` with
+k >= 1, once per exponent; where a vector vanishes it defers to the
+Python pass.  ``levdyn_ticks`` is the intraday tick pass, and the row
+writer, ``levdyn_rows``, formats the cells of ``output._block_texts``.
 """
 
 from __future__ import annotations
@@ -130,13 +133,10 @@ def _load() -> ctypes.CDLL | None:
         log.debug("compiled loops unavailable, running the Python loops: %s", exc)
         return None
     ptr, size, real = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_double
-    candidate.levdyn_run.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
-                                     size, size, ptr, ptr]
+    candidate.levdyn_orbit.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
+                                       size, size, ptr, ctypes.c_int, ptr, ptr, ptr]
     candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
                                        ptr, size, ptr, ptr, ptr]
-    candidate.levdyn_tangent.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
-                                         size, ctypes.c_int, ptr, ptr, ptr]
-    candidate.levdyn_tangent.restype = ctypes.c_int
     text = ctypes.c_char_p
     candidate.levdyn_rows.argtypes = [ctypes.c_int, text, ptr, ptr, ptr, size, size,
                                       text, size, text, size, ptr, size]
@@ -145,6 +145,9 @@ def _load() -> ctypes.CDLL | None:
     lib = candidate
     try:
         agrees = _probe() == expected
+    except Exception as exc:  # a compiled loop gave what no Python loop gives
+        log.debug("compiled loops failed their self-check, running the Python loops: %r", exc)
+        return None
     finally:
         lib = None
     if not agrees:

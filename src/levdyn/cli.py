@@ -2,9 +2,10 @@
 
 Subcommands: simulate, bifurcate, lyapunov, attractor, boxdim,
 fixedpoint, micro, stability-map.  Every command takes --config PATH
-(JSON), optional --out PATH (stdout otherwise), --workers N for grid
-commands and --preset for bundled experiment protocols.  Logging level
-comes from LEVDYN_LOG (error, info, debug).
+(JSON), optional --out PATH (stdout otherwise) and --preset for bundled
+experiment protocols; the grid commands, bifurcate and stability-map,
+take --workers N.  Logging level comes from LEVDYN_LOG (error, info,
+debug).
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 3 constraint-violation-dominated run.
@@ -367,6 +368,8 @@ COMMANDS = {
     "micro": (cmd_micro, "run the intraday market simulator, diagnostics CSV"),
     "stability-map": (cmd_stability_map, "classify dynamics over an (omega1, omega2) grid, CSV"),
 }
+#: the commands that take --workers
+GRID_COMMANDS = ("bifurcate", "stability-map")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,12 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment configuration")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="parallel workers for grid commands",
-        )
+        if name in GRID_COMMANDS:
+            p.add_argument(
+                "--workers",
+                type=int,
+                default=os.cpu_count() or 1,
+                help="parallel workers for the grid",
+            )
         p.add_argument(
             "--preset",
             choices=sorted(PRESETS),
@@ -399,13 +403,12 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        if args.workers < 1:
+        grid = (args.workers,) if args.command in GRID_COMMANDS else ()
+        if grid and args.workers < 1:
             raise ConfigError(f"must be at least 1, got {args.workers}", key="--workers")
         config = _load(args)
-        command = COMMANDS[args.command][0]
-        grid = (args.workers,) if args.command in ("bifurcate", "stability-map") else ()
         with _open_out(args.out) as out:
-            return command(config, out, *grid)
+            return COMMANDS[args.command][0](config, out, *grid)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         print(f"levdyn: configuration error: {exc}", file=sys.stderr)

@@ -75,13 +75,21 @@ def _int(value: Any) -> int:
     return value
 
 
+def _count(value: Any) -> int:
+    """An integer below 2**63, which the compiled loops count in int64."""
+    value = _int(value)
+    if not value < 2**63:
+        raise ValueError("must be below 2**63")
+    return value
+
+
 def _bool(value: Any) -> bool:
     if not isinstance(value, bool):
         raise ValueError("must be true or false")
     return value
 
 
-def _at_least(lo: float, kind: Callable[[Any], Any] = _int) -> Callable[[Any], Any]:
+def _at_least(lo: float, kind: Callable[[Any], Any] = _count) -> Callable[[Any], Any]:
     def convert(value: Any) -> Any:
         if not kind(value) >= lo:
             raise ValueError(f"must be at least {lo}")
@@ -152,7 +160,7 @@ def _read(cls: type, block: Any, path: str) -> Any:
 class RunBlock:
     transient: int = _key(_at_least(0), DEFAULT_TRANSIENT)
     record: int = _key(_at_least(0), DEFAULT_RECORD)
-    seed: int | None = _key(_at_least(0), None)
+    seed: int | None = _key(_at_least(0, _int), None)
     initial: tuple[float, ...] | None = _key(_list(_at_least(1, _float)), None)
 
 

@@ -10,8 +10,8 @@ that ``iterate`` records for it.  ``_tangent``, the pass of k vectors, is
 behind ``lyapunov_1d``, ``lyapunov_top`` (k = 1) and ``lyapunov_spectrum``
 (k = n).  Its Python pass walks the window's Jacobian blocks once, with
 the fused multiply-adds spelled out so no BLAS or LAPACK kernel enters
-it; its compiled copy ``levdyn_tangent`` steps the orbit and forms each
-Jacobian in the same loop.
+it; its compiled copy, one call of ``levdyn_orbit``, runs the transient,
+then steps the orbit and forms each Jacobian in the same loop.
 
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernel
 from .errors import DomainError, InfeasibleStateError, OrbitViolationError
 from .maps import fiber_map, step_jacobian
-from .orbits import _CONSTRAINTS, _bank_count, _run_checked
+from .orbits import _CONSTRAINTS, _check_run, _run_checked
 from .params import LeverageState, ModelParams
 
 #: floor for log|derivative| at superstable points
@@ -58,18 +58,6 @@ class LyapunovEstimate:
 BLOCK_STEPS = 256
 
 
-def _after_transient(lambdas: list[float], params: ModelParams, transient: int, steps: int):
-    """The state at step ``transient`` of the orbit from ``lambdas``.
-    Raises ValueError, as ``orbits._run`` does, unless ``lambdas`` holds
-    one leverage per bank of ``params``: the compiled pass reads that many."""
-    if steps < 1 or transient < 0:
-        raise ValueError("need steps >= 1 and transient >= 0")
-    _bank_count(lambdas, params)
-    if transient:
-        lambdas = _run_checked(lambdas, params, transient - 1, 1)[0].tolist()
-    return lambdas
-
-
 def _window_jacobians(
     lambdas: list[float], params: ModelParams, transient: int, steps: int
 ) -> Iterator[np.ndarray]:
@@ -81,7 +69,8 @@ def _window_jacobians(
     with the (step, constraint) that ``iterate`` reports, before any
     Jacobian of the block holding that step is yielded.
     """
-    lambdas = _after_transient(lambdas, params, transient, steps)
+    if transient:
+        lambdas = _run_checked(lambdas, params, transient - 1, 1)[0].tolist()
     for done in range(0, steps, BLOCK_STEPS):
         block = _run_checked(
             lambdas, params, 0, min(BLOCK_STEPS, steps - done), transient + done
@@ -244,20 +233,27 @@ def _tangent(lambdas: Sequence[float], params: ModelParams, transient: int, step
     vectors ``q``, re-orthonormalised by modified Gram-Schmidt (Shimada &
     Nagashima 1979), over ``steps`` steps after ``transient`` of the orbit
     from ``lambdas``: ``_tangent_steps``'s totals and flag, with ``unit``.
-    Runs ``levdyn_tangent``; where that defers, as it does where a vector
-    vanishes, or did not load, the Python pass runs from the start."""
+    Runs transient and window in one call of ``levdyn_orbit``; where that
+    defers, as it does where a vector vanishes, or did not load, the
+    Python pass runs from the start.  Raises ValueError before either
+    unless steps >= 1, transient >= 0 and the run can count its steps, as
+    ``orbits._run`` does, and ``lambdas`` holds one leverage per bank of
+    ``params``: the compiled pass reads that many."""
+    if steps < 1 or transient < 0:
+        raise ValueError("need steps >= 1 and transient >= 0")
+    n = _check_run(lambdas, params, transient, steps)
     if _kernel.lib is not None:
         lams, omegas, pis, start = (np.array(a, dtype=float) for a in (
-            _after_transient(lambdas, params, transient, steps), params.omegas, params.pis, q))
-        totals, out = np.zeros(len(q)), np.zeros(1, np.int64)
-        code = _kernel.lib.levdyn_tangent(
-            params.n_banks, lams.ctypes.data, omegas.ctypes.data, pis.ctypes.data,
-            params.gamma, params.lambda_max, params.coupling_coef, steps,
+            lambdas, params.omegas, params.pis, q))
+        totals, out = np.zeros(len(q)), np.zeros(2, np.int64)
+        code = _kernel.lib.levdyn_orbit(
+            n, lams.ctypes.data, omegas.ctypes.data, pis.ctypes.data, params.gamma,
+            params.lambda_max, params.coupling_coef, transient, steps, None,
             len(q), start.ctypes.data, totals.ctypes.data, out.ctypes.data)
         if code == 0:
             return totals.tolist(), False
         if code != _kernel.DEFER:
-            raise OrbitViolationError(transient + int(out[0]) + 1, _CONSTRAINTS[code])
+            raise OrbitViolationError(int(out[1]), _CONSTRAINTS[code])
     return _tangent_steps(_window_jacobians(lambdas, params, transient, steps), q, unit)
 
 

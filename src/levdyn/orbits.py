@@ -25,6 +25,8 @@ LEVERAGE_FLOOR = "leverage_floor"
 AR1_STATIONARITY = "ar1_stationarity"
 #: the compiled loop's violation codes
 _CONSTRAINTS = {1: LEVERAGE_FLOOR, 2: AR1_STATIONARITY}
+#: the most steps one run counts: the compiled loop's C ``long long``
+MAX_STEPS = 2**63 - 1
 
 #: exponent threshold above which an unresolved period counts as aperiodic
 APERIODIC_EXPONENT_MIN = 1e-3
@@ -77,8 +79,11 @@ class PeriodReport:
         return "aperiodic" if self.period is None else str(self.period)
 
 
-def _bank_count(lambdas: list[float], params: ModelParams) -> int:
-    """len(lambdas); a ValueError unless it is the number of banks in params."""
+def _check_run(lambdas: list[float], params: ModelParams, transient: int, steps: int) -> int:
+    """len(lambdas); a ValueError unless it is the number of banks in params
+    and a run of transient + steps steps can count its steps."""
+    if transient + steps > MAX_STEPS:
+        raise ValueError(f"transient + steps exceeds {MAX_STEPS}")
     n = len(lambdas)
     if n != params.n_banks:
         raise ValueError(f"state has {n} leverages, params have {params.n_banks} banks")
@@ -101,12 +106,13 @@ def _run(
     below 1, or if the new mean field is above 1 + gamma.  A state
     exactly on the bound is recorded but cannot be advanced.
 
-    The loop runs compiled (``levdyn_run`` in ``_kernel.c``) when that
-    loaded.  The Python loop below is its reference.  It runs where no
-    C compiler is found, and where the compiled loop stops at a step on
-    which Python raises ZeroDivisionError, to raise it.
+    The loop runs compiled (``levdyn_orbit`` in ``_kernel.c``, with no
+    tangent vectors) when that loaded.  The Python loop below is its
+    reference.  It runs where no C compiler is found, and where the
+    compiled loop stops at a step on which Python raises
+    ZeroDivisionError, to raise it.
     """
-    n = _bank_count(lambdas, params)
+    n = _check_run(lambdas, params, transient, record)
     gamma = params.gamma
     lam_max = params.lambda_max
     coef = params.coupling_coef
@@ -117,9 +123,9 @@ def _run(
     if lib is not None:
         lams, w, p = (np.array(a, dtype=float) for a in (lambdas, omegas, pis))
         out = np.zeros(2, dtype=np.int64)
-        code = lib.levdyn_run(n, lams.ctypes.data, w.ctypes.data, p.ctypes.data, gamma,
-                              lam_max, coef, transient, record, recorded.ctypes.data,
-                              out.ctypes.data)
+        code = lib.levdyn_orbit(n, lams.ctypes.data, w.ctypes.data, p.ctypes.data, gamma,
+                                lam_max, coef, transient, record, recorded.ctypes.data,
+                                0, None, None, out.ctypes.data)
         if code != _kernel.DEFER:
             violation = (int(out[1]), _CONSTRAINTS[code]) if code else None
             return recorded[:out[0]], violation

@@ -18,9 +18,10 @@ needs_kernel = pytest.mark.skipif(
 
 @contextmanager
 def python_loops() -> Iterator[None]:
-    """Run every compiled copy's Python reference instead: orbits._run,
-    micro._ticks and lyap._tangent loop in Python, and output formats every
-    CSV cell with _format_column and format_value."""
+    """Run every compiled loop's Python reference instead: orbits._run and
+    lyap._tangent loop in Python in place of levdyn_orbit, micro._ticks in
+    place of levdyn_ticks, and output formats every CSV cell with
+    _format_column and format_value in place of levdyn_rows."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "lib", None)
         yield

@@ -428,6 +428,9 @@ class TestCliCommands:
             ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": 1},
                            "sweep": {**sweep, "resolution": 2.5}}, "sweep.resolution"),
             ("attractor", {"run": {"seed": 2.9}}, "run.seed"),
+            # past int64 a count would wrap in the compiled loops
+            ("attractor", {"run": {"seed": 1, "transient": 2**64 + 5}}, "run.transient"),
+            ("simulate", {"run": {"seed": 1, "record": 2.0**63}}, "run.record"),
             # numpy's seeding takes non-negative integers only
             ("simulate", {"run": {"seed": -1}}, "run.seed"),
             ("bifurcate", {"model": {"omegas": [0.5]}, "run": {"seed": -1},
@@ -456,7 +459,8 @@ class TestCliCommands:
         ]
         for command, document, key in cases:
             cfg = write_config(tmp_path, {"model": STD_MODEL, **document}, "case.json")
-            assert main([command, "--config", cfg, "--workers", "1"]) == 2, key
+            grid = ["--workers", "1"] if command in ("bifurcate", "stability-map") else []
+            assert main([command, "--config", cfg, *grid]) == 2, key
             err = capsys.readouterr().err
             assert f"levdyn: configuration error: {key}: " in err, err
         # a one-bank lyapunov starts from run.initial; its old start key is gone
@@ -670,6 +674,15 @@ class TestCliCommands:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert f"levdyn: configuration error: --workers: must be at least 1, got {workers}" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "lyapunov", "attractor", "boxdim",
+                                         "fixedpoint", "micro"])
+    def test_only_grid_commands_take_workers(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"model": STD_MODEL, "run": {"seed": 1}})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--workers", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
 
     def test_bifurcate_with_preset(self, tmp_path):
         cfg = write_config(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import platform
+import re
 import shutil
 import stat
 import subprocess
@@ -12,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from levdyn import _kernel
+
+from conftest import needs_kernel
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
 
@@ -53,7 +56,7 @@ def test_concurrent_builds_publish_one_whole_library(tmp_path):
     with ThreadPoolExecutor(max_workers=4) as pool:
         built = list(pool.map(lambda _: _kernel._build(source, [tmp_path / "lib"]), range(4)))
     assert len(set(built)) == 1
-    ctypes.CDLL(str(built[0])).levdyn_run
+    ctypes.CDLL(str(built[0])).levdyn_orbit
     assert [p.name for p in (tmp_path / "lib").iterdir()] == [built[0].name]
 
 
@@ -98,3 +101,29 @@ def test_a_row_writer_that_disagrees_is_not_loaded(tmp_path, monkeypatch):
         path.write_text(source)
         monkeypatch.setattr(_kernel, "SOURCE", path)
         assert (_kernel._load() is not None) == loads, name
+
+
+@needs_cc
+def test_a_library_whose_self_check_raises_is_not_loaded(tmp_path, monkeypatch):
+    # a violation code that no constraint name has makes the compiled
+    # probe raise KeyError: the library is refused and the Python loops run
+    monkeypatch.setattr(_kernel, "lib", _kernel.lib)
+    text = _kernel.SOURCE.read_text()
+    code = "#define KERNEL_LEVERAGE_FLOOR 1"
+    assert code in text
+    path = tmp_path / "_kernel.c"
+    path.write_text(text.replace(code, "#define KERNEL_LEVERAGE_FLOOR 5"))
+    monkeypatch.setattr(_kernel, "SOURCE", path)
+    monkeypatch.setattr(_kernel, "_directories", lambda: [tmp_path])
+    assert _kernel._load() is None
+    assert _kernel.lib is None
+
+
+@needs_kernel
+def test_every_exported_loop_is_bound():
+    # ctypes would pass an unbound function's arguments as C ints
+    exported = re.findall(r"^(?!static)[\w ]+?\b(levdyn_\w+)\(", _kernel.SOURCE.read_text(),
+                          re.MULTILINE)
+    assert sorted(exported) == ["levdyn_orbit", "levdyn_rows", "levdyn_ticks"]
+    for name in exported:
+        assert getattr(_kernel.lib, name).argtypes, name

@@ -630,7 +630,7 @@ def test_tangent_steps_match_exact_arithmetic(case, seed, k):
 
 
 class _DeferringLib:
-    """The compiled library, with ``levdyn_tangent`` returning KERNEL_DEFER
+    """The compiled library, with ``levdyn_orbit`` returning KERNEL_DEFER
     after running, so that the caller holds a partial pass."""
 
     def __init__(self, lib):
@@ -639,8 +639,8 @@ class _DeferringLib:
     def __getattr__(self, name):
         return getattr(self._lib, name)
 
-    def levdyn_tangent(self, *args):
-        self._lib.levdyn_tangent(*args)
+    def levdyn_orbit(self, *args):
+        self._lib.levdyn_orbit(*args)
         return _kernel.DEFER
 
 
@@ -698,6 +698,10 @@ _X, _Y, _Z = SUPERSTABLE[0.58]
 @example(case=_ESCAPING, transient=0, steps=5, seed=0, spectrum=True, defer=False)
 @example(case=_ESCAPING, transient=7, steps=5, seed=0, spectrum=False,
          defer=False)  # in the transient
+@example(case=_ESCAPING, transient=5, steps=3, seed=0, spectrum=False,
+         defer=False)  # the transient's last step
+@example(case=_ESCAPING, transient=4, steps=3, seed=0, spectrum=True,
+         defer=False)  # the first step after the transient
 @example(case=(_P1, [_X]), transient=0, steps=6, seed=0, spectrum=False,
          defer=False)  # vanishes at once
 @example(case=(_P1, [_Z]), transient=0, steps=3, seed=2, spectrum=False,
@@ -718,7 +722,7 @@ _X, _Y, _Z = SUPERSTABLE[0.58]
 @example(case=(two_bank(0.0, 0.5, 0.0), [50.0, 60.0]), transient=100, steps=50, seed=0,
          spectrum=True, defer=False)
 def test_fused_top_pass_matches_python_pass(case, transient, steps, seed, spectrum, defer):
-    """``levdyn_tangent``, which steps the orbit, forms each Jacobian and
+    """``levdyn_orbit``, which steps the orbit, forms each Jacobian and
     steps the tangent vectors in one loop, gives the Python pass's bytes,
     for one vector and for the spectrum's n: its escapes included, and
     where a vector vanishes it defers and the Python pass runs.  Where it

@@ -79,13 +79,26 @@ class TestIterate:
                 iterate(one_bank, two, 0, 10)
             with pytest.raises(ValueError, match="2 leverages, params have 1 banks"):
                 iterate(two_banks, std1, 0, 10)
-            # with no transient the orbit loop is not reached before the
-            # fused exponent pass, which reads one leverage per bank
+            # the exponent pass, which reads one leverage per bank, checks
+            # before its transient runs
             for transient in (0, 5):
                 with pytest.raises(ValueError, match="1 leverages, params have 2 banks"):
                     lyapunov_top(one_bank, two, transient, 10)
                 with pytest.raises(ValueError, match="2 leverages, params have 1 banks"):
                     lyapunov_top(two_banks, std1, transient, 10)
+
+    @pytest.mark.parametrize("loops", [None, python_loops])
+    def test_counts_past_int64_are_refused(self, loops):
+        # C's long long would wrap 2**64 + 5 to 5, and Python would never end
+        p = two_bank(0.5, 0.3, 0.5)
+        state = LeverageState.from_lambdas([50.0, 60.0], p)
+        with loops() if loops else contextlib.nullcontext():
+            with pytest.raises(ValueError, match="exceeds 9223372036854775807"):
+                iterate(state, p, 2**64 + 5, 10)
+            with pytest.raises(ValueError, match="exceeds 9223372036854775807"):
+                iterate(state, p, 2**63 - 10, 10)
+            with pytest.raises(ValueError, match="exceeds 9223372036854775807"):
+                lyapunov_top(state, p, 2**64 + 5, 10)
 
     def test_determinism_bitwise(self, rng):
         p = two_bank(0.5, 0.3, 0.5)
@@ -338,6 +351,9 @@ def orbit_setups(draw):
 @given(setup=orbit_setups())
 @example(setup=([101.0], ModelParams(), 0, 5))  # a start on the bound cannot advance
 @example(setup=([50.0], ModelParams(omegas=(0.2,)), 0, 500))  # escapes at step 13
+# the transient's last step and the first step after it
+@example(setup=([50.0], ModelParams(omegas=(0.2,)), 13, 5))
+@example(setup=([50.0], ModelParams(omegas=(0.2,)), 12, 5))
 def test_compiled_run_matches_python_loop(setup):
     got = _run_outcome(*setup)
     with python_loops():
