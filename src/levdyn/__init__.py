@@ -16,5 +16,6 @@ from .params import (  # noqa: E402,F401
     common_fixed_point,
 )
 
-# before any module that uses it: its self-check imports orbits and micro
+# before any module that uses it: its self-check imports the modules
+# whose loops it checks
 from . import _kernel  # noqa: E402,F401

@@ -3,20 +3,23 @@
  * lyap._tangent's pass, forming each step's Jacobian as
  * maps.step_jacobian does and running the renormalised tangent step of
  * k vectors (lyap._tangent_steps) in the same loop; levdyn_ticks,
- * micro._ticks's intraday tick pass; and levdyn_rows, which formats the
+ * micro._ticks's intraday tick pass; levdyn_boxes, the occupancy grids
+ * of attractor.occupied_box_counts; and levdyn_rows, which formats the
  * CSV rows of output._block_texts as output._format_column and
  * output.format_value do.  The orbit step is written once, map_step.
  *
- * In map_step and levdyn_ticks each statement mirrors one Python
- * statement of the reference loop, in the same order.  A tangent step
- * of levdyn_orbit has no one Python loop to mirror: it is orbits._run's
- * step, then maps.step_jacobian's entries of one row at a time, then
- * lyap._tangent_steps's step, each with its Python operations in their
- * order.  The loops use only +, -, *, /, sqrt and fma, which
- * IEEE 754 rounds correctly, and log, which is the libm function that
- * Python's math.log calls; built without contraction of multiply-adds
- * (-ffp-contract=off), so that every fma is one the source spells out,
- * they give the doubles the Python loops give.
+ * In map_step, levdyn_ticks and levdyn_boxes each statement mirrors one
+ * Python statement of the reference loop, in the same order.  A tangent
+ * step of levdyn_orbit has no one Python loop to mirror: it is
+ * orbits._run's step, then maps.step_jacobian's entries of one row at a
+ * time, then lyap._tangent_steps's step, each with its Python operations
+ * in their order.  The loops use only +, -, *, /, sqrt, fma and fmod,
+ * which IEEE 754 rounds correctly (fmod is exact), casts that truncate a
+ * non-negative double below 2^53 to an integer, which are exact, and
+ * log, which is the libm function that Python's math.log calls; built
+ * without contraction of multiply-adds (-ffp-contract=off), so that
+ * every fma is one the source spells out, they give the doubles the
+ * Python loops give.
  * Where a Python loop would divide by zero, the compiled loop returns
  * KERNEL_DEFER, and the caller discards what it wrote and reruns the
  * Python loop, which raises ZeroDivisionError there.
@@ -202,6 +205,55 @@ int levdyn_ticks(int n, double *equities, double *assets, const double *lambdas,
             held[i] /= total;
     }
     return 0;
+}
+
+/* np.floor_divide(a, b) for a >= 0 and b > 0, as numpy's npy_divmod
+ * forms it: the exact remainder, the quotient of what is left, snapped
+ * to the nearest integer. */
+static double floor_divide(double a, double b)
+{
+    double mod = fmod(a, b);
+    double div = (a - mod) / b;
+    double q = (double)(long long)div;
+    return div - q > 0.5 ? q + 1.0 : q;
+}
+
+/* The occupancy grids of attractor.occupied_box_counts in one pass over
+ * n points, rows of 2: each point is normalised, (p - lo) / extent per
+ * axis, and its cell at each of the scales, boxes of size eps[s] on a
+ * grid of cells[s] per side, is marked in grid s, cells[s]^2 bytes that
+ * start right after grid s - 1 in grids.  The cell is
+ * attractor._cell_codes's, statement for statement: the rounded
+ * quotient's floor, as a truncating cast, exact since the quotient lies
+ * in [0, cells[s]] and cells[s] < 2^53; np.floor_divide's where the
+ * quotient is near an integer; then the last cell for the upper edge.
+ * The points must be finite, within [lo, lo + extent]. */
+void levdyn_boxes(long long n, const double *points, const double *lo, const double *extent,
+                  int scales, const double *eps, const long long *cells, unsigned char *grids)
+{
+    unsigned char *grid[scales];
+    double tol[scales];
+    for (int s = 0; s < scales; s++) {
+        grid[s] = s ? grid[s - 1] + cells[s - 1] * cells[s - 1] : grids;
+        tol[s] = (double)cells[s] * 0x1p-50;
+    }
+    for (long long r = 0; r < n; r++) {
+        double norm[2];
+        for (int a = 0; a < 2; a++)
+            norm[a] = (points[2 * r + a] - lo[a]) / extent[a];
+        for (int s = 0; s < scales; s++) {
+            long long ix[2];
+            for (int a = 0; a < 2; a++) {
+                double c = norm[a] / eps[s];
+                long long q = (long long)c;
+                c -= (double)q;
+                if (c <= tol[s] || c >= 1.0 - tol[s])
+                    q = (long long)floor_divide(norm[a], eps[s]);
+                ix[a] = q < cells[s] - 1 ? q : cells[s] - 1;
+            }
+            grid[s][ix[0] * cells[s] + ix[1]] = 1;
+        }
+    }
 }
 
 /* The CSV writer.  It formats as Python's str and format(x, ".17g") do

@@ -7,16 +7,19 @@ next to this module or, where that directory is not writable, in
 0700).  The compiler writes a unique temporary file that is then renamed
 into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
-library once a short orbit, tick and two-vector tangent pass and a block
-of CSV rows give the same bytes through it as through the Python loops;
-otherwise, also where that self-check raises, it is None,
-``orbits._run``, ``micro._ticks`` and ``lyap._tangent`` loop in Python
-and ``output`` formats every cell in Python.  There are three compiled
+library once a short orbit, tick and two-vector tangent pass, the box
+counts of a small lattice cloud and a block of CSV rows give the same
+bytes through it as through the Python loops; otherwise, also where that
+self-check raises, it is None, ``orbits._run``, ``micro._ticks`` and
+``lyap._tangent`` loop in Python, ``attractor`` counts boxes with numpy
+and ``output`` formats every cell in Python.  There are four compiled
 loops.  ``levdyn_orbit`` runs an orbit's transient and then its window,
 recording the states, stepping k tangent vectors on the step's Jacobian,
 or both: ``orbits._run`` calls it with k = 0 and ``lyap._tangent`` with
 k >= 1, once per exponent; where a vector vanishes it defers to the
-Python pass.  ``levdyn_ticks`` is the intraday tick pass, and the row
+Python pass.  ``levdyn_ticks`` is the intraday tick pass,
+``levdyn_boxes`` marks the occupancy grids of
+``attractor.occupied_box_counts`` in one pass over a cloud, and the row
 writer, ``levdyn_rows``, formats the cells of ``output._block_texts``.
 """
 
@@ -86,11 +89,12 @@ def _build(source: Path, directories: list[Path]) -> Path:
 
 def _probe() -> tuple:
     """A two-bank orbit, one that escapes, a tick pass, a two-vector
-    tangent pass on that orbit, one whose orbit escapes, and the rows of a
-    block of edge-case cells, as bytes and values, through whichever loops
-    ``lib`` selects."""
+    tangent pass on that orbit, one whose orbit escapes, the box counts of
+    a lattice cloud and the rows of a block of edge-case cells, as bytes
+    and values, through whichever loops ``lib`` selects."""
     import numpy as np
 
+    from .attractor import occupied_box_counts
     from .errors import OrbitViolationError
     from .lyap import _tangent
     from .micro import _ticks
@@ -111,6 +115,11 @@ def _probe() -> tuple:
                           6, [[0.6, -0.8]], iter([[0.0, 1.0]]))
     except OrbitViolationError as exc:
         escape = (exc.step, exc.constraint)
+    # on the unit square: 0.5 / 0.1 rounds to 5.0, but 0.5 lies in cell 4
+    # of 0.1, with 0.55 in cell 5; the upper edge joins the last cell
+    lattice = np.array([(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.55, 0.55), (0.3, 0.7),
+                        (0.35, 0.75), (np.nextafter(0.5, 1.0), 0.9)]) * (2.0, 0.5)
+    boxes = occupied_box_counts(lattice, np.array([0.1, 0.25, 0.01]))
     # signed zeros and nan, infinities, both ties of 17 digits, the range's
     # ends, exponent and fixed notation, and int64's extremes
     floats = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
@@ -122,7 +131,7 @@ def _probe() -> tuple:
     cells = RowBlock((0.5, None), (np.array(floats), ints, ints % 3 == 0, words), ("x",))
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
             returns.tobytes(), weights.tobytes(), equities, assets, tangent, escape,
-            "".join(_block_texts(cells)))
+            boxes.tobytes(), "".join(_block_texts(cells)))
 
 
 def _load() -> ctypes.CDLL | None:
@@ -137,6 +146,8 @@ def _load() -> ctypes.CDLL | None:
                                        size, size, ptr, ctypes.c_int, ptr, ptr, ptr]
     candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
                                        ptr, size, ptr, ptr, ptr]
+    candidate.levdyn_boxes.argtypes = [size, ptr, ptr, ptr, ctypes.c_int, ptr, ptr, ptr]
+    candidate.levdyn_boxes.restype = None
     text = ctypes.c_char_p
     candidate.levdyn_rows.argtypes = [ctypes.c_int, text, ptr, ptr, ptr, size, size,
                                       text, size, text, size, ptr, size]

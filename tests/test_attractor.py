@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from levdyn.errors import DegenerateCloudError, OrbitViolationError
 from levdyn.params import LeverageState, common_fixed_point
 
 import box_oracle
-from conftest import two_bank
+from conftest import needs_kernel, python_loops, two_bank
 
 #: on both sides of the occupancy-grid cap (4,096 cells per side, about
 #: 3.31 decades) and up to the int64 code limit (about 9.18 decades)
@@ -67,9 +68,51 @@ def test_counts_match_the_sorting_counter(case, slice_rows, affine):
     points, epsilons = case
     if affine:
         points = points * np.array([3.0, 0.01]) + np.array([5.0, -2.0])
-    with mock.patch.object(attractor, "SLICE_ROWS", slice_rows):
+    want = box_oracle.occupied_box_counts(points, epsilons)
+    for loops in (nullcontext, python_loops):
+        with loops(), mock.patch.object(attractor, "SLICE_ROWS", slice_rows):
+            np.testing.assert_array_equal(occupied_box_counts(points, epsilons), want)
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None)
+@given(case=cloud_and_scales(), data=st.data())
+def test_compiled_counts_match_the_python_counter(case, data):
+    # duplicate points, float32 clouds (counted in numpy, which normalizes
+    # them in float32), and grid caps that cut the scales into several
+    # compiled passes or push them past the cap onto np.unique
+    points, epsilons = case
+    points = np.concatenate([points, points[:data.draw(st.integers(0, 5))]])
+    points = points.astype(data.draw(st.sampled_from([np.float64, np.float32])))
+    cap = data.draw(st.sampled_from([attractor.GRID_CELLS_MAX, 5_000, 64]))
+    with mock.patch.object(attractor, "GRID_CELLS_MAX", cap):
         got = occupied_box_counts(points, epsilons)
+        with python_loops():
+            np.testing.assert_array_equal(got, occupied_box_counts(points, epsilons))
     np.testing.assert_array_equal(got, box_oracle.occupied_box_counts(points, epsilons))
+
+
+def test_grid_passes_stay_within_the_grid_cap():
+    # fig7's 12 scales share one pass of 5.6 MB; a finest grid near the
+    # cap takes a pass of its own
+    cells = [attractor._cells_per_side(eps) for eps in box_sizes(3.0, 12)]
+    assert attractor._grid_passes(cells, list(range(12))) == [list(range(12))]
+    assert sum(n * n for n in cells) == 5_595_192
+    cells = [attractor._cells_per_side(eps) for eps in box_sizes(3.3, 8)]
+    passes = attractor._grid_passes(cells, list(range(8)))
+    assert [k for group in passes for k in group] == list(range(8))
+    assert len(passes) == 2
+    for group in passes:
+        assert sum(cells[k] ** 2 for k in group) <= attractor.GRID_CELLS_MAX
+
+
+@pytest.mark.parametrize("loops", [nullcontext, python_loops])
+def test_an_empty_cloud_is_refused(loops):
+    empty = np.empty((0, 2))
+    with loops(), pytest.raises(ValueError, match="empty cloud"):
+        occupied_box_counts(empty, box_sizes(3.0, 12))
+    with loops(), pytest.raises(ValueError, match="empty cloud"), pytest.warns(UserWarning):
+        box_dimension(empty)
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,8 +134,10 @@ def test_large_clouds_match_the_sorting_counter(eps_decades):
     epsilons = box_sizes(eps_decades, 12)
     for points in (filled_square(300),
                    capture_cloud(state, p, transient=2000, n_points=100_000).points):
-        np.testing.assert_array_equal(occupied_box_counts(points, epsilons),
-                                      box_oracle.occupied_box_counts(points, epsilons))
+        want = box_oracle.occupied_box_counts(points, epsilons)
+        for loops in (nullcontext, python_loops):
+            with loops():
+                np.testing.assert_array_equal(occupied_box_counts(points, epsilons), want)
 
 
 def test_scales_whose_cell_codes_overflow_are_refused():

@@ -104,6 +104,22 @@ def test_a_row_writer_that_disagrees_is_not_loaded(tmp_path, monkeypatch):
 
 
 @needs_cc
+def test_a_box_counter_that_disagrees_is_not_loaded(tmp_path, monkeypatch):
+    # without the near-integer fallback a point at 0.5 lands in cell 5 of
+    # 0.1, not cell 4, and the probe's lattice cloud counts one box fewer
+    monkeypatch.setattr(_kernel, "lib", _kernel.lib)
+    text = _kernel.SOURCE.read_text()
+    fallback = ("                if (c <= tol[s] || c >= 1.0 - tol[s])\n"
+                "                    q = (long long)floor_divide(norm[a], eps[s]);\n")
+    assert fallback in text
+    path = tmp_path / "_kernel.c"
+    path.write_text(text.replace(fallback, ""))
+    monkeypatch.setattr(_kernel, "SOURCE", path)
+    monkeypatch.setattr(_kernel, "_directories", lambda: [tmp_path])
+    assert _kernel._load() is None
+
+
+@needs_cc
 def test_a_library_whose_self_check_raises_is_not_loaded(tmp_path, monkeypatch):
     # a violation code that no constraint name has makes the compiled
     # probe raise KeyError: the library is refused and the Python loops run
@@ -124,6 +140,6 @@ def test_every_exported_loop_is_bound():
     # ctypes would pass an unbound function's arguments as C ints
     exported = re.findall(r"^(?!static)[\w ]+?\b(levdyn_\w+)\(", _kernel.SOURCE.read_text(),
                           re.MULTILINE)
-    assert sorted(exported) == ["levdyn_orbit", "levdyn_rows", "levdyn_ticks"]
+    assert sorted(exported) == ["levdyn_boxes", "levdyn_orbit", "levdyn_rows", "levdyn_ticks"]
     for name in exported:
         assert getattr(_kernel.lib, name).argtypes, name
