@@ -7,9 +7,10 @@ next to this module or, where that directory is not writable, in
 0700).  The compiler writes a unique temporary file that is then renamed
 into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
-library once a short orbit, tick and two-vector tangent pass, the box
-counts of a small lattice cloud and a block of CSV rows give the same
-bytes through it as through the Python loops; otherwise, also where that
+library once a short orbit, tick and two-vector tangent pass and a block
+of CSV rows give the same bytes through it as through the Python loops,
+and the box counts of a small lattice cloud equal PROBE_BOXES, the
+counts that the numpy counter gives; otherwise, also where that
 self-check raises, it is None, ``orbits._run``, ``micro._ticks`` and
 ``lyap._tangent`` loop in Python, ``attractor`` counts boxes with numpy
 and ``output`` formats every cell in Python.  There are four compiled
@@ -28,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
+import math
 import os
 import platform
 import shutil
@@ -40,6 +42,17 @@ FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SOURCE = Path(__file__).with_name("_kernel.c")
 #: what a compiled loop returns where the Python loop would raise
 DEFER = -1
+#: the probe's lattice cloud on [0, 2] x [0, 0.5] and its box sizes: on the
+#: unit square 0.5 / 0.1 rounds to 5.0, but 0.5 lies in cell 4 of 0.1, with
+#: 0.55 in cell 5; the upper edge joins the last cell
+PROBE_CLOUD = tuple((2.0 * x, 0.5 * y) for x, y in (
+    (0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.55, 0.55), (0.3, 0.7), (0.35, 0.75),
+    (math.nextafter(0.5, 1.0), 0.9)))
+PROBE_EPSILONS = (0.1, 0.25, 0.01)
+#: the numpy counter's counts of PROBE_CLOUD, pinned so that no process runs
+#: that counter at import, which faults in pages of numpy's loops (0.1 MB
+#: or more of peak RSS)
+PROBE_BOXES = (7, 6, 7)
 
 log = logging.getLogger(__name__)
 lib: ctypes.CDLL | None = None
@@ -90,8 +103,9 @@ def _build(source: Path, directories: list[Path]) -> Path:
 def _probe() -> tuple:
     """A two-bank orbit, one that escapes, a tick pass, a two-vector
     tangent pass on that orbit, one whose orbit escapes, the box counts of
-    a lattice cloud and the rows of a block of edge-case cells, as bytes
-    and values, through whichever loops ``lib`` selects."""
+    PROBE_CLOUD and the rows of a block of edge-case cells, as bytes and
+    values, through whichever loops ``lib`` selects; with no library the
+    box counts are PROBE_BOXES."""
     import numpy as np
 
     from .attractor import occupied_box_counts
@@ -115,11 +129,8 @@ def _probe() -> tuple:
                           6, [[0.6, -0.8]], iter([[0.0, 1.0]]))
     except OrbitViolationError as exc:
         escape = (exc.step, exc.constraint)
-    # on the unit square: 0.5 / 0.1 rounds to 5.0, but 0.5 lies in cell 4
-    # of 0.1, with 0.55 in cell 5; the upper edge joins the last cell
-    lattice = np.array([(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.55, 0.55), (0.3, 0.7),
-                        (0.35, 0.75), (np.nextafter(0.5, 1.0), 0.9)]) * (2.0, 0.5)
-    boxes = occupied_box_counts(lattice, np.array([0.1, 0.25, 0.01]))
+    boxes = PROBE_BOXES if lib is None else tuple(
+        occupied_box_counts(np.array(PROBE_CLOUD), np.array(PROBE_EPSILONS)).tolist())
     # signed zeros and nan, infinities, both ties of 17 digits, the range's
     # ends, exponent and fixed notation, and int64's extremes
     floats = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
@@ -131,7 +142,7 @@ def _probe() -> tuple:
     cells = RowBlock((0.5, None), (np.array(floats), ints, ints % 3 == 0, words), ("x",))
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
             returns.tobytes(), weights.tobytes(), equities, assets, tangent, escape,
-            boxes.tobytes(), "".join(_block_texts(cells)))
+            boxes, "".join(_block_texts(cells)))
 
 
 def _load() -> ctypes.CDLL | None:

@@ -20,14 +20,21 @@ One tick loop (``_ticks``) serves ``run_micro`` and ``step_intraday``;
 one re-target (``_retarget``) serves ``close_period`` and the zero-noise
 limit.  Asset weights and their drift are formed after each period from
 the stored per-tick assets.
+
+A run's seed returns and shocks are one seeded stream of normals, drawn
+in order by ``_shock_blocks``.  A long run draws them ahead on a helper
+thread, a block of periods at a time, while the current period's ticks
+run; one thread draws every value in stream order, so the bytes are the
+same at any timing.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +45,9 @@ from .params import ModelParams, mean_field
 
 #: variance estimates are floored here to keep leverage finite
 SIGMA_SQ_FLOOR = 1e-18
+#: normals in a block that the helper thread draws (256 KB): as many
+#: whole periods as fit, at least one
+BLOCK_DRAWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -166,6 +176,43 @@ def _ticks(
         totals = sum(held_assets.T, np.zeros(len(returns)))
         weights = held_assets / totals[:, None]
     return np.frombuffer(returns), weights
+
+
+def _shock_blocks(
+    rng: np.random.Generator, horizon: int, n: int, scale: float
+) -> Iterator[np.ndarray]:
+    """Each of ``horizon`` periods' n + 1 draws from ``rng``, in stream
+    order: the standard normal z of the seed return, then the n shocks,
+    each formed as ``rng.normal(0.0, scale)`` forms it, 0.0 + scale * z.
+
+    A run of more than two blocks is drawn on one helper thread, each
+    block of periods while the caller consumes the block before it: both
+    the draw and the compiled tick loop release the GIL, so the two
+    overlap.  A shorter run is drawn in one call, because overlapping one
+    block with the ticks of the first saves less than the thread and the
+    wait for that first block cost.  Closing the generator joins the
+    thread.
+    """
+    def draw(periods: int) -> np.ndarray:
+        z = rng.standard_normal((periods, n + 1))
+        shocks = z[:, 1:]
+        shocks *= scale
+        shocks += 0.0  # as numpy adds loc, which turns a -0.0 shock into 0.0
+        return z
+
+    per_block = max(1, BLOCK_DRAWS // (n + 1))
+    if horizon <= 2 * per_block:
+        yield from draw(horizon)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="levdyn-shocks") as helper:
+        ahead = helper.submit(draw, per_block)
+        for start in range(per_block, horizon + per_block, per_block):
+            block = ahead.result()
+            if start < horizon:  # the next block, drawn while the caller takes this one
+                ahead = helper.submit(draw, min(per_block, horizon - start))
+            yield from block
 
 
 def _retarget(
@@ -310,8 +357,10 @@ def run_micro(
         raise ValueError("initial equities must be positive")
     sigma_sq = [1.0 / (base.alpha * lam) ** 2 for lam in lambdas]
     target_assets = [lam * e for lam, e in zip(lambdas, equities)]
-    rng = np.random.default_rng(params.rng_seed)
     sigma_step = math.sqrt(params.sigma_eps_step_sq)
+    # started by the first stochastic period only, so zero_noise draws nothing
+    blocks = _shock_blocks(np.random.default_rng(params.rng_seed), params.horizon,
+                           params.n_intraday, sigma_step)
 
     lam_sto = np.empty((params.horizon, n_banks))
     lam_det = np.empty((params.horizon, n_banks))
@@ -321,40 +370,42 @@ def run_micro(
     floored_any = False
 
     det = list(lambdas)
-    for t in range(params.horizon):
-        if params.zero_noise:
-            phi = base.ar1_coef(mean_field(lambdas, base.pis))
-            if not abs(phi) < 1.0:
-                raise NonstationaryError(period=t, phi_hat=phi)
-            lambdas, sigma_sq, floored = _retarget(
-                sigma_sq, base.omegas, base.sigma_eps_sq / ((1.0 - phi) ** 2),
-                base.alpha,
-            )
-            phis[t] = phi
-            sig_eps[t] = 0.0
-        else:
-            # stationary seed return, with phi taken from the actual asset
-            # mix (identical to the configured-weight value at period 0)
-            phi0 = _impact(lambdas, target_assets, base.gamma)
-            if not abs(phi0) < 1.0:
-                raise NonstationaryError(period=t, phi_hat=phi0)
-            r0 = float(rng.normal(0.0, sigma_step / math.sqrt(1.0 - phi0 * phi0)))
-            # a memoryview yields the shocks as Python floats, without a list
-            eps = memoryview(rng.normal(0.0, sigma_step, params.n_intraday))
-            weights0 = _weights(target_assets)
-            returns, weights = _ticks(equities, target_assets, lambdas, r0, base.gamma, eps, t)
-            try:
-                lambdas, sigma_sq, phis[t], sig_eps[t], floored = close_period(
-                    returns, r0, sigma_sq, base.omegas, params
+    with closing(blocks):
+        for t in range(params.horizon):
+            if params.zero_noise:
+                phi = base.ar1_coef(mean_field(lambdas, base.pis))
+                if not abs(phi) < 1.0:
+                    raise NonstationaryError(period=t, phi_hat=phi)
+                lambdas, sigma_sq, floored = _retarget(
+                    sigma_sq, base.omegas, base.sigma_eps_sq / ((1.0 - phi) ** 2),
+                    base.alpha,
                 )
-            except NonstationaryError as exc:
-                raise NonstationaryError(period=t, phi_hat=exc.phi_hat) from None
-            drift[t] = np.max(np.abs(weights - weights0))
-        floored_any = floored_any or floored
-        target_assets = [lam * e for lam, e in zip(lambdas, equities)]
-        lam_sto[t] = lambdas
-        det = advance(det, base)
-        lam_det[t] = det
+                phis[t] = phi
+                sig_eps[t] = 0.0
+            else:
+                # stationary seed return, with phi taken from the actual asset
+                # mix (identical to the configured-weight value at period 0)
+                phi0 = _impact(lambdas, target_assets, base.gamma)
+                if not abs(phi0) < 1.0:
+                    raise NonstationaryError(period=t, phi_hat=phi0)
+                draws = next(blocks)
+                r0 = 0.0 + sigma_step / math.sqrt(1.0 - phi0 * phi0) * float(draws[0])
+                # a memoryview yields the shocks as Python floats, without a list
+                eps = memoryview(draws[1:])
+                weights0 = _weights(target_assets)
+                returns, weights = _ticks(equities, target_assets, lambdas, r0, base.gamma, eps, t)
+                try:
+                    lambdas, sigma_sq, phis[t], sig_eps[t], floored = close_period(
+                        returns, r0, sigma_sq, base.omegas, params
+                    )
+                except NonstationaryError as exc:
+                    raise NonstationaryError(period=t, phi_hat=exc.phi_hat) from None
+                drift[t] = np.max(np.abs(weights - weights0))
+            floored_any = floored_any or floored
+            target_assets = [lam * e for lam, e in zip(lambdas, equities)]
+            lam_sto[t] = lambdas
+            det = advance(det, base)
+            lam_det[t] = det
     return MicroRun(
         lambdas_stochastic=lam_sto,
         lambdas_deterministic=lam_det,

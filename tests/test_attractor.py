@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levdyn import attractor
+from levdyn import _kernel, attractor
 from levdyn.attractor import (
     box_dimension,
     box_sizes,
@@ -104,6 +104,16 @@ def test_grid_passes_stay_within_the_grid_cap():
     assert len(passes) == 2
     for group in passes:
         assert sum(cells[k] ** 2 for k in group) <= attractor.GRID_CELLS_MAX
+
+
+def test_the_loaders_pinned_probe_counts_are_the_numpy_counts():
+    # the loader holds the compiled counter to PROBE_BOXES, not to a run
+    # of the numpy counter at import
+    points = np.array(_kernel.PROBE_CLOUD)
+    epsilons = np.array(_kernel.PROBE_EPSILONS)
+    with python_loops():
+        assert tuple(occupied_box_counts(points, epsilons).tolist()) == _kernel.PROBE_BOXES
+    assert tuple(box_oracle.occupied_box_counts(points, epsilons).tolist()) == _kernel.PROBE_BOXES
 
 
 @pytest.mark.parametrize("loops", [nullcontext, python_loops])

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import threading
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from levdyn import micro
 from levdyn.errors import DomainError, InsolvencyError, NonstationaryError
 from levdyn.maps import advance
 from levdyn.micro import (
@@ -337,6 +342,97 @@ def test_run_micro_matches_tick_by_tick_oracle(setup):
         for name in RUN_FIELDS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.floored == want.floored
+
+
+#: runs of 10 and 8 periods that abort in period 1, partway through a
+#: draw block of 3 periods: insolvent, and nonstationary (phi_hat 1.039)
+INSOLVENT = (MicroParams(base=ModelParams(omegas=(0.72, 0.07), pis=(0.6, 0.4)),
+                         n_intraday=100, horizon=10, rng_seed=682), [35.0, 97.0])
+NONSTATIONARY = (MicroParams(base=ModelParams(omegas=(0.0,), pis=(1.0,), sigma_eps_sq=1e-4),
+                             n_intraday=10, horizon=8, rng_seed=983), [8.0])
+
+
+def _draw_blocks(periods: int, params: MicroParams):
+    """Draw blocks of ``periods`` periods of ``params``' run, and so a
+    helper thread for any run longer than two blocks."""
+    return mock.patch.object(micro, "BLOCK_DRAWS", periods * (params.n_intraday + 1))
+
+
+@pytest.mark.parametrize("loops", [nullcontext, python_loops])
+@settings(max_examples=100, deadline=None)
+@given(setup=micro_setups(), periods=st.integers(1, 4))
+@example(setup=INSOLVENT, periods=3)
+@example(setup=NONSTATIONARY, periods=3)
+def test_run_micro_drawn_in_blocks_matches_oracle(loops, setup, periods):
+    """Draw blocks of a few periods, so that a run longer than two blocks
+    is drawn on the helper thread and its blocks split it between periods,
+    some of its runs aborting partway through a block; on both tick
+    loops."""
+    params, initial = setup
+    params = dataclasses.replace(params, zero_noise=False)
+    want = _outcome(oracle.run_micro, params, initial)
+    with loops(), _draw_blocks(periods, params):
+        got = _outcome(run_micro, params, initial)
+    if isinstance(want, Exception):
+        assert _error_fields(got) == _error_fields(want)
+    else:
+        assert not isinstance(got, Exception), got
+        for name in RUN_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.floored == want.floored
+
+
+@pytest.mark.parametrize("setup, error", [
+    ((MicroParams(base=two_bank(0.8, 0.7, 0.4), n_intraday=150, horizon=25, rng_seed=12),
+      [60.0, 75.0]), None),
+    (INSOLVENT, InsolvencyError),
+    (NONSTATIONARY, NonstationaryError),
+])
+def test_no_helper_thread_outlives_run_micro(setup, error):
+    params, initial = setup
+    ticks = micro._ticks
+    seen = []
+
+    def spy(*args):  # the threads alive while a period's ticks run
+        seen.append({t.name for t in threading.enumerate()})
+        return ticks(*args)
+
+    before = threading.active_count()
+    with _draw_blocks(3, params), mock.patch.object(micro, "_ticks", spy):
+        if error is None:
+            run_micro(params, initial)
+        else:
+            with pytest.raises(error) as info:
+                run_micro(params, initial)
+            assert info.value.period == 1  # period 1 of the first block's 3
+    assert any(name.startswith("levdyn-shocks") for name in seen[0])
+    assert threading.active_count() == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    draws=st.lists(st.tuples(
+        st.one_of(st.floats(1e-300, 1e3), st.sampled_from([5e-324, 1e-320, 1.0])),
+        st.one_of(st.none(), st.integers(0, 300))), max_size=12),
+)
+def test_normal_draws_are_scaled_standard_normals(seed, draws):
+    """numpy's rng.normal(0.0, s[, size]) is 0.0 + s * z over the stream
+    that rng.standard_normal reads, scalar and array draws interleaved:
+    run_micro draws standard normals and scales them by this identity,
+    so a numpy whose normal() differs fails here rather than moving the
+    micro digests."""
+    normal = np.random.default_rng(seed)
+    standard = np.random.default_rng(seed)
+    for scale, size in draws:
+        if size is None:
+            got = float(normal.normal(0.0, scale))
+            want = 0.0 + scale * float(standard.standard_normal())
+            assert got.hex() == want.hex()
+        else:
+            got = normal.normal(0.0, scale, size)
+            want = 0.0 + scale * standard.standard_normal(size)
+            assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
