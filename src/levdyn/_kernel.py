@@ -33,7 +33,6 @@ import math
 import os
 import platform
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -82,9 +81,15 @@ def _build(source: Path, directories: list[Path]) -> Path:
         except OSError:
             continue
         os.close(fd)
+        # here only: a process that finds its library built runs no compiler
+        import subprocess
+
         try:
-            subprocess.run([cc, *FLAGS, "-o", tmp, str(source), "-lm"],
-                           check=True, capture_output=True)
+            done = subprocess.run([cc, *FLAGS, "-o", tmp, str(source), "-lm"],
+                                  capture_output=True)
+            if done.returncode:
+                raise OSError(f"{cc} exited with status {done.returncode}: "
+                              f"{done.stderr.decode(errors='replace').strip()}")
             os.chmod(tmp, 0o755)  # mkstemp's 0600 would hide it from other users
             os.replace(tmp, directory / name)
         finally:
@@ -149,7 +154,7 @@ def _load() -> ctypes.CDLL | None:
     global lib
     try:
         candidate = ctypes.CDLL(str(_build(SOURCE, _directories())))
-    except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+    except (OSError, RuntimeError) as exc:  # a failed compile included
         log.debug("compiled loops unavailable, running the Python loops: %s", exc)
         return None
     ptr, size, real = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_double

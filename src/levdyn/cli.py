@@ -44,7 +44,6 @@ from .lyap import lyapunov_1d, lyapunov_spectrum
 from .micro import MicroParams, run_micro
 from .orbits import iterate, pair_sync
 from .params import LeverageState
-from .skew import constant_history, history_from_orbit, random_fixed_point
 from .sweep import SweepRecord, SweepSpec, run_sweep, stability_map
 from .output import RowBlock, write_csv, write_json
 
@@ -272,6 +271,9 @@ def cmd_boxdim(config: ExperimentConfig, out: TextIO) -> int:
 
 
 def cmd_fixedpoint(config: ExperimentConfig, out: TextIO) -> int:
+    # here only, so no other command loads the skew-product module
+    from .skew import constant_history, history_from_orbit, random_fixed_point
+
     if config.skew is None or config.skew.history is None:
         raise ConfigError("fixedpoint needs a skew block with a history", key="skew")
     spec = config.skew.history

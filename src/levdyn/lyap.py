@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -158,6 +157,8 @@ def _fma(a: float, b: float, c: float) -> float:
         return a * b + c  # the product is exact: a signed zero, inf or nan
     if not math.isfinite(c):
         return c
+    from fractions import Fraction  # here only: it loads decimal at import
+
     exact = Fraction(a) * Fraction(b) + Fraction(c)
     try:
         return float(exact)

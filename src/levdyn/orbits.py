@@ -71,10 +71,6 @@ class PeriodReport:
     window: int
 
     @property
-    def aperiodic(self) -> bool:
-        return self.period is None
-
-    @property
     def label(self) -> str:
         return "aperiodic" if self.period is None else str(self.period)
 

@@ -155,10 +155,6 @@ class LeverageState:
         feasible = all(x >= 1.0 for x in lams) and m <= params.lambda_max
         return cls(lambdas=lams, mean_field=m, feasible=feasible)
 
-    @property
-    def n_banks(self) -> int:
-        return len(self.lambdas)
-
     def require_feasible(self) -> None:
         """Raise InfeasibleStateError naming the violated constraint."""
         if any(x < 1.0 for x in self.lambdas):

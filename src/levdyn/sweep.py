@@ -27,7 +27,6 @@ grid order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -43,8 +42,9 @@ LYAP_STEPS = 2000
 DEFAULT_P_MAX = 64
 DEFAULT_PERIOD_TOL = 1e-7
 #: grid points one pool task evaluates; a worker holds their samples, so
-#: its memory stays bounded
-CHUNK_POINTS = 512
+#: its memory stays bounded, and a grid splits into several chunks a
+#: worker, so records come back while the workers are still computing
+CHUNK_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,9 @@ def _map(fn: Callable, points: list[tuple[SweepSpec, float]], workers: int) -> l
     unless that would make a chunk longer than CHUNK_POINTS."""
     if workers <= 1:
         return [fn(*point) for point in points]
+    # here only: the pool's import loads multiprocessing and socket
+    from concurrent.futures import ProcessPoolExecutor
+
     n = min(max(workers, -(-len(points) // CHUNK_POINTS)), len(points))
     with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
         return list(pool.map(fn, *zip(*points), chunksize=-(-len(points) // n)))

@@ -1,17 +1,23 @@
-"""The loader of the compiled loops: where it builds, and that it loads."""
+"""The loader of the compiled loops: where it builds, and that it loads;
+and what a fresh ``import levdyn.cli`` loads."""
 
 from __future__ import annotations
 
 import ctypes
+import logging
+import os
 import platform
 import re
 import shutil
 import stat
 import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import levdyn
 from levdyn import _kernel
 
 from conftest import needs_kernel
@@ -85,6 +91,21 @@ def test_build_without_int128_is_refused():
 
 
 @needs_cc
+def test_a_source_that_fails_to_compile_is_not_loaded(tmp_path, monkeypatch, caplog):
+    # cc exits with an error: the loader logs the compiler's message, leaves
+    # no library or temporary file behind and the Python loops run
+    monkeypatch.setattr(_kernel, "lib", _kernel.lib)
+    path = tmp_path / "_kernel.c"
+    path.write_text("#error this copy does not compile\n" + _kernel.SOURCE.read_text())
+    monkeypatch.setattr(_kernel, "SOURCE", path)
+    monkeypatch.setattr(_kernel, "_directories", lambda: [tmp_path])
+    with caplog.at_level(logging.DEBUG, logger=_kernel.log.name):
+        assert _kernel._load() is None
+    assert "this copy does not compile" in caplog.text
+    assert [p.name for p in tmp_path.iterdir()] == ["_kernel.c"]
+
+
+@needs_cc
 def test_a_row_writer_that_disagrees_is_not_loaded(tmp_path, monkeypatch):
     # the probe's block holds both ties of 17 digits, so a writer that
     # rounds them up rather than to even disagrees with format() and the
@@ -143,3 +164,18 @@ def test_every_exported_loop_is_bound():
     assert sorted(exported) == ["levdyn_boxes", "levdyn_orbit", "levdyn_rows", "levdyn_ticks"]
     for name in exported:
         assert getattr(_kernel.lib, name).argtypes, name
+
+
+def test_importing_the_cli_leaves_single_branch_modules_unloaded():
+    # the process pool, the compiler driver, exact rationals and the
+    # skew-product module each serve one branch, and load on its first use
+    deferred = ["multiprocessing", "concurrent.futures.process", "subprocess", "fractions",
+                "levdyn.skew"]
+    src = str(Path(levdyn.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, levdyn.cli; "
+         f"print(*[m for m in {deferred!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
