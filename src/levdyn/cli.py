@@ -40,7 +40,7 @@ from .errors import (
     NonstationaryError,
     OrbitViolationError,
 )
-from .lyap import lyapunov_1d, lyapunov_spectrum
+from .lyap import lyapunov_spectrum
 from .micro import MicroParams, run_micro
 from .orbits import iterate, pair_sync
 from .params import LeverageState
@@ -206,18 +206,9 @@ def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock]:
 
 
 def cmd_lyapunov(config: ExperimentConfig, out: TextIO) -> int:
-    steps = config.lyapunov.steps
-    params = config.model
     state, seed = _initial_state(config, "lyapunov")
-    if params.n_banks == 1:
-        est = lyapunov_1d(
-            params.omegas[0], params, x0=state.lambdas[0],
-            transient=config.run.transient, steps=steps,
-        )
-    else:
-        est = lyapunov_spectrum(
-            state, params, transient=config.run.transient, steps=steps
-        )
+    est = lyapunov_spectrum(state, config.model, transient=config.run.transient,
+                            steps=config.lyapunov.steps)
     write_json(
         out,
         {
@@ -312,7 +303,6 @@ def cmd_micro(config: ExperimentConfig, out: TextIO) -> int:
         n_intraday=config.micro.n_intraday,
         horizon=config.micro.horizon,
         rng_seed=seed,
-        equity_total=config.micro.equity_total,
         zero_noise=config.micro.zero_noise,
     )
     state, _ = _initial_state(config, "micro")
@@ -419,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("constraint violation: %s", exc)
         print(f"levdyn: constraint violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (LevdynError, ValueError, TypeError, OSError) as exc:
+    except (LevdynError, ValueError, TypeError, ArithmeticError, OSError) as exc:
         log.error("runtime error: %s", exc)
         print(f"levdyn: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

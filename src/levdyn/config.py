@@ -229,7 +229,6 @@ class SkewBlock:
 class MicroBlock:
     n_intraday: int = _key(_at_least(2))
     horizon: int = _key(_at_least(1))
-    equity_total: float = _key(_positive, 1.0)
     zero_noise: bool = _key(_bool, False)
 
 

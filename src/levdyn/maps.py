@@ -1,5 +1,7 @@
-"""Pure map evaluations: the one per-bank update, the coupled N-bank
-step built from it, and their analytic derivatives.
+"""Pure map evaluations on raw leverages: the one per-bank update, the
+coupled N-bank step built from it (``advance``), and their analytic
+derivatives.  No routine here takes or returns a ``LeverageState``; the
+callers check feasibility.
 
 Every bank applies the same VaR update against a leverage y:
 
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .params import LeverageState, ModelParams, mean_field
+from .params import ModelParams, mean_field
 
 
 def leverage_map(x: float, omega: float, params: ModelParams) -> float:
@@ -53,17 +55,6 @@ def advance(lambdas: Sequence[float], params: ModelParams) -> list[float]:
     """
     m = mean_field(lambdas, params.pis)
     return [fiber_map(lam, m, omega, params) for lam, omega in zip(lambdas, params.omegas)]
-
-
-def coupled_step(state: LeverageState, params: ModelParams) -> LeverageState:
-    """Advance a leverage state by one step of the coupled map.
-
-    The input state must be feasible (every leverage >= 1 and mean field
-    within the stationarity bound); the returned state carries a freshly
-    computed mean field and feasibility flag.
-    """
-    state.require_feasible()
-    return LeverageState.from_lambdas(advance(state.lambdas, params), params)
 
 
 def coupled_jacobian(lambdas: Sequence[float], params: ModelParams) -> np.ndarray:
@@ -123,10 +114,3 @@ def fiber_map_deriv(x: float, y: float, omega1: float, params: ModelParams) -> f
     f = fiber_map(x, y, omega1, params)
     r = f / x
     return omega1 * r * r * r
-
-
-def fiber_asymptote(y: float, omega1: float, params: ModelParams) -> float:
-    """Large-x limit of f_y: ((1-omega1) var_kernel(y))^(-1/2)."""
-    if omega1 >= 1.0:
-        raise DomainError("asymptote undefined for omega1 = 1 (identity fiber)")
-    return 1.0 / math.sqrt((1.0 - omega1) * params.var_kernel(y))

@@ -16,10 +16,10 @@ next target leverage 1/(alpha sigma).  As n grows the estimator noise
 shrinks at the CLT rate and the slow dynamics converge to the
 deterministic coupled map.
 
-One tick loop (``_ticks``) serves ``run_micro`` and ``step_intraday``;
-one re-target (``_retarget``) serves ``close_period`` and the zero-noise
-limit.  Asset weights and their drift are formed after each period from
-the stored per-tick assets.
+One tick loop (``_ticks``) serves ``run_micro`` alone; one re-target
+(``_retarget``) serves ``close_period`` and the zero-noise limit.  Asset
+weights and their drift are formed after each period from the stored
+per-tick assets.
 
 A run's seed returns and shocks are one seeded stream of normals, drawn
 in order by ``_shock_blocks``.  A long run draws them ahead on a helper
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from array import array
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -62,7 +62,6 @@ class MicroParams:
     n_intraday: int
     horizon: int
     rng_seed: int = 0
-    equity_total: float = 1.0
     zero_noise: bool = False
 
     def __post_init__(self) -> None:
@@ -70,33 +69,10 @@ class MicroParams:
             raise ValueError(f"n_intraday must be >= 2, got {self.n_intraday}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not self.equity_total > 0:
-            raise ValueError("equity_total must be positive")
 
     @property
     def sigma_eps_step_sq(self) -> float:
         return self.base.sigma_eps_sq / self.n_intraday
-
-
-@dataclass
-class MicroState:
-    """Intra-period market state (mutated tick by tick)."""
-
-    equities: list[float]
-    target_assets: list[float]
-    lambdas: list[float]
-    sigma_sq: list[float]
-    last_return: float
-    weights: list[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            self.weights = _weights(self.target_assets)
-
-
-def _weights(target_assets: list[float]) -> list[float]:
-    total = math.fsum(target_assets)
-    return [a / total for a in target_assets]
 
 
 def _impact(lambdas: list[float], assets: list[float], gamma: float) -> float:
@@ -235,36 +211,6 @@ def _retarget(
     return new_lambdas, new_sigma, floored
 
 
-def step_intraday(
-    state: MicroState, params: MicroParams, rng: np.random.Generator
-) -> MicroState:
-    """One intraday tick: draw a shock, propagate the return, mark
-    equities to market and rebalance to target assets.
-
-    Pure with respect to its input (works on copies): the tick loop of
-    ``run_micro`` on a single shock.  Insolvency raised here carries
-    period -1 (standalone tick outside a period loop).
-    """
-    for i, e in enumerate(state.equities):
-        if not e > 0.0:
-            raise InsolvencyError(period=-1, bank=i)
-    equities = list(state.equities)
-    target_assets = list(state.target_assets)
-    eps = float(rng.normal(0.0, math.sqrt(params.sigma_eps_step_sq)))
-    returns, weights = _ticks(
-        equities, target_assets, state.lambdas, state.last_return,
-        params.base.gamma, [eps], -1,
-    )
-    return MicroState(
-        equities=equities,
-        target_assets=target_assets,
-        lambdas=list(state.lambdas),
-        sigma_sq=list(state.sigma_sq),
-        last_return=float(returns[0]),
-        weights=weights[0].tolist(),
-    )
-
-
 def close_period(
     returns: np.ndarray,
     r0: float,
@@ -323,10 +269,9 @@ class MicroRun:
 
 
 def initial_equities(params: MicroParams, lambdas: list[float]) -> list[float]:
-    """Equities making the initial asset weights equal the configured pis."""
-    return [
-        p * params.equity_total / lam for p, lam in zip(params.base.pis, lambdas)
-    ]
+    """Equities making the initial asset weights equal the configured pis,
+    for a total equity of 1: every output is a ratio in which it cancels."""
+    return [p / lam for p, lam in zip(params.base.pis, lambdas)]
 
 
 def run_micro(
@@ -392,7 +337,8 @@ def run_micro(
                 r0 = 0.0 + sigma_step / math.sqrt(1.0 - phi0 * phi0) * float(draws[0])
                 # a memoryview yields the shocks as Python floats, without a list
                 eps = memoryview(draws[1:])
-                weights0 = _weights(target_assets)
+                total0 = math.fsum(target_assets)
+                weights0 = [a / total0 for a in target_assets]
                 returns, weights = _ticks(equities, target_assets, lambdas, r0, base.gamma, eps, t)
                 try:
                     lambdas, sigma_sq, phis[t], sig_eps[t], floored = close_period(

@@ -99,20 +99,6 @@ def constant_history(level: float, depth: int) -> ForcingHistory:
     return ForcingHistory(past=np.full(depth, float(level)), source="constant")
 
 
-def verify_history(
-    history: ForcingHistory,
-    omega2: float,
-    params: ModelParams,
-    tol: float = 1e-12,
-) -> bool:
-    """Check T(past[k+1]) = past[k] for every consecutive pair."""
-    past = history.past
-    for k in range(history.depth - 1):
-        if abs(leverage_map(float(past[k + 1]), omega2, params) - past[k]) > tol:
-            return False
-    return True
-
-
 def shift_history(
     history: ForcingHistory, omega2: float, params: ModelParams
 ) -> ForcingHistory:

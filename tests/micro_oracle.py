@@ -23,7 +23,6 @@ from levdyn.micro import (
     SIGMA_SQ_FLOOR,
     MicroParams,
     MicroRun,
-    MicroState,
     initial_equities,
 )
 from levdyn.params import mean_field
@@ -55,30 +54,6 @@ def _tick(equities, target_assets, lambdas, r_prev, gamma, eps):
         total_new += a
     weights = [a / total_new for a in target_assets]
     return r, weights
-
-
-def step_intraday(state: MicroState, params: MicroParams, rng) -> MicroState:
-    for i, e in enumerate(state.equities):
-        if not e > 0.0:
-            raise InsolvencyError(period=-1, bank=i)
-    equities = list(state.equities)
-    target_assets = list(state.target_assets)
-    eps = float(rng.normal(0.0, math.sqrt(params.sigma_eps_step_sq)))
-    try:
-        r, weights = _tick(
-            equities, target_assets, state.lambdas, state.last_return,
-            params.base.gamma, eps,
-        )
-    except _Insolvent as exc:
-        raise InsolvencyError(period=-1, bank=exc.bank) from None
-    return MicroState(
-        equities=equities,
-        target_assets=target_assets,
-        lambdas=list(state.lambdas),
-        sigma_sq=list(state.sigma_sq),
-        last_return=r,
-        weights=weights,
-    )
 
 
 def close_period(returns, r0, sigma_sq, omegas, params: MicroParams):

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import MISSING, fields
 from functools import reduce
 from pathlib import Path
@@ -31,6 +32,8 @@ from levdyn.config import (
     parse_config,
 )
 from levdyn.output import RowBlock, format_value, read_csv, write_csv
+
+from conftest import python_loops
 
 STD_MODEL = {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}
 
@@ -407,8 +410,6 @@ class TestCliCommands:
             ("micro", {"run": {"seed": 1}, "micro": {**micro, "n_intraday": 1}},
              "micro.n_intraday"),
             ("micro", {"run": {"seed": 1}, "micro": {**micro, "horizon": 0}}, "micro.horizon"),
-            ("micro", {"run": {"seed": 1}, "micro": {**micro, "equity_total": -1}},
-             "micro.equity_total"),
             ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "omega2": 1.5}}},
              "skew.history.omega2"),
             ("fixedpoint", {"skew": {"omega1": 0.5, "history": {
@@ -468,6 +469,12 @@ class TestCliCommands:
                            "case.json")
         assert main(["lyapunov", "--config", cfg]) == 2
         assert "levdyn: configuration error: lyapunov.x0: unknown key" in capsys.readouterr().err
+        # the total equity cancels from every micro output, so it is no key
+        cfg = write_config(tmp_path, {"model": STD_MODEL, "run": {"seed": 1},
+                                      "micro": {**micro, "equity_total": 2.0}}, "case.json")
+        assert main(["micro", "--config", cfg]) == 2
+        assert ("levdyn: configuration error: micro.equity_total: unknown key"
+                in capsys.readouterr().err)
 
     def test_start_past_the_bound_exits_3(self, tmp_path, capsys):
         # a mean field past 1 + gamma = 101 is a constraint violation in
@@ -487,6 +494,22 @@ class TestCliCommands:
             assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3, (
                 command, document)
             assert "levdyn: constraint violation: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loops", [nullcontext, python_loops])
+    def test_overflowing_leverage_square_exits_1(self, tmp_path, capsys, loops):
+        # feasible, as the bank at 1e200 has zero weight, but its square
+        # overflows in the first step; this used to end in a
+        # ZeroDivisionError traceback
+        cfg = write_config(tmp_path, {
+            "model": {"omegas": [1.0, 0.3], "pis": [0.0, 1.0]},
+            "run": {"initial": [1e200, 50.0], "record": 3, "transient": 0},
+        })
+        out = tmp_path / "out"
+        for command in ("simulate", "attractor", "boxdim", "lyapunov"):
+            with loops():
+                assert main([command, "--config", cfg, "--out", str(out)]) == 1, command
+            assert "levdyn: error: float division by zero" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_micro_zero_noise_start_on_bound_exits_3(self, tmp_path, capsys):
         # the mean field 101 = 1 + gamma makes phi = 1; this used to end

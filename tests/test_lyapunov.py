@@ -373,6 +373,34 @@ def test_exponents_match_step_by_step_maps(
             assert _outcome(history) == expected
 
 
+#: each SUPERSTABLE start with its memory, run from step 0, so the tangent
+#: vector meets T' = 0 at its first, second or third step
+SATURATING = [(omega, x, 0) for omega, xs in SUPERSTABLE.items() for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(lambda f: 1.0 + 100.0 * f),
+                  st.integers(0, 40)),
+        st.sampled_from(SATURATING),
+    ),
+    steps=st.integers(1, 2 * BLOCK_STEPS),
+)
+def test_one_bank_spectrum_is_the_scalar_exponent(case, steps):
+    """On one bank, lyapunov_spectrum (start vector e_1) and lyapunov_1d
+    (a seeded +-1) give the same estimate repr for repr, saturated ones
+    included, and the same violation on an orbit that escapes: the sign
+    flip |J (+-1)| = |J| is exact.  Both loop paths."""
+    omega, x0, transient = case
+    p = ModelParams(omegas=(omega,), pis=(1.0,))
+    state = LeverageState.from_lambdas([x0], p)
+    for loops in (nullcontext, python_loops):
+        with loops():
+            scalar = _outcome(lambda: lyapunov_1d(omega, p, x0, transient, steps))
+            assert _outcome(lambda: lyapunov_spectrum(state, p, transient, steps)) == scalar
+
+
 def _pass_outcome(initial, p, steps, seed):
     """``lyap._tangent`` of one vector on the orbit from ``initial``: the
     exponent's repr with the saturation flag, or the escape."""

@@ -12,8 +12,6 @@ from levdyn.errors import DomainError, InfeasibleStateError
 from levdyn.maps import (
     advance,
     coupled_jacobian,
-    coupled_step,
-    fiber_asymptote,
     fiber_map,
     fiber_map_deriv,
     leverage_map,
@@ -149,8 +147,7 @@ class TestCoupledStep:
 
     def test_state_wrapper_recomputes_flags(self):
         p = two_bank(0.5, 0.3, 0.5)
-        state = LeverageState.from_lambdas([50.0, 60.0], p)
-        nxt = coupled_step(state, p)
+        nxt = LeverageState.from_lambdas(advance([50.0, 60.0], p), p)
         assert nxt.feasible
         assert nxt.mean_field == pytest.approx(
             0.5 * nxt.lambdas[0] + 0.5 * nxt.lambdas[1]
@@ -159,8 +156,9 @@ class TestCoupledStep:
     def test_infeasible_state_rejected_with_constraint(self):
         p = two_bank(0.5, 0.3, 0.5)
         below_floor = LeverageState.from_lambdas([0.5, 60.0], p)
+        assert not below_floor.feasible
         with pytest.raises(InfeasibleStateError) as info:
-            coupled_step(below_floor, p)
+            below_floor.require_feasible()
         assert info.value.constraint == "leverage_floor"
 
     def test_homogeneous_contraction(self, rng):
@@ -256,8 +254,10 @@ class TestFiberMap:
             )
 
     def test_horizontal_asymptote(self, std1):
+        # f_y(x) -> ((1 - omega1) var_kernel(y))^(-1/2) as x grows
         got = fiber_map(1e9, 80.0, 0.5, std1)
-        assert got == pytest.approx(fiber_asymptote(80.0, 0.5, std1), rel=1e-6)
+        want = 1.0 / math.sqrt((1.0 - 0.5) * std1.var_kernel(80.0))
+        assert got == pytest.approx(want, rel=1e-6)
 
     def test_monotone_increasing_concave(self, rng, std1):
         xs = np.linspace(1.0, std1.lambda_max, 400)

@@ -17,12 +17,10 @@ from levdyn.maps import advance
 from levdyn.micro import (
     SIGMA_SQ_FLOOR,
     MicroParams,
-    MicroState,
     close_period,
     _ticks,
     initial_equities,
     run_micro,
-    step_intraday,
 )
 from levdyn.params import ModelParams
 
@@ -30,28 +28,18 @@ import micro_oracle as oracle
 from conftest import needs_kernel, python_loops, two_bank
 
 
-class _StubRng:
-    """Generator stand-in emitting a fixed shock value."""
-
-    def __init__(self, value: float = 0.0):
-        self.value = value
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
-
-
-def make_state(params: MicroParams, lambdas) -> MicroState:
+def start(params: MicroParams, lambdas) -> tuple[list[float], list[float], list[float]]:
+    """Equities, target assets and leverages of a period's first tick."""
     lams = [float(x) for x in lambdas]
     eq = initial_equities(params, lams)
-    return MicroState(
-        equities=eq,
-        target_assets=[lam * e for lam, e in zip(lams, eq)],
-        lambdas=lams,
-        sigma_sq=[1.0 / (params.base.alpha * lam) ** 2 for lam in lams],
-        last_return=0.0,
-    )
+    return eq, [lam * e for lam, e in zip(lams, eq)], lams
+
+
+def tick(equities, assets, lambdas, r, gamma, shock) -> tuple[float, list[float]]:
+    """One intraday step, ``_ticks`` on one shock, updating ``equities``
+    and ``assets`` in place: the tick's return and the weights after it."""
+    returns, weights = _ticks(equities, assets, lambdas, r, gamma, [shock], -1)
+    return float(returns[0]), weights[0].tolist()
 
 
 class TestParams:
@@ -69,56 +57,62 @@ class TestParams:
 class TestStepIntraday:
     def test_no_shock_no_prior_return_is_a_fixed_state(self):
         mp = MicroParams(base=two_bank(0.5, 0.3, 0.5), n_intraday=100, horizon=1)
-        state = make_state(mp, [40.0, 70.0])
-        nxt = step_intraday(state, mp, _StubRng(0.0))
-        assert nxt.equities == state.equities
-        assert nxt.target_assets == state.target_assets
-        assert nxt.last_return == 0.0
+        equities, assets, lams = start(mp, [40.0, 70.0])
+        before = (list(equities), list(assets))
+        r, _ = tick(equities, assets, lams, 0.0, mp.base.gamma, 0.0)
+        assert (equities, assets) == before
+        assert r == 0.0
 
     def test_unit_leverage_kills_feedback(self):
         mp = MicroParams(
             base=ModelParams(omegas=(0.5,), pis=(1.0,)), n_intraday=100, horizon=1
         )
-        state = make_state(mp, [1.0])
-        state.last_return = 0.37
-        nxt = step_intraday(state, mp, _StubRng(2.5e-4))
+        equities, assets, lams = start(mp, [1.0])
+        r, _ = tick(equities, assets, lams, 0.37, mp.base.gamma, 2.5e-4)
         # phi_s = 0, so the return is the bare shock
-        assert nxt.last_return == 2.5e-4
+        assert r == 2.5e-4
 
-    def test_equal_leverages_keep_weights_constant(self, rng):
+    def test_equal_leverages_keep_weights_constant(self):
         base = ModelParams(omegas=(0.5, 0.3, 0.8), pis=(0.2, 0.5, 0.3))
         mp = MicroParams(base=base, n_intraday=64, horizon=1)
-        state = make_state(mp, [30.0, 30.0, 30.0])
+        equities, assets, lams = start(mp, [30.0, 30.0, 30.0])
         gen = np.random.default_rng(42)
-        w0 = list(state.weights)
+        w0 = [a / math.fsum(assets) for a in assets]
+        r = 0.0
         for _ in range(64):
-            state = step_intraday(state, mp, gen)
-            for a, b in zip(state.weights, w0):
+            shock = gen.normal(0.0, math.sqrt(mp.sigma_eps_step_sq))
+            r, weights = tick(equities, assets, lams, r, base.gamma, shock)
+            for a, b in zip(weights, w0):
                 assert a == pytest.approx(b, abs=1e-12)
 
     def test_weights_sum_to_one_every_tick(self):
         base = ModelParams(omegas=(0.5, 0.3, 0.8), pis=(0.2, 0.5, 0.3))
         mp = MicroParams(base=base, n_intraday=64, horizon=1)
-        state = make_state(mp, [12.0, 55.0, 30.0])
+        equities, assets, lams = start(mp, [12.0, 55.0, 30.0])
         gen = np.random.default_rng(42)
+        r = 0.0
         for _ in range(64):
-            state = step_intraday(state, mp, gen)
-            assert math.fsum(state.weights) == pytest.approx(1.0, abs=1e-12)
+            shock = gen.normal(0.0, math.sqrt(mp.sigma_eps_step_sq))
+            r, weights = tick(equities, assets, lams, r, base.gamma, shock)
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_balance_sheet_identity(self):
         mp = MicroParams(base=two_bank(0.5, 0.3, 0.5), n_intraday=64, horizon=1)
-        state = make_state(mp, [40.0, 70.0])
+        equities, assets, lams = start(mp, [40.0, 70.0])
         gen = np.random.default_rng(7)
+        r = 0.0
         for _ in range(20):
-            state = step_intraday(state, mp, gen)
-            for a, lam, e in zip(state.target_assets, state.lambdas, state.equities):
+            shock = gen.normal(0.0, math.sqrt(mp.sigma_eps_step_sq))
+            r, _ = tick(equities, assets, lams, r, mp.base.gamma, shock)
+            for a, lam, e in zip(assets, lams, equities):
                 assert a == lam * e
 
     def test_insolvency_detected(self):
         mp = MicroParams(base=two_bank(0.5, 0.3, 0.5), n_intraday=100, horizon=1)
-        state = make_state(mp, [40.0, 70.0])
-        with pytest.raises(InsolvencyError):
-            step_intraday(state, mp, _StubRng(-1.0))
+        equities, assets, lams = start(mp, [40.0, 70.0])
+        with pytest.raises(InsolvencyError) as info:
+            tick(equities, assets, lams, 0.0, mp.base.gamma, -1.0)
+        assert (info.value.period, info.value.bank) == (-1, 0)
 
 
 class TestClosePeriod:
@@ -441,24 +435,21 @@ def test_normal_draws_are_scaled_standard_normals(seed, draws):
     data=st.data(),
 )
 def test_step_intraday_matches_oracle_tick(lambdas, data):
-    banks = len(lambdas)
-    equities = [data.draw(st.floats(1e-6, 1.0)) for _ in range(banks)]
-    state = MicroState(
-        equities=equities,
-        target_assets=[lam * e for lam, e in zip(lambdas, equities)],
-        lambdas=lambdas,
-        sigma_sq=[1e-5] * banks,
-        last_return=data.draw(st.floats(-0.05, 0.05)),
-    )
-    mp = MicroParams(base=ModelParams(omegas=(0.5,) * banks, pis=(1.0 / banks,) * banks),
-                     n_intraday=100, horizon=1)
-    rng = _StubRng(data.draw(st.floats(-0.1, 0.1)))
-    want = _outcome(oracle.step_intraday, state, mp, rng)
-    got = _outcome(step_intraday, state, mp, rng)
-    if isinstance(want, Exception):
-        assert _error_fields(got) == _error_fields(want)
-    else:
-        assert repr(got) == repr(want)
+    """One intraday step, ``_ticks`` on one shock, against the oracle's
+    ``_tick``: the return, the weights, the equities and the assets, or
+    the insolvent bank, for leverages below 1 and tiny equities too."""
+    equities = [data.draw(st.floats(1e-6, 1.0)) for _ in lambdas]
+    r = data.draw(st.floats(-0.05, 0.05))
+    shock = data.draw(st.floats(-0.1, 0.1))
+
+    def outcome(step):
+        e, a = list(equities), [lam * x for lam, x in zip(lambdas, equities)]
+        try:
+            return repr((*step(e, a, lambdas, r, 100.0, shock), e, a))
+        except (InsolvencyError, oracle._Insolvent) as exc:
+            return ("insolvent", exc.bank)
+
+    assert outcome(tick) == outcome(oracle._tick)
 
 
 def _ticks_outcome(equities, assets, lambdas, r, gamma, form, shocks, period):
