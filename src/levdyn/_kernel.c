@@ -3,23 +3,26 @@
  * lyap._tangent's pass, forming each step's Jacobian as
  * maps.step_jacobian does and running the renormalised tangent step of
  * k vectors (lyap._tangent_steps) in the same loop; levdyn_ticks,
- * micro._ticks's intraday tick pass; levdyn_boxes, the occupancy grids
- * of attractor.occupied_box_counts; and levdyn_rows, which formats the
- * CSV rows of output._block_texts as output._format_column and
+ * micro._ticks's intraday tick pass, which scans the asset weights'
+ * drift as it goes; levdyn_boxes, the occupancy grids of
+ * attractor.occupied_box_counts; and levdyn_rows, which formats the CSV
+ * rows of output._block_texts as output._format_column and
  * output.format_value do.  The orbit step is written once, map_step.
  *
  * In map_step, levdyn_ticks and levdyn_boxes each statement mirrors one
- * Python statement of the reference loop, in the same order.  A tangent
- * step of levdyn_orbit has no one Python loop to mirror: it is
- * orbits._run's step, then maps.step_jacobian's entries of one row at a
- * time, then lyap._tangent_steps's step, each with its Python operations
- * in their order.  The loops use only +, -, *, /, sqrt, fma and fmod,
- * which IEEE 754 rounds correctly (fmod is exact), casts that truncate a
- * non-negative double below 2^53 to an integer, which are exact, and
- * log, which is the libm function that Python's math.log calls; built
- * without contraction of multiply-adds (-ffp-contract=off), so that
- * every fma is one the source spells out, they give the doubles the
- * Python loops give.
+ * Python statement of the reference loop, in the same order.  The drift
+ * scan of levdyn_ticks forms, a tick at a time, the elements of the
+ * Python loop's numpy drift, with its operations; their maximum is the
+ * same in any order.  A tangent step of levdyn_orbit has no one Python
+ * loop to mirror: it is orbits._run's step, then maps.step_jacobian's
+ * entries of one row at a time, then lyap._tangent_steps's step, each
+ * with its Python operations in their order.  The loops use only +, -,
+ * *, /, sqrt, fma, fabs and fmod, which IEEE 754 rounds correctly (fabs
+ * and fmod are exact), casts that truncate a non-negative double below
+ * 2^53 to an integer, which are exact, and log, which is the libm
+ * function that Python's math.log calls; built without contraction of
+ * multiply-adds (-ffp-contract=off), so that every fma is one the source
+ * spells out, they give the doubles the Python loops give.
  * Where a Python loop would divide by zero, the compiled loop returns
  * KERNEL_DEFER, and the caller discards what it wrote and reruns the
  * Python loop, which raises ZeroDivisionError there.
@@ -166,17 +169,20 @@ int levdyn_orbit(int n, double *lams, const double *omegas, const double *pis,
 }
 
 /* micro._ticks on n banks over the given shocks, starting from return r
- * and impact coefficient phi.  Updates equities and assets in place,
- * writes each tick's return to returns and its asset weights, rows of
- * n, to weights.  Returns 0, or KERNEL_INSOLVENT with the tick and the
- * bank in out[0] and out[1], the arrays updated up to that bank. */
+ * and impact coefficient phi.  Updates equities and assets in place and
+ * writes each tick's return to returns and, to *drift, the largest
+ * |w_i - weights0[i]| over the ticks and banks, where w_i is a tick's
+ * asset over their left-to-right sum: NaN once any is NaN, as np.max
+ * over the Python loop's weights gives, and 0.0 for no tick.  Returns
+ * 0, or KERNEL_INSOLVENT with the tick and the bank in out[0] and
+ * out[1], the arrays updated up to that bank. */
 int levdyn_ticks(int n, double *equities, double *assets, const double *lambdas,
-                 double r, double phi, double gamma,
-                 const double *eps, long long ticks,
-                 double *returns, double *weights, long long *out)
+                 const double *weights0, double r, double phi, double gamma,
+                 const double *eps, long long ticks, double *returns,
+                 double *drift, long long *out)
 {
+    double largest = 0.0;
     for (long long s = 0; s < ticks; s++) {
-        double *held = weights + s * n;
         double demand = 0.0;
         double total = 0.0;
         r = phi * r + eps[s];
@@ -191,7 +197,6 @@ int levdyn_ticks(int n, double *equities, double *assets, const double *lambdas,
             double lam = lambdas[i];
             double a = lam * e;
             assets[i] = a;
-            held[i] = a;
             demand += (lam - 1.0) * a;
             total += a;
         }
@@ -200,10 +205,14 @@ int levdyn_ticks(int n, double *equities, double *assets, const double *lambdas,
             return KERNEL_DEFER;
         phi = demand / depth;
         returns[s] = r;
-        /* the Python loop's weights: each row over its left-to-right sum */
-        for (int i = 0; i < n; i++)
-            held[i] /= total;
+        /* the Python loop's weights: each asset over the row's sum */
+        for (int i = 0; i < n; i++) {
+            double d = fabs(assets[i] / total - weights0[i]);
+            if (d > largest || isnan(d))
+                largest = d;
+        }
     }
+    *drift = largest;
     return 0;
 }
 

@@ -7,19 +7,20 @@ next to this module or, where that directory is not writable, in
 0700).  The compiler writes a unique temporary file that is then renamed
 into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
-library once a short orbit, tick and two-vector tangent pass and a block
-of CSV rows give the same bytes through it as through the Python loops,
-and the box counts of a small lattice cloud equal PROBE_BOXES, the
-counts that the numpy counter gives; otherwise, also where that
-self-check raises, it is None, ``orbits._run``, ``micro._ticks`` and
-``lyap._tangent`` loop in Python, ``attractor`` counts boxes with numpy
-and ``output`` formats every cell in Python.  There are four compiled
-loops.  ``levdyn_orbit`` runs an orbit's transient and then its window,
-recording the states, stepping k tangent vectors on the step's Jacobian,
-or both: ``orbits._run`` calls it with k = 0 and ``lyap._tangent`` with
-k >= 1, once per exponent; where a vector vanishes it defers to the
-Python pass.  ``levdyn_ticks`` is the intraday tick pass,
-``levdyn_boxes`` marks the occupancy grids of
+library once a short orbit, a tick pass with its weight drift, a
+two-vector tangent pass and a block of CSV rows give the same bytes
+through it as through the Python loops, and the box counts of a small
+lattice cloud equal PROBE_BOXES, the counts that the numpy counter
+gives; otherwise, also where that self-check raises, it is None,
+``orbits._run``, ``micro._ticks`` and ``lyap._tangent`` loop in Python,
+``attractor`` counts boxes with numpy and ``output`` formats every cell
+in Python.  There are four compiled loops.  ``levdyn_orbit`` runs an
+orbit's transient and then its window, recording the states, stepping k
+tangent vectors on the step's Jacobian, or both: ``orbits._run`` calls
+it with k = 0 and ``lyap._tangent`` with k >= 1, once per exponent;
+where a vector vanishes it defers to the Python pass.  ``levdyn_ticks``
+is the intraday tick pass, which scans the drift of the banks' asset
+weights as it goes, ``levdyn_boxes`` marks the occupancy grids of
 ``attractor.occupied_box_counts`` in one pass over a cloud, and the row
 writer, ``levdyn_rows``, formats the cells of ``output._block_texts``.
 """
@@ -106,26 +107,28 @@ def _build(source: Path, directories: list[Path]) -> Path:
 
 
 def _probe() -> tuple:
-    """A two-bank orbit, one that escapes, a tick pass, a two-vector
-    tangent pass on that orbit, one whose orbit escapes, the box counts of
-    PROBE_CLOUD and the rows of a block of edge-case cells, as bytes and
-    values, through whichever loops ``lib`` selects; with no library the
-    box counts are PROBE_BOXES."""
+    """A two-bank orbit, one that escapes, a tick pass and its drift, a
+    two-vector tangent pass on that orbit, one whose orbit escapes, the
+    box counts of PROBE_CLOUD and the rows of a block of edge-case cells,
+    as bytes and values, through whichever loops ``lib`` selects; with no
+    library the box counts are PROBE_BOXES."""
     import numpy as np
 
     from .attractor import occupied_box_counts
     from .errors import OrbitViolationError
     from .lyap import _tangent
-    from .micro import _ticks
+    from .micro import _impact, _ticks
     from .orbits import _run
     from .output import RowBlock, _block_texts
     from .params import ModelParams
 
     params = ModelParams(omegas=(0.5, 0.3), pis=(0.5, 0.5))
     recorded, violation = _run([50.0, 60.0], params, 3, 40)
+    # leverages 50 and 60 move the weights: the drift grows every tick
     equities, assets = [0.01, 0.008], [0.5, 0.48]
-    returns, weights = _ticks(equities, assets, [50.0, 60.0], 1e-4, 100.0,
-                              [1e-3, -2e-3, 5e-4], 0)
+    returns, drift = _ticks(equities, assets, [50.0, 60.0], 1e-4,
+                            _impact([50.0, 60.0], assets, 100.0), 100.0,
+                            np.array([1e-3, -5e-4, 2e-3]), 0)
     # fixed vectors keep numpy.random, and its memory, out of the import
     tangent = _tangent([50.0, 60.0], params, 3, 40, [[0.6, -0.8], [0.8, 0.6]], iter([[0.0, 1.0]]))
     try:
@@ -146,7 +149,7 @@ def _probe() -> tuple:
     words = np.array(["a,b", ""] * (n // 2))
     cells = RowBlock((0.5, None), (np.array(floats), ints, ints % 3 == 0, words), ("x",))
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
-            returns.tobytes(), weights.tobytes(), equities, assets, tangent, escape,
+            returns.tobytes(), drift.hex(), equities, assets, tangent, escape,
             boxes, "".join(_block_texts(cells)))
 
 
@@ -160,7 +163,7 @@ def _load() -> ctypes.CDLL | None:
     ptr, size, real = ctypes.c_void_p, ctypes.c_longlong, ctypes.c_double
     candidate.levdyn_orbit.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
                                        size, size, ptr, ctypes.c_int, ptr, ptr, ptr]
-    candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
+    candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, real, real, real,
                                        ptr, size, ptr, ptr, ptr]
     candidate.levdyn_boxes.argtypes = [size, ptr, ptr, ptr, ctypes.c_int, ptr, ptr, ptr]
     candidate.levdyn_boxes.restype = None

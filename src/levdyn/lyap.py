@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from functools import lru_cache
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -96,8 +97,8 @@ def lyapunov_1d(
         initial.require_feasible()
     except InfeasibleStateError as exc:
         raise OrbitViolationError(0, exc.constraint) from None
-    vectors = _tangent_vectors(0, 1)
-    totals, saturated = _tangent(initial.lambdas, p, transient, steps, [next(vectors)], vectors)
+    start, redraws = _seeded_vectors(0, 1)
+    totals, saturated = _tangent(initial.lambdas, p, transient, steps, [start], redraws)
     return LyapunovEstimate((totals[0] / steps,), steps, transient, saturated)
 
 
@@ -129,8 +130,8 @@ def lyapunov_top(
     from ``seed``.  Cheaper than the full spectrum; used by parameter
     sweeps where only the sign and rough magnitude matter."""
     initial.require_feasible()
-    unit = _tangent_vectors(seed, params.n_banks)
-    return _tangent(initial.lambdas, params, transient, steps, [next(unit)], unit)[0][0] / steps
+    start, redraws = _seeded_vectors(seed, params.n_banks)
+    return _tangent(initial.lambdas, params, transient, steps, [start], redraws)[0][0] / steps
 
 
 #: Veltkamp's splitter 2**27 + 1 cuts a double into halves of at most 26
@@ -188,6 +189,21 @@ def _tangent_vectors(seed: int, n: int) -> Iterator[list[float]]:
     while True:
         v, norm = _orthogonalised(rng.standard_normal(n).tolist(), [])
         yield [x / norm for x in v]
+
+
+@lru_cache(maxsize=64)
+def _start_vector(seed: int, n: int) -> tuple[float, ...]:
+    """The first of ``_tangent_vectors(seed, n)``, drawn once per (seed, n):
+    every exponent of a sweep starts from it, and building its generator
+    costs a third of a short compiled exponent."""
+    return tuple(next(_tangent_vectors(seed, n)))
+
+
+def _seeded_vectors(seed: int, n: int) -> tuple[list[float], Iterator[list[float]]]:
+    """``_tangent_vectors(seed, n)`` as its first vector, a fresh list that
+    no other caller holds, and the vectors after it, whose generator is
+    built only when a vector vanishes and one is drawn."""
+    return list(_start_vector(seed, n)), islice(_tangent_vectors(seed, n), 1, None)
 
 
 def _tangent_steps(blocks: Iterable[np.ndarray], q: list[list[float]],

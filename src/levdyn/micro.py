@@ -17,8 +17,11 @@ shrinks at the CLT rate and the slow dynamics converge to the
 deterministic coupled map.
 
 One tick loop (``_ticks``) serves ``run_micro`` alone; one re-target
-(``_retarget``) serves ``close_period`` and the zero-noise limit.  Asset
-weights and their drift are formed after each period from the stored
+(``_retarget``) serves ``close_period`` and the zero-noise limit.  The
+tick loop also reports the period's weight drift, the largest distance
+of any tick's asset weights from the period's start weights: its
+compiled copy scans it tick by tick, with no per-tick weights kept, on
+arrays that a run makes once; its Python loop forms it from the stored
 per-tick assets.
 
 A run's seed returns and shocks are one seeded stream of normals, drawn
@@ -30,11 +33,12 @@ same at any timing.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from array import array
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -86,53 +90,75 @@ def _impact(lambdas: list[float], assets: list[float], gamma: float) -> float:
     return demand / (gamma * total)
 
 
+class _TickBuffers:
+    """The arrays of the compiled tick pass on ``banks`` banks and ``ticks``
+    shocks, with their addresses, made once for a run's periods: one
+    vector of the equities, assets, leverages and start weights, then
+    the returns, the drift, and the tick and bank of an insolvency."""
+
+    def __init__(self, banks: int, ticks: int) -> None:
+        self.state = (ctypes.c_double * (4 * banks))()
+        self.returns = np.empty(ticks)
+        self.drift = ctypes.c_double()
+        self.out = (ctypes.c_longlong * 2)()
+        at = ctypes.addressof(self.state)
+        self.inputs = tuple(at + k * banks * ctypes.sizeof(ctypes.c_double) for k in range(4))
+        self.outputs = (self.returns.ctypes.data, ctypes.addressof(self.drift),
+                        ctypes.addressof(self.out))
+
+
 def _ticks(
-    equities: list[float], assets: list[float], lambdas: list[float], r: float,
-    gamma: float, eps: Iterable[float], period: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run one intraday tick per shock in ``eps``, updating ``equities``
-    and ``assets`` in place from the return ``r`` before the first tick.
+    equities: list[float], assets: list[float], lambdas: list[float], r: float, phi: float,
+    gamma: float, eps: np.ndarray, period: int, buffers: _TickBuffers | None = None,
+) -> tuple[np.ndarray, float]:
+    """Run one intraday tick per shock in the float64 vector ``eps``,
+    updating ``equities`` and ``assets`` in place from the return ``r``
+    and the impact coefficient ``phi`` (``_impact`` of the leverages and
+    assets) before the first tick.
 
     Each tick forms r_s = phi_s r_{s-1} + eps_s, marks every bank's
     equity to market and rebalances it to lambda_i E_i; the pass over
     the banks also accumulates the next tick's phi.  An equity that is
     not positive (NaN included) raises InsolvencyError(period, bank).
-    Returns the tick returns and the asset weights after each tick
-    (ticks x banks), each row divided by its left-to-right sum.
+    Returns the tick returns and the weight drift: the largest
+    |w_i - w0_i| over the ticks and banks, where w is a tick's assets
+    over their left-to-right sum and w0 the assets at entry over their
+    fsum; NaN where any is NaN, as np.max gives, and 0.0 for no shock.
 
     The loop runs compiled (``levdyn_ticks`` in ``_kernel.c``) when that
-    loaded.  The Python loop below is its reference.  It runs where no
-    C compiler is found, and where the compiled loop stops at a step on
-    which Python raises ZeroDivisionError, to raise it.
+    loaded, on ``buffers`` made for these banks and ``len(eps)`` shocks
+    (fresh ones where it is None); the returns are then its buffer,
+    overwritten by the next call on it.  The Python loop below is its
+    reference.  It runs where no C compiler is found, and where the
+    compiled loop stops at a step on which Python raises
+    ZeroDivisionError, to raise it.
     """
-    banks = range(len(equities))
-    phi = _impact(lambdas, assets, gamma)
+    total0 = math.fsum(assets)
+    weights0 = [a / total0 for a in assets]
     lib = _kernel.lib
-    if lib is not None and len(equities) == len(assets) == len(lambdas):
-        if not isinstance(eps, memoryview):
-            eps = list(eps)  # the Python loop may iterate it again
-        shocks = np.ascontiguousarray(eps, dtype=float)
-        e, a, lam = (np.array(x, dtype=float) for x in (equities, assets, lambdas))
-        returns = np.empty(len(shocks))
-        weights = np.empty((len(shocks), len(banks)))
-        out = np.zeros(2, dtype=np.int64)
-        code = lib.levdyn_ticks(len(banks), e.ctypes.data, a.ctypes.data, lam.ctypes.data,
-                                r, phi, gamma, shocks.ctypes.data, len(shocks),
-                                returns.ctypes.data, weights.ctypes.data, out.ctypes.data)
+    banks = len(equities)
+    if lib is not None and banks == len(assets) == len(lambdas):
+        shocks = np.ascontiguousarray(eps, dtype=float)  # no copy of a contiguous vector
+        buf = buffers or _TickBuffers(banks, shocks.size)
+        if shocks.shape != buf.returns.shape:
+            raise ValueError(f"buffers for {buf.returns.size} ticks, given {shocks.shape} shocks")
+        buf.state[:] = [*equities, *assets, *lambdas, *weights0]
+        code = lib.levdyn_ticks(banks, *buf.inputs, r, phi, gamma, shocks.ctypes.data,
+                                shocks.size, *buf.outputs)
         if code != _kernel.DEFER:
-            equities[:] = e.tolist()
-            assets[:] = a.tolist()
+            equities[:] = buf.state[:banks]
+            assets[:] = buf.state[banks:2 * banks]
             if code:
-                raise InsolvencyError(period=period, bank=int(out[1]))
-            return returns, weights
+                raise InsolvencyError(period=period, bank=buf.out[1])
+            return buf.returns, buf.drift.value
     # raw doubles: 8 bytes a value, where a list of floats takes 32
     returns = array("d")
     held = array("d")
-    for shock in eps:
+    for shock in memoryview(eps):  # Python floats, without a list
         r = phi * r + shock
         demand = 0.0
         total = 0.0
-        for i in banks:
+        for i in range(banks):
             e = equities[i] + r * assets[i]
             if not e > 0.0:
                 raise InsolvencyError(period=period, bank=i)
@@ -145,13 +171,14 @@ def _ticks(
             total += a
         phi = demand / (gamma * total)
         returns.append(r)
-    held_assets = np.frombuffer(held).reshape(len(returns), len(banks))
+    held_assets = np.frombuffer(held).reshape(len(returns), banks)
     # silent, as the compiled loop is, where an infinite last shock makes
     # a row's total overflow or its weights inf / inf
     with np.errstate(invalid="ignore", over="ignore"):
         totals = sum(held_assets.T, np.zeros(len(returns)))
         weights = held_assets / totals[:, None]
-    return np.frombuffer(returns), weights
+        drift = np.max(np.abs(weights - weights0), initial=0.0)
+    return np.frombuffer(returns), float(drift)
 
 
 def _shock_blocks(
@@ -242,7 +269,9 @@ def close_period(
     phi_hat = float(np.dot(returns, prev)) / den if den != 0.0 else 0.0
     if not abs(phi_hat) < 1.0:
         raise NonstationaryError(period=-1, phi_hat=phi_hat)
-    resid = returns - phi_hat * prev
+    resid = prev  # in place: the lags are not read again
+    resid *= phi_hat
+    np.subtract(returns, resid, out=resid)
     sigma_eps_hat_sq = float(np.dot(resid, resid)) / n
     sigma_e_hat_sq = n * sigma_eps_hat_sq / ((1.0 - phi_hat) ** 2)
     new_lambdas, new_sigma, floored = _retarget(
@@ -306,6 +335,7 @@ def run_micro(
     # started by the first stochastic period only, so zero_noise draws nothing
     blocks = _shock_blocks(np.random.default_rng(params.rng_seed), params.horizon,
                            params.n_intraday, sigma_step)
+    buffers = _TickBuffers(n_banks, params.n_intraday)
 
     lam_sto = np.empty((params.horizon, n_banks))
     lam_det = np.empty((params.horizon, n_banks))
@@ -335,18 +365,14 @@ def run_micro(
                     raise NonstationaryError(period=t, phi_hat=phi0)
                 draws = next(blocks)
                 r0 = 0.0 + sigma_step / math.sqrt(1.0 - phi0 * phi0) * float(draws[0])
-                # a memoryview yields the shocks as Python floats, without a list
-                eps = memoryview(draws[1:])
-                total0 = math.fsum(target_assets)
-                weights0 = [a / total0 for a in target_assets]
-                returns, weights = _ticks(equities, target_assets, lambdas, r0, base.gamma, eps, t)
+                returns, drift[t] = _ticks(equities, target_assets, lambdas, r0, phi0,
+                                           base.gamma, draws[1:], t, buffers)
                 try:
                     lambdas, sigma_sq, phis[t], sig_eps[t], floored = close_period(
                         returns, r0, sigma_sq, base.omegas, params
                     )
                 except NonstationaryError as exc:
                     raise NonstationaryError(period=t, phi_hat=exc.phi_hat) from None
-                drift[t] = np.max(np.abs(weights - weights0))
             floored_any = floored_any or floored
             target_assets = [lam * e for lam, e in zip(lambdas, equities)]
             lam_sto[t] = lambdas

@@ -141,6 +141,22 @@ def test_a_box_counter_that_disagrees_is_not_loaded(tmp_path, monkeypatch):
 
 
 @needs_cc
+def test_a_tick_pass_whose_drift_skips_the_last_tick_is_not_loaded(tmp_path, monkeypatch):
+    # the probe's two banks drift further from their start weights at every
+    # tick, so a scan that stops before the last tick reports a smaller drift
+    monkeypatch.setattr(_kernel, "lib", _kernel.lib)
+    text = _kernel.SOURCE.read_text()
+    scan = ("        for (int i = 0; i < n; i++) {\n"
+            "            double d = fabs(assets[i] / total - weights0[i]);\n")
+    assert scan in text
+    path = tmp_path / "_kernel.c"
+    path.write_text(text.replace(scan, scan.replace("i < n;", "i < n && s + 1 < ticks;")))
+    monkeypatch.setattr(_kernel, "SOURCE", path)
+    monkeypatch.setattr(_kernel, "_directories", lambda: [tmp_path])
+    assert _kernel._load() is None
+
+
+@needs_cc
 def test_a_library_whose_self_check_raises_is_not_loaded(tmp_path, monkeypatch):
     # a violation code that no constraint name has makes the compiled
     # probe raise KeyError: the library is refused and the Python loops run

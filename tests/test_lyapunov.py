@@ -413,6 +413,39 @@ def _pass_outcome(initial, p, steps, seed):
     return repr(total / steps), saturated
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_the_kept_start_vector_is_the_seeded_first_draw(seed, n):
+    start, redraws = lyap._seeded_vectors(seed, n)
+    fresh = lyap._tangent_vectors(seed, n)
+    assert start == next(fresh)
+    start[0] = math.nan  # the caller's own copy: the kept vector is untouched
+    assert lyap._seeded_vectors(seed, n)[0] == next(lyap._tangent_vectors(seed, n))
+    assert [next(redraws) for _ in range(3)] == [next(fresh) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_vanishing_starts_redraw_from_the_seeded_stream(seed):
+    """On the SUPERSTABLE starts the tangent vector vanishes and is
+    redrawn: ``lyapunov_top``, and ``lyapunov_1d`` at its seed 0, give on
+    both loop paths what a pass handed the seeded generator itself gives."""
+    p2 = ModelParams(omegas=(0.58, 0.0), pis=(1.0, 0.0))  # bank 2's column is 0
+    cases = [(ModelParams(omegas=(omega,), pis=(1.0,)), [x])
+             for omega, xs in SUPERSTABLE.items() for x in xs]
+    cases += [(p2, [x, 30.0]) for x in SUPERSTABLE[0.58]]
+    for p, start in cases:
+        vectors = lyap._tangent_vectors(seed, p.n_banks)
+        (total,), saturated = lyap._tangent(start, p, 0, 50, [next(vectors)], vectors)
+        assert saturated
+        state = LeverageState.from_lambdas(start, p)
+        for loops in (nullcontext, python_loops):
+            with loops():
+                assert repr(lyapunov_top(state, p, 0, 50, seed)) == repr(total / 50)
+                if seed == 0 and p.n_banks == 1:
+                    scalar = lyapunov_1d(p.omegas[0], p, start[0], 0, 50)
+                    assert (repr(scalar.top), scalar.saturated) == (repr(total / 50), True)
+
+
 class TestTopLanes:
     """``lyap._tangent``, the one tangent pass behind ``lyapunov_1d``,
     ``lyapunov_top`` and the sweeps' exponents, one orbit (lane) at a

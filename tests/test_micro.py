@@ -18,6 +18,8 @@ from levdyn.micro import (
     SIGMA_SQ_FLOOR,
     MicroParams,
     close_period,
+    _impact,
+    _TickBuffers,
     _ticks,
     initial_equities,
     run_micro,
@@ -37,9 +39,19 @@ def start(params: MicroParams, lambdas) -> tuple[list[float], list[float], list[
 
 def tick(equities, assets, lambdas, r, gamma, shock) -> tuple[float, list[float]]:
     """One intraday step, ``_ticks`` on one shock, updating ``equities``
-    and ``assets`` in place: the tick's return and the weights after it."""
-    returns, weights = _ticks(equities, assets, lambdas, r, gamma, [shock], -1)
-    return float(returns[0]), weights[0].tolist()
+    and ``assets`` in place: the tick's return and the weights after it,
+    each asset over their left-to-right sum.  Checks that ``_ticks``'s
+    drift is the largest distance of these weights from the start ones."""
+    total0 = math.fsum(assets)
+    weights0 = [a / total0 for a in assets]
+    returns, drift = _ticks(equities, assets, lambdas, r, _impact(lambdas, assets, gamma),
+                            gamma, np.array([shock]), -1)
+    total = 0.0
+    for a in assets:
+        total += a
+    weights = [a / total for a in assets]
+    assert drift == max(abs(w - w0) for w, w0 in zip(weights, weights0))
+    return float(returns[0]), weights
 
 
 class TestParams:
@@ -452,14 +464,17 @@ def test_step_intraday_matches_oracle_tick(lambdas, data):
     assert outcome(tick) == outcome(oracle._tick)
 
 
-def _ticks_outcome(equities, assets, lambdas, r, gamma, form, shocks, period):
-    """``_ticks`` on copies of ``equities`` and ``assets`` and on the
-    shocks in the given form: its returns and weights as bytes, or the
-    error it raises, with both lists after the call."""
+def _ticks_outcome(equities, assets, lambdas, r, gamma, shocks, period, buffers=None):
+    """``_ticks`` on copies of ``equities`` and ``assets``, from their
+    impact coefficient, and on ``shocks``, a float64 vector: its returns
+    and drift as bytes, or the error it raises, with both lists after
+    the call."""
     equities, assets = list(equities), list(assets)
+    phi = _impact(lambdas, assets, gamma)
     try:
-        returns, weights = _ticks(equities, assets, lambdas, r, gamma, form(shocks), period)
-        result = (returns.shape, returns.tobytes(), weights.shape, weights.tobytes())
+        returns, drift = _ticks(equities, assets, lambdas, r, phi, gamma, shocks, period,
+                                buffers)
+        result = (returns.shape, returns.tobytes(), np.float64(drift).tobytes())
     except InsolvencyError as exc:
         result = (type(exc), exc.period, exc.bank)
     except ZeroDivisionError as exc:
@@ -467,16 +482,38 @@ def _ticks_outcome(equities, assets, lambdas, r, gamma, form, shocks, period):
     return result, np.array(equities).tobytes(), np.array(assets).tobytes()
 
 
+def _stale(banks: int, ticks: int) -> _TickBuffers:
+    """Buffers for the compiled pass that hold NaN and a stale insolvency
+    from an earlier call: a pass that reads what it should write fails."""
+    buffers = _TickBuffers(banks, ticks)
+    buffers.state[:] = [math.nan] * (4 * banks)
+    buffers.returns[:] = math.nan
+    buffers.drift.value = math.nan
+    buffers.out[:] = [ticks, banks]
+    return buffers
+
+
+@needs_kernel
+@pytest.mark.parametrize("shocks", [np.zeros(3), np.zeros(5), np.zeros((2, 2))])
+def test_buffers_for_another_tick_count_are_refused(shocks):
+    # the compiled loop would read and write past the buffers' ends
+    equities, assets = [0.1], [1.0]
+    with pytest.raises(ValueError, match="buffers for 4 ticks"):
+        _ticks(equities, assets, [10.0], 0.0, 0.09, 100.0, shocks, 0, _TickBuffers(1, 4))
+    assert (equities, assets) == ([0.1], [1.0])
+
+
 @needs_kernel
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_last_shock_gives_nan_weights_silently_on_both_paths():
     # the last tick's assets and total are infinite, so its weight is inf / inf
-    args = ([10.0], 1e-4, 100.0, list, [1e-3, math.inf], 0)
+    # and the drift, their largest distance from the start weights, is NaN
+    args = ([10.0], 1e-4, 100.0, np.array([1e-3, math.inf]), 0)
     got = _ticks_outcome([0.1], [1.0], *args)
     with python_loops():
         want = _ticks_outcome([0.1], [1.0], *args)
     assert got == want
-    assert np.isnan(np.frombuffer(got[0][3])[-1])
+    assert np.isnan(np.frombuffer(got[0][2])[0])
 
 
 @needs_kernel
@@ -485,22 +522,73 @@ def test_infinite_last_shock_gives_nan_weights_silently_on_both_paths():
 @given(data=st.data())
 def test_compiled_ticks_match_python_loop(data):
     """The compiled tick loop against the Python loop: 1-4 banks, up to
-    300 shocks given as a list, a one-pass iterator or a memoryview,
-    contiguous or strided,
-    NaN and infinite shocks and large leverages, so insolvency occurs;
-    zero leverages make the Python loop divide by zero."""
+    300 shocks in a contiguous or strided vector, NaN and infinite shocks
+    and large leverages, so insolvency occurs; zero leverages make the
+    Python loop divide by zero.  The compiled loop runs on fresh buffers
+    or on stale ones from an earlier run."""
     banks = data.draw(st.integers(1, 4))
     lambdas = [data.draw(st.one_of(st.floats(0.5, 150.0), st.just(0.0))) for _ in range(banks)]
     equities = [data.draw(st.floats(1e-6, 1.0)) for _ in range(banks)]
     assets = [data.draw(st.floats(1e-6, 150.0)) for _ in range(banks)]
     shock = st.one_of(st.floats(-0.05, 0.05), st.sampled_from([math.nan, math.inf, -math.inf]))
     form = data.draw(st.sampled_from([
-        list, iter, lambda s: memoryview(np.array(s)),
-        lambda s: memoryview(np.repeat(np.array(s), 2)[::2]),  # strided
+        np.array, lambda s: np.repeat(np.array(s), 2)[::2],  # strided
     ]))
+    shocks = form(data.draw(st.lists(shock, max_size=300)))
     args = (lambdas, data.draw(st.floats(-0.05, 0.05)), data.draw(st.floats(5.0, 200.0)),
-            form, data.draw(st.lists(shock, max_size=300)), data.draw(st.integers(-1, 50)))
-    got = _ticks_outcome(equities, assets, *args)
+            shocks, data.draw(st.integers(-1, 50)))
+    buffers = _stale(banks, len(shocks)) if data.draw(st.booleans()) else None
+    got = _ticks_outcome(equities, assets, *args, buffers)
     with python_loops():
         want = _ticks_outcome(equities, assets, *args)
     assert got == want
+
+
+def _oracle_drift(equities, assets, lambdas, r, gamma, shocks) -> tuple[float, float]:
+    """The oracle's ticks over ``shocks`` from copies of the lists: its
+    per-tick scan of the largest weight drift, and np.max of |w - w0|
+    over the weights of every tick."""
+    equities, assets = list(equities), list(assets)
+    total0 = math.fsum(assets)
+    weights0 = [a / total0 for a in assets]
+    scan, rows = 0.0, []
+    for shock in shocks:
+        r, weights = oracle._tick(equities, assets, lambdas, r, gamma, shock)
+        rows.append(weights)
+        for w, w0 in zip(weights, weights0):
+            d = abs(w - w0)
+            if d > scan:
+                scan = d
+    w = np.array(rows).reshape(len(rows), len(assets))
+    return scan, float(np.max(np.abs(w - weights0), initial=0.0))
+
+
+@pytest.mark.parametrize("loops", [nullcontext, python_loops])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # both loops are silent
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tick_drift_matches_the_oracle_scan(loops, data):
+    """The drift of either tick pass against the oracle's per-tick scan
+    and against np.max(np.abs(w - w0)) over the oracle's weights, to the
+    byte: 1-4 banks on up to 60 shocks, solvent, some ending in an
+    infinite shock.  There the last weights are inf / inf, so the drift
+    and np.max are NaN, which the scan, comparing with >, skips."""
+    banks = data.draw(st.integers(1, 4))
+    gamma = data.draw(st.floats(50.0, 200.0))
+    lambdas = [data.draw(st.floats(0.5, 40.0)) for _ in range(banks)]
+    equities = [data.draw(st.floats(1e-6, 1.0)) for _ in range(banks)]
+    # assets off their targets lambda_i E_i, so the first tick moves them too
+    assets = [lam * e * data.draw(st.floats(0.5, 2.0)) for lam, e in zip(lambdas, equities)]
+    r = data.draw(st.floats(-1e-3, 1e-3))
+    shocks = data.draw(st.lists(st.floats(-1e-3, 1e-3), max_size=60))
+    infinite = data.draw(st.booleans())
+    shocks += [math.inf] * infinite
+    scan, peak = _oracle_drift(equities, assets, lambdas, r, gamma, shocks)
+    with loops():
+        _, drift = _ticks(list(equities), list(assets), lambdas, r,
+                          _impact(lambdas, assets, gamma), gamma, np.array(shocks), 0)
+    assert np.float64(drift).tobytes() == np.float64(peak).tobytes()
+    if infinite:
+        assert math.isnan(drift) and not math.isnan(scan)
+    else:
+        assert drift == scan
