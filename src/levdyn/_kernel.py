@@ -130,11 +130,11 @@ def _probe() -> tuple:
                             _impact([50.0, 60.0], assets, 100.0), 100.0,
                             np.array([1e-3, -5e-4, 2e-3]), 0)
     # fixed vectors keep numpy.random, and its memory, out of the import
-    tangent = _tangent([50.0, 60.0], params, 3, 40, [[0.6, -0.8], [0.8, 0.6]], iter([[0.0, 1.0]]))
+    tangent = _tangent([50.0, 60.0], params, 3, 40, [[0.6, -0.8], [0.8, 0.6]])
     try:
         escape = _tangent([96.95171505688967, 91.702620462896],
                           ModelParams(omegas=(0.05, 0.15000000000000002), pis=(0.4, 0.6)), 2,
-                          6, [[0.6, -0.8]], iter([[0.0, 1.0]]))
+                          6, [[0.6, -0.8]])
     except OrbitViolationError as exc:
         escape = (exc.step, exc.constraint)
     boxes = PROBE_BOXES if lib is None else tuple(

@@ -409,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("constraint violation: %s", exc)
         print(f"levdyn: constraint violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (LevdynError, ValueError, TypeError, ArithmeticError, OSError) as exc:
+    except (LevdynError, ValueError, TypeError, ArithmeticError, MemoryError, OSError) as exc:
         log.error("runtime error: %s", exc)
         print(f"levdyn: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -202,7 +202,7 @@ class LyapunovBlock:
 
 @dataclass(frozen=True)
 class HistorySpec:
-    kind: str = _key(str)  # "orbit" | "constant"
+    kind: str = _key(_one_of(("orbit", "constant")))
     depth: int = _key(_at_least(1))
     omega2: float | None = _key(_unit, None)
     level: float | None = _key(_float, None)
@@ -211,8 +211,6 @@ class HistorySpec:
 
     def __post_init__(self) -> None:
         needs = {"orbit": "omega2", "constant": "level"}
-        if self.kind not in needs:
-            raise ConfigError("kind must be 'orbit' or 'constant'", key="skew.history.kind")
         if getattr(self, needs[self.kind]) is None:
             raise ConfigError(f"{self.kind} history needs {needs[self.kind]}",
                               key=f"skew.history.{needs[self.kind]}")

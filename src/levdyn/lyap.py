@@ -7,11 +7,13 @@ orbit loop, and form each Jacobian from a state and its successor
 (``maps.step_jacobian``).  An orbit that leaves the feasible region has
 no exponent: they raise OrbitViolationError at the (step, constraint)
 that ``iterate`` records for it.  ``_tangent``, the pass of k vectors, is
-behind ``lyapunov_1d``, ``lyapunov_top`` (k = 1) and ``lyapunov_spectrum``
-(k = n).  Its Python pass walks the window's Jacobian blocks once, with
-the fused multiply-adds spelled out so no BLAS or LAPACK kernel enters
-it; its compiled copy, one call of ``levdyn_orbit``, runs the transient,
-then steps the orbit and forms each Jacobian in the same loop.
+behind ``lyapunov_top`` (k = 1) and ``lyapunov_spectrum`` (k = n), which
+on one bank is ``lyapunov_1d``.  Its Python pass walks the window's
+Jacobian blocks once, with the fused multiply-adds spelled out so no BLAS
+or LAPACK kernel enters it; its compiled copy, one call of
+``levdyn_orbit``, runs the transient, then steps the orbit and forms each
+Jacobian in the same loop.  A vector that vanishes is replaced by one
+rule, whatever k: the first basis vector that survives orthogonalisation.
 
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -87,19 +88,15 @@ def lyapunov_1d(
     transient: int = 1000,
     steps: int = 100_000,
 ) -> LyapunovEstimate:
-    """Exponent (1/steps) sum log|T'(x_t)| of the single-bank map, by the
-    tangent pass on one bank.  Raises OrbitViolationError if the orbit
+    """Exponent (1/steps) sum log|T'(x_t)| of the single-bank map: the
+    one-bank ``lyapunov_spectrum``.  Raises OrbitViolationError if the orbit
     leaves the feasible region, at step 0 for an infeasible ``x0``; the
     exponent is undefined on a truncated orbit."""
     p = params.with_single_omega(omega)
-    initial = LeverageState.from_lambdas([x0], p)
     try:
-        initial.require_feasible()
+        return lyapunov_spectrum(LeverageState.from_lambdas([x0], p), p, transient, steps)
     except InfeasibleStateError as exc:
         raise OrbitViolationError(0, exc.constraint) from None
-    start, redraws = _seeded_vectors(0, 1)
-    totals, saturated = _tangent(initial.lambdas, p, transient, steps, [start], redraws)
-    return LyapunovEstimate((totals[0] / steps,), steps, transient, saturated)
 
 
 def lyapunov_spectrum(
@@ -113,8 +110,7 @@ def lyapunov_spectrum(
     the step count, sorted descending."""
     initial.require_feasible()
     basis = np.eye(params.n_banks).tolist()
-    totals, saturated = _tangent(initial.lambdas, params, transient, steps, basis,
-                                 repeat(basis[0]))
+    totals, saturated = _tangent(initial.lambdas, params, transient, steps, basis)
     exps = tuple(sorted((total / steps for total in totals), reverse=True))
     return LyapunovEstimate(exps, steps, transient, saturated)
 
@@ -130,8 +126,8 @@ def lyapunov_top(
     from ``seed``.  Cheaper than the full spectrum; used by parameter
     sweeps where only the sign and rough magnitude matter."""
     initial.require_feasible()
-    start, redraws = _seeded_vectors(seed, params.n_banks)
-    return _tangent(initial.lambdas, params, transient, steps, [start], redraws)[0][0] / steps
+    start = list(_start_vector(seed, params.n_banks))
+    return _tangent(initial.lambdas, params, transient, steps, [start])[0][0] / steps
 
 
 #: Veltkamp's splitter 2**27 + 1 cuts a double into halves of at most 26
@@ -182,42 +178,26 @@ def _orthogonalised(x: list[float], q: list[list[float]]) -> tuple[list[float], 
     return x, math.sqrt(sq)
 
 
-def _tangent_vectors(seed: int, n: int) -> Iterator[list[float]]:
-    """Unit vectors from ``default_rng(seed)``: the start of ``lyapunov_1d``'s
-    and ``lyapunov_top``'s pass, then one for each time it vanishes."""
-    rng = np.random.default_rng(seed)
-    while True:
-        v, norm = _orthogonalised(rng.standard_normal(n).tolist(), [])
-        yield [x / norm for x in v]
-
-
 @lru_cache(maxsize=64)
 def _start_vector(seed: int, n: int) -> tuple[float, ...]:
-    """The first of ``_tangent_vectors(seed, n)``, drawn once per (seed, n):
-    every exponent of a sweep starts from it, and building its generator
-    costs a third of a short compiled exponent."""
-    return tuple(next(_tangent_vectors(seed, n)))
+    """The unit vector ``lyapunov_top`` starts from: n standard normals of
+    ``default_rng(seed)``, normalised as ``_orthogonalised`` measures them.
+    Drawn once per (seed, n): every exponent of a sweep starts from it, and
+    building its generator costs a third of a short compiled exponent."""
+    v, norm = _orthogonalised(np.random.default_rng(seed).standard_normal(n).tolist(), [])
+    return tuple(x / norm for x in v)
 
 
-def _seeded_vectors(seed: int, n: int) -> tuple[list[float], Iterator[list[float]]]:
-    """``_tangent_vectors(seed, n)`` as its first vector, a fresh list that
-    no other caller holds, and the vectors after it, whose generator is
-    built only when a vector vanishes and one is drawn."""
-    return list(_start_vector(seed, n)), islice(_tangent_vectors(seed, n), 1, None)
-
-
-def _tangent_steps(blocks: Iterable[np.ndarray], q: list[list[float]],
-                   unit: Iterator[list[float]]) -> tuple[list[float], bool]:
+def _tangent_steps(blocks: Iterable[np.ndarray], q: list[list[float]]) -> tuple[list[float], bool]:
     """The tangent pass of the k unit vectors ``q`` over a window of
     Jacobian blocks.  Each step takes the vectors in order: vector i is
     mapped (entry r of J u is J[r, n-1] u[n-1], then fma(J[r, j], u[j], .)
     for j = n-2 down to 0), orthogonalised against the new vectors
     0 .. i-1, the log of its norm added to its total, and normalised.  A
-    vector that is then exactly 0 adds LOG_FLOOR instead and is replaced:
-    vector 0 by the next of ``unit``, as drawn, vector i > 0 by the first
-    of e_1 .. e_n that stays nonzero when so orthogonalised, normalised.
-    Returns the totals and whether a vector vanished; leaves ``q`` at the
-    last step's vectors."""
+    vector that is then exactly 0 adds LOG_FLOOR instead and is replaced by
+    the first of e_1 .. e_n that stays nonzero when so orthogonalised,
+    normalised: e_1 for vector 0.  Returns the totals and whether a vector
+    vanished; leaves ``q`` at the last step's vectors."""
     last, totals, saturated = len(q[0]) - 1, [0.0] * len(q), False
     basis = np.eye(last + 1).tolist()
     for jacs in blocks:
@@ -234,9 +214,8 @@ def _tangent_steps(blocks: Iterable[np.ndarray], q: list[list[float]],
                 if norm == 0.0:
                     totals[i] += LOG_FLOOR
                     saturated = True
-                    new.append(next(unit) if i == 0 else next(
-                        [y / size for y in e] for e, size in
-                        (_orthogonalised(e, new) for e in basis) if size != 0.0))
+                    new.append(next([y / size for y in e] for e, size in
+                                    (_orthogonalised(e, new) for e in basis) if size != 0.0))
                 else:
                     totals[i] += math.log(norm)
                     new.append([xi / norm for xi in x])
@@ -245,17 +224,17 @@ def _tangent_steps(blocks: Iterable[np.ndarray], q: list[list[float]],
 
 
 def _tangent(lambdas: Sequence[float], params: ModelParams, transient: int, steps: int,
-             q: list[list[float]], unit: Iterator[list[float]]) -> tuple[list[float], bool]:
+             q: list[list[float]]) -> tuple[list[float], bool]:
     """The renormalised tangent pass (Benettin et al. 1980) of the k unit
     vectors ``q``, re-orthonormalised by modified Gram-Schmidt (Shimada &
     Nagashima 1979), over ``steps`` steps after ``transient`` of the orbit
-    from ``lambdas``: ``_tangent_steps``'s totals and flag, with ``unit``.
-    Runs transient and window in one call of ``levdyn_orbit``; where that
-    defers, as it does where a vector vanishes, or did not load, the
-    Python pass runs from the start.  Raises ValueError before either
-    unless steps >= 1, transient >= 0 and the run can count its steps, as
-    ``orbits._run`` does, and ``lambdas`` holds one leverage per bank of
-    ``params``: the compiled pass reads that many."""
+    from ``lambdas``: ``_tangent_steps``'s totals and flag.  Runs transient
+    and window in one call of ``levdyn_orbit``; where that defers, as it
+    does where a vector vanishes, or did not load, the Python pass runs
+    from the start.  Raises ValueError before either unless steps >= 1,
+    transient >= 0 and the run can count its steps, as ``orbits._run``
+    does, and ``lambdas`` holds one leverage per bank of ``params``: the
+    compiled pass reads that many."""
     if steps < 1 or transient < 0:
         raise ValueError("need steps >= 1 and transient >= 0")
     n = _check_run(lambdas, params, transient, steps)
@@ -271,7 +250,7 @@ def _tangent(lambdas: Sequence[float], params: ModelParams, transient: int, step
             return totals.tolist(), False
         if code != _kernel.DEFER:
             raise OrbitViolationError(int(out[1]), _CONSTRAINTS[code])
-    return _tangent_steps(_window_jacobians(lambdas, params, transient, steps), q, unit)
+    return _tangent_steps(_window_jacobians(lambdas, params, transient, steps), q)
 
 
 def fiber_exponent(

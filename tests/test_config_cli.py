@@ -412,6 +412,8 @@ class TestCliCommands:
             ("micro", {"run": {"seed": 1}, "micro": {**micro, "horizon": 0}}, "micro.horizon"),
             ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "omega2": 1.5}}},
              "skew.history.omega2"),
+            ("fixedpoint", {"skew": {"omega1": 0.5, "history": {**history, "kind": "spiral"}}},
+             "skew.history.kind"),
             ("fixedpoint", {"skew": {"omega1": 0.5, "history": {
                 "kind": "constant", "depth": 20, "level": 500}}}, "skew.history.level"),
             ("simulate", {"run": {"initial": [0.5, 60.0]}}, "run.initial"),
@@ -497,19 +499,26 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("loops", [nullcontext, python_loops])
     def test_overflowing_leverage_square_exits_1(self, tmp_path, capsys, loops):
-        # feasible, as the bank at 1e200 has zero weight, but its square
-        # overflows in the first step; this used to end in a
-        # ZeroDivisionError traceback
-        cfg = write_config(tmp_path, {
-            "model": {"omegas": [1.0, 0.3], "pis": [0.0, 1.0]},
-            "run": {"initial": [1e200, 50.0], "record": 3, "transient": 0},
-        })
+        cases = [
+            # feasible, as the bank at 1e200 has zero weight, but its square
+            # overflows in the first step; this used to end in a
+            # ZeroDivisionError traceback
+            ({"model": {"omegas": [1.0, 0.3], "pis": [0.0, 1.0]},
+              "run": {"initial": [1e200, 50.0], "record": 3, "transient": 0}},
+             ("simulate", "attractor", "boxdim", "lyapunov"), "float division by zero"),
+            # an orbit record too large to allocate fails at once, without
+            # allocating; this used to end in a numpy MemoryError traceback
+            ({"model": {"omegas": [0.5]}, "run": {"initial": [50.0], "record": 10**15}},
+             ("simulate",), "Unable to allocate"),
+        ]
         out = tmp_path / "out"
-        for command in ("simulate", "attractor", "boxdim", "lyapunov"):
-            with loops():
-                assert main([command, "--config", cfg, "--out", str(out)]) == 1, command
-            assert "levdyn: error: float division by zero" in capsys.readouterr().err
-            assert not out.exists()
+        for document, commands, message in cases:
+            cfg = write_config(tmp_path, document)
+            for command in commands:
+                with loops():
+                    assert main([command, "--config", cfg, "--out", str(out)]) == 1, command
+                assert f"levdyn: error: {message}" in capsys.readouterr().err
+                assert not out.exists()
 
     def test_micro_zero_noise_start_on_bound_exits_3(self, tmp_path, capsys):
         # the mean field 101 = 1 + gamma makes phi = 1; this used to end

@@ -250,8 +250,7 @@ def _reference_top(initial, p, transient, steps, seed):
     lams = list(initial.lambdas)
     for _ in range(transient):
         lams = advance(lams, p)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(p.n_banks)
+    v = np.random.default_rng(seed).standard_normal(p.n_banks)
     v /= np.linalg.norm(v)
     total = 0.0
     for _ in range(steps):
@@ -262,8 +261,7 @@ def _reference_top(initial, p, transient, steps, seed):
             v /= norm
         else:
             total += LOG_FLOOR
-            v = rng.standard_normal(p.n_banks)
-            v /= np.linalg.norm(v)
+            v = np.eye(p.n_banks)[0]
         lams = advance(lams, p)
     return total / steps
 
@@ -276,9 +274,8 @@ def _reference_spectrum(initial, p, transient, steps):
         lams = advance(lams, p)
     n = p.n_banks
     q, acc = [[float(i == j) for j in range(n)] for i in range(n)], [0.0] * n
-    first = itertools.repeat(q[0])
     for _ in range(steps):
-        _exact_step(coupled_jacobian(lams, p).tolist(), q, first, acc)
+        _exact_step(coupled_jacobian(lams, p).tolist(), q, acc)
         lams = advance(lams, p)
     return tuple(sorted((x / steps for x in acc), reverse=True))
 
@@ -388,10 +385,9 @@ SATURATING = [(omega, x, 0) for omega, xs in SUPERSTABLE.items() for x in xs]
     steps=st.integers(1, 2 * BLOCK_STEPS),
 )
 def test_one_bank_spectrum_is_the_scalar_exponent(case, steps):
-    """On one bank, lyapunov_spectrum (start vector e_1) and lyapunov_1d
-    (a seeded +-1) give the same estimate repr for repr, saturated ones
-    included, and the same violation on an orbit that escapes: the sign
-    flip |J (+-1)| = |J| is exact.  Both loop paths."""
+    """On one bank, lyapunov_spectrum and lyapunov_1d give the same
+    estimate repr for repr, saturated ones included, and the same
+    violation on an orbit that escapes.  Both loop paths."""
     omega, x0, transient = case
     p = ModelParams(omegas=(omega,), pis=(1.0,))
     state = LeverageState.from_lambdas([x0], p)
@@ -405,45 +401,92 @@ def _pass_outcome(initial, p, steps, seed):
     """``lyap._tangent`` of one vector on the orbit from ``initial``: the
     exponent's repr with the saturation flag, or the escape."""
     try:
-        vectors = lyap._tangent_vectors(seed, p.n_banks)
         (total,), saturated = lyap._tangent(list(initial.lambdas), p, 0, steps,
-                                            [next(vectors)], vectors)
+                                            [list(lyap._start_vector(seed, p.n_banks))])
     except OrbitViolationError as exc:
         return ("violation", exc.step, exc.constraint), None
     return repr(total / steps), saturated
 
 
+def _seeded_unit(rng, n):
+    """n standard normals of ``rng`` over their norm, measured as
+    ``lyap._orthogonalised`` measures it."""
+    v, norm = lyap._orthogonalised(rng.standard_normal(n).tolist(), [])
+    return [x / norm for x in v]
+
+
+def _alone(omega, n):
+    """n banks of which banks 2..n have memory and weight 0, so their
+    Jacobian columns are 0 and bank 1, alone in the mean field, follows
+    its scalar map: from a SUPERSTABLE start of ``omega`` a tangent vector
+    vanishes."""
+    return ModelParams(omegas=(omega, *[0.0] * (n - 1)), pis=(1.0, *[0.0] * (n - 1)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 3, 5])
 def test_the_kept_start_vector_is_the_seeded_first_draw(seed, n):
-    start, redraws = lyap._seeded_vectors(seed, n)
-    fresh = lyap._tangent_vectors(seed, n)
-    assert start == next(fresh)
-    start[0] = math.nan  # the caller's own copy: the kept vector is untouched
-    assert lyap._seeded_vectors(seed, n)[0] == next(lyap._tangent_vectors(seed, n))
-    assert [next(redraws) for _ in range(3)] == [next(fresh) for _ in range(3)]
+    first = _seeded_unit(np.random.default_rng(seed), n)
+    assert lyap._start_vector(seed, n) == tuple(first)
+    p, start = _alone(0.58, n), [SUPERSTABLE[0.58][0], *[30.0] * (n - 1)]
+    for loops in (nullcontext, python_loops):
+        with loops():
+            assert lyapunov_top(LeverageState.from_lambdas(start, p), p, 0, 10, seed) < 0.0
+    # the pass replaced its vector, not the kept one: a tuple, unchanged
+    assert lyap._start_vector(seed, n) == tuple(first)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_vanishing_starts_redraw_from_the_seeded_stream(seed):
-    """On the SUPERSTABLE starts the tangent vector vanishes and is
-    redrawn: ``lyapunov_top``, and ``lyapunov_1d`` at its seed 0, give on
-    both loop paths what a pass handed the seeded generator itself gives."""
-    p2 = ModelParams(omegas=(0.58, 0.0), pis=(1.0, 0.0))  # bank 2's column is 0
-    cases = [(ModelParams(omegas=(omega,), pis=(1.0,)), [x])
-             for omega, xs in SUPERSTABLE.items() for x in xs]
-    cases += [(p2, [x, 30.0]) for x in SUPERSTABLE[0.58]]
+def test_vanishing_starts_restart_from_e1(seed):
+    """On the SUPERSTABLE starts the tangent vector vanishes and restarts
+    from e_1: ``lyapunov_top`` gives on both loop paths the exact
+    restatement of the pass, and on one bank ``lyapunov_1d`` does too."""
+    cases = [(_alone(omega, 1), [x]) for omega, xs in SUPERSTABLE.items() for x in xs]
+    cases += [(_alone(0.58, 2), [x, 30.0]) for x in SUPERSTABLE[0.58]]
     for p, start in cases:
-        vectors = lyap._tangent_vectors(seed, p.n_banks)
-        (total,), saturated = lyap._tangent(start, p, 0, 50, [next(vectors)], vectors)
+        blocks = lyap._window_jacobians(start, p, 0, 50)
+        (total,), saturated = _exact_tangent_steps(
+            blocks, [list(lyap._start_vector(seed, p.n_banks))])
         assert saturated
         state = LeverageState.from_lambdas(start, p)
         for loops in (nullcontext, python_loops):
             with loops():
                 assert repr(lyapunov_top(state, p, 0, 50, seed)) == repr(total / 50)
-                if seed == 0 and p.n_banks == 1:
+                if p.n_banks == 1:
                     scalar = lyapunov_1d(p.omegas[0], p, start[0], 0, 50)
                     assert (repr(scalar.top), scalar.saturated) == (repr(total / 50), True)
+
+
+#: the exponents at the SUPERSTABLE starts over 50 steps from step 0: on
+#: one bank, every seed's start vector is +-1, whose log norms are e_1's,
+#: so every seed gives lyapunov_1d's estimate; and the saturated spectra
+#: on two banks, bank 2 with memory and weight 0
+SUPERSTABLE_TOPS = {
+    0.43: ["-13.53190956690091"],
+    0.58: ["-14.331649685860292", "-14.34443100593793", "-14.31346419814631"],
+}
+SUPERSTABLE_SPECTRA = [
+    ("-14.300175543899057", "-62.901076328718"),
+    ("-14.275023743392063", "-76.13537109782197"),
+    ("-14.281990056209604", "-76.12814186214881"),
+]
+
+
+@pytest.mark.parametrize("loops", [nullcontext, python_loops])
+def test_superstable_exponents_keep_their_values(loops):
+    p2 = _alone(0.58, 2)
+    with loops():
+        for omega, xs in SUPERSTABLE.items():
+            p = _alone(omega, 1)
+            for x, top in zip(xs, SUPERSTABLE_TOPS[omega]):
+                state = LeverageState.from_lambdas([x], p)
+                assert [repr(lyapunov_top(state, p, 0, 50, seed)) for seed in range(6)] == (
+                    [top] * 6)
+                scalar = lyapunov_1d(omega, p, x, 0, 50)
+                assert (repr(scalar.top), scalar.saturated) == (top, True)
+        for x, spectrum in zip(SUPERSTABLE[0.58], SUPERSTABLE_SPECTRA):
+            est = lyapunov_spectrum(LeverageState.from_lambdas([x, 30.0], p2), p2, 0, 50)
+            assert (tuple(map(repr, est.exponents)), est.saturated) == (spectrum, True)
 
 
 class TestTopLanes:
@@ -556,15 +599,14 @@ def _exact_orthogonalised(x, q):
     return x, math.sqrt(sq)
 
 
-def _exact_step(jac, q, unit, totals):
+def _exact_step(jac, q, totals):
     """One step of ``lyap._tangent_steps`` restated on ``_ieee_fma``: entry
     i of J u is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .) for j = n-2
     down to 0, for every vector of q; then vector i is orthogonalised
     against the new vectors before it, its log norm added to totals[i]
     and it is normalised.  A vector that is then 0 adds LOG_FLOOR and is
-    replaced: vector 0 by the next of ``unit``, vector i > 0 by the first
-    basis vector that is not 0 once orthogonalised, normalised.  Returns
-    whether a vector vanished."""
+    replaced by the first basis vector that is not 0 once orthogonalised,
+    normalised.  Returns whether a vector vanished."""
     n, vanished = len(jac), False
     xs = []
     for u in q:
@@ -582,9 +624,6 @@ def _exact_step(jac, q, unit, totals):
             q[i] = [xj / norm for xj in x]
             continue
         totals[i], vanished = totals[i] + LOG_FLOOR, True
-        if i == 0:
-            q[0] = next(unit)
-            continue
         for m in range(n):
             y, size = _exact_orthogonalised([float(j == m) for j in range(n)], q[:i])
             if size != 0.0:
@@ -593,47 +632,26 @@ def _exact_step(jac, q, unit, totals):
     return vanished
 
 
-def _exact_tangent_steps(blocks, q, unit):
+def _exact_tangent_steps(blocks, q):
     """``lyap._tangent_steps`` restated: ``_exact_step`` on every Jacobian."""
     totals, saturated = [0.0] * len(q), False
     for jacs in blocks:
         for jac in jacs.tolist():
-            saturated |= _exact_step(jac, q, unit, totals)
+            saturated |= _exact_step(jac, q, totals)
     return totals, saturated
-
-
-class _CountedBlock:
-    """A block of Jacobians whose ``tolist`` counts in ``handed[0]`` the
-    Jacobians it has handed out."""
-
-    def __init__(self, jacs, handed):
-        self._jacs, self._handed = jacs, handed
-
-    def tolist(self):
-        for jac in self._jacs.tolist():
-            self._handed[0] += 1
-            yield jac
 
 
 def _pass_state(tangent_steps, blocks, n, seed, k):
     """``tangent_steps`` over ``blocks`` from k unit vectors drawn from
-    ``seed``, redrawing vector 0 from the same generator, as
-    ``lyap._tangent``'s Python pass does: the step of every redraw,
-    counted from 1 over the whole window, the totals, the flag and the
-    final vectors, as bytes.  Every NaN is packed as one NaN: IEEE 754
-    leaves open which NaN operand a product passes on."""
-    vectors, handed, redraws = lyap._tangent_vectors(seed, n), [0], []
-
-    def unit():
-        for v in vectors:
-            redraws.append(handed[0])
-            yield v
-
-    q = [next(vectors) for _ in range(k)]
-    totals, saturated = tangent_steps([_CountedBlock(jacs, handed) for jacs in blocks], q, unit())
+    ``seed``: the totals, the flag and the final vectors, as bytes.  Every
+    NaN is packed as one NaN: IEEE 754 leaves open which NaN operand a
+    product passes on."""
+    rng = np.random.default_rng(seed)
+    q = [_seeded_unit(rng, n) for _ in range(k)]
+    totals, saturated = tangent_steps(blocks, q)
     totals = [x if x == x else math.nan for x in totals]
     entries = [x if x == x else math.nan for u in q for x in u]
-    return struct.pack(f"<{len(redraws)}q{k}d?{k * n}d", *redraws, *totals, saturated, *entries)
+    return struct.pack(f"<{k}d?{k * n}d", *totals, saturated, *entries)
 
 
 entries = st.one_of(st.floats(-3.0, 3.0), st.floats(), st.just(0.0))
@@ -709,13 +727,11 @@ def _tangent_bytes(lambdas, p, transient, steps, seed, k):
     """``lyap._tangent``'s totals and flag as bytes, or what it raised: one
     vector drawn from ``seed``, or the spectrum's identity columns."""
     if k == 1:
-        unit = lyap._tangent_vectors(seed, p.n_banks)
-        q = [next(unit)]
+        q = [list(lyap._start_vector(seed, p.n_banks))]
     else:
         q = [[float(i == j) for j in range(k)] for i in range(k)]
-        unit = itertools.repeat(q[0])
     try:
-        totals, saturated = lyap._tangent(list(lambdas), p, transient, steps, q, unit)
+        totals, saturated = lyap._tangent(list(lambdas), p, transient, steps, q)
     except OrbitViolationError as exc:
         return ("violation", exc.step, exc.constraint)
     except ZeroDivisionError:
@@ -797,6 +813,24 @@ def test_fused_top_pass_matches_python_pass(case, transient, steps, seed, spectr
     with python_loops():
         assert fused == _tangent_bytes(lambdas, p, transient, steps, seed, k)
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(SATURATING), n=st.integers(2, 3),
+       others=st.tuples(st.floats(1.0, 101.0), st.floats(1.0, 101.0)),
+       steps=st.integers(4, 60), seed=st.integers(0, 3))
+def test_multi_bank_vanished_vector_restarts_from_e1(case, n, others, steps, seed):
+    """One vector on n >= 2 banks that vanishes within the window: the
+    compiled pass, which defers there, the Python pass and the exact
+    restatement give the same bytes."""
+    omega, x, _ = case
+    p, lambdas = _alone(omega, n), [x, *others[: n - 1]]
+    fused = _tangent_bytes(lambdas, p, 0, steps, seed, 1)
+    with python_loops():
+        assert _tangent_bytes(lambdas, p, 0, steps, seed, 1) == fused
+    (total,), saturated = _exact_tangent_steps(lyap._window_jacobians(lambdas, p, 0, steps),
+                                               [list(lyap._start_vector(seed, n))])
+    assert saturated and struct.pack("<d?", total, saturated) == fused
 
 class TestFiberExponent:
     def test_telescoping_identity(self, std1, rng):

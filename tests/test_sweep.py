@@ -359,7 +359,7 @@ class TestBatchedEvaluator:
 
     def test_vanished_tangent_matches_scalar_path(self):
         # pi1 = 1 with omega2 = 0 maps the tangent (0, 1) to the zero
-        # vector; the pass redraws it from its own generator
+        # vector; the pass restarts it from e_1
         spec = SweepSpec(
             axis="pi1", bounds=(0.5, 1.0), resolution=2,
             fixed=two_bank(0.7, 0.0, 0.5), transient=50, record=30, rng_seed=4,
@@ -367,7 +367,7 @@ class TestBatchedEvaluator:
         values = [float(v) for v in spec.grid()]
         with (
             patch.object(sweep, "LYAP_STEPS", 200),
-            # the start draw; the redraws stay the seeded generator's
+            # the start draw
             patch.object(lyap, "_start_vector", lambda seed, n: (0.0, 1.0)),
         ):
             expected = [_eval_point(spec, v) for v in values]
