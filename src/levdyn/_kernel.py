@@ -150,7 +150,7 @@ def _probe() -> tuple:
     cells = RowBlock((0.5, None), (np.array(floats), ints, ints % 3 == 0, words), ("x",))
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
             returns.tobytes(), drift.hex(), equities, assets, tangent, escape,
-            boxes, "".join(_block_texts(cells)))
+            boxes, [t if isinstance(t, bytes) else t.encode() for t in _block_texts(cells)])
 
 
 def _load() -> ctypes.CDLL | None:

@@ -195,8 +195,8 @@ def _sweep_rows(records: list[SweepRecord]) -> Iterator[RowBlock]:
         if n == 0:
             yield RowBlock((rec.param_value, -1, -1, 0), (np.array([None]),), tail)
             continue
-        if (banks, rec.branch.tobytes()) != pattern:
-            pattern = (banks, rec.branch.tobytes())
+        if (n, banks, rec.survivors) != pattern:
+            pattern = (n, banks, rec.survivors)
             labels = np.array([
                 f"{branch},{step},{bank}"
                 for step, branch in enumerate(rec.branch.tolist())
@@ -401,16 +401,18 @@ def main(argv: list[str] | None = None) -> int:
         config = _load(args)
         with _open_out(args.out) as out:
             return COMMANDS[args.command][0](config, out, *grid)
+    # one stderr line per error: the log, which writes to stderr too, has it
+    # at debug level only
     except ConfigError as exc:
-        log.error("configuration error: %s", exc)
+        log.debug("configuration error: %s", exc)
         print(f"levdyn: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OrbitViolationError, InfeasibleStateError, InsolvencyError, NonstationaryError) as exc:
-        log.error("constraint violation: %s", exc)
+        log.debug("constraint violation: %s", exc)
         print(f"levdyn: constraint violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (LevdynError, ValueError, TypeError, ArithmeticError, MemoryError, OSError) as exc:
-        log.error("runtime error: %s", exc)
+        log.debug("runtime error: %s", exc)
         print(f"levdyn: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -7,17 +7,22 @@ is an empty cell.  Rows are formatted a slice of at most ``SLICE_ROWS``
 at a time, in the calling process: by the compiled writer
 ``levdyn_rows`` where the library loaded and covers every cell of the
 slice, else by ``_format_column`` and ``format_value``, the reference,
-with the same text.  JSON reports carry the same provenance (minus the
-timestamp) as an embedded object, keeping the file valid JSON and
-byte-identical across reruns.
+with the same text.  The compiled writer's ASCII bytes go straight to
+the stream's binary buffer, after the text layer is flushed, wherever
+that gives the bytes the text layer would write; else, as on a
+``StringIO``, they go through the text layer.  JSON reports carry the
+same provenance (minus the timestamp) as an embedded object, keeping
+the file valid JSON and byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import ctypes
+import io
 import json
+import os
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -27,6 +32,9 @@ from . import __version__, _kernel
 SLICE_ROWS = 8192
 #: the most characters levdyn_rows writes for a float64, int64 or bool cell
 CELL_CHARS = {"f": 23, "i": 20, "b": 1}
+#: every ASCII character, which an encoding must write as these bytes for
+#: the compiled writer's bytes to bypass the text layer
+ASCII = bytes(range(128))
 
 
 def format_value(value: Any) -> str:
@@ -88,12 +96,12 @@ def _rows(columns: Sequence[Any]) -> int:
 
 
 def _compiled_writer(head: str, columns: Sequence[Any],
-                     tail: str) -> Callable[[int, int], str | None] | None:
+                     tail: str) -> Callable[[int, int], bytes | None] | None:
     """levdyn_rows bound to one block's cells: a function of a slice's first
-    row and its row count that returns the slice's text, or None where a
-    cell is out of the writer's reach.  None where the library did not
-    load, a column is not float64, int64, bool or native ``U``, or the
-    head or tail text is not ASCII."""
+    row and its row count that returns the slice's ASCII bytes, or None
+    where a cell is out of the writer's reach.  None where the library
+    did not load, a column is not float64, int64, bool or native ``U``,
+    or the head or tail text is not ASCII."""
     lib = _kernel.lib
     kinds = [c.dtype.kind for c in columns
              if c.dtype.isnative and (c.dtype.kind in "fi" and c.dtype.itemsize == 8
@@ -108,18 +116,20 @@ def _compiled_writer(head: str, columns: Sequence[Any],
     code, head_bytes, tail_bytes = "".join(kinds).encode(), head.encode(), tail.encode()
     row_chars = len(head) + sum(chars) + ncols - 1 + len(tail)
 
-    def write(start: int, rows: int) -> str | None:
+    def write(start: int, rows: int) -> bytes | None:
         capacity = rows * row_chars
         buffer = np.empty(capacity, dtype=np.uint8)
         length = lib.levdyn_rows(ncols, code, chars, data, strides, start, rows,
                                  head_bytes, len(head_bytes), tail_bytes, len(tail_bytes),
                                  buffer.ctypes.data, capacity)
-        return None if length < 0 else str(buffer.data[:length], "ascii")
+        return None if length < 0 else buffer.data[:length].tobytes()
 
     return write
 
 
-def _block_texts(block: RowBlock) -> Iterator[str]:
+def _block_texts(block: RowBlock) -> Iterator[str | bytes]:
+    """The block's rows, a slice at a time: the compiled writer's bytes, or
+    the reference formatters' text where it does not cover the slice."""
     n = _rows(block.columns)
     head = "".join(format_value(v) + "," for v in block.head)
     tail = "".join("," + format_value(v) for v in block.tail) + "\n"
@@ -143,9 +153,31 @@ def write_csv(
     for line in provenance_lines(config_sha256, seed):
         stream.write(line + "\n")
     stream.write(",".join(columns) + "\n")
+    raw = _ascii_buffer(stream)
     for block in blocks:
-        for text in _block_texts(block):
-            stream.write(text)
+        for chunk in _block_texts(block):
+            if isinstance(chunk, str):
+                stream.write(chunk)
+            elif raw is None:
+                stream.write(chunk.decode("ascii"))
+            else:
+                stream.flush()  # the text written before goes first
+                raw.write(chunk)
+
+
+def _ascii_buffer(stream: TextIO) -> BinaryIO | None:
+    """The buffered binary stream under ``stream``, where ASCII bytes
+    written to it are the bytes that ``stream`` would write for their
+    text: its encoding writes ASCII as ASCII, and the platform's line
+    separator is ``\\n``, so a stream that ``open`` made translates no
+    newline.  None otherwise, as for a ``StringIO``, which has no buffer.
+    A text stream does not expose its ``newline`` argument, so one made
+    with ``newline="\\r\\n"`` gets ``\\n`` line ends in compiled rows."""
+    raw, encoding = getattr(stream, "buffer", None), getattr(stream, "encoding", None)
+    if (isinstance(raw, io.BufferedIOBase) and isinstance(encoding, str)
+            and os.linesep == "\n" and ASCII.decode().encode(encoding) == ASCII):
+        return raw
+    return None
 
 
 def read_csv(stream: TextIO) -> tuple[dict[str, str], list[str], list[list[str]]]:

@@ -108,19 +108,27 @@ class SweepSpec:
 class SweepRecord:
     """One grid point of a sweep.
 
-    ``samples`` stacks the recorded states of every surviving initial
-    condition, one row per step, ``branch[r]`` naming the initial the
-    row came from.  ``lyapunov_top`` and ``period`` come from the first
-    surviving initial; both are None when every initial violated.
+    ``samples`` stacks the recorded states of the surviving initial
+    conditions, whose indices ``survivors`` lists in order, one row per
+    step.  A survivor never escaped, so each is a run of equally many
+    rows and no per-row label is kept.  ``lyapunov_top`` and ``period``
+    come from the first survivor; both are None when every initial
+    violated.
     """
 
     param_value: float
     samples: np.ndarray
-    branch: np.ndarray
+    survivors: tuple[int, ...]
     lyapunov_top: float | None
     period: PeriodReport | None
     survival_fraction: float
     classification: str
+
+    @property
+    def branch(self) -> np.ndarray:
+        """The index of the initial each row of ``samples`` came from, as int64."""
+        rows = len(self.samples) // max(len(self.survivors), 1)
+        return np.repeat(np.array(self.survivors, dtype=np.int64), rows)
 
 
 def _point_rng(rng_seed: int, value: float) -> np.random.Generator:
@@ -168,8 +176,7 @@ def _eval_point(spec: SweepSpec, value: float) -> SweepRecord:
     return SweepRecord(
         param_value=value,
         samples=np.vstack([np.empty((0, params.n_banks)), *(t.recorded for _, t in survivors)]),
-        branch=np.repeat(np.array([idx for idx, _ in survivors], dtype=np.int64),
-                         [trace.n_recorded for _, trace in survivors]),
+        survivors=tuple(idx for idx, _ in survivors),
         lyapunov_top=top,
         period=period,
         survival_fraction=len(survivors) / spec.initials_per_point,

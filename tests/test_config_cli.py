@@ -5,6 +5,9 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, fields
 from functools import reduce
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levdyn
 from levdyn.cli import main
 from levdyn.config import (
     AttractorBlock,
@@ -311,6 +315,31 @@ class TestCliCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("levdyn: error: ")
         assert str(out) in err[0]
+
+    @pytest.mark.parametrize("document, out, code, line", [
+        (None, "z.csv", 2, "levdyn: configuration error: cannot read config: "),
+        ({"model": STD_MODEL, "run": {"initial": [50.0, 60.0]}}, "no-such-dir/z.csv", 1,
+         "levdyn: error: "),
+        ({"model": {"omegas": [0.5]}, "run": {"initial": [200.0]}}, "z.csv", 3,
+         "levdyn: constraint violation: "),
+        # exit 3 returned by the command, which logs the violation itself
+        ({"model": {"omegas": [0.2]}, "run": {"transient": 0, "record": 100,
+                                              "initial": [50.0]}}, "z.csv", 3,
+         "ERROR levdyn: orbit violated "),
+    ])
+    def test_a_failed_run_prints_one_stderr_line(self, tmp_path, document, out, code, line):
+        # in a fresh process, where the log handler writes to stderr as main does
+        cfg = tmp_path / "cfg.json" if document is None else write_config(tmp_path, document)
+        src = str(Path(levdyn.__file__).parents[1])
+        env = {**os.environ, "LEVDYN_LOG": "error",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "levdyn.cli", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(line), err
 
     @pytest.mark.parametrize("command, document, code", [
         ("bifurcate", {"model": STD_MODEL, "run": {"seed": 1}}, 2),

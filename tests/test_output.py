@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import nullcontext
 from functools import partial
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -59,13 +64,13 @@ def sweep_records(draw, banks: int) -> SweepRecord:
     initials = draw(st.integers(1, 4))
     survivors = sorted(draw(st.sets(st.integers(0, initials - 1), max_size=initials)))
     record = draw(st.integers(1, 5))
-    branch = np.repeat(np.array(survivors, dtype=np.int64), record)
-    values = draw(st.lists(floats, min_size=branch.size * banks, max_size=branch.size * banks))
+    rows = len(survivors) * record
+    values = draw(st.lists(floats, min_size=rows * banks, max_size=rows * banks))
     period = draw(st.one_of(st.none(), st.integers(1, 12), st.just("aperiodic")))
     return SweepRecord(
         param_value=draw(floats),
-        samples=np.array(values, dtype=np.float64).reshape(branch.size, banks),
-        branch=branch,
+        samples=np.array(values, dtype=np.float64).reshape(rows, banks),
+        survivors=tuple(survivors),
         lyapunov_top=draw(st.one_of(st.none(), floats)),
         period=(
             None if period is None
@@ -74,6 +79,15 @@ def sweep_records(draw, banks: int) -> SweepRecord:
         survival_fraction=len(survivors) / initials,
         classification=draw(st.sampled_from(["fixed-point", "periodic", "chaotic", "infeasible"])),
     )
+
+
+@given(survivors=st.lists(st.integers(0, 5), unique=True).map(sorted),
+       record=st.integers(1, 5), banks=st.integers(1, 2))
+def test_branch_repeats_each_survivor_over_its_rows(survivors, record, banks):
+    rec = SweepRecord(0.5, np.zeros((len(survivors) * record, banks)), tuple(survivors),
+                      None, None, 1.0, "chaotic")
+    assert rec.branch.dtype == np.int64
+    assert np.array_equal(rec.branch, np.repeat(np.array(survivors, dtype=np.int64), record))
 
 
 def csv_body(blocks) -> str:
@@ -98,11 +112,10 @@ class TestBlockEmission:
     @example(
         records=[
             SweepRecord(
-                -0.0, np.array([[5e-324, 1e308], [2.0, 0.1]]), np.array([0, 2]), None,
+                -0.0, np.array([[5e-324, 1e308], [2.0, 0.1]]), (0, 2), None,
                 None, 2 / 3, "chaotic",
             ),
-            SweepRecord(0.1, np.empty((0, 2)), np.empty(0, dtype=np.int64), None, None, 0.0,
-                        "infeasible"),
+            SweepRecord(0.1, np.empty((0, 2)), (), None, None, 0.0, "infeasible"),
         ],
         slice_rows=1,
     )
@@ -200,7 +213,7 @@ def test_pool_formatting_of_long_blocks(slices):
 LOW, HIGH = 2.0 ** -14, 2.0 ** 52
 
 
-def compiled_cells(*columns, head: str = "", tail: str = "\n") -> str | None:
+def compiled_cells(*columns, head: str = "", tail: str = "\n") -> bytes | None:
     """All rows of ``columns`` through levdyn_rows alone, None where it
     leaves them to the reference formatters."""
     return output._compiled_writer(head, columns, tail)(0, len(columns[0]))
@@ -211,7 +224,7 @@ def check_float_cell(x: float) -> None:
     if math.isfinite(x) and x != 0 and not LOW <= abs(x) < HIGH:
         assert text is None
     else:
-        assert text == format(x, ".17g") + "\n"
+        assert text == (format(x, ".17g") + "\n").encode()
 
 
 def edge_floats() -> list[float]:
@@ -238,7 +251,7 @@ def test_compiled_edge_cells_match_format():
     for x in edge_floats():
         check_float_cell(x)
     ints = np.array([-(2**63), 2**63 - 1, 0, -1, 10**18], dtype=np.int64)
-    assert compiled_cells(ints) == "".join(f"{v}\n" for v in ints.tolist())
+    assert compiled_cells(ints) == "".join(f"{v}\n" for v in ints.tolist()).encode()
 
 
 @needs_kernel
@@ -255,7 +268,7 @@ def test_compiled_writer_fills_its_buffer_and_no_more():
     assert text == "".join(
         head + ",".join(output.format_value(v) for v in row) + tail
         for row in zip(*(c.tolist() for c in columns))
-    )
+    ).encode()
     full = len(text)
     chars = np.array([23, 20, 1, 5], dtype=np.int64)
     data = np.array([c.ctypes.data for c in columns], dtype=np.uintp)
@@ -324,7 +337,7 @@ def bifurcate_peak(monkeypatch, workers: int) -> tuple[int, int]:
     rng = np.random.default_rng(3)
     records = [
         SweepRecord(
-            float(v), rng.uniform(1.0, 100.0, (240, 2)), np.repeat(np.arange(3), 80),
+            float(v), rng.uniform(1.0, 100.0, (240, 2)), (0, 1, 2),
             float(rng.normal()), PeriodReport(None, 1e-6, 100), 1.0, "chaotic",
         )
         for v in np.linspace(0.0, 1.0, 200)
@@ -351,6 +364,74 @@ def test_bifurcate_memory_bounded_by_one_grid_point(monkeypatch):
         with loops():
             peak, chars = bifurcate_peak(monkeypatch, workers=workers)
         assert peak < chars / 4, (loops, workers)
+
+
+#: a compiled slice, one that levdyn_rows refuses for its float below 2^-14,
+#: as micro's sigma_hat_sq near 6e-8, then a compiled one again
+MIXED = [
+    RowBlock((1,), (np.array([0.5, 2.0]), np.arange(2)), ("x",)),
+    RowBlock((2,), (np.array([6e-8, 1.0]), np.arange(2)), ("y",)),
+    RowBlock((3,), (np.arange(3.0), np.arange(3)), ()),
+]
+
+
+def without_timestamp(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("# timestamp:"))
+
+
+def sink_text(sink: str, tmp_path) -> str:
+    """What write_csv of MIXED leaves in ``sink``, but its timestamp line."""
+    if sink == "file":
+        path = tmp_path / "mixed.csv"
+        with cli._open_out(str(path)) as fh:
+            assert output._ascii_buffer(fh) is fh.buffer
+            write_csv(fh, COLUMNS, MIXED, "deadbeef", 1)
+        text = path.read_bytes().decode()
+    elif sink == "bytesio":
+        wrapper = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        assert output._ascii_buffer(wrapper) is wrapper.buffer
+        write_csv(wrapper, COLUMNS, MIXED, "deadbeef", 1)
+        text = wrapper.detach().getvalue().decode()
+    else:
+        buf = io.StringIO()
+        assert output._ascii_buffer(buf) is None
+        write_csv(buf, COLUMNS, MIXED, "deadbeef", 1)
+        text = buf.getvalue()
+    return without_timestamp(text)
+
+
+@pytest.mark.parametrize("sink", ["file", "bytesio", "stringio"])
+def test_bytes_and_text_slices_reach_every_sink_in_order(sink, tmp_path):
+    if _kernel.lib is not None:
+        kinds = [type(chunk) for block in MIXED for chunk in output._block_texts(block)]
+        assert kinds == [bytes, str, bytes]
+    with python_loops():
+        reference = sink_text("stringio", tmp_path)
+    rows = [[1, 0.5, 0, "x"], [1, 2.0, 1, "x"], [2, 6e-8, 0, "y"], [2, 1.0, 1, "y"],
+            [3, 0.0, 0], [3, 1.0, 1], [3, 2.0, 2]]
+    assert reference.endswith(",".join(COLUMNS) + "\n" + cell_text(rows))
+    assert reference.startswith("# levdyn_version: ")
+    assert sink_text(sink, tmp_path) == reference
+
+
+def test_simulate_to_stdout_gives_the_python_loops_text(tmp_path):
+    # two synchronising banks: sync_12 falls below 2^-14 within the first
+    # slice of SLICE_ROWS rows, which levdyn_rows refuses, and is 0 or above
+    # it in the second, which it writes
+    document = {"model": {"omegas": [0.5, 0.5], "pis": [0.5, 0.5]},
+                "run": {"transient": 0, "record": 10000, "initial": [50.0, 60.0]}}
+    cfg = tmp_path / "sync.json"
+    cfg.write_text(json.dumps(document))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "levdyn.cli", "simulate", "--config", str(cfg)],
+                          env=env, capture_output=True, check=True, timeout=120)
+    buf = io.StringIO()
+    with python_loops():
+        assert cli.cmd_simulate(parse_config(document), buf) == cli.EXIT_OK
+    assert without_timestamp(done.stdout.decode()) == without_timestamp(buf.getvalue())
 
 
 def simulate_rows(config, trace: OrbitTrace) -> list[list]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from contextlib import nullcontext
 from unittest.mock import Mock, patch
 
@@ -161,6 +162,18 @@ class TestWeightSweep:
         assert right.forcing_period.period == 4
         assert records[-1].classification == f"period-{right.forcing_period.period}"
         assert records[0].classification != records[-1].classification
+
+    def test_a_record_holds_no_per_row_array_but_its_samples(self):
+        # a fig5 point: what a pool worker pickles for the main process to hold
+        spec = SweepSpec(axis="pi1", bounds=(0.0, 1.0), resolution=500,
+                         fixed=two_bank(0.5, 0.3, 0.5), transient=1000, record=500,
+                         rng_seed=1)
+        rec = _eval_point(spec, 0.5)
+        assert rec.samples.shape == (1500, 2)
+        assert len(pickle.dumps(rec)) <= rec.samples.nbytes + 1024
+        assert rec.survivors == (0, 1, 2)
+        assert rec.branch.dtype == np.int64
+        assert np.array_equal(rec.branch, np.repeat([0, 1, 2], 500))
 
 
 class TestMemory1Sweep:
