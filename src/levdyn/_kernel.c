@@ -6,8 +6,8 @@
  * micro._ticks's intraday tick pass, which scans the asset weights'
  * drift as it goes; levdyn_boxes, the occupancy grids of
  * attractor.occupied_box_counts; and levdyn_rows, which formats the CSV
- * rows of output._block_texts as output._format_column and
- * output.format_value do.  The orbit step is written once, map_step.
+ * rows of output._block_texts as output.format_value does.  The orbit
+ * step is written once, map_step.
  *
  * In map_step, levdyn_ticks and levdyn_boxes each statement mirrors one
  * Python statement of the reference loop, in the same order.  The drift

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import InsolvencyError, NonstationaryError
-from .maps import advance
+from .orbits import _run_checked
 from .params import ModelParams, mean_field
 
 #: variance estimates are floored here to keep leverage finite
@@ -286,7 +286,8 @@ class MicroRun:
 
     Row t of the leverage arrays is the state entering period t+1 (after
     the period-t close); the deterministic column iterates the coupled
-    map from the same initial leverages with the configured weights.
+    map from the same initial leverages with the configured weights,
+    under the orbits' escape protocol.
     """
 
     lambdas_stochastic: np.ndarray
@@ -317,7 +318,9 @@ def run_micro(
     Raises InsolvencyError or NonstationaryError with the period index
     when a run aborts (mirroring the discard protocol for violating
     runs); in ``zero_noise`` mode a mean field at or past 1 + gamma is
-    nonstationary.
+    nonstationary.  The deterministic column is formed after the
+    periods, by ``orbits._run_checked``: where it escapes, the run raises
+    OrbitViolationError with the step and constraint.
     """
     base = params.base
     n_banks = base.n_banks
@@ -338,13 +341,12 @@ def run_micro(
     buffers = _TickBuffers(n_banks, params.n_intraday)
 
     lam_sto = np.empty((params.horizon, n_banks))
-    lam_det = np.empty((params.horizon, n_banks))
     drift = np.zeros(params.horizon)
     phis = np.empty(params.horizon)
     sig_eps = np.empty(params.horizon)
     floored_any = False
 
-    det = list(lambdas)
+    initial = list(lambdas)
     with closing(blocks):
         for t in range(params.horizon):
             if params.zero_noise:
@@ -376,11 +378,9 @@ def run_micro(
             floored_any = floored_any or floored
             target_assets = [lam * e for lam, e in zip(lambdas, equities)]
             lam_sto[t] = lambdas
-            det = advance(det, base)
-            lam_det[t] = det
     return MicroRun(
         lambdas_stochastic=lam_sto,
-        lambdas_deterministic=lam_det,
+        lambdas_deterministic=_run_checked(initial, base, 0, params.horizon),
         pi_drift_max=drift,
         phi_hat=phis,
         sigma_eps_hat_sq=sig_eps,

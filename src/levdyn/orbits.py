@@ -203,21 +203,9 @@ def iterate(
     )
 
 
-def sync_metric(state: LeverageState, i: int, j: int) -> float:
-    """Pairwise synchronization distance |l_i - l_j| / (l_i + l_j).
-
-    Lives in [0, 1) for positive leverages; identically zero on the
-    diagonal.  Along homogeneous orbits (equal memory weights) it is
-    strictly decreasing.
-    """
-    lams = state.lambdas
-    if not (0 <= i < len(lams)) or not (0 <= j < len(lams)):
-        raise IndexError(f"bank index out of range: ({i}, {j}) for N={len(lams)}")
-    return pair_sync(lams[i], lams[j])
-
-
 def pair_sync(a: float, b: float) -> float:
-    """sync_metric on raw leverages, for tight loops."""
+    """Synchronization distance |a - b| / (a + b) of two leverages: in
+    [0, 1) for positive ones, and zero where they are equal."""
     return abs(a - b) / (a + b)
 
 

@@ -6,23 +6,18 @@ with 17 significant digits so every value round-trips exactly, and None
 is an empty cell.  Rows are formatted a slice of at most ``SLICE_ROWS``
 at a time, in the calling process: by the compiled writer
 ``levdyn_rows`` where the library loaded and covers every cell of the
-slice, else by ``_format_column`` and ``format_value``, the reference,
-with the same text.  The compiled writer's ASCII bytes go straight to
-the stream's binary buffer, after the text layer is flushed, wherever
-that gives the bytes the text layer would write; else, as on a
-``StringIO``, they go through the text layer.  JSON reports carry the
-same provenance (minus the timestamp) as an embedded object, keeping
-the file valid JSON and byte-identical across reruns.
+slice, else by ``format_value``, the reference, with the same text.
+Every line goes to the stream as text, through its ``write``.  JSON
+reports carry the same provenance (minus the timestamp) as an embedded
+object, keeping the file valid JSON and byte-identical across reruns.
 """
 
 from __future__ import annotations
 
 import ctypes
-import io
 import json
-import os
 from datetime import datetime, timezone
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -32,9 +27,6 @@ from . import __version__, _kernel
 SLICE_ROWS = 8192
 #: the most characters levdyn_rows writes for a float64, int64 or bool cell
 CELL_CHARS = {"f": 23, "i": 20, "b": 1}
-#: every ASCII character, which an encoding must write as these bytes for
-#: the compiled writer's bytes to bypass the text layer
-ASCII = bytes(range(128))
 
 
 def format_value(value: Any) -> str:
@@ -63,27 +55,14 @@ class RowBlock(NamedTuple):
     Row i is ``[*head, *(c[i] for c in columns), *tail]``.  ``columns``
     holds one or more equal-length 1-d numpy arrays; other shapes raise
     ValueError before any row is written.  The shared cells are
-    formatted once for the block and each column once per dtype, so the
-    text equals formatting every cell with ``format_value``.  A string
-    (``U``-kind) column is written as it is, so it can carry several
-    cells already joined by commas.
+    formatted once for the block, and the text equals formatting every
+    cell with ``format_value``.  A string (``U``-kind) column is written
+    as it is, so it can carry several cells already joined by commas.
     """
 
     head: Sequence[Any]
     columns: Sequence[Any]
     tail: Sequence[Any]
-
-
-def _format_column(values: Any) -> Iterator[str]:
-    items = values.tolist()
-    kind = values.dtype.kind
-    if kind == "f":
-        return map("{:.17g}".format, items)
-    if kind in "iu":
-        return map(str, items)
-    if kind == "U":
-        return iter(items)
-    return map(format_value, items)
 
 
 def _rows(columns: Sequence[Any]) -> int:
@@ -96,9 +75,9 @@ def _rows(columns: Sequence[Any]) -> int:
 
 
 def _compiled_writer(head: str, columns: Sequence[Any],
-                     tail: str) -> Callable[[int, int], bytes | None] | None:
+                     tail: str) -> Callable[[int, int], str | None] | None:
     """levdyn_rows bound to one block's cells: a function of a slice's first
-    row and its row count that returns the slice's ASCII bytes, or None
+    row and its row count that returns the slice's text, or None
     where a cell is out of the writer's reach.  None where the library
     did not load, a column is not float64, int64, bool or native ``U``,
     or the head or tail text is not ASCII."""
@@ -116,20 +95,20 @@ def _compiled_writer(head: str, columns: Sequence[Any],
     code, head_bytes, tail_bytes = "".join(kinds).encode(), head.encode(), tail.encode()
     row_chars = len(head) + sum(chars) + ncols - 1 + len(tail)
 
-    def write(start: int, rows: int) -> bytes | None:
+    def write(start: int, rows: int) -> str | None:
         capacity = rows * row_chars
         buffer = np.empty(capacity, dtype=np.uint8)
         length = lib.levdyn_rows(ncols, code, chars, data, strides, start, rows,
                                  head_bytes, len(head_bytes), tail_bytes, len(tail_bytes),
                                  buffer.ctypes.data, capacity)
-        return None if length < 0 else buffer.data[:length].tobytes()
+        return None if length < 0 else str(buffer.data[:length], "ascii")
 
     return write
 
 
-def _block_texts(block: RowBlock) -> Iterator[str | bytes]:
-    """The block's rows, a slice at a time: the compiled writer's bytes, or
-    the reference formatters' text where it does not cover the slice."""
+def _block_texts(block: RowBlock) -> Iterator[str]:
+    """The block's rows, a slice at a time: the compiled writer's text, or
+    format_value's where the writer does not cover the slice."""
     n = _rows(block.columns)
     head = "".join(format_value(v) + "," for v in block.head)
     tail = "".join("," + format_value(v) for v in block.tail) + "\n"
@@ -137,7 +116,8 @@ def _block_texts(block: RowBlock) -> Iterator[str | bytes]:
     for start in range(0, n, SLICE_ROWS):
         text = compiled(start, min(SLICE_ROWS, n - start)) if compiled else None
         if text is None:
-            cells = [_format_column(c[start:start + SLICE_ROWS]) for c in block.columns]
+            cells = [map(format_value, c[start:start + SLICE_ROWS].tolist())
+                     for c in block.columns]
             text = head + (tail + head).join(map(",".join, zip(*cells))) + tail
         yield text
 
@@ -153,31 +133,9 @@ def write_csv(
     for line in provenance_lines(config_sha256, seed):
         stream.write(line + "\n")
     stream.write(",".join(columns) + "\n")
-    raw = _ascii_buffer(stream)
     for block in blocks:
         for chunk in _block_texts(block):
-            if isinstance(chunk, str):
-                stream.write(chunk)
-            elif raw is None:
-                stream.write(chunk.decode("ascii"))
-            else:
-                stream.flush()  # the text written before goes first
-                raw.write(chunk)
-
-
-def _ascii_buffer(stream: TextIO) -> BinaryIO | None:
-    """The buffered binary stream under ``stream``, where ASCII bytes
-    written to it are the bytes that ``stream`` would write for their
-    text: its encoding writes ASCII as ASCII, and the platform's line
-    separator is ``\\n``, so a stream that ``open`` made translates no
-    newline.  None otherwise, as for a ``StringIO``, which has no buffer.
-    A text stream does not expose its ``newline`` argument, so one made
-    with ``newline="\\r\\n"`` gets ``\\n`` line ends in compiled rows."""
-    raw, encoding = getattr(stream, "buffer", None), getattr(stream, "encoding", None)
-    if (isinstance(raw, io.BufferedIOBase) and isinstance(encoding, str)
-            and os.linesep == "\n" and ASCII.decode().encode(encoding) == ASCII):
-        return raw
-    return None
+            stream.write(chunk)
 
 
 def read_csv(stream: TextIO) -> tuple[dict[str, str], list[str], list[list[str]]]:

@@ -22,7 +22,7 @@ def python_loops() -> Iterator[None]:
     lyap._tangent loop in Python in place of levdyn_orbit, micro._ticks in
     place of levdyn_ticks, attractor.occupied_box_counts counts with numpy
     in place of levdyn_boxes, and output formats every CSV cell with
-    _format_column and format_value in place of levdyn_rows."""
+    format_value in place of levdyn_rows."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "lib", None)
         yield

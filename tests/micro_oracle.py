@@ -6,9 +6,10 @@ weights list, a per-tick scan for the drift maximum, an inline seed-phi
 loop and a separate blend loop for the zero-noise limit.  Its three
 solvency and stationarity tests, and the stationarity test of the
 zero-noise limit, are written as ``levdyn.micro`` writes them, so that
-a NaN equity or regression raises instead of passing as data.  The
-tests hold ``levdyn.micro`` to it byte for byte, errors
-included.
+a NaN equity or regression raises instead of passing as data.  Its
+deterministic column follows the periods, a ``maps.advance`` a period
+under the orbits' escape protocol.  The tests hold ``levdyn.micro`` to
+it byte for byte, errors included.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from levdyn.errors import InsolvencyError, NonstationaryError
+from levdyn.errors import InsolvencyError, NonstationaryError, OrbitViolationError
 from levdyn.maps import advance
 from levdyn.micro import (
     SIGMA_SQ_FLOOR,
@@ -82,6 +83,26 @@ def close_period(returns, r0, sigma_sq, omegas, params: MicroParams):
     return new_lambdas, new_sigma, phi_hat, sigma_eps_hat_sq, floored
 
 
+def deterministic(initial, base, horizon: int) -> np.ndarray:
+    """``horizon`` states of the coupled map from ``initial``, a
+    ``maps.advance`` a period, under the orbits' escape protocol: step k
+    raises OrbitViolationError if the state it starts from has mean field
+    at or past 1 + gamma, a new leverage is below 1 or the new mean field
+    is past 1 + gamma."""
+    states = np.empty((horizon, base.n_banks))
+    det = list(initial)
+    for step in range(1, horizon + 1):
+        if not mean_field(det, base.pis) < base.lambda_max:
+            raise OrbitViolationError(step, "ar1_stationarity")
+        det = advance(det, base)
+        if any(lam < 1.0 for lam in det):
+            raise OrbitViolationError(step, "leverage_floor")
+        if mean_field(det, base.pis) > base.lambda_max:
+            raise OrbitViolationError(step, "ar1_stationarity")
+        states[step - 1] = det
+    return states
+
+
 def run_micro(params: MicroParams, initial_lambdas) -> MicroRun:
     base = params.base
     n_banks = base.n_banks
@@ -94,13 +115,12 @@ def run_micro(params: MicroParams, initial_lambdas) -> MicroRun:
     sigma_step = math.sqrt(params.sigma_eps_step_sq)
 
     lam_sto = np.empty((params.horizon, n_banks))
-    lam_det = np.empty((params.horizon, n_banks))
     drift = np.zeros(params.horizon)
     phis = np.empty(params.horizon)
     sig_eps = np.empty(params.horizon)
     floored_any = False
 
-    det = list(lambdas)
+    initial = list(lambdas)
     for t in range(params.horizon):
         if params.zero_noise:
             m = mean_field(lambdas, base.pis)
@@ -160,11 +180,9 @@ def run_micro(params: MicroParams, initial_lambdas) -> MicroRun:
             phis[t] = phi_hat
             sig_eps[t] = s_eps
         lam_sto[t] = lambdas
-        det = advance(det, base)
-        lam_det[t] = det
     return MicroRun(
         lambdas_stochastic=lam_sto,
-        lambdas_deterministic=lam_det,
+        lambdas_deterministic=deterministic(initial, base, params.horizon),
         pi_drift_max=drift,
         phi_hat=phis,
         sigma_eps_hat_sq=sig_eps,

@@ -581,6 +581,26 @@ class TestCliCommands:
         assert main(["micro", "--config", cfg, "--out", str(out)]) == 3
         assert "bank 0 insolvent in period 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loops", [nullcontext, python_loops])
+    def test_micro_deterministic_escape_exits_3(self, tmp_path, capsys, loops):
+        # the stochastic run survives, but the coupled map from 100.9 falls
+        # below leverage 1 at its first step, as simulate reports; this
+        # used to exit 0 with a deterministic leverage of 0.5749
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"omegas": [0.5]},
+                "run": {"seed": 1, "initial": [100.9]},
+                "micro": {"n_intraday": 100, "horizon": 5},
+            },
+        )
+        out = tmp_path / "micro.csv"
+        with loops():
+            assert main(["micro", "--config", cfg, "--out", str(out)]) == 3
+        assert ("levdyn: constraint violation: orbit violated leverage_floor at step 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_lyapunov_identity_memory_reports_zero(self, tmp_path):
         cfg = write_config(
             tmp_path,

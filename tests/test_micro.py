@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levdyn import micro
-from levdyn.errors import DomainError, InsolvencyError, NonstationaryError
+from levdyn.errors import InsolvencyError, NonstationaryError, OrbitViolationError
 from levdyn.maps import advance
 from levdyn.micro import (
     SIGMA_SQ_FLOOR,
@@ -290,14 +290,15 @@ def _outcome(fn, *args):
     """``fn(*args)``, or the simulation error it raises."""
     try:
         return fn(*args)
-    except (InsolvencyError, NonstationaryError, DomainError) as exc:
+    except (InsolvencyError, NonstationaryError, OrbitViolationError) as exc:
         return exc
 
 
 def _error_fields(exc: Exception) -> tuple:
     return (
         type(exc), getattr(exc, "period", None), getattr(exc, "bank", None),
-        repr(getattr(exc, "phi_hat", None)),
+        repr(getattr(exc, "phi_hat", None)), getattr(exc, "step", None),
+        getattr(exc, "constraint", None),
     )
 
 

@@ -17,7 +17,6 @@ from levdyn.orbits import (
     estimate_feasible_set,
     iterate,
     pair_sync,
-    sync_metric,
     window_period,
 )
 from levdyn.params import LeverageState, ModelParams, common_fixed_point, mean_field
@@ -111,20 +110,10 @@ class TestIterate:
 
 class TestSyncMetric:
     def test_equal_leverages_zero(self):
-        p = two_bank(0.5, 0.5, 0.5)
-        state = LeverageState.from_lambdas([42.0, 42.0], p)
-        assert sync_metric(state, 0, 1) == 0.0
+        assert pair_sync(42.0, 42.0) == 0.0
 
     def test_arithmetic(self):
-        p = two_bank(0.5, 0.5, 0.5)
-        state = LeverageState.from_lambdas([10.0, 30.0], p)
-        assert sync_metric(state, 0, 1) == 0.5
-
-    def test_index_error(self):
-        p = two_bank(0.5, 0.5, 0.5)
-        state = LeverageState.from_lambdas([10.0, 30.0], p)
-        with pytest.raises(IndexError):
-            sync_metric(state, 0, 2)
+        assert pair_sync(10.0, 30.0) == 0.5
 
     def test_strictly_decreasing_along_homogeneous_orbits(self, rng):
         for _ in range(10):

@@ -213,7 +213,7 @@ def test_pool_formatting_of_long_blocks(slices):
 LOW, HIGH = 2.0 ** -14, 2.0 ** 52
 
 
-def compiled_cells(*columns, head: str = "", tail: str = "\n") -> bytes | None:
+def compiled_cells(*columns, head: str = "", tail: str = "\n") -> str | None:
     """All rows of ``columns`` through levdyn_rows alone, None where it
     leaves them to the reference formatters."""
     return output._compiled_writer(head, columns, tail)(0, len(columns[0]))
@@ -224,7 +224,7 @@ def check_float_cell(x: float) -> None:
     if math.isfinite(x) and x != 0 and not LOW <= abs(x) < HIGH:
         assert text is None
     else:
-        assert text == (format(x, ".17g") + "\n").encode()
+        assert text == format(x, ".17g") + "\n"
 
 
 def edge_floats() -> list[float]:
@@ -251,7 +251,7 @@ def test_compiled_edge_cells_match_format():
     for x in edge_floats():
         check_float_cell(x)
     ints = np.array([-(2**63), 2**63 - 1, 0, -1, 10**18], dtype=np.int64)
-    assert compiled_cells(ints) == "".join(f"{v}\n" for v in ints.tolist()).encode()
+    assert compiled_cells(ints) == "".join(f"{v}\n" for v in ints.tolist())
 
 
 @needs_kernel
@@ -268,7 +268,7 @@ def test_compiled_writer_fills_its_buffer_and_no_more():
     assert text == "".join(
         head + ",".join(output.format_value(v) for v in row) + tail
         for row in zip(*(c.tolist() for c in columns))
-    ).encode()
+    )
     full = len(text)
     chars = np.array([23, 20, 1, 5], dtype=np.int64)
     data = np.array([c.ctypes.data for c in columns], dtype=np.uintp)
@@ -385,34 +385,31 @@ def sink_text(sink: str, tmp_path) -> str:
     if sink == "file":
         path = tmp_path / "mixed.csv"
         with cli._open_out(str(path)) as fh:
-            assert output._ascii_buffer(fh) is fh.buffer
             write_csv(fh, COLUMNS, MIXED, "deadbeef", 1)
         text = path.read_bytes().decode()
-    elif sink == "bytesio":
-        wrapper = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        assert output._ascii_buffer(wrapper) is wrapper.buffer
+    elif sink in ("bytesio", "crlf"):
+        wrapper = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                   newline="\r\n" if sink == "crlf" else None)
         write_csv(wrapper, COLUMNS, MIXED, "deadbeef", 1)
         text = wrapper.detach().getvalue().decode()
     else:
         buf = io.StringIO()
-        assert output._ascii_buffer(buf) is None
         write_csv(buf, COLUMNS, MIXED, "deadbeef", 1)
         text = buf.getvalue()
     return without_timestamp(text)
 
 
-@pytest.mark.parametrize("sink", ["file", "bytesio", "stringio"])
-def test_bytes_and_text_slices_reach_every_sink_in_order(sink, tmp_path):
-    if _kernel.lib is not None:
-        kinds = [type(chunk) for block in MIXED for chunk in output._block_texts(block)]
-        assert kinds == [bytes, str, bytes]
+@pytest.mark.parametrize("sink", ["file", "bytesio", "stringio", "crlf"])
+def test_compiled_and_python_slices_reach_every_sink_in_order(sink, tmp_path):
     with python_loops():
         reference = sink_text("stringio", tmp_path)
     rows = [[1, 0.5, 0, "x"], [1, 2.0, 1, "x"], [2, 6e-8, 0, "y"], [2, 1.0, 1, "y"],
             [3, 0.0, 0], [3, 1.0, 1], [3, 2.0, 2]]
     assert reference.endswith(",".join(COLUMNS) + "\n" + cell_text(rows))
     assert reference.startswith("# levdyn_version: ")
-    assert sink_text(sink, tmp_path) == reference
+    # a sink that translates newlines does so on every line alike
+    newline = "\r\n" if sink == "crlf" else "\n"
+    assert sink_text(sink, tmp_path) == reference.replace("\n", newline)
 
 
 def test_simulate_to_stdout_gives_the_python_loops_text(tmp_path):
@@ -424,14 +421,17 @@ def test_simulate_to_stdout_gives_the_python_loops_text(tmp_path):
     cfg = tmp_path / "sync.json"
     cfg.write_text(json.dumps(document))
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "levdyn.cli", "simulate", "--config", str(cfg)],
-                          env=env, capture_output=True, check=True, timeout=120)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     buf = io.StringIO()
     with python_loops():
         assert cli.cmd_simulate(parse_config(document), buf) == cli.EXIT_OK
-    assert without_timestamp(done.stdout.decode()) == without_timestamp(buf.getvalue())
+    # unbuffered, sys.stdout's buffer is the raw pipe; the text is the same
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        done = subprocess.run(
+            [sys.executable, "-m", "levdyn.cli", "simulate", "--config", str(cfg)],
+            env={**env, **unbuffered}, capture_output=True, check=True, timeout=120)
+        assert without_timestamp(done.stdout.decode()) == without_timestamp(buf.getvalue())
 
 
 def simulate_rows(config, trace: OrbitTrace) -> list[list]:
