@@ -4,28 +4,32 @@
  * maps.step_jacobian does and running the renormalised tangent step of
  * k vectors (lyap._tangent_steps) in the same loop; levdyn_ticks,
  * micro._ticks's intraday tick pass, which scans the asset weights'
- * drift as it goes; levdyn_boxes, the occupancy grids of
- * attractor.occupied_box_counts; and levdyn_rows, which formats the CSV
- * rows of output._block_texts as output.format_value does.  The orbit
- * step is written once, map_step.
+ * drift as it goes; levdyn_boxes, which marks the occupancy grids of
+ * attractor.occupied_box_counts, one bit a cell, and counts their marked
+ * cells; and levdyn_rows, which formats the CSV rows of
+ * output._block_texts as output.format_value does.  The orbit step is
+ * written once, map_step.
  *
- * In map_step, levdyn_ticks and levdyn_boxes each statement mirrors one
- * Python statement of the reference loop, in the same order.  The drift
- * scan of levdyn_ticks forms, a tick at a time, the elements of the
- * Python loop's numpy drift, with its operations; their maximum is the
- * same in any order.  A tangent step of levdyn_orbit has no one Python
- * loop to mirror: it is orbits._run's step, then maps.step_jacobian's
- * entries of one row at a time, then lyap._tangent_steps's step, each
- * with its Python operations in their order.  The loops use only +, -,
- * *, /, sqrt, fma, fabs and fmod, which IEEE 754 rounds correctly (fabs
- * and fmod are exact), casts that truncate a non-negative double below
- * 2^53 to an integer, which are exact, and log, which is the libm
- * function that Python's math.log calls; built without contraction of
- * multiply-adds (-ffp-contract=off), so that every fma is one the source
- * spells out, they give the doubles the Python loops give.
- * Where a Python loop would divide by zero, the compiled loop returns
- * KERNEL_DEFER, and the caller discards what it wrote and reruns the
- * Python loop, which raises ZeroDivisionError there.
+ * In map_step, levdyn_ticks and box_cell, the cell arithmetic of
+ * levdyn_boxes, each statement mirrors one Python statement of the
+ * reference loop, in the same order; levdyn_boxes marks a cell as a bit,
+ * not a byte of a bool grid, and counts the set bits, in integers,
+ * exactly.  The drift scan of levdyn_ticks forms, a tick at a time, the
+ * elements of the Python loop's numpy drift, with its operations; their
+ * maximum is the same in any order.  A tangent step of levdyn_orbit has
+ * no one Python loop to mirror: it is orbits._run's step, then
+ * maps.step_jacobian's entries of one row at a time, then
+ * lyap._tangent_steps's step, each with its Python operations in their
+ * order.  The loops use only +, -, *, /, sqrt, fma, fabs and fmod, which
+ * IEEE 754 rounds correctly (fabs and fmod are exact), casts that
+ * truncate a non-negative double below 2^53 to an integer, which are
+ * exact, and log, which is the libm function that Python's math.log
+ * calls; built without contraction of multiply-adds (-ffp-contract=off),
+ * so that every fma is one the source spells out, they give the doubles
+ * the Python loops give.  Where a Python loop would divide by zero, the
+ * compiled loop returns KERNEL_DEFER, and the caller discards what it
+ * wrote and reruns the Python loop, which raises ZeroDivisionError
+ * there.
  */
 
 #include <float.h>
@@ -227,41 +231,67 @@ static double floor_divide(double a, double b)
     return div - q > 0.5 ? q + 1.0 : q;
 }
 
+/* One scale of levdyn_boxes: its grid, side and words, box size, and
+ * attractor._floor_cells's tolerance, tol, and 1.0 - tol. */
+struct box_scale {
+    uint64_t *grid;
+    long long cells, words;
+    double eps, tol, top;
+};
+
+/* The cell of one normalised coordinate at scale p, as
+ * attractor._floor_cells and _cell_codes's np.minimum find it, statement
+ * for statement: the rounded quotient's floor, as a truncating cast,
+ * exact since the quotient lies in [0, cells] and cells < 2^53;
+ * np.floor_divide's where the quotient is near an integer; then the
+ * last cell for the upper edge. */
+static inline long long box_cell(double norm, const struct box_scale *p)
+{
+    double c = norm / p->eps;
+    long long q = (long long)c;
+    c -= (double)q;
+    if (c <= p->tol || c >= p->top)
+        q = (long long)floor_divide(norm, p->eps);
+    return q < p->cells - 1 ? q : p->cells - 1;
+}
+
 /* The occupancy grids of attractor.occupied_box_counts in one pass over
  * n points, rows of 2: each point is normalised, (p - lo) / extent per
  * axis, and its cell at each of the scales, boxes of size eps[s] on a
- * grid of cells[s] per side, is marked in grid s, cells[s]^2 bytes that
- * start right after grid s - 1 in grids.  The cell is
- * attractor._cell_codes's, statement for statement: the rounded
- * quotient's floor, as a truncating cast, exact since the quotient lies
- * in [0, cells[s]] and cells[s] < 2^53; np.floor_divide's where the
- * quotient is near an integer; then the last cell for the upper edge.
- * The points must be finite, within [lo, lo + extent]. */
+ * grid of cells[s] per side, is marked in grid s.  Grid s is one bit a
+ * cell, cell k = ix0 * cells[s] + ix1 being bit k & 63 of word k >> 6,
+ * in the ceil(cells[s]^2 / 64) words, zeroed by the caller, that start
+ * right after grid s - 1 in grids; after the pass counts[s] is the
+ * number of its marked cells.  The points must be finite, within
+ * [lo, lo + extent]. */
 void levdyn_boxes(long long n, const double *points, const double *lo, const double *extent,
-                  int scales, const double *eps, const long long *cells, unsigned char *grids)
+                  int scales, const double *eps, const long long *cells, uint64_t *grids,
+                  long long *counts)
 {
-    unsigned char *grid[scales];
-    double tol[scales];
+    struct box_scale scale[scales];
     for (int s = 0; s < scales; s++) {
-        grid[s] = s ? grid[s - 1] + cells[s - 1] * cells[s - 1] : grids;
-        tol[s] = (double)cells[s] * 0x1p-50;
+        struct box_scale *p = &scale[s];
+        p->grid = s ? p[-1].grid + p[-1].words : grids;
+        p->cells = cells[s];
+        p->words = (cells[s] * cells[s] + 63) >> 6;
+        p->eps = eps[s];
+        p->tol = (double)cells[s] * 0x1p-50;
+        p->top = 1.0 - p->tol;
     }
     for (long long r = 0; r < n; r++) {
         double norm[2];
         for (int a = 0; a < 2; a++)
             norm[a] = (points[2 * r + a] - lo[a]) / extent[a];
-        for (int s = 0; s < scales; s++) {
-            long long ix[2];
-            for (int a = 0; a < 2; a++) {
-                double c = norm[a] / eps[s];
-                long long q = (long long)c;
-                c -= (double)q;
-                if (c <= tol[s] || c >= 1.0 - tol[s])
-                    q = (long long)floor_divide(norm[a], eps[s]);
-                ix[a] = q < cells[s] - 1 ? q : cells[s] - 1;
-            }
-            grid[s][ix[0] * cells[s] + ix[1]] = 1;
+        for (const struct box_scale *p = scale; p < scale + scales; p++) {
+            long long k = box_cell(norm[0], p) * p->cells + box_cell(norm[1], p);
+            p->grid[k >> 6] |= (uint64_t)1 << (k & 63);
         }
+    }
+    for (int s = 0; s < scales; s++) {
+        long long count = 0;
+        for (long long w = 0; w < scale[s].words; w++)
+            count += __builtin_popcountll(scale[s].grid[w]);
+        counts[s] = count;
     }
 }
 

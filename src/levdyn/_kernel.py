@@ -21,14 +21,14 @@ it with k = 0 and ``lyap._tangent`` with k >= 1, once per exponent;
 where a vector vanishes it defers to the Python pass.  ``levdyn_ticks``
 is the intraday tick pass, which scans the drift of the banks' asset
 weights as it goes, ``levdyn_boxes`` marks the occupancy grids of
-``attractor.occupied_box_counts`` in one pass over a cloud, and the row
-writer, ``levdyn_rows``, formats the cells of ``output._block_texts``.
+``attractor.occupied_box_counts``, one bit a cell, in one pass over a
+cloud and counts them, and the row writer, ``levdyn_rows``, formats the
+cells of ``output._block_texts``.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
 import math
 import os
@@ -36,6 +36,8 @@ import platform
 import shutil
 import tempfile
 from pathlib import Path
+
+from ._digest import sha256
 
 #: no -march=native or -ffast-math: the loops must round as Python does
 FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -69,7 +71,7 @@ def _build(source: Path, directories: list[Path]) -> Path:
     cc = shutil.which("cc")
     if cc is None:
         raise OSError("no C compiler 'cc' on PATH")
-    key = hashlib.sha256(b"\0".join(
+    key = sha256(b"\0".join(
         [source.read_bytes(), " ".join(FLAGS).encode(), platform.machine().encode()]))
     name = f"_kernel-{key.hexdigest()[:20]}.so"
     for directory in directories:
@@ -165,7 +167,7 @@ def _load() -> ctypes.CDLL | None:
                                        size, size, ptr, ctypes.c_int, ptr, ptr, ptr]
     candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, real, real, real,
                                        ptr, size, ptr, ptr, ptr]
-    candidate.levdyn_boxes.argtypes = [size, ptr, ptr, ptr, ctypes.c_int, ptr, ptr, ptr]
+    candidate.levdyn_boxes.argtypes = [size, ptr, ptr, ptr, ctypes.c_int, ptr, ptr, ptr, ptr]
     candidate.levdyn_boxes.restype = None
     text = ctypes.c_char_p
     candidate.levdyn_rows.argtypes = [ctypes.c_int, text, ptr, ptr, ptr, size, size,

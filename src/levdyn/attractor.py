@@ -11,22 +11,26 @@ within 0.1 of each other, which excludes the saturated ends.
 
 Counting: each point's cell (ix0, ix1) = floor(norm / eps) is found
 exactly, through ``np.floor_divide`` only where the rounded quotient
-lies near an integer, and coded ix0 * n_cells + ix1.  Scales whose grid
-has at most GRID_CELLS_MAX cells mark an occupancy grid and count it;
-finer scales count the distinct codes with ``np.unique``.  Scales
-finer than MAX_CELLS cells per side (eps_decades above about 9.18),
-whose codes would overflow int64, are refused.
+lies near an integer, and coded ix0 * n_cells + ix1.  Scales whose
+occupancy grid fits GRID_BYTES_MAX (16 MB) mark the grid and count its
+marked cells; finer scales count the distinct codes with ``np.unique``.
+Scales finer than MAX_CELLS cells per side (eps_decades above about
+9.18), whose codes would overflow int64, are refused.
 
 Where the compiled loops loaded, a float64 cloud's grid scales are
-counted by ``levdyn_boxes`` in ``_kernel.c``: one pass over the cloud
-normalizes each point and marks its cell at every scale of the pass,
-statement for statement as ``_cell_codes`` finds it, so the counts are
-the numpy path's.  The scales are cut into passes whose byte grids
-together take at most GRID_CELLS_MAX bytes (fig7's 12 scales take one
-pass of 5.6 MB); the pass makes no normalized copy of the cloud.  The
-numpy path is the reference, and runs without a C compiler, for finer
-scales and for other dtypes, which numpy normalizes in their own
-precision: it normalizes the whole cloud, then floors and codes it
+counted by ``levdyn_boxes`` in ``_kernel.c`` on bit grids, cell k being
+bit k % 64 of uint64 word k // 64, so scales of up to 2**27 cells
+(11,585 a side, eps_decades up to about 3.76) fit: one pass over the
+cloud normalizes each point, marks its cell at every scale of the pass,
+statement for statement as ``_cell_codes`` finds it, and then counts
+each grid's set bits, so the counts are the numpy path's.  The scales
+are cut into passes whose bit grids together take at most
+GRID_BYTES_MAX bytes (fig7's 12 scales take one pass of 0.7 MB); the
+pass makes no normalized copy of the cloud.  The numpy path is the
+reference, and runs without a C compiler, for finer scales and for
+other dtypes, which numpy normalizes in their own precision: it marks a
+bool grid, one byte a cell, so scales of up to 2**24 cells (4,096 a
+side) fit, normalizes the whole cloud, then floors and codes it
 SLICE_ROWS points at a time so the temporaries stay small.
 """
 
@@ -49,9 +53,11 @@ SOFT_MIN_POINTS = 100_000
 #: local slopes within a window may spread at most this much
 SLOPE_WINDOW_SPREAD = 0.10
 
-#: scales with at most this many cells (a 16 MB bool grid) are counted
-#: on an occupancy grid, finer ones by sorting their cell codes
-GRID_CELLS_MAX = 2**24
+#: bytes of occupancy grid a pass may hold: the numpy counter's bool grid
+#: (one byte a cell) counts scales of up to 2**24 cells, the compiled
+#: counter's bit grid (one bit a cell) scales of up to 2**27; finer ones
+#: are counted by sorting their cell codes
+GRID_BYTES_MAX = 2**24
 
 #: points floored and coded per pass: the temporaries stay in cache
 SLICE_ROWS = 16_384
@@ -159,16 +165,21 @@ def _cell_codes(norm: np.ndarray, eps: float, n_cells: int) -> np.ndarray:
     return ix[:, 0] * n_cells + ix[:, 1]
 
 
+def _bit_grid_bytes(n_cells: int) -> int:
+    """Bytes of a bit grid of n_cells per side, in whole uint64 words."""
+    return -(-n_cells * n_cells // 64) * 8
+
+
 def _grid_passes(cells: list[int], scales: list[int]) -> list[list[int]]:
-    """``scales`` cut into runs whose grids, cells[k]**2 bytes each,
-    together take at most GRID_CELLS_MAX bytes."""
+    """``scales`` cut into runs whose bit grids together take at most
+    GRID_BYTES_MAX bytes."""
     passes: list[list[int]] = []
     for k in scales:
-        if not passes or size + cells[k] ** 2 > GRID_CELLS_MAX:
+        if not passes or size + _bit_grid_bytes(cells[k]) > GRID_BYTES_MAX:
             passes.append([])
             size = 0
         passes[-1].append(k)
-        size += cells[k] ** 2
+        size += _bit_grid_bytes(cells[k])
     return passes
 
 
@@ -176,30 +187,32 @@ def _compiled_counts(
     points: np.ndarray, lo: np.ndarray, extent: np.ndarray,
     epsilons: np.ndarray, cells: list[int], scales: list[int],
 ) -> np.ndarray:
-    """Counts of ``scales`` (grid scales of a float64 cloud), each pass
-    of ``_grid_passes`` one ``levdyn_boxes`` call over the cloud."""
+    """Counts of ``scales`` (bit-grid scales of a float64 cloud), each
+    pass of ``_grid_passes`` one ``levdyn_boxes`` call over the cloud."""
     points = np.ascontiguousarray(points)
-    counts = []
+    counts = np.empty(len(scales), dtype=np.int64)
+    done = 0
     for group in _grid_passes(cells, scales):
         eps = np.array([epsilons[k] for k in group], dtype=np.float64)
         sides = np.array([cells[k] for k in group], dtype=np.int64)
-        grids = np.zeros(int(np.sum(sides**2)), dtype=np.uint8)
+        grids = np.zeros(sum(_bit_grid_bytes(cells[k]) for k in group) // 8, dtype=np.uint64)
         _kernel.lib.levdyn_boxes(len(points), points.ctypes.data, lo.ctypes.data,
                                  extent.ctypes.data, len(group), eps.ctypes.data,
-                                 sides.ctypes.data, grids.ctypes.data)
-        counts += [np.count_nonzero(grid) for grid in np.split(grids, np.cumsum(sides**2)[:-1])]
-    return np.array(counts, dtype=np.int64)
+                                 sides.ctypes.data, grids.ctypes.data,
+                                 counts[done:].ctypes.data)
+        done += len(group)
+    return counts
 
 
 def occupied_box_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
     """Occupied-box counts N(eps) on the unit-square-normalized cloud.
 
     Grid anchored at the bounding-box lower corner; each point is floored
-    into an integer cell code.  A scale whose grid has at most
-    GRID_CELLS_MAX cells marks the codes on a grid and counts the marked
-    cells, through ``levdyn_boxes`` for a float64 cloud where the
-    compiled loops loaded; a finer one counts the distinct codes with
-    ``np.unique``.  Raises ValueError for an empty cloud,
+    into an integer cell code.  A scale whose grid fits GRID_BYTES_MAX
+    marks the codes on a grid and counts the marked cells: on a bit grid
+    through ``levdyn_boxes`` for a float64 cloud where the compiled loops
+    loaded, else on a bool grid; a finer one counts the distinct codes
+    with ``np.unique``.  Raises ValueError for an empty cloud,
     DegenerateCloudError for a cloud without a finite positive extent on
     both axes, and ValueError for a scale finer than MAX_CELLS cells per
     side.
@@ -218,7 +231,7 @@ def occupied_box_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
     counts = np.empty(len(epsilons), dtype=np.int64)
     scales = list(range(len(epsilons)))
     if _kernel.lib is not None and points.dtype == np.float64:
-        on_grid = [k for k in scales if cells[k] ** 2 <= GRID_CELLS_MAX]
+        on_grid = [k for k in scales if _bit_grid_bytes(cells[k]) <= GRID_BYTES_MAX]
         counts[on_grid] = _compiled_counts(points, lo, extent, epsilons, cells, on_grid)
         scales = [k for k in scales if k not in on_grid]
     if not scales:
@@ -230,7 +243,7 @@ def occupied_box_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
             _cell_codes(norm[start:start + SLICE_ROWS], eps, n_cells)
             for start in range(0, len(norm), SLICE_ROWS)
         )
-        if n_cells * n_cells <= GRID_CELLS_MAX:
+        if n_cells * n_cells <= GRID_BYTES_MAX:
             grid = np.zeros(n_cells * n_cells, dtype=bool)
             for block in codes:
                 grid[block] = True

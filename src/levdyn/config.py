@@ -13,12 +13,12 @@ explicit seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import Any, Callable, Container, Mapping
 
+from ._digest import sha256
 from .attractor import box_sizes
 from .errors import ConfigError
 from .params import (
@@ -269,7 +269,7 @@ class ExperimentConfig:
 
 def config_hash(document: Mapping[str, Any]) -> str:
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _parse_model(block: Mapping[str, Any]) -> ModelParams:

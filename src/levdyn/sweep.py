@@ -193,14 +193,18 @@ def _classify(spec: SweepSpec, value: float) -> str:
 def _map(fn: Callable, points: list[tuple[SweepSpec, float]], workers: int) -> list:
     """``fn(spec, value)`` over ``points``, in order: in process for one
     worker, else in pool chunks of contiguous points, one chunk per worker
-    unless that would make a chunk longer than CHUNK_POINTS."""
+    unless that would make a chunk longer than CHUNK_POINTS.  The pool
+    forks where the platform can, whatever the default start method."""
     if workers <= 1:
         return [fn(*point) for point in points]
     # here only: the pool's import loads multiprocessing and socket
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
     n = min(max(workers, -(-len(points) // CHUNK_POINTS)), len(points))
-    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, n), mp_context=context) as pool:
         return list(pool.map(fn, *zip(*points), chunksize=-(-len(points) // n)))
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levdyn import _kernel, attractor
@@ -21,9 +22,10 @@ from levdyn.params import LeverageState, common_fixed_point
 import box_oracle
 from conftest import needs_kernel, python_loops, two_bank
 
-#: on both sides of the occupancy-grid cap (4,096 cells per side, about
-#: 3.31 decades) and up to the int64 code limit (about 9.18 decades)
-DECADES = [0.5, 2.0, 3.0, 3.3, 3.35, 5.0, 9.0, 9.18]
+#: on both sides of the bool grid's budget (4,096 cells per side, about
+#: 3.31 decades) and of the bit grid's (11,585, about 3.76 decades), and
+#: up to the int64 code limit (about 9.18 decades)
+DECADES = [0.5, 2.0, 3.0, 3.3, 3.35, 3.75, 3.8, 5.0, 9.0, 9.18]
 
 
 def filled_square(n_side: int = 1000) -> np.ndarray:
@@ -74,18 +76,32 @@ def test_counts_match_the_sorting_counter(case, slice_rows, affine):
             np.testing.assert_array_equal(occupied_box_counts(points, epsilons), want)
 
 
+#: the filled square at 2 decades in 6 scales, of 2, 6, 13, 32, 80 and 200
+#: cells per side: one pass within 16 MB; two passes, [0..4] and [5], within
+#: 5,000 bytes; within 64 bytes one pass of [0..2], whose first two grids
+#: are a single word, with [3..5] sorted.  Where the cells are not a
+#: multiple of 64 (2, 6 and 13 a side), the corner (1, 1) marks the last
+#: cell, in a part-filled last word
+BUDGET_CASE = (filled_square(30), box_sizes(2.0, 6))
+
+
 @needs_kernel
 @settings(max_examples=150, deadline=None)
-@given(case=cloud_and_scales(), data=st.data())
-def test_compiled_counts_match_the_python_counter(case, data):
+@given(case=cloud_and_scales(), duplicates=st.integers(0, 5),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       cap=st.sampled_from([attractor.GRID_BYTES_MAX, 5_000, 64]))
+@example(case=BUDGET_CASE, duplicates=0, dtype=np.float64, cap=attractor.GRID_BYTES_MAX)
+@example(case=BUDGET_CASE, duplicates=0, dtype=np.float64, cap=5_000)
+@example(case=BUDGET_CASE, duplicates=0, dtype=np.float64, cap=64)
+def test_compiled_counts_match_the_python_counter(case, duplicates, dtype, cap):
     # duplicate points, float32 clouds (counted in numpy, which normalizes
-    # them in float32), and grid caps that cut the scales into several
-    # compiled passes or push them past the cap onto np.unique
+    # them in float32), and grid budgets that cut the scales into several
+    # compiled passes, leave a bit grid a single word or push scales past
+    # the budget onto np.unique; most scales' cell counts are not a
+    # multiple of 64
     points, epsilons = case
-    points = np.concatenate([points, points[:data.draw(st.integers(0, 5))]])
-    points = points.astype(data.draw(st.sampled_from([np.float64, np.float32])))
-    cap = data.draw(st.sampled_from([attractor.GRID_CELLS_MAX, 5_000, 64]))
-    with mock.patch.object(attractor, "GRID_CELLS_MAX", cap):
+    points = np.concatenate([points, points[:duplicates]]).astype(dtype)
+    with mock.patch.object(attractor, "GRID_BYTES_MAX", cap):
         got = occupied_box_counts(points, epsilons)
         with python_loops():
             np.testing.assert_array_equal(got, occupied_box_counts(points, epsilons))
@@ -93,17 +109,41 @@ def test_compiled_counts_match_the_python_counter(case, data):
 
 
 def test_grid_passes_stay_within_the_grid_cap():
-    # fig7's 12 scales share one pass of 5.6 MB; a finest grid near the
-    # cap takes a pass of its own
+    # fig7's 12 scales share one pass of 0.7 MB of bit grids; at 3.75
+    # decades the finest bit grid, near the budget, takes a pass of its own
+    grid_bytes = [attractor._bit_grid_bytes(n) for n in range(1, 10)]
+    assert grid_bytes == [8] * 8 + [16]  # up to 8 x 8 cells: one word
+    cells = [attractor._cells_per_side(eps) for eps in BUDGET_CASE[1]]
+    assert [attractor._bit_grid_bytes(n) for n in cells] == [8, 8, 24, 128, 800, 5000]
+    for cap, passes in [(attractor.GRID_BYTES_MAX, [[0, 1, 2, 3, 4, 5]]),
+                        (5_000, [[0, 1, 2, 3, 4], [5]]), (64, [[0, 1, 2]])]:
+        with mock.patch.object(attractor, "GRID_BYTES_MAX", cap):
+            on_grid = [k for k in range(6) if attractor._bit_grid_bytes(cells[k]) <= cap]
+            assert attractor._grid_passes(cells, on_grid) == passes
     cells = [attractor._cells_per_side(eps) for eps in box_sizes(3.0, 12)]
     assert attractor._grid_passes(cells, list(range(12))) == [list(range(12))]
-    assert sum(n * n for n in cells) == 5_595_192
-    cells = [attractor._cells_per_side(eps) for eps in box_sizes(3.3, 8)]
+    assert sum(attractor._bit_grid_bytes(n) for n in cells) == 699_448
+    cells = [attractor._cells_per_side(eps) for eps in box_sizes(3.75, 8)]
     passes = attractor._grid_passes(cells, list(range(8)))
     assert [k for group in passes for k in group] == list(range(8))
     assert len(passes) == 2
     for group in passes:
-        assert sum(cells[k] ** 2 for k in group) <= attractor.GRID_CELLS_MAX
+        assert sum(attractor._bit_grid_bytes(cells[k]) for k in group) <= attractor.GRID_BYTES_MAX
+
+
+@needs_kernel
+def test_compiled_counting_holds_one_bit_a_cell():
+    # 4,096 cells a side: a 2 MB bit grid, where a byte grid takes 16 MB
+    n_cells = 4096
+    points = np.array([(0.0, 0.0), (1.0, 1.0), (0.3, 0.7), (0.7, 0.3)])
+    tracemalloc.start()
+    try:
+        counts = occupied_box_counts(points, np.array([1.0 / n_cells]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [4]
+    assert peak < n_cells**2 / 8 + 2**20
 
 
 def test_the_loaders_pinned_probe_counts_are_the_numpy_counts():
@@ -136,7 +176,8 @@ def test_fast_floor_matches_floor_divide(data):
                                       np.floor_divide(values, eps).astype(np.int64))
 
 
-@pytest.mark.parametrize("eps_decades", [3.0, 4.5])  # below and past the grid cap
+# within both grid budgets, past the bool grid's only, and past both
+@pytest.mark.parametrize("eps_decades", [3.0, 3.6, 4.5])
 def test_large_clouds_match_the_sorting_counter(eps_decades):
     # more points than one slice: the filled square and an attractor cloud
     p = two_bank(0.5, 0.3, 0.5)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import importlib.util
 import io
 import json
 import logging
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levdyn
+from levdyn._digest import sha256
 from levdyn.cli import main
 from levdyn.config import (
     AttractorBlock,
@@ -31,6 +34,7 @@ from levdyn.config import (
     SkewBlock,
     StabilityBlock,
     SweepBlock,
+    config_hash,
     load_config,
     merge_preset,
     parse_config,
@@ -866,3 +870,27 @@ class TestReproducibility:
         assert main(["fixedpoint", "--config", cfg, "--out", str(a)]) == 0
         assert main(["fixedpoint", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestDigests:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=300), document=_documents)
+    def test_digests_are_hashlibs_sha256(self, data, document):
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        assert config_hash(document) == hashlib.sha256(canonical.encode()).hexdigest()
+
+    @pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                        reason="the interpreter has no built-in sha256 module")
+    def test_a_command_loads_no_openssl(self, tmp_path):
+        # in a fresh process: hashlib's OpenSSL module, once loaded, stays
+        cfg = write_config(tmp_path, {"model": STD_MODEL, "run": {"seed": 1}})
+        src = str(Path(levdyn.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, levdyn.cli; from levdyn.config import load_config; "
+             f"load_config({cfg!r}); print('_hashlib' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]

@@ -130,8 +130,8 @@ def test_a_box_counter_that_disagrees_is_not_loaded(tmp_path, monkeypatch):
     # 0.1, not cell 4, and the probe's lattice cloud counts one box fewer
     monkeypatch.setattr(_kernel, "lib", _kernel.lib)
     text = _kernel.SOURCE.read_text()
-    fallback = ("                if (c <= tol[s] || c >= 1.0 - tol[s])\n"
-                "                    q = (long long)floor_divide(norm[a], eps[s]);\n")
+    fallback = ("    if (c <= p->tol || c >= p->top)\n"
+                "        q = (long long)floor_divide(norm, p->eps);\n")
     assert fallback in text
     path = tmp_path / "_kernel.c"
     path.write_text(text.replace(fallback, ""))

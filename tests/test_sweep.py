@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 from contextlib import nullcontext
+from pathlib import Path
 from unittest.mock import Mock, patch
 
 import numpy as np
@@ -431,3 +436,70 @@ class TestBatchedEvaluator:
     def test_stability_map_rejects_short_record(self):
         with pytest.raises(ValueError, match="record >= 3"):
             stability_map(np.array([0.5, 0.6]), np.array([0.5, 0.6]), 0.5, STD1, record=2)
+
+
+#: run in a fresh process: set the default start method, wrap the pool to
+#: record the start method it runs on, and pickle that with the grids'
+#: results; with a method other than forkserver, also hide fork, as on a
+#: platform that has none, so that the pool takes the default
+_START_METHOD_RUN = """
+import concurrent.futures, multiprocessing, pickle, sys
+from levdyn import sweep
+
+method, path = sys.argv[1:]
+multiprocessing.set_start_method(method)
+if method != "forkserver":
+    multiprocessing.get_all_start_methods = lambda: [method]
+used = []
+
+
+class Pool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        used.append(self._mp_context.get_start_method())
+
+
+concurrent.futures.ProcessPoolExecutor = Pool
+with open(path, "rb") as f:
+    spec, map_args = pickle.load(f)
+results = (sweep.run_sweep(spec, workers=2), sweep.stability_map(*map_args, workers=2).classes)
+with open(path, "wb") as f:
+    pickle.dump((used, results), f)
+"""
+
+
+class TestStartMethod:
+    SPEC = omega_sweep(resolution=6, record=210, transient=800)
+    MAP_ARGS = (np.array([0.5, 0.7, 0.9]), np.array([0.5, 0.7, 0.9]), 0.5, STD1, 1500, 300, 2, 3)
+
+    def pooled(self, tmp_path, method: str) -> tuple[list, tuple]:
+        path = tmp_path / "grids.pickle"
+        path.write_bytes(pickle.dumps((self.SPEC, self.MAP_ARGS)))
+        src = str(Path(sweep.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _START_METHOD_RUN, method, str(path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return pickle.loads(path.read_bytes())
+
+    def assert_in_process_results(self, results: tuple) -> None:
+        records, classes = results
+        assert [record_key(r) for r in records] == [record_key(r) for r in run_sweep(self.SPEC)]
+        in_process = stability_map(*self.MAP_ARGS).classes
+        assert len(set(in_process.flat)) > 1
+        assert np.array_equal(classes, in_process)
+
+    @pytest.mark.skipif(not {"fork", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
+                        reason="the platform cannot fork, or has no forkserver")
+    def test_grids_fork_whatever_the_default(self, tmp_path):
+        used, results = self.pooled(tmp_path, "forkserver")
+        assert used == ["fork", "fork"]
+        self.assert_in_process_results(results)
+
+    @pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform cannot spawn")
+    def test_grids_spawned_where_fork_is_missing(self, tmp_path):
+        used, results = self.pooled(tmp_path, "spawn")
+        assert used == ["spawn", "spawn"]
+        self.assert_in_process_results(results)
