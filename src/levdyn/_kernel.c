@@ -309,6 +309,26 @@ static const uint64_t POW10[20] = {
     1000000000000000000ULL, 10000000000000000000ULL,
 };
 
+/* "00" "01" .. "99": the two digits of each v < 100 at 2 v */
+static const char DIGIT_PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* the n decimal digits of v < 10^n at d, two at a time from the last */
+static void put_digits(uint32_t v, char *d, int n)
+{
+    while (n >= 2) {
+        n -= 2;
+        memcpy(d + n, DIGIT_PAIRS + 2 * (v % 100), 2);
+        v /= 100;
+    }
+    if (n)
+        d[0] = (char)('0' + v);
+}
+
 /* m * 10^p for p <= 21: below 2^123 for a 53-bit m */
 static u128 times_pow10(uint64_t m, int p)
 {
@@ -364,10 +384,8 @@ static int format_double(double x, char *out)
     if (rest > half || (rest == half && (digits & 1)))
         digits++;
     char d[17];
-    for (int i = 16; i >= 0; i--) {
-        d[i] = (char)('0' + digits % 10);
-        digits /= 10;
-    }
+    put_digits((uint32_t)(digits / 100000000), d, 9);
+    put_digits((uint32_t)(digits % 100000000), d + 9, 8);
     int nd = 17;
     while (d[nd - 1] == '0')
         nd--;

@@ -13,7 +13,8 @@ Counting: each point's cell (ix0, ix1) = floor(norm / eps) is found
 exactly, through ``np.floor_divide`` only where the rounded quotient
 lies near an integer, and coded ix0 * n_cells + ix1.  Scales whose
 occupancy grid fits GRID_BYTES_MAX (16 MB) mark the grid and count its
-marked cells; finer scales count the distinct codes with ``np.unique``.
+marked cells; finer scales sort their codes, one int64 array for the
+whole cloud, in place and count the distinct ones.
 Scales finer than MAX_CELLS cells per side (eps_decades above about
 9.18), whose codes would overflow int64, are refused.
 
@@ -30,8 +31,11 @@ pass makes no normalized copy of the cloud.  The numpy path is the
 reference, and runs without a C compiler, for finer scales and for
 other dtypes, which numpy normalizes in their own precision: it marks a
 bool grid, one byte a cell, so scales of up to 2**24 cells (4,096 a
-side) fit, normalizes the whole cloud, then floors and codes it
-SLICE_ROWS points at a time so the temporaries stay small.
+side) fit, cut into passes of at most GRID_BYTES_MAX bytes of grids
+like the bit grids.  It works SLICE_ROWS points at a time, normalizing
+each slice once a pass and coding it at every scale of the pass, so no
+normalized copy of the cloud is made and the temporaries stay small;
+a sorted scale takes a pass of its own.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -158,11 +163,31 @@ def _floor_cells(norm: np.ndarray, eps: float, n_cells: int) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def _cell_codes(norm: np.ndarray, eps: float, n_cells: int) -> np.ndarray:
+def _normalized(points: np.ndarray, lo: np.ndarray, extent: np.ndarray) -> list[np.ndarray]:
+    """The columns of (points - lo) / extent, a column at a time: an
+    (n, 2) array against a (2,) one runs numpy's inner loop over 2
+    elements, ~4x slower."""
+    return [(points[:, j] - lo[j]) / extent[j] for j in (0, 1)]
+
+
+def _cell_codes(norm: list[np.ndarray], eps: float, n_cells: int) -> np.ndarray:
     """The code ix0 * n_cells + ix1 of each normalized point's cell."""
-    ix = _floor_cells(norm, eps, n_cells)
-    np.minimum(ix, n_cells - 1, out=ix)  # the upper edge, norm == 1, joins the last cell
-    return ix[:, 0] * n_cells + ix[:, 1]
+    ix0, ix1 = (_floor_cells(column, eps, n_cells) for column in norm)
+    # the upper edge, norm == 1, joins the last cell
+    return np.minimum(ix0, n_cells - 1) * n_cells + np.minimum(ix1, n_cells - 1)
+
+
+def _count_distinct(blocks: Iterator[np.ndarray], n: int) -> int:
+    """The number of distinct codes among ``blocks``, n codes in all:
+    copied into one int64 array, sorted in place, and counted where a
+    code differs from the one before it."""
+    codes = np.empty(n, dtype=np.int64)
+    start = 0
+    for block in blocks:
+        codes[start:start + len(block)] = block
+        start += len(block)
+    codes.sort()
+    return 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
 
 
 def _bit_grid_bytes(n_cells: int) -> int:
@@ -170,16 +195,23 @@ def _bit_grid_bytes(n_cells: int) -> int:
     return -(-n_cells * n_cells // 64) * 8
 
 
-def _grid_passes(cells: list[int], scales: list[int]) -> list[list[int]]:
-    """``scales`` cut into runs whose bit grids together take at most
-    GRID_BYTES_MAX bytes."""
+def _bool_grid_bytes(n_cells: int) -> int:
+    """Bytes of a bool grid of n_cells per side."""
+    return n_cells * n_cells
+
+
+def _grid_passes(
+    cells: list[int], scales: list[int], grid_bytes: Callable[[int], int] = _bit_grid_bytes
+) -> list[list[int]]:
+    """``scales`` cut into runs whose grids, of ``grid_bytes`` each,
+    together take at most GRID_BYTES_MAX bytes."""
     passes: list[list[int]] = []
     for k in scales:
-        if not passes or size + _bit_grid_bytes(cells[k]) > GRID_BYTES_MAX:
+        if not passes or size + grid_bytes(cells[k]) > GRID_BYTES_MAX:
             passes.append([])
             size = 0
         passes[-1].append(k)
-        size += _bit_grid_bytes(cells[k])
+        size += grid_bytes(cells[k])
     return passes
 
 
@@ -211,8 +243,8 @@ def occupied_box_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
     into an integer cell code.  A scale whose grid fits GRID_BYTES_MAX
     marks the codes on a grid and counts the marked cells: on a bit grid
     through ``levdyn_boxes`` for a float64 cloud where the compiled loops
-    loaded, else on a bool grid; a finer one counts the distinct codes
-    with ``np.unique``.  Raises ValueError for an empty cloud,
+    loaded, else on a bool grid; a finer one sorts its codes in place and
+    counts the distinct ones.  Raises ValueError for an empty cloud,
     DegenerateCloudError for a cloud without a finite positive extent on
     both axes, and ValueError for a scale finer than MAX_CELLS cells per
     side.
@@ -234,22 +266,22 @@ def occupied_box_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
         on_grid = [k for k in scales if _bit_grid_bytes(cells[k]) <= GRID_BYTES_MAX]
         counts[on_grid] = _compiled_counts(points, lo, extent, epsilons, cells, on_grid)
         scales = [k for k in scales if k not in on_grid]
-    if not scales:
-        return counts
-    norm = (points - lo) / extent
+    on_grid = [k for k in scales if _bool_grid_bytes(cells[k]) <= GRID_BYTES_MAX]
+    for group in _grid_passes(cells, on_grid, _bool_grid_bytes):
+        grids = [np.zeros(cells[k] * cells[k], dtype=bool) for k in group]
+        for start in range(0, len(points), SLICE_ROWS):
+            norm = _normalized(points[start:start + SLICE_ROWS], lo, extent)
+            for k, grid in zip(group, grids):
+                grid[_cell_codes(norm, epsilons[k], cells[k])] = True
+        counts[group] = [np.count_nonzero(grid) for grid in grids]
     for k in scales:
-        eps, n_cells = epsilons[k], cells[k]
-        codes = (
-            _cell_codes(norm[start:start + SLICE_ROWS], eps, n_cells)
-            for start in range(0, len(norm), SLICE_ROWS)
-        )
-        if n_cells * n_cells <= GRID_BYTES_MAX:
-            grid = np.zeros(n_cells * n_cells, dtype=bool)
-            for block in codes:
-                grid[block] = True
-            counts[k] = np.count_nonzero(grid)
-        else:
-            counts[k] = np.unique(np.concatenate(list(codes))).size
+        if k not in on_grid:
+            counts[k] = _count_distinct(
+                (_cell_codes(_normalized(points[start:start + SLICE_ROWS], lo, extent),
+                             epsilons[k], cells[k])
+                 for start in range(0, len(points), SLICE_ROWS)),
+                len(points),
+            )
     return counts
 
 

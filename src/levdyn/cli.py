@@ -24,6 +24,7 @@ from typing import Any, Iterator, TextIO
 import numpy as np
 
 from . import __version__
+from ._draw import uniform
 from .attractor import AttractorCloud, box_dimension, capture_cloud
 from .config import (
     ExperimentConfig,
@@ -121,8 +122,7 @@ def _initial_state(
     if config.run.initial is not None:
         return LeverageState.from_lambdas(config.run.initial, params), config.run.seed
     seed = config.require_seed(command)
-    rng = np.random.default_rng(seed)
-    draw = rng.uniform(1.0, params.lambda_max, params.n_banks)
+    draw = uniform(seed, 1.0, params.lambda_max, 1, params.n_banks)[0]
     return LeverageState.from_lambdas(draw, params), seed
 
 

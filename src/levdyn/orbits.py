@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
+from ._draw import uniform
 from .errors import InsufficientTraceError, OrbitViolationError
 from .params import LeverageState, ModelParams
 
@@ -271,10 +272,8 @@ def estimate_feasible_set(
     those whose orbits stay feasible for ``horizon`` steps."""
     if n_samples < 1 or horizon < 0:
         raise ValueError("need n_samples >= 1 and horizon >= 0")
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.uniform(1.0, params.lambda_max, size=(n_samples, params.n_banks))
     survivors = []
-    for row in draws:
+    for row in uniform(rng_seed, 1.0, params.lambda_max, n_samples, params.n_banks):
         state = LeverageState.from_lambdas(row, params)
         if not state.feasible:
             continue

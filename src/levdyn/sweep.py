@@ -27,11 +27,13 @@ grid order.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
+from ._draw import uniform
 from .errors import OrbitViolationError
 from .lyap import lyapunov_top
 from .orbits import OrbitTrace, PeriodReport, classify, detect_period, iterate
@@ -131,22 +133,23 @@ class SweepRecord:
         return np.repeat(np.array(self.survivors, dtype=np.int64), rows)
 
 
-def _point_rng(rng_seed: int, value: float) -> np.random.Generator:
-    # seed from the parameter value, not the grid index, so refined grids
-    # reproduce shared points exactly
-    value_bits = int(np.float64(value).view(np.uint64))
-    return np.random.default_rng([rng_seed, value_bits])
+def _point_initials(spec: SweepSpec, value: float, params: ModelParams) -> list[list[float]]:
+    """The ``spec.initials_per_point`` seeded initials of grid point
+    ``(spec, value)``, whose parameters are ``params``: uniform in
+    [1, lambda_max]^N, drawn from the entropy [rng_seed, the bits of
+    value as a float64], so refined grids reproduce shared points
+    exactly, whatever their index."""
+    (value_bits,) = struct.unpack("=Q", struct.pack("=d", value))
+    return uniform([spec.rng_seed, value_bits], 1.0, params.lambda_max,
+                   spec.initials_per_point, params.n_banks)
 
 
 def _survivors(spec: SweepSpec, value: float, params: ModelParams) -> list[tuple[int, OrbitTrace]]:
     """The clean orbits of grid point ``(spec, value)``, whose parameters
     are ``params``, with the indices of the seeded initials they start
     from; infeasible initials are skipped."""
-    draws = _point_rng(spec.rng_seed, value).uniform(
-        1.0, params.lambda_max, size=(spec.initials_per_point, params.n_banks)
-    )
     survivors = []
-    for idx, row in enumerate(draws):
+    for idx, row in enumerate(_point_initials(spec, value, params)):
         state = LeverageState.from_lambdas(row, params)
         if not state.feasible:
             continue

@@ -129,6 +129,13 @@ def test_grid_passes_stay_within_the_grid_cap():
     assert len(passes) == 2
     for group in passes:
         assert sum(attractor._bit_grid_bytes(cells[k]) for k in group) <= attractor.GRID_BYTES_MAX
+    # the numpy counter's bool grids, a byte a cell: fig7's in one pass of
+    # 5.6 MB; at 3.6 decades 3,748 a side (14 MB) takes a pass of its own
+    # and 7,963 a side is sorted
+    for decades, passes in [(3.0, [list(range(12))]), (3.6, [list(range(10)), [10]])]:
+        cells = [attractor._cells_per_side(eps) for eps in box_sizes(decades, 12)]
+        on_grid = [k for k in range(12) if cells[k] ** 2 <= attractor.GRID_BYTES_MAX]
+        assert attractor._grid_passes(cells, on_grid, attractor._bool_grid_bytes) == passes
 
 
 @needs_kernel
@@ -144,6 +151,25 @@ def test_compiled_counting_holds_one_bit_a_cell():
         tracemalloc.stop()
     assert counts.tolist() == [4]
     assert peak < n_cells**2 / 8 + 2**20
+
+
+def test_a_sorted_scale_holds_one_code_array():
+    # 5,000 cells a side, past the bool grid's budget: the numpy counter
+    # sorts one int64 code array in place, 8 bytes a point, plus a byte a
+    # point comparing neighbours and one slice's temporaries; a normalized
+    # copy of the cloud, a list of code slices, their concatenation and
+    # np.unique's sorted copy took 33 bytes a point
+    points = slanted_segment(1_000_000)
+    epsilons = np.array([1.0 / 5000])
+    with python_loops():
+        tracemalloc.start()
+        try:
+            counts = occupied_box_counts(points, epsilons)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(counts, box_oracle.occupied_box_counts(points, epsilons))
+    assert peak < 9 * len(points) + 2**20
 
 
 def test_the_loaders_pinned_probe_counts_are_the_numpy_counts():

@@ -254,6 +254,27 @@ def test_compiled_edge_cells_match_format():
     assert compiled_cells(ints) == "".join(f"{v}\n" for v in ints.tolist())
 
 
+#: the compiled writer's range by bit pattern, so every binade in it is as
+#: likely as any other; st.floats() rarely lands in it
+_BITS_LOW, _BITS_HIGH = (int(np.float64(v).view(np.uint64)) for v in (LOW, HIGH))
+range_floats = st.one_of(
+    st.integers(_BITS_LOW, _BITS_HIGH - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.integers(1, 2**52 - 1).map(float),  # whole numbers
+    # few significant digits, so most of the 17 are trailing zeros
+    st.builds(lambda k, p: float(f"{k}e{p}"), st.integers(1, 999_999), st.integers(-9, 15))
+    .filter(lambda x: LOW <= x < HIGH),
+)
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.tuples(range_floats, st.booleans()), min_size=1, max_size=50))
+def test_compiled_cells_in_range_match_format_value(xs):
+    # 17 digits in two halves of 9 and 8, two digits at a time
+    values = [-x if negative else x for x, negative in xs]
+    assert compiled_cells(np.array(values)) == "".join(f"{format_value(x)}\n" for x in values)
+
+
 @needs_kernel
 def test_compiled_writer_fills_its_buffer_and_no_more():
     # a slice of the longest cells of every kind is exactly as long as the

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from unittest.mock import Mock, patch
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -406,13 +406,13 @@ class TestBatchedEvaluator:
         )
         starts = {0.43: SUPERSTABLE[0.43][0], 0.58: SUPERSTABLE[0.58][1]}
 
-        def point_rng(rng_seed, value):
-            return Mock(uniform=lambda lo, hi, size: np.full(size, starts[value]))
+        def point_initials(spec, value, params):
+            return [[starts[value]]] * spec.initials_per_point
 
         values = [float(v) for v in spec.grid()]
         with (
             patch.object(sweep, "LYAP_STEPS", 200),
-            patch.object(sweep, "_point_rng", point_rng),
+            patch.object(sweep, "_point_initials", point_initials),
         ):
             expected = [_eval_point(spec, v) for v in values]
             pooled = run_sweep(spec, workers=2)
