@@ -12,9 +12,9 @@
  *
  * In map_step, levdyn_ticks and box_cell, the cell arithmetic of
  * levdyn_boxes, each statement mirrors one Python statement of the
- * reference loop, in the same order; levdyn_boxes marks a cell as a bit,
- * not a byte of a bool grid, and counts the set bits, in integers,
- * exactly.  The drift scan of levdyn_ticks forms, a tick at a time, the
+ * reference loop, in the same order; levdyn_boxes marks a cell as a bit
+ * where the numpy counter sorts the cell codes, and counts the set bits,
+ * in integers, exactly.  The drift scan of levdyn_ticks forms, a tick at a time, the
  * elements of the Python loop's numpy drift, with its operations; their
  * maximum is the same in any order.  A tangent step of levdyn_orbit has
  * no one Python loop to mirror: it is orbits._run's step, then

@@ -16,9 +16,9 @@ gives; otherwise, also where that self-check raises, it is None,
 ``attractor`` counts boxes with numpy and ``output`` formats every cell
 in Python.  There are four compiled loops.  ``levdyn_orbit`` runs an
 orbit's transient and then its window, recording the states, stepping k
-tangent vectors on the step's Jacobian, or both: ``orbits._run`` calls
-it with k = 0 and ``lyap._tangent`` with k >= 1, once per exponent;
-where a vector vanishes it defers to the Python pass.  ``levdyn_ticks``
+tangent vectors on the step's Jacobian, or both: ``orbits._compiled_orbit``
+calls it for ``orbits._run`` with k = 0 and for ``lyap._tangent`` with
+k >= 1, once per exponent; where a vector vanishes it defers to Python.  ``levdyn_ticks``
 is the intraday tick pass, which scans the drift of the banks' asset
 weights as it goes, ``levdyn_boxes`` marks the occupancy grids of
 ``attractor.occupied_box_counts``, one bit a cell, in one pass over a

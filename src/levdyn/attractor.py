@@ -11,31 +11,24 @@ within 0.1 of each other, which excludes the saturated ends.
 
 Counting: each point's cell (ix0, ix1) = floor(norm / eps) is found
 exactly, through ``np.floor_divide`` only where the rounded quotient
-lies near an integer, and coded ix0 * n_cells + ix1.  Scales whose
-occupancy grid fits GRID_BYTES_MAX (16 MB) mark the grid and count its
-marked cells; finer scales sort their codes, one int64 array for the
-whole cloud, in place and count the distinct ones.
-Scales finer than MAX_CELLS cells per side (eps_decades above about
-9.18), whose codes would overflow int64, are refused.
+lies near an integer, and coded ix0 * n_cells + ix1.  Scales finer than
+MAX_CELLS cells per side (eps_decades above about 9.18), whose codes
+would overflow int64, are refused.
 
-Where the compiled loops loaded, a float64 cloud's grid scales are
-counted by ``levdyn_boxes`` in ``_kernel.c`` on bit grids, cell k being
-bit k % 64 of uint64 word k // 64, so scales of up to 2**27 cells
-(11,585 a side, eps_decades up to about 3.76) fit: one pass over the
-cloud normalizes each point, marks its cell at every scale of the pass,
-statement for statement as ``_cell_codes`` finds it, and then counts
-each grid's set bits, so the counts are the numpy path's.  The scales
-are cut into passes whose bit grids together take at most
-GRID_BYTES_MAX bytes (fig7's 12 scales take one pass of 0.7 MB); the
-pass makes no normalized copy of the cloud.  The numpy path is the
-reference, and runs without a C compiler, for finer scales and for
-other dtypes, which numpy normalizes in their own precision: it marks a
-bool grid, one byte a cell, so scales of up to 2**24 cells (4,096 a
-side) fit, cut into passes of at most GRID_BYTES_MAX bytes of grids
-like the bit grids.  It works SLICE_ROWS points at a time, normalizing
-each slice once a pass and coding it at every scale of the pass, so no
-normalized copy of the cloud is made and the temporaries stay small;
-a sorted scale takes a pass of its own.
+Where the compiled loops loaded, a float64 cloud's scales of up to
+2**27 cells (11,585 a side, eps_decades up to about 3.76) are counted
+by ``levdyn_boxes`` in ``_kernel.c`` on bit grids, cell k being bit
+k % 64 of uint64 word k // 64: one pass over the cloud normalizes each
+point, marks its cell at every scale of the pass, statement for
+statement as ``_cell_codes`` finds it, and then counts each grid's set
+bits, so the counts are the numpy counter's.  The scales are cut into
+passes whose bit grids together take at most GRID_BYTES_MAX (16 MB);
+fig7's 12 scales take one pass of 0.7 MB.  The numpy counter, the
+reference, counts every other scale: all of them without a C compiler
+or for other dtypes, which numpy normalizes in their own precision, and
+the finer ones.  It codes SLICE_ROWS points at a time into one int64
+array, sorts it in place and counts the distinct codes; neither counter
+makes a normalized copy of the cloud.
 """
 
 from __future__ import annotations
@@ -43,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -58,10 +51,8 @@ SOFT_MIN_POINTS = 100_000
 #: local slopes within a window may spread at most this much
 SLOPE_WINDOW_SPREAD = 0.10
 
-#: bytes of occupancy grid a pass may hold: the numpy counter's bool grid
-#: (one byte a cell) counts scales of up to 2**24 cells, the compiled
-#: counter's bit grid (one bit a cell) scales of up to 2**27; finer ones
-#: are counted by sorting their cell codes
+#: bytes of bit grid a compiled pass may hold, one bit a cell, so scales
+#: of up to 2**27 cells; the others are counted by sorting their cell codes
 GRID_BYTES_MAX = 2**24
 
 #: points floored and coded per pass: the temporaries stay in cache
@@ -195,23 +186,16 @@ def _bit_grid_bytes(n_cells: int) -> int:
     return -(-n_cells * n_cells // 64) * 8
 
 
-def _bool_grid_bytes(n_cells: int) -> int:
-    """Bytes of a bool grid of n_cells per side."""
-    return n_cells * n_cells
-
-
-def _grid_passes(
-    cells: list[int], scales: list[int], grid_bytes: Callable[[int], int] = _bit_grid_bytes
-) -> list[list[int]]:
-    """``scales`` cut into runs whose grids, of ``grid_bytes`` each,
-    together take at most GRID_BYTES_MAX bytes."""
+def _grid_passes(cells: list[int], scales: list[int]) -> list[list[int]]:
+    """``scales`` cut into runs whose bit grids together take at most
+    GRID_BYTES_MAX bytes."""
     passes: list[list[int]] = []
     for k in scales:
-        if not passes or size + grid_bytes(cells[k]) > GRID_BYTES_MAX:
+        if not passes or size + _bit_grid_bytes(cells[k]) > GRID_BYTES_MAX:
             passes.append([])
             size = 0
         passes[-1].append(k)
-        size += grid_bytes(cells[k])
+        size += _bit_grid_bytes(cells[k])
     return passes
 
 
@@ -240,11 +224,11 @@ def occupied_box_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
     """Occupied-box counts N(eps) on the unit-square-normalized cloud.
 
     Grid anchored at the bounding-box lower corner; each point is floored
-    into an integer cell code.  A scale whose grid fits GRID_BYTES_MAX
-    marks the codes on a grid and counts the marked cells: on a bit grid
-    through ``levdyn_boxes`` for a float64 cloud where the compiled loops
-    loaded, else on a bool grid; a finer one sorts its codes in place and
-    counts the distinct ones.  Raises ValueError for an empty cloud,
+    into an integer cell code.  For a float64 cloud where the compiled
+    loops loaded, a scale whose bit grid fits GRID_BYTES_MAX marks the
+    codes on it through ``levdyn_boxes`` and counts the marked cells;
+    every other scale sorts its codes in place and counts the distinct
+    ones.  Raises ValueError for an empty cloud,
     DegenerateCloudError for a cloud without a finite positive extent on
     both axes, and ValueError for a scale finer than MAX_CELLS cells per
     side.
@@ -266,22 +250,13 @@ def occupied_box_counts(points: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
         on_grid = [k for k in scales if _bit_grid_bytes(cells[k]) <= GRID_BYTES_MAX]
         counts[on_grid] = _compiled_counts(points, lo, extent, epsilons, cells, on_grid)
         scales = [k for k in scales if k not in on_grid]
-    on_grid = [k for k in scales if _bool_grid_bytes(cells[k]) <= GRID_BYTES_MAX]
-    for group in _grid_passes(cells, on_grid, _bool_grid_bytes):
-        grids = [np.zeros(cells[k] * cells[k], dtype=bool) for k in group]
-        for start in range(0, len(points), SLICE_ROWS):
-            norm = _normalized(points[start:start + SLICE_ROWS], lo, extent)
-            for k, grid in zip(group, grids):
-                grid[_cell_codes(norm, epsilons[k], cells[k])] = True
-        counts[group] = [np.count_nonzero(grid) for grid in grids]
     for k in scales:
-        if k not in on_grid:
-            counts[k] = _count_distinct(
-                (_cell_codes(_normalized(points[start:start + SLICE_ROWS], lo, extent),
-                             epsilons[k], cells[k])
-                 for start in range(0, len(points), SLICE_ROWS)),
-                len(points),
-            )
+        counts[k] = _count_distinct(
+            (_cell_codes(_normalized(points[start:start + SLICE_ROWS], lo, extent),
+                         epsilons[k], cells[k])
+             for start in range(0, len(points), SLICE_ROWS)),
+            len(points),
+        )
     return counts
 
 

@@ -18,6 +18,7 @@ import logging
 import os
 import stat
 import sys
+import tempfile
 from contextlib import contextmanager
 from typing import Any, Iterator, TextIO
 
@@ -92,20 +93,40 @@ def _setup_logging() -> None:
 
 @contextmanager
 def _open_out(path: str | None) -> Iterator[TextIO]:
-    """The output stream; a regular file is removed again when an exception
-    escapes the command, so a failed run leaves no empty or partial file."""
+    """The output stream.  A regular file, or a new one, is written as a
+    temporary file beside it, with the mode ``open(path, "w")`` would
+    leave, which replaces it only when the command returns: a failed run
+    leaves the previous file as it was, and no file where there was none.
+    Any other path, such as a FIFO or /dev/null, is written directly."""
     if path is None:
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        try:
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+            return
+    # a symlink's target is replaced, not the link
+    target = os.path.realpath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
+                                   dir=os.path.dirname(target))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
             yield fh
-        except BaseException:
-            if regular:
-                fh.close()
-                os.remove(path)
-            raise
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:

@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernel
 from .errors import DomainError, InfeasibleStateError, OrbitViolationError
 from .maps import fiber_map, step_jacobian
-from .orbits import _CONSTRAINTS, _check_run, _run_checked
+from .orbits import _check_run, _compiled_orbit, _run_checked
 from .params import LeverageState, ModelParams
 
 #: floor for log|derivative| at superstable points
@@ -237,19 +237,15 @@ def _tangent(lambdas: Sequence[float], params: ModelParams, transient: int, step
     compiled pass reads that many."""
     if steps < 1 or transient < 0:
         raise ValueError("need steps >= 1 and transient >= 0")
-    n = _check_run(lambdas, params, transient, steps)
+    _check_run(lambdas, params, transient, steps)
     if _kernel.lib is not None:
-        lams, omegas, pis, start = (np.array(a, dtype=float) for a in (
-            lambdas, params.omegas, params.pis, q))
-        totals, out = np.zeros(len(q)), np.zeros(2, np.int64)
-        code = _kernel.lib.levdyn_orbit(
-            n, lams.ctypes.data, omegas.ctypes.data, pis.ctypes.data, params.gamma,
-            params.lambda_max, params.coupling_coef, transient, steps, None,
-            len(q), start.ctypes.data, totals.ctypes.data, out.ctypes.data)
-        if code == 0:
+        start, totals = np.array(q, dtype=float), np.zeros(len(q))
+        ran = _compiled_orbit(lambdas, params, transient, steps, None, len(q),
+                              start.ctypes.data, totals.ctypes.data)
+        if ran is not None:
+            if ran[1] is not None:
+                raise OrbitViolationError(*ran[1])
             return totals.tolist(), False
-        if code != _kernel.DEFER:
-            raise OrbitViolationError(int(out[1]), _CONSTRAINTS[code])
     return _tangent_steps(_window_jacobians(lambdas, params, transient, steps), q)
 
 

@@ -39,13 +39,6 @@ def leverage_map(x: float, omega: float, params: ModelParams) -> float:
     return fiber_map(x, x, omega, params)
 
 
-def leverage_map_deriv(x: float, omega: float, params: ModelParams) -> float:
-    """Analytic derivative T'(x) = T(x)^3 [omega/x^3 - (1-omega) K/(1+gamma-x)^3],
-    the 1 x 1 step_jacobian."""
-    t = leverage_map(x, omega, params)
-    return float(step_jacobian([x], [t], params.with_single_omega(omega))[0, 0])
-
-
 def advance(lambdas: Sequence[float], params: ModelParams) -> list[float]:
     """One synchronous step of the coupled map on raw leverages.
 
@@ -73,8 +66,7 @@ def step_jacobian(
     """coupled_jacobian at states ``lams`` (N, or a stack of them,
     ... x N) whose step is already known: ``new`` holds their successors.
     Every state takes its memories, weights, gamma and coupling
-    coefficient from ``params``.  Returns (..., N, N); one bank gives
-    leverage_map_deriv exactly.
+    coefficient from ``params``.  Returns (..., N, N).
     """
     lams, new, omegas, pis = (
         np.asarray(a, dtype=float) for a in (lams, new, params.omegas, params.pis))
@@ -102,15 +94,3 @@ def fiber_map(x: float, y: float, omega1: float, params: ModelParams) -> float:
         )
     g = omega1 / (x * x) + (1.0 - omega1) * params.var_kernel(y)
     return 1.0 / math.sqrt(g)
-
-
-def fiber_map_deriv(x: float, y: float, omega1: float, params: ModelParams) -> float:
-    """d f_y / dx = omega1 (f_y(x)/x)^3.
-
-    The product of these factors along an orbit telescopes to
-    omega1^n (x_n/x_0)^3, which pins the fiber Lyapunov exponent at
-    ln(omega1) up to a boundary term.
-    """
-    f = fiber_map(x, y, omega1, params)
-    r = f / x
-    return omega1 * r * r * r

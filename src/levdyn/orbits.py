@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -87,6 +88,25 @@ def _check_run(lambdas: list[float], params: ModelParams, transient: int, steps:
     return n
 
 
+def _compiled_orbit(
+    lambdas: Sequence[float], params: ModelParams, transient: int, steps: int,
+    recorded: int | None = None, k: int = 0, start: int | None = None, totals: int | None = None,
+) -> tuple[int, tuple[int, str] | None] | None:
+    """``levdyn_orbit`` from ``lambdas``, given the addresses of the array
+    the window's states are recorded in, or of the k unit vectors and the
+    totals their log norms are added to.  None where it defers, else the
+    states recorded and the violation, None or (step, constraint)."""
+    lams, omegas, pis = (np.array(a, dtype=float) for a in (lambdas, params.omegas, params.pis))
+    out = np.zeros(2, dtype=np.int64)
+    code = _kernel.lib.levdyn_orbit(
+        len(lams), lams.ctypes.data, omegas.ctypes.data, pis.ctypes.data, params.gamma,
+        params.lambda_max, params.coupling_coef, transient, steps, recorded, k, start, totals,
+        out.ctypes.data)
+    if code == _kernel.DEFER:
+        return None
+    return int(out[0]), (int(out[1]), _CONSTRAINTS[code]) if code else None
+
+
 def _run(
     lambdas: list[float],
     params: ModelParams,
@@ -116,16 +136,10 @@ def _run(
     omegas = params.omegas
     pis = params.pis
     recorded = np.empty((record, n))
-    lib = _kernel.lib
-    if lib is not None:
-        lams, w, p = (np.array(a, dtype=float) for a in (lambdas, omegas, pis))
-        out = np.zeros(2, dtype=np.int64)
-        code = lib.levdyn_orbit(n, lams.ctypes.data, w.ctypes.data, p.ctypes.data, gamma,
-                                lam_max, coef, transient, record, recorded.ctypes.data,
-                                0, None, None, out.ctypes.data)
-        if code != _kernel.DEFER:
-            violation = (int(out[1]), _CONSTRAINTS[code]) if code else None
-            return recorded[:out[0]], violation
+    if _kernel.lib is not None:
+        ran = _compiled_orbit(lambdas, params, transient, record, recorded.ctypes.data)
+        if ran is not None:
+            return recorded[:ran[0]], ran[1]
     kept = 0
     violation = None
     lams = list(lambdas)

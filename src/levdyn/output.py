@@ -138,33 +138,6 @@ def write_csv(
             stream.write(chunk)
 
 
-def read_csv(stream: TextIO) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Parse a file produced by write_csv.
-
-    Returns (provenance, columns, rows) with cells kept as strings; the
-    17-digit float serialization guarantees float(cell) recovers the
-    exact written value.
-    """
-    provenance: dict[str, str] = {}
-    columns: list[str] | None = None
-    rows: list[list[str]] = []
-    for raw in stream:
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                provenance[key.strip()] = value.strip()
-            continue
-        if columns is None:
-            columns = line.split(",")
-        else:
-            rows.append(line.split(","))
-    return provenance, columns or [], rows
-
-
 def write_json(
     stream: TextIO,
     payload: dict[str, Any],

@@ -22,9 +22,9 @@ from levdyn.params import LeverageState, common_fixed_point
 import box_oracle
 from conftest import needs_kernel, python_loops, two_bank
 
-#: on both sides of the bool grid's budget (4,096 cells per side, about
-#: 3.31 decades) and of the bit grid's (11,585, about 3.76 decades), and
-#: up to the int64 code limit (about 9.18 decades)
+#: well within the bit grid's budget, on both sides of it (11,585 cells
+#: per side, about 3.76 decades), and past it up to the int64 code limit
+#: (about 9.18 decades)
 DECADES = [0.5, 2.0, 3.0, 3.3, 3.35, 3.75, 3.8, 5.0, 9.0, 9.18]
 
 
@@ -97,7 +97,7 @@ def test_compiled_counts_match_the_python_counter(case, duplicates, dtype, cap):
     # duplicate points, float32 clouds (counted in numpy, which normalizes
     # them in float32), and grid budgets that cut the scales into several
     # compiled passes, leave a bit grid a single word or push scales past
-    # the budget onto np.unique; most scales' cell counts are not a
+    # the budget onto the sort; most scales' cell counts are not a
     # multiple of 64
     points, epsilons = case
     points = np.concatenate([points, points[:duplicates]]).astype(dtype)
@@ -129,13 +129,6 @@ def test_grid_passes_stay_within_the_grid_cap():
     assert len(passes) == 2
     for group in passes:
         assert sum(attractor._bit_grid_bytes(cells[k]) for k in group) <= attractor.GRID_BYTES_MAX
-    # the numpy counter's bool grids, a byte a cell: fig7's in one pass of
-    # 5.6 MB; at 3.6 decades 3,748 a side (14 MB) takes a pass of its own
-    # and 7,963 a side is sorted
-    for decades, passes in [(3.0, [list(range(12))]), (3.6, [list(range(10)), [10]])]:
-        cells = [attractor._cells_per_side(eps) for eps in box_sizes(decades, 12)]
-        on_grid = [k for k in range(12) if cells[k] ** 2 <= attractor.GRID_BYTES_MAX]
-        assert attractor._grid_passes(cells, on_grid, attractor._bool_grid_bytes) == passes
 
 
 @needs_kernel
@@ -154,22 +147,23 @@ def test_compiled_counting_holds_one_bit_a_cell():
 
 
 def test_a_sorted_scale_holds_one_code_array():
-    # 5,000 cells a side, past the bool grid's budget: the numpy counter
-    # sorts one int64 code array in place, 8 bytes a point, plus a byte a
-    # point comparing neighbours and one slice's temporaries; a normalized
-    # copy of the cloud, a list of code slices, their concatenation and
-    # np.unique's sorted copy took 33 bytes a point
+    # at 5,000 cells a side, and at each of fig7's 12 scales, the numpy
+    # counter sorts one int64 code array in place, 8 bytes a point, plus a
+    # byte a point comparing neighbours and one slice's temporaries, and
+    # frees it before the next scale; a normalized copy of the cloud, a
+    # list of code slices, their concatenation and np.unique's sorted copy
+    # took 33 bytes a point
     points = slanted_segment(1_000_000)
-    epsilons = np.array([1.0 / 5000])
-    with python_loops():
-        tracemalloc.start()
-        try:
-            counts = occupied_box_counts(points, epsilons)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    np.testing.assert_array_equal(counts, box_oracle.occupied_box_counts(points, epsilons))
-    assert peak < 9 * len(points) + 2**20
+    for epsilons in (np.array([1.0 / 5000]), box_sizes(3.0, 12)):
+        with python_loops():
+            tracemalloc.start()
+            try:
+                counts = occupied_box_counts(points, epsilons)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(counts, box_oracle.occupied_box_counts(points, epsilons))
+        assert peak < 9 * len(points) + 2**20
 
 
 def test_the_loaders_pinned_probe_counts_are_the_numpy_counts():
@@ -202,7 +196,7 @@ def test_fast_floor_matches_floor_divide(data):
                                       np.floor_divide(values, eps).astype(np.int64))
 
 
-# within both grid budgets, past the bool grid's only, and past both
+# fig7's scales, finer ones still within the bit grid's budget, and past it
 @pytest.mark.parametrize("eps_decades", [3.0, 3.6, 4.5])
 def test_large_clouds_match_the_sorting_counter(eps_decades):
     # more points than one slice: the filled square and an attractor cloud

@@ -39,9 +39,10 @@ from levdyn.config import (
     merge_preset,
     parse_config,
 )
-from levdyn.output import RowBlock, format_value, read_csv, write_csv
+from levdyn.output import RowBlock, format_value, write_csv
 
 from conftest import python_loops
+from oracles import read_csv
 
 STD_MODEL = {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}
 
@@ -353,9 +354,53 @@ class TestCliCommands:
         # an exception escaping the command used to leave an empty file
         cfg = write_config(tmp_path, document)
         out = tmp_path / "z.csv"
-        out.write_text("an older run\n")
         assert main([command, "--config", cfg, "--out", str(out)]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, document, code", [
+        ("bifurcate", {"model": STD_MODEL, "run": {"seed": 1}}, 2),
+        ("simulate", {"model": {"omegas": [0.5]}, "run": {"initial": [200.0]}}, 3),
+        ("simulate", {"model": {"omegas": [0.5]}, "run": {"initial": [50.0], "record": 10**15}}, 1),
+    ])
+    def test_failed_command_keeps_the_previous_out_file(self, tmp_path, command, document, code):
+        # the previous output used to be truncated at the start and removed
+        # when the command failed
+        cfg = write_config(tmp_path, document)
+        out = tmp_path / "z.csv"
+        out.write_bytes(b"an older run\n")
+        out.chmod(0o604)
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert out.read_bytes() == b"an older run\n"
+        assert out.stat().st_mode & 0o777 == 0o604
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([Path(cfg).name, "z.csv"])
+
+    def test_out_file_gets_opens_mode(self, tmp_path):
+        # written through a temporary file, which mkstemp makes 0o600: a new
+        # file gets 0o666 less the umask, an existing one keeps its mode, and
+        # a symlinked path keeps its link
+        cfg = write_config(tmp_path, {"model": STD_MODEL, "run": {"initial": [50.0, 60.0]}})
+        new, kept, target = (tmp_path / name for name in ("new.csv", "kept.csv", "target.csv"))
+        link = tmp_path / "link.csv"
+        kept.write_text("an older run\n")
+        kept.chmod(0o604)
+        target.write_text("an older run\n")
+        link.symlink_to(target)
+        umask = os.umask(0o027)
+        try:
+            for out in (new, kept, link):
+                assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert new.stat().st_mode & 0o777 == 0o640
+        assert kept.stat().st_mode & 0o777 == 0o604
+        assert link.is_symlink() and link.resolve() == target
+        tables = []
+        for out in (new, kept, target):
+            with out.open() as fh:
+                tables.append(read_csv(fh)[1:])
+        assert tables[0][1] and tables[1] == tables[0] and tables[2] == tables[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [Path(cfg).name, "new.csv", "kept.csv", "target.csv", "link.csv"])
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         bad = write_config(

@@ -27,15 +27,14 @@ from levdyn.maps import (
     advance,
     coupled_jacobian,
     fiber_map,
-    fiber_map_deriv,
     leverage_map,
-    leverage_map_deriv,
 )
 from levdyn.orbits import detect_period, iterate
 from levdyn.params import LeverageState, ModelParams
 from levdyn.skew import history_from_orbit
 
 from conftest import SUPERSTABLE, needs_kernel, python_loops, two_bank
+from oracles import fiber_map_deriv, leverage_map_deriv
 
 
 def forcing_orbit(omega2: float, params: ModelParams, x0: float, transient: int, n: int):

@@ -13,15 +13,14 @@ from levdyn.maps import (
     advance,
     coupled_jacobian,
     fiber_map,
-    fiber_map_deriv,
     leverage_map,
-    leverage_map_deriv,
     step_jacobian,
 )
 from levdyn.orbits import iterate
 from levdyn.params import LeverageState, ModelParams, common_fixed_point
 
 from conftest import two_bank
+from oracles import fiber_map_deriv, leverage_map_deriv
 
 
 def decimal_map(x: float, omega: float, p: ModelParams, prec: int = 60) -> float:
