@@ -1,8 +1,8 @@
-/* Compiled copies of levdyn's scalar hot loops: levdyn_orbit, the orbit
- * iteration of orbits._run with its three escape checks, which also runs
- * lyap._tangent's pass, forming each step's Jacobian as
- * maps.step_jacobian does and running the renormalised tangent step of
- * k vectors (lyap._tangent_steps) in the same loop; levdyn_ticks,
+/* Compiled copies of levdyn's scalar hot loops: levdyn_orbit,
+ * orbits._run's loop, the orbit iteration with its three escape checks
+ * and, for lyap._tangent's pass, each step's Jacobian, formed as
+ * maps.step_jacobian does, and the renormalised tangent step of k
+ * vectors (orbits._tangent_step) in the same loop; levdyn_ticks,
  * micro._ticks's intraday tick pass, which scans the asset weights'
  * drift as it goes; levdyn_boxes, which marks the occupancy grids of
  * attractor.occupied_box_counts, one bit a cell, and counts their marked
@@ -16,20 +16,20 @@
  * where the numpy counter sorts the cell codes, and counts the set bits,
  * in integers, exactly.  The drift scan of levdyn_ticks forms, a tick at a time, the
  * elements of the Python loop's numpy drift, with its operations; their
- * maximum is the same in any order.  A tangent step of levdyn_orbit has
- * no one Python loop to mirror: it is orbits._run's step, then
- * maps.step_jacobian's entries of one row at a time, then
- * lyap._tangent_steps's step, each with its Python operations in their
- * order.  The loops use only +, -, *, /, sqrt, fma, fabs and fmod, which
- * IEEE 754 rounds correctly (fabs and fmod are exact), casts that
- * truncate a non-negative double below 2^53 to an integer, which are
- * exact, and log, which is the libm function that Python's math.log
- * calls; built without contraction of multiply-adds (-ffp-contract=off),
- * so that every fma is one the source spells out, they give the doubles
- * the Python loops give.  Where a Python loop would divide by zero, the
- * compiled loop returns KERNEL_DEFER, and the caller discards what it
- * wrote and reruns the Python loop, which raises ZeroDivisionError
- * there.
+ * maximum is the same in any order.  levdyn_orbit mirrors orbits._run
+ * statement for statement, its tangent step included: the Jacobian's
+ * entries a row at a time, then orbits._tangent_step's operations in
+ * their order, but that it maps every vector before orthogonalising the
+ * first, which reads only the vectors of the step before.  The loops use
+ * only +, -, *, /, sqrt, fma, fabs and fmod, which IEEE 754 rounds
+ * correctly (fabs and fmod are exact), casts that truncate a non-negative
+ * double below 2^53 to an integer, which are exact, and log, which is the
+ * libm function that Python's math.log calls; built without contraction
+ * of multiply-adds (-ffp-contract=off), so that every fma is one the
+ * source spells out, they give the doubles the Python loops give.  Where
+ * a Python loop would divide by zero, the compiled loop returns
+ * KERNEL_DEFER, and the caller discards what it wrote and reruns the
+ * Python loop, which raises ZeroDivisionError there.
  */
 
 #include <float.h>
@@ -99,12 +99,12 @@ static int map_step(int n, const double *lams, double *next, const double *omega
     return 0;
 }
 
-/* orbits._run, and lyap._tangent's pass, on the n leverages in lams
- * (overwritten): transient steps, then steps more, each of which writes
- * its state, a row of n, to recorded unless that is NULL, forms the
- * step's Jacobian row by row as maps.step_jacobian does and runs
- * lyap._tangent_steps's step on the k >= 0 vectors q, rows of n, adding
- * vector v's log growth to totals[v].  out[0] counts the states written.
+/* orbits._run on the n leverages in lams (overwritten): transient
+ * steps, then steps more, each of which writes its state, a row of n, to
+ * recorded unless that is NULL, forms the step's Jacobian row by row as
+ * maps.step_jacobian does and runs orbits._tangent_step on the k >= 0
+ * vectors q, rows of n, adding vector v's log growth to totals[v].
+ * out[0] counts the states written.
  * Returns 0 after all steps, the violation code with its step, from 1
  * over the whole run, in out[1], or KERNEL_DEFER, also where a vector is
  * exactly 0: the Python pass replaces it. */

@@ -12,18 +12,18 @@ two-vector tangent pass and a block of CSV rows give the same bytes
 through it as through the Python loops, and the box counts of a small
 lattice cloud equal PROBE_BOXES, the counts that the numpy counter
 gives; otherwise, also where that self-check raises, it is None,
-``orbits._run``, ``micro._ticks`` and ``lyap._tangent`` loop in Python,
-``attractor`` counts boxes with numpy and ``output`` formats every cell
-in Python.  There are four compiled loops.  ``levdyn_orbit`` runs an
-orbit's transient and then its window, recording the states, stepping k
-tangent vectors on the step's Jacobian, or both: ``orbits._compiled_orbit``
-calls it for ``orbits._run`` with k = 0 and for ``lyap._tangent`` with
-k >= 1, once per exponent; where a vector vanishes it defers to Python.  ``levdyn_ticks``
-is the intraday tick pass, which scans the drift of the banks' asset
-weights as it goes, ``levdyn_boxes`` marks the occupancy grids of
-``attractor.occupied_box_counts``, one bit a cell, in one pass over a
-cloud and counts them, and the row writer, ``levdyn_rows``, formats the
-cells of ``output._block_texts``.
+``orbits._run`` (behind ``lyap._tangent`` too) and ``micro._ticks`` loop
+in Python, ``attractor`` counts boxes with numpy and ``output`` formats
+every cell in Python.  There are four compiled loops.  ``levdyn_orbit``
+runs an orbit's transient and then its window, recording the states,
+stepping k tangent vectors on the step's Jacobian, or both: its one
+caller, ``orbits._run``, calls it with k = 0 to record an orbit and with
+k >= 1 for ``lyap._tangent``, once per exponent; where a vector vanishes
+it defers to Python.  ``levdyn_ticks`` is the intraday tick pass, which
+scans the drift of the banks' asset weights as it goes, ``levdyn_boxes``
+marks the occupancy grids of ``attractor.occupied_box_counts``, one bit
+a cell, in one pass over a cloud and counts them, and the row writer,
+``levdyn_rows``, formats the cells of ``output._block_texts``.
 """
 
 from __future__ import annotations

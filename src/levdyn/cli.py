@@ -97,17 +97,27 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
     temporary file beside it, with the mode ``open(path, "w")`` would
     leave, which replaces it only when the command returns: a failed run
     leaves the previous file as it was, and no file where there was none.
-    Any other path, such as a FIFO or /dev/null, is written directly."""
+    Any other path, such as a FIFO or /dev/null, is written directly, and
+    a path to the file that stdout writes, such as /dev/stdout, through
+    stdout, as with no path."""
     if path is None:
         yield sys.stdout
         return
     try:
-        mode = os.stat(path).st_mode
+        found = os.stat(path)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
     else:
+        mode = found.st_mode
+        try:
+            to_stdout = os.path.samestat(found, os.fstat(sys.stdout.fileno()))
+        except (AttributeError, OSError, ValueError):  # a stdout with no descriptor
+            to_stdout = False
+        if to_stdout:
+            yield sys.stdout
+            return
         if not stat.S_ISREG(mode):
             with open(path, "w", encoding="utf-8") as fh:
                 yield fh

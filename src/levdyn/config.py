@@ -14,6 +14,7 @@ explicit seed.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from typing import Any, Callable, Container, Mapping
@@ -60,9 +61,12 @@ def _field(
 
 
 def _float(value: Any) -> float:
-    """A JSON number; booleans and strings are not numbers."""
+    """A finite JSON number; booleans and strings are not numbers.  json also
+    reads Infinity, -Infinity, NaN and 1e400 (as inf), which are not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("must be a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError("must be a finite number")
     return float(value)
 
 

@@ -7,6 +7,8 @@ recorded, and any step that violates the leverage floor (lambda_i >= 1)
 or the stationarity bound (mean field < 1 + gamma) truncates the run.
 Violations are data, not exceptions: the trace records where and why
 the orbit left the feasible region so survival statistics stay exact.
+The same loop, given tangent vectors, runs the renormalised tangent pass
+behind every Lyapunov exponent of ``lyap``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import _kernel
 from ._draw import uniform
 from .errors import InsufficientTraceError, OrbitViolationError
-from .params import LeverageState, ModelParams
+from .params import LeverageState, ModelParams, mean_field
 
 #: constraint names used in violation records
 LEVERAGE_FLOOR = "leverage_floor"
@@ -77,42 +79,95 @@ class PeriodReport:
         return "aperiodic" if self.period is None else str(self.period)
 
 
-def _check_run(lambdas: list[float], params: ModelParams, transient: int, steps: int) -> int:
-    """len(lambdas); a ValueError unless it is the number of banks in params
-    and a run of transient + steps steps can count its steps."""
-    if transient + steps > MAX_STEPS:
-        raise ValueError(f"transient + steps exceeds {MAX_STEPS}")
-    n = len(lambdas)
-    if n != params.n_banks:
-        raise ValueError(f"state has {n} leverages, params have {params.n_banks} banks")
-    return n
+#: floor for log|derivative| at superstable points
+LOG_FLOOR = -700.0
+
+#: Veltkamp's splitter 2**27 + 1 cuts a double into halves of at most 26
+#: bits, whose products are exact while the operands lie in (_TINY, _HUGE)
+_SPLIT, _TINY, _HUGE = 134217729.0, 2.0**-480, 2.0**480
 
 
-def _compiled_orbit(
-    lambdas: Sequence[float], params: ModelParams, transient: int, steps: int,
-    recorded: int | None = None, k: int = 0, start: int | None = None, totals: int | None = None,
-) -> tuple[int, tuple[int, str] | None] | None:
-    """``levdyn_orbit`` from ``lambdas``, given the addresses of the array
-    the window's states are recorded in, or of the k unit vectors and the
-    totals their log norms are added to.  None where it defers, else the
-    states recorded and the violation, None or (step, constraint)."""
-    lams, omegas, pis = (np.array(a, dtype=float) for a in (lambdas, params.omegas, params.pis))
-    out = np.zeros(2, dtype=np.int64)
-    code = _kernel.lib.levdyn_orbit(
-        len(lams), lams.ctypes.data, omegas.ctypes.data, pis.ctypes.data, params.gamma,
-        params.lambda_max, params.coupling_coef, transient, steps, recorded, k, start, totals,
-        out.ctypes.data)
-    if code == _kernel.DEFER:
-        return None
-    return int(out[0]), (int(out[1]), _CONSTRAINTS[code]) if code else None
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as C99 ``fma``: ``math.fsum`` of the halves'
+    exact products and c, else (zero, non-finite or extreme operands, or
+    an overflowing sum) the exact rational sum, rounded."""
+    if _TINY < abs(a) < _HUGE and _TINY < abs(b) < _HUGE:
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        try:
+            return math.fsum((ah * bh, ah * bl, al * bh, al * bl, c))
+        except OverflowError:
+            pass
+    if not (a and b and math.isfinite(a) and math.isfinite(b)):
+        return a * b + c  # the product is exact: a signed zero, inf or nan
+    if not math.isfinite(c):
+        return c
+    from fractions import Fraction  # here only: it loads decimal at import
+
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def _orthogonalised(x: list[float], q: list[list[float]]) -> tuple[list[float], float]:
+    """x orthogonalised against each of ``q`` in turn (r = q_j[0] x[0], then
+    fma(q_j[m], x[m], r); x[m] = fma(-r, q_j[m], x[m])), and its 2-norm,
+    squared as x[0] x[0] then fma(x[m], x[m], .)."""
+    for qj in q:
+        r = qj[0] * x[0]
+        for a, b in zip(qj[1:], x[1:]):
+            r = _fma(a, b, r)
+        x = [_fma(-r, a, b) for a, b in zip(qj, x)]
+    sq = x[0] * x[0]
+    for b in x[1:]:
+        sq = _fma(b, b, sq)
+    return x, math.sqrt(sq)
+
+
+def _tangent_step(rows: list[list[float]], q: list[list[float]], totals: list[float]) -> bool:
+    """One renormalised tangent step of the k unit vectors ``q`` on the
+    Jacobian ``rows``, taking the vectors in order: vector i is mapped
+    (entry r of J u is J[r, n-1] u[n-1], then fma(J[r, j], u[j], .) for
+    j = n-2 down to 0), orthogonalised against the new vectors 0 .. i-1,
+    the log of its norm added to totals[i], and normalised.  A vector that
+    is then exactly 0 adds LOG_FLOOR instead and is replaced by the first
+    of e_1 .. e_n that stays nonzero when so orthogonalised, normalised:
+    e_1 for vector 0.  Updates ``q``; returns whether a vector vanished."""
+    last, new, vanished = len(rows) - 1, [], False
+    for i, u in enumerate(q):
+        x = []
+        for row in rows:
+            xi = row[last] * u[last]
+            for j in range(last - 1, -1, -1):
+                xi = _fma(row[j], u[j], xi)
+            x.append(xi)
+        x, norm = _orthogonalised(x, new)
+        if norm == 0.0:
+            totals[i] += LOG_FLOOR
+            vanished = True
+            new.append(next([y / size for y in e] for e, size in
+                            (_orthogonalised(e, new) for e in np.eye(last + 1).tolist())
+                            if size != 0.0))
+        else:
+            totals[i] += math.log(norm)
+            new.append([xi / norm for xi in x])
+    q[:] = new
+    return vanished
 
 
 def _run(
-    lambdas: list[float],
+    lambdas: Sequence[float],
     params: ModelParams,
     transient: int,
     record: int,
-) -> tuple[np.ndarray, tuple[int, str] | None]:
+    q: list[list[float]] | None = None,
+) -> tuple[np.ndarray | tuple[list[float], bool], tuple[int, str] | None]:
     """Shared iteration core: python-float inner loop for small N.
 
     Arithmetic matches maps.advance term for term (mean field
@@ -123,30 +178,51 @@ def _run(
     below 1, or if the new mean field is above 1 + gamma.  A state
     exactly on the bound is recorded but cannot be advanced.
 
-    The loop runs compiled (``levdyn_orbit`` in ``_kernel.c``, with no
-    tangent vectors) when that loaded.  The Python loop below is its
-    reference.  It runs where no C compiler is found, and where the
-    compiled loop stops at a step on which Python raises
-    ZeroDivisionError, to raise it.
+    Returns the ``record`` states after the transient or, given k >= 1
+    unit vectors ``q``, the totals of their log growth and whether one
+    vanished, each step taking a ``_tangent_step`` on its Jacobian as
+    ``maps.step_jacobian`` forms it; and the violation, None or (step,
+    constraint), counting steps from 1.  Raises ValueError unless
+    ``lambdas`` holds one leverage per bank and the run can count its
+    steps.
+
+    The loop runs compiled (``levdyn_orbit`` in ``_kernel.c``) when that
+    loaded.  The Python loop below is its reference, statement for
+    statement.  It runs where no C compiler is found, and from the start
+    where the compiled loop defers: to raise ZeroDivisionError at its
+    step, or to replace a vector that vanished.
     """
-    n = _check_run(lambdas, params, transient, record)
-    gamma = params.gamma
-    lam_max = params.lambda_max
-    coef = params.coupling_coef
-    omegas = params.omegas
-    pis = params.pis
-    recorded = np.empty((record, n))
+    if transient + record > MAX_STEPS:
+        raise ValueError(f"transient + steps exceeds {MAX_STEPS}")
+    n = len(lambdas)
+    if n != params.n_banks:
+        raise ValueError(f"state has {n} leverages, params have {params.n_banks} banks")
+    gamma, lam_max, coef = params.gamma, params.lambda_max, params.coupling_coef
+    omegas, pis = params.omegas, params.pis
+    if q is None:
+        recorded = np.empty((record, n))
     if _kernel.lib is not None:
-        ran = _compiled_orbit(lambdas, params, transient, record, recorded.ctypes.data)
-        if ran is not None:
-            return recorded[:ran[0]], ran[1]
-    kept = 0
-    violation = None
+        lams, ws, ps = (np.array(a, dtype=float) for a in (lambdas, omegas, pis))
+        if q is None:
+            vectors = (recorded.ctypes.data, 0, None, None)
+        else:
+            start, sums = np.array(q, dtype=float), np.zeros(len(q))
+            vectors = (None, len(q), start.ctypes.data, sums.ctypes.data)
+        out = np.zeros(2, dtype=np.int64)
+        code = _kernel.lib.levdyn_orbit(
+            n, lams.ctypes.data, ws.ctypes.data, ps.ctypes.data, gamma, lam_max, coef,
+            transient, record, *vectors, out.ctypes.data)
+        if code != _kernel.DEFER:
+            violation = (int(out[1]), _CONSTRAINTS[code]) if code else None
+            return (recorded[:out[0]] if q is None else (sums.tolist(), False)), violation
+    kept, violation = 0, None
+    totals, saturated = [0.0] * len(q or ()), False
     lams = list(lambdas)
+    # with vectors the new state is kept apart, as the Jacobian reads both;
+    # without, it overwrites the state and the swap at the step's end is idle
+    nxt = lams if q is None else [0.0] * n
     sqrt = math.sqrt
-    m = 0.0
-    for i in range(n):
-        m += pis[i] * lams[i]
+    m = mean_field(lams, pis)
     for step in range(1, transient + record + 1):
         # the map is undefined once the mean field reaches 1 + gamma
         if not m < lam_max:
@@ -162,34 +238,52 @@ def _run(
             new = 1.0 / sqrt(g)
             if new < 1.0:
                 ok = False
-            lams[i] = new
+            nxt[i] = new
         if not ok:
             violation = (step, LEVERAGE_FLOOR)
             break
         m = 0.0
         for i in range(n):
-            m += pis[i] * lams[i]
+            m += pis[i] * nxt[i]
         # a state already past the bound is infeasible and never recorded;
         # exactly on the bound it is feasible but the next step cannot run
         if m > lam_max:
             violation = (step, AR1_STATIONARITY)
             break
         if step > transient:
-            recorded[kept] = lams
-            kept += 1
-    return recorded[:kept], violation
+            if q is None:
+                recorded[kept] = nxt
+                kept += 1
+            else:
+                kernel3 = coef / ((d * d) * d)
+                rows = []
+                for i in range(n):
+                    lam = lams[i]
+                    w = omegas[i]
+                    a = -((1.0 - w) * kernel3)
+                    lam3 = (lam * lam) * lam
+                    # 0 only from an infeasible start: C's quotient, inf or nan
+                    diag = w / lam3 if lam3 else w * math.copysign(math.inf, lam3)
+                    cube = (nxt[i] * nxt[i]) * nxt[i]
+                    row = [cube * (a * pj) for pj in pis]
+                    row[i] = cube * (a * pis[i] + diag)
+                    rows.append(row)
+                saturated |= _tangent_step(rows, q, totals)
+        lams, nxt = nxt, lams
+    return (recorded[:kept] if q is None else (totals, saturated)), violation
 
 
 def _run_checked(
-    lambdas: list[float], params: ModelParams, transient: int, record: int, offset: int = 0
-) -> np.ndarray:
-    """``_run``'s recorded states, all ``record`` of them; a violation
-    raises OrbitViolationError at its step, shifted by ``offset``."""
-    recorded, violation = _run(lambdas, params, transient, record)
+    lambdas: Sequence[float], params: ModelParams, transient: int, record: int,
+    q: list[list[float]] | None = None,
+) -> np.ndarray | tuple[list[float], bool]:
+    """``_run``'s recorded states, all ``record`` of them, or given vectors
+    ``q`` its totals and flag; a violation raises OrbitViolationError at
+    its step."""
+    ran, violation = _run(lambdas, params, transient, record, q)
     if violation is not None:
-        step, constraint = violation
-        raise OrbitViolationError(offset + step, constraint)
-    return recorded
+        raise OrbitViolationError(*violation)
+    return ran
 
 
 def iterate(

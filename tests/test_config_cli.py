@@ -402,6 +402,61 @@ class TestCliCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [Path(cfg).name, "new.csv", "kept.csv", "target.csv", "link.csv"])
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("document, code, line", [
+        ({"model": {"omegas": [0.5]}, "run": {"initial": [50.0], "record": 3}}, 0, None),
+        # exit 3 returned by the command: its stderr line goes to the same file
+        ({"model": {"omegas": [0.05]}, "run": {"initial": [96.95], "transient": 0,
+                                               "record": 50}}, 3,
+         "ERROR levdyn: orbit violated "),
+    ])
+    def test_out_naming_stdouts_file_writes_through_stdout(self, tmp_path, document, code, line):
+        # stdout appends to a file, and --out names it through /dev/stdout:
+        # the file used to be replaced, and the stderr line lost with it
+        cfg = write_config(tmp_path, document)
+        log = tmp_path / "all.log"
+        log.write_text("previous\n")
+        src = str(Path(levdyn.__file__).parents[1])
+        env = {**os.environ, "LEVDYN_LOG": "error",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with log.open("a") as fh:
+            done = subprocess.run(
+                [sys.executable, "-m", "levdyn.cli", "simulate", "--config", cfg,
+                 "--out", "/dev/stdout"],
+                env=env, stdout=fh, stderr=fh if line else subprocess.PIPE, text=True,
+                timeout=120)
+        assert done.returncode == code
+        text = log.read_text()
+        assert text.startswith("previous\n")
+        if line:
+            assert any(row.startswith(line) for row in text.splitlines()), text
+        else:
+            with log.open() as fh:
+                fh.readline()
+                assert len(read_csv(fh)[2]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([Path(cfg).name, "all.log"])
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
+    @pytest.mark.parametrize("command, document, key", [
+        ("boxdim", {"run": {"seed": 1}, "boxdim": {"eps_decades": "X"}}, "boxdim.eps_decades"),
+        ("simulate", {"model": {"omegas": [0.5], "gamma": "X"}, "run": {"initial": [50.0]}},
+         "model.gamma"),
+        ("simulate", {"model": {"omegas": [0.5]}, "run": {"initial": ["X"]}}, "run.initial"),
+        ("fixedpoint", {"model": STD_MODEL, "skew": {"omega1": 0.5, "history": {
+            "kind": "constant", "depth": 20, "level": "X"}}}, "skew.history.level"),
+        ("fixedpoint", {"model": STD_MODEL, "skew": {"omega1": 0.5, "tol": "X", "history": {
+            "kind": "constant", "depth": 20, "level": 80.0}}}, "skew.tol"),
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, command, document, key, literal):
+        # json reads these, though RFC 8259 has no such numbers; 1e400 reads as inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document).replace('"X"', literal))
+        preset = ["--preset", "fig7"] if command == "boxdim" else []
+        assert main([command, "--config", str(cfg), *preset]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"levdyn: configuration error: {key}: invalid value "), err
+        assert err.endswith("(must be a finite number)\n"), err
+
     def test_config_errors_exit_2(self, tmp_path, capsys):
         bad = write_config(
             tmp_path, {"model": {"omegas": [0.5, 0.3], "pis": [0.5, 0.4]}}

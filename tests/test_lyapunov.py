@@ -13,10 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levdyn import _kernel, lyap
+from levdyn import _kernel, lyap, orbits
 from levdyn.errors import DomainError, InfeasibleStateError, OrbitViolationError
 from levdyn.lyap import (
-    BLOCK_STEPS,
     LOG_FLOOR,
     fiber_exponent,
     lyapunov_1d,
@@ -28,6 +27,7 @@ from levdyn.maps import (
     coupled_jacobian,
     fiber_map,
     leverage_map,
+    step_jacobian,
 )
 from levdyn.orbits import detect_period, iterate
 from levdyn.params import LeverageState, ModelParams
@@ -168,7 +168,8 @@ class TestSpectrum:
 
 
 class TestWindow:
-    """The exponents read their orbit from orbits._run in blocks."""
+    """The exponents step their orbit and tangent vectors in orbits._run,
+    which holds one state whatever the window."""
 
     @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"transient": -5}])
     def test_bad_lengths_raise(self, std1, kwargs):
@@ -305,36 +306,31 @@ def _expected(violation, reference):
     transient=st.integers(0, 40),
     steps=st.integers(1, 60),
     seed=st.integers(0, 3),
-    block=st.one_of(st.none(), st.integers(1, 16)),
 )
 @example(
     omegas=(0.5, 0.3), pi1=0.5, gamma=100.0, starts=(0.5, 0.6), transient=300,
-    steps=2 * BLOCK_STEPS + 50, seed=0, block=None,
+    steps=562, seed=0,
 )
 @example(
     omegas=(0.3, 0.7), pi1=0.2, gamma=100.0, starts=(0.4, 0.55), transient=0,
-    steps=BLOCK_STEPS + 1, seed=1, block=None,
+    steps=257, seed=1,
 )
 @example(
     omegas=(0.05, 0.15000000000000002), pi1=0.4, gamma=100.0,
     starts=(0.9595171505688967, 0.90702620462896), transient=0, steps=5, seed=0,
-    block=2,
 )
 @example(
     omegas=(0.0, 0.0), pi1=0.0, gamma=20.0, starts=(1.0, 0.0), transient=0,
-    steps=1, seed=0, block=None,
+    steps=1, seed=0,
 )
 @example(  # the start's mean field rounds to just past 1 + gamma
     omegas=(0.0, 0.0), pi1=0.08237388418672965, gamma=100.0, starts=(1.0, 1.0),
-    transient=0, steps=1, seed=0, block=None,
+    transient=0, steps=1, seed=0,
 )
-def test_exponents_match_step_by_step_maps(
-    omegas, pi1, gamma, starts, transient, steps, seed, block
-):
+def test_exponents_match_step_by_step_maps(omegas, pi1, gamma, starts, transient, steps, seed):
     """Each exponent and history_from_orbit equals, repr for repr, a
     composition of the public map functions one step at a time; on an
     escaping orbit it raises the (step, constraint) that iterate reports.
-    ``block`` shrinks the exponents' block so that runs span several.
     Both loop paths are held to the same references."""
     p = ModelParams(gamma=gamma, omegas=omegas, pis=(pi1, 1.0 - pi1))
     p1 = p.with_single_omega(omegas[0])
@@ -363,7 +359,7 @@ def test_exponents_match_step_by_step_maps(
         # history_from_orbit takes x0 in (0, 1 + gamma) only
         expected = ("domain",)
     for loops in (nullcontext, python_loops):
-        with loops(), patch.object(lyap, "BLOCK_STEPS", block or BLOCK_STEPS):
+        with loops():
             for exponent, reference in exponents:
                 assert _outcome(exponent) == reference
             assert _outcome(history) == expected
@@ -381,7 +377,7 @@ SATURATING = [(omega, x, 0) for omega, xs in SUPERSTABLE.items() for x in xs]
                   st.integers(0, 40)),
         st.sampled_from(SATURATING),
     ),
-    steps=st.integers(1, 2 * BLOCK_STEPS),
+    steps=st.integers(1, 512),
 )
 def test_one_bank_spectrum_is_the_scalar_exponent(case, steps):
     """On one bank, lyapunov_spectrum and lyapunov_1d give the same
@@ -409,9 +405,18 @@ def _pass_outcome(initial, p, steps, seed):
 
 def _seeded_unit(rng, n):
     """n standard normals of ``rng`` over their norm, measured as
-    ``lyap._orthogonalised`` measures it."""
-    v, norm = lyap._orthogonalised(rng.standard_normal(n).tolist(), [])
+    ``orbits._orthogonalised`` measures it."""
+    v, norm = orbits._orthogonalised(rng.standard_normal(n).tolist(), [])
     return [x / norm for x in v]
+
+
+def _window_jacobians(start, p, steps):
+    """The Jacobians of the ``steps`` steps of the orbit from ``start``, one
+    block of them, formed by ``maps.step_jacobian`` from iterate's states."""
+    trace = iterate(LeverageState.from_lambdas(start, p), p, 0, steps)
+    assert trace.survived
+    states = np.vstack(([start], trace.recorded))
+    return [step_jacobian(states[:-1], states[1:], p)]
 
 
 def _alone(omega, n):
@@ -443,9 +448,9 @@ def test_vanishing_starts_restart_from_e1(seed):
     cases = [(_alone(omega, 1), [x]) for omega, xs in SUPERSTABLE.items() for x in xs]
     cases += [(_alone(0.58, 2), [x, 30.0]) for x in SUPERSTABLE[0.58]]
     for p, start in cases:
-        blocks = lyap._window_jacobians(start, p, 0, 50)
-        (total,), saturated = _exact_tangent_steps(
-            blocks, [list(lyap._start_vector(seed, p.n_banks))])
+        blocks = _window_jacobians(start, p, 50)
+        (total,), saturated = _tangent_pass(
+            _exact_step, blocks, [list(lyap._start_vector(seed, p.n_banks))])
         assert saturated
         state = LeverageState.from_lambdas(start, p)
         for loops in (nullcontext, python_loops):
@@ -494,8 +499,7 @@ class TestTopLanes:
     time against ``_reference_top``."""
 
     @pytest.mark.parametrize("seed", [0, 5])
-    @pytest.mark.parametrize("block", [BLOCK_STEPS, 2])
-    def test_lanes_vanishing_at_different_steps_match_reference(self, seed, block):
+    def test_lanes_vanishing_at_different_steps_match_reference(self, seed):
         steps = 300
         x, y, z = SUPERSTABLE[0.58]
         p1 = ModelParams(omegas=(0.58,), pis=(1.0,))
@@ -513,7 +517,7 @@ class TestTopLanes:
         ]
         for (p, starts), loops in itertools.product(cases, (nullcontext, python_loops)):
             initials = [LeverageState.from_lambdas(s, p) for s in starts]
-            with loops(), patch.object(lyap, "BLOCK_STEPS", block):
+            with loops():
                 outcomes = [_pass_outcome(initial, p, steps, seed) for initial in initials]
             assert all(float(top) < LOG_FLOOR / steps and saturated
                        for top, saturated in outcomes[:3])
@@ -547,7 +551,7 @@ operands = st.one_of(finite, near_overflow, st.floats(-4.0, 4.0), st.sampled_fro
 
 
 class TestFma:
-    """``lyap._fma``, the Python pass's fused multiply-add."""
+    """``orbits._fma``, the Python pass's fused multiply-add."""
 
     @settings(max_examples=1500, deadline=None)
     @given(a=operands, b=operands, c=operands)
@@ -559,7 +563,7 @@ class TestFma:
     @example(a=1.7e308, b=1.0, c=1.7e308)  # overflows in the sum
     @example(a=-0.0, b=3.0, c=-0.0)
     def test_rounds_once_like_exact_arithmetic(self, a, b, c):
-        assert lyap._fma(a, b, c).hex() == _exact_fma(a, b, c).hex()
+        assert orbits._fma(a, b, c).hex() == _exact_fma(a, b, c).hex()
 
     @pytest.mark.parametrize("a, b, c, expected", [
         (math.inf, 0.0, 1.0, math.nan),
@@ -571,7 +575,7 @@ class TestFma:
         (3.0, 2.0, math.inf, math.inf),
     ])
     def test_non_finite_operands(self, a, b, c, expected):
-        got = lyap._fma(a, b, c)
+        got = orbits._fma(a, b, c)
         assert (math.isnan(got) and math.isnan(expected)) or got == expected
 
 
@@ -599,7 +603,7 @@ def _exact_orthogonalised(x, q):
 
 
 def _exact_step(jac, q, totals):
-    """One step of ``lyap._tangent_steps`` restated on ``_ieee_fma``: entry
+    """``orbits._tangent_step`` restated on ``_ieee_fma``: entry
     i of J u is J[i, n-1] u[n-1], then fma(J[i, j], u[j], .) for j = n-2
     down to 0, for every vector of q; then vector i is orthogonalised
     against the new vectors before it, its log norm added to totals[i]
@@ -631,23 +635,25 @@ def _exact_step(jac, q, totals):
     return vanished
 
 
-def _exact_tangent_steps(blocks, q):
-    """``lyap._tangent_steps`` restated: ``_exact_step`` on every Jacobian."""
+def _tangent_pass(step, blocks, q):
+    """``step``, ``orbits._tangent_step`` or ``_exact_step``, on every
+    Jacobian of ``blocks`` in turn: the totals and whether a vector
+    vanished."""
     totals, saturated = [0.0] * len(q), False
     for jacs in blocks:
         for jac in jacs.tolist():
-            saturated |= _exact_step(jac, q, totals)
+            saturated |= step(jac, q, totals)
     return totals, saturated
 
 
-def _pass_state(tangent_steps, blocks, n, seed, k):
-    """``tangent_steps`` over ``blocks`` from k unit vectors drawn from
-    ``seed``: the totals, the flag and the final vectors, as bytes.  Every
-    NaN is packed as one NaN: IEEE 754 leaves open which NaN operand a
-    product passes on."""
+def _pass_state(step, blocks, n, seed, k):
+    """``_tangent_pass`` of ``step`` over ``blocks`` from k unit vectors
+    drawn from ``seed``: the totals, the flag and the final vectors, as
+    bytes.  Every NaN is packed as one NaN: IEEE 754 leaves open which NaN
+    operand a product passes on."""
     rng = np.random.default_rng(seed)
     q = [_seeded_unit(rng, n) for _ in range(k)]
-    totals, saturated = tangent_steps(blocks, q)
+    totals, saturated = _tangent_pass(step, blocks, q)
     totals = [x if x == x else math.nan for x in totals]
     entries = [x if x == x else math.nan for u in q for x in u]
     return struct.pack(f"<{k}d?{k * n}d", *totals, saturated, *entries)
@@ -696,14 +702,14 @@ def jacobian_blocks(draw):
          seed=3, k=3)
 @example(case=(3, [np.full((2, 3, 3), 1e300)]), seed=0, k=3)  # the norm overflows
 def test_tangent_steps_match_exact_arithmetic(case, seed, k):
-    """The Python tangent pass of k vectors rounds each multiply-add once,
-    on Jacobians the map never forms too: zero rows, non-finite entries, a
-    norm that overflows or underflows, a vector that vanishes after
-    orthogonalisation."""
+    """The Python tangent step of k vectors, driven one Jacobian at a
+    time, rounds each multiply-add once, on Jacobians the map never forms
+    too: zero rows, non-finite entries, a norm that overflows or
+    underflows, a vector that vanishes after orthogonalisation."""
     n, blocks = case
     k = min(k, n)
-    assert _pass_state(lyap._tangent_steps, blocks, n, seed, k) == (
-        _pass_state(_exact_tangent_steps, blocks, n, seed, k)
+    assert _pass_state(orbits._tangent_step, blocks, n, seed, k) == (
+        _pass_state(_exact_step, blocks, n, seed, k)
     )
 
 
@@ -793,6 +799,9 @@ _X, _Y, _Z = SUPERSTABLE[0.58]
          defer=True)  # a deferred pass that would have vanished
 @example(case=(_P1, [0.0]), transient=0, steps=3, seed=0, spectrum=False,
          defer=False)  # the loop defers
+# bank 1's cubed start underflows to 0 in its Jacobian entry: 0 / 0 is NaN
+@example(case=(ModelParams(omegas=(0.0, 0.5), pis=(0.0, 1.0)), [1e-120, 50.0]), transient=0,
+         steps=5, seed=0, spectrum=True, defer=False)
 # the spectrum's first vector, e_1, maps to 0 at every step: the pass
 # defers and the Python pass floors it
 @example(case=(two_bank(0.0, 0.5, 0.0), [50.0, 60.0]), transient=100, steps=50, seed=0,
@@ -827,8 +836,8 @@ def test_multi_bank_vanished_vector_restarts_from_e1(case, n, others, steps, see
     fused = _tangent_bytes(lambdas, p, 0, steps, seed, 1)
     with python_loops():
         assert _tangent_bytes(lambdas, p, 0, steps, seed, 1) == fused
-    (total,), saturated = _exact_tangent_steps(lyap._window_jacobians(lambdas, p, 0, steps),
-                                               [list(lyap._start_vector(seed, n))])
+    (total,), saturated = _tangent_pass(_exact_step, _window_jacobians(lambdas, p, steps),
+                                        [list(lyap._start_vector(seed, n))])
     assert saturated and struct.pack("<d?", total, saturated) == fused
 
 class TestFiberExponent:

@@ -306,17 +306,12 @@ class TestBatchedEvaluator:
     @example(spec=ESCAPE_SPEC, steps=2000, data=None)
     def test_matches_scalar_reference(self, spec, steps, data):
         """Sweeps on two workers, in chunks of one to three points, on both
-        loop paths.  ``block`` shrinks the exponent blocks of the chunked
-        runs, so that escapes at block edges are compared too."""
+        loop paths."""
         chunk = data.draw(st.sampled_from([1, 2, 3])) if data else 1
-        block = data.draw(st.integers(1, 8)) if data else 1
         for loops in (nullcontext(), python_loops()):
             with loops, patch.object(sweep, "LYAP_STEPS", steps):
                 expected = [record_key(_eval_point(spec, float(v))) for v in spec.grid()]
-                with (
-                    patch.object(sweep, "CHUNK_POINTS", chunk),
-                    patch.object(lyap, "BLOCK_STEPS", block),
-                ):
+                with patch.object(sweep, "CHUNK_POINTS", chunk):
                     pooled = run_sweep(spec, workers=2)
                     in_process = run_sweep(spec)
             assert [record_key(r) for r in pooled] == expected
@@ -341,7 +336,6 @@ class TestBatchedEvaluator:
         on both loop paths.  The cells mix omega2 columns in row-major
         order, as ``stability_map`` builds them."""
         chunk = data.draw(st.sampled_from([1, 2, 3]))
-        block = data.draw(st.integers(1, 8))
         cells = [
             (SweepSpec(axis="omega1", bounds=(0.0, 1.0), resolution=2,
                        fixed=two_bank(0.5, w2, pi1), transient=transient, record=record,
@@ -353,10 +347,7 @@ class TestBatchedEvaluator:
         for loops in (nullcontext(), python_loops()):
             with loops, patch.object(sweep, "LYAP_STEPS", steps):
                 expected = [_eval_point(*cell).classification for cell in cells]
-                with (
-                    patch.object(sweep, "CHUNK_POINTS", chunk),
-                    patch.object(lyap, "BLOCK_STEPS", block),
-                ):
+                with patch.object(sweep, "CHUNK_POINTS", chunk):
                     mapped = stability_map(*map_args, workers=2)
             assert mapped.classes.ravel().tolist() == expected
 
