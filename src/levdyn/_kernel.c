@@ -1,14 +1,14 @@
 /* Compiled copies of levdyn's scalar hot loops: levdyn_orbit,
  * orbits._run's loop, the orbit iteration with its three escape checks
- * and, for lyap._tangent's pass, each step's Jacobian, formed as
- * maps.step_jacobian does, and the renormalised tangent step of k
- * vectors (orbits._tangent_step) in the same loop; levdyn_ticks,
- * micro._ticks's intraday tick pass, which scans the asset weights'
- * drift as it goes; levdyn_boxes, which marks the occupancy grids of
- * attractor.occupied_box_counts, one bit a cell, and counts their marked
- * cells; and levdyn_rows, which formats the CSV rows of
- * output._block_texts as output.format_value does.  The orbit step is
- * written once, map_step.
+ * and, for the tangent pass of every Lyapunov exponent, each step's
+ * Jacobian, formed as maps.step_jacobian does, and the renormalised
+ * tangent step of k vectors (orbits._tangent_step) in the same loop;
+ * levdyn_ticks, micro._ticks's intraday tick pass, which scans the
+ * asset weights' drift as it goes; levdyn_boxes, which marks the
+ * occupancy grids of attractor.occupied_box_counts, one bit a cell, and
+ * counts their marked cells; and levdyn_rows, which formats the CSV rows
+ * of output._block_texts as output.format_value does.  The orbit step
+ * is written once, map_step.
  *
  * In map_step, levdyn_ticks and box_cell, the cell arithmetic of
  * levdyn_boxes, each statement mirrors one Python statement of the
@@ -18,18 +18,18 @@
  * elements of the Python loop's numpy drift, with its operations; their
  * maximum is the same in any order.  levdyn_orbit mirrors orbits._run
  * statement for statement, its tangent step included: the Jacobian's
- * entries a row at a time, then orbits._tangent_step's operations in
- * their order, but that it maps every vector before orthogonalising the
- * first, which reads only the vectors of the step before.  The loops use
- * only +, -, *, /, sqrt, fma, fabs and fmod, which IEEE 754 rounds
- * correctly (fabs and fmod are exact), casts that truncate a non-negative
- * double below 2^53 to an integer, which are exact, and log, which is the
- * libm function that Python's math.log calls; built without contraction
- * of multiply-adds (-ffp-contract=off), so that every fma is one the
- * source spells out, they give the doubles the Python loops give.  Where
- * a Python loop would divide by zero, the compiled loop returns
- * KERNEL_DEFER, and the caller discards what it wrote and reruns the
- * Python loop, which raises ZeroDivisionError there.
+ * entries a row at a time (maps.step_jacobian), then
+ * orbits._tangent_step's operations in their order, but that it maps every
+ * vector before orthogonalising the first, which reads only the vectors of
+ * the step before.  The loops use only +, -, *, /, sqrt, fma, fabs and
+ * fmod, which IEEE 754 rounds correctly (fabs and fmod are exact), casts
+ * that truncate a non-negative double below 2^53 to an integer, which are
+ * exact, and log, which is the libm function that Python's math.log calls;
+ * built without contraction of multiply-adds (-ffp-contract=off), so that
+ * every fma is one the source spells out, they give the doubles the Python
+ * loops give.  Where a Python loop would divide by zero, the compiled loop
+ * returns KERNEL_DEFER, and the caller discards what it wrote and reruns
+ * the Python loop, which raises ZeroDivisionError there.
  */
 
 #include <float.h>

@@ -12,18 +12,18 @@ two-vector tangent pass and a block of CSV rows give the same bytes
 through it as through the Python loops, and the box counts of a small
 lattice cloud equal PROBE_BOXES, the counts that the numpy counter
 gives; otherwise, also where that self-check raises, it is None,
-``orbits._run`` (behind ``lyap._tangent`` too) and ``micro._ticks`` loop
-in Python, ``attractor`` counts boxes with numpy and ``output`` formats
-every cell in Python.  There are four compiled loops.  ``levdyn_orbit``
-runs an orbit's transient and then its window, recording the states,
-stepping k tangent vectors on the step's Jacobian, or both: its one
-caller, ``orbits._run``, calls it with k = 0 to record an orbit and with
-k >= 1 for ``lyap._tangent``, once per exponent; where a vector vanishes
-it defers to Python.  ``levdyn_ticks`` is the intraday tick pass, which
-scans the drift of the banks' asset weights as it goes, ``levdyn_boxes``
-marks the occupancy grids of ``attractor.occupied_box_counts``, one bit
-a cell, in one pass over a cloud and counts them, and the row writer,
-``levdyn_rows``, formats the cells of ``output._block_texts``.
+``orbits._run`` (behind every Lyapunov exponent too) and
+``micro._ticks`` loop in Python, ``attractor`` counts boxes with numpy
+and ``output`` formats every cell in Python.  There are four compiled
+loops.  ``levdyn_orbit`` runs an orbit's transient and then its window,
+recording the states, stepping k tangent vectors on the step's
+Jacobian, or both: its one caller, ``orbits._run``, calls it with k = 0
+to record an orbit and with k >= 1 once per Lyapunov exponent; where a
+vector vanishes it defers to Python.  ``levdyn_ticks`` is the intraday
+tick pass, which scans the drift of the banks' asset weights as it goes,
+``levdyn_boxes`` marks the occupancy grids of
+``attractor.occupied_box_counts``, one bit a cell, in one pass over a cloud
+and counts them, and ``levdyn_rows`` formats the cells of ``output._block_texts``.
 """
 
 from __future__ import annotations
@@ -118,9 +118,8 @@ def _probe() -> tuple:
 
     from .attractor import occupied_box_counts
     from .errors import OrbitViolationError
-    from .lyap import _tangent
     from .micro import _impact, _ticks
-    from .orbits import _run
+    from .orbits import _run, _run_checked
     from .output import RowBlock, _block_texts
     from .params import ModelParams
 
@@ -132,11 +131,11 @@ def _probe() -> tuple:
                             _impact([50.0, 60.0], assets, 100.0), 100.0,
                             np.array([1e-3, -5e-4, 2e-3]), 0)
     # fixed vectors keep numpy.random, and its memory, out of the import
-    tangent = _tangent([50.0, 60.0], params, 3, 40, [[0.6, -0.8], [0.8, 0.6]])
+    tangent = _run_checked([50.0, 60.0], params, 3, 40, [[0.6, -0.8], [0.8, 0.6]])
     try:
-        escape = _tangent([96.95171505688967, 91.702620462896],
-                          ModelParams(omegas=(0.05, 0.15000000000000002), pis=(0.4, 0.6)), 2,
-                          6, [[0.6, -0.8]])
+        escape = _run_checked([96.95171505688967, 91.702620462896],
+                              ModelParams(omegas=(0.05, 0.15000000000000002), pis=(0.4, 0.6)),
+                              2, 6, [[0.6, -0.8]])
     except OrbitViolationError as exc:
         escape = (exc.step, exc.constraint)
     boxes = PROBE_BOXES if lib is None else tuple(

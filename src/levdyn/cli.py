@@ -97,9 +97,9 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
     temporary file beside it, with the mode ``open(path, "w")`` would
     leave, which replaces it only when the command returns: a failed run
     leaves the previous file as it was, and no file where there was none.
-    Any other path, such as a FIFO or /dev/null, is written directly, and
-    a path to the file that stdout writes, such as /dev/stdout, through
-    stdout, as with no path."""
+    Any other path, such as a FIFO, /dev/null or a missing "dir/", is
+    written directly, and a path to the file that stdout writes, such as
+    /dev/stdout, through stdout, as with no path."""
     if path is None:
         yield sys.stdout
         return
@@ -108,7 +108,7 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
-        mode = 0o666 & ~umask
+        mode = stat.S_IFREG | (0o666 & ~umask)
     else:
         mode = found.st_mode
         try:
@@ -118,10 +118,11 @@ def _open_out(path: str | None) -> Iterator[TextIO]:
         if to_stdout:
             yield sys.stdout
             return
-        if not stat.S_ISREG(mode):
-            with open(path, "w", encoding="utf-8") as fh:
-                yield fh
-            return
+    # a missing "" or "dir/" too: open fails at once, naming the path
+    if not (stat.S_ISREG(mode) and os.path.basename(path)):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
     # a symlink's target is replaced, not the link
     target = os.path.realpath(path)
     try:
@@ -425,13 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
+    out = None
     try:
         grid = (args.workers,) if args.command in GRID_COMMANDS else ()
         if grid and args.workers < 1:
             raise ConfigError(f"must be at least 1, got {args.workers}", key="--workers")
         config = _load(args)
         with _open_out(args.out) as out:
-            return COMMANDS[args.command][0](config, out, *grid)
+            code = COMMANDS[args.command][0](config, out, *grid)
+            out.flush()  # here, so that a stdout reader that left is seen below
+            return code
     # one stderr line per error: the log, which writes to stderr too, has it
     # at debug level only
     except ConfigError as exc:
@@ -443,6 +447,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"levdyn: constraint violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (LevdynError, ValueError, TypeError, ArithmeticError, MemoryError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and out is sys.stdout:
+            # stdout's reader left (| head): exit quietly; Python's last flush goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_RUNTIME
         log.debug("runtime error: %s", exc)
         print(f"levdyn: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -7,11 +7,11 @@ loop, compiled or in Python, which steps the tangent vectors on each
 step's Jacobian with the fused multiply-adds spelled out, so no BLAS or
 LAPACK kernel enters it.  An orbit that leaves the feasible region has
 no exponent: they raise OrbitViolationError at the (step, constraint)
-that ``iterate`` records for it.  ``_tangent``, the pass of k vectors,
-is behind ``lyapunov_top`` (k = 1) and ``lyapunov_spectrum`` (k = n),
-which on one bank is ``lyapunov_1d``.  A vector that vanishes is
-replaced by one rule, whatever k: the first basis vector that survives
-orthogonalisation.
+that ``iterate`` records for it.  The pass of k vectors, modified
+Gram-Schmidt (Shimada & Nagashima 1979), is behind ``lyapunov_top``
+(k = 1) and ``lyapunov_spectrum`` (k = n), which on one bank is
+``lyapunov_1d``.  A vector that vanishes is replaced by one rule,
+whatever k: the first basis vector that survives orthogonalisation.
 
 Log-derivatives hitting zero (superstable orbits) are floored at
 LOG_FLOOR with a saturation flag rather than propagating -inf.
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -77,7 +76,7 @@ def lyapunov_spectrum(
     the step count, sorted descending."""
     initial.require_feasible()
     basis = np.eye(params.n_banks).tolist()
-    totals, saturated = _tangent(initial.lambdas, params, transient, steps, basis)
+    totals, saturated = _run_checked(initial.lambdas, params, transient, steps, basis)
     exps = tuple(sorted((total / steps for total in totals), reverse=True))
     return LyapunovEstimate(exps, steps, transient, saturated)
 
@@ -94,7 +93,7 @@ def lyapunov_top(
     sweeps where only the sign and rough magnitude matter."""
     initial.require_feasible()
     start = list(_start_vector(seed, params.n_banks))
-    return _tangent(initial.lambdas, params, transient, steps, [start])[0][0] / steps
+    return _run_checked(initial.lambdas, params, transient, steps, [start])[0][0] / steps
 
 
 @lru_cache(maxsize=64)
@@ -105,19 +104,6 @@ def _start_vector(seed: int, n: int) -> tuple[float, ...]:
     building its generator costs a third of a short compiled exponent."""
     v, norm = _orthogonalised(np.random.default_rng(seed).standard_normal(n).tolist(), [])
     return tuple(x / norm for x in v)
-
-
-def _tangent(lambdas: Sequence[float], params: ModelParams, transient: int, steps: int,
-             q: list[list[float]]) -> tuple[list[float], bool]:
-    """The renormalised tangent pass (Benettin et al. 1980) of the k unit
-    vectors ``q``, re-orthonormalised by modified Gram-Schmidt (Shimada &
-    Nagashima 1979), over ``steps`` steps after ``transient`` of the orbit
-    from ``lambdas``: ``orbits._run``'s totals and flag.  Raises ValueError
-    unless steps >= 1 and transient >= 0, or where ``_run`` does, and
-    OrbitViolationError where the orbit escapes."""
-    if steps < 1 or transient < 0:
-        raise ValueError("need steps >= 1 and transient >= 0")
-    return _run_checked(lambdas, params, transient, steps, q)
 
 
 def fiber_exponent(

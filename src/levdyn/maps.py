@@ -57,26 +57,30 @@ def coupled_jacobian(lambdas: Sequence[float], params: ModelParams) -> np.ndarra
                           - (1-omega_i) K pi_j / (1+gamma-m)^3]
     where T_i is the updated leverage of bank i.
     """
-    return step_jacobian(lambdas, advance(lambdas, params), params)
+    new = advance(lambdas, params)
+    d = 1.0 + params.gamma - mean_field(lambdas, params.pis)
+    kernel3 = params.coupling_coef / ((d * d) * d)
+    return np.array(step_jacobian(lambdas, new, kernel3, params.omegas, params.pis))
 
 
-def step_jacobian(
-    lams: Sequence[float] | np.ndarray, new: Sequence[float] | np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """coupled_jacobian at states ``lams`` (N, or a stack of them,
-    ... x N) whose step is already known: ``new`` holds their successors.
-    Every state takes its memories, weights, gamma and coupling
-    coefficient from ``params``.  Returns (..., N, N).
-    """
-    lams, new, omegas, pis = (
-        np.asarray(a, dtype=float) for a in (lams, new, params.omegas, params.pis))
-    n = lams.shape[-1]
-    d = 1.0 + params.gamma - mean_field(np.moveaxis(lams, -1, 0), pis)
-    kernel3 = params.coupling_coef / (d * d * d)
-    entry = -((1.0 - omegas) * kernel3[..., None])[..., :, None] * pis
-    # the diagonal, as a strided view of the fresh array
-    entry.reshape(*entry.shape[:-2], n * n)[..., :: n + 1] += omegas / (lams * lams * lams)
-    return (new * new * new)[..., :, None] * entry
+def step_jacobian(lams: Sequence[float], new: Sequence[float], kernel3: float,
+                  omegas: Sequence[float], pis: Sequence[float]) -> list[list[float]]:
+    """coupled_jacobian's rows at ``lams``, whose successors ``new`` are
+    known, with kernel3 = K / (1+gamma-m)^3 at their mean field m: the one
+    Python Jacobian, which ``orbits._run`` steps on and ``levdyn_orbit`` mirrors."""
+    rows = []
+    for i in range(len(lams)):
+        lam = lams[i]
+        w = omegas[i]
+        a = -((1.0 - w) * kernel3)
+        lam3 = (lam * lam) * lam
+        # 0 only from an infeasible start: C's quotient, inf or nan
+        diag = w / lam3 if lam3 else w * math.copysign(math.inf, lam3)
+        cube = (new[i] * new[i]) * new[i]
+        row = [cube * (a * pj) for pj in pis]
+        row[i] = cube * (a * pis[i] + diag)
+        rows.append(row)
+    return rows
 
 
 def fiber_map(x: float, y: float, omega1: float, params: ModelParams) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from . import _kernel
 from ._draw import uniform
 from .errors import InsufficientTraceError, OrbitViolationError
+from .maps import step_jacobian
 from .params import LeverageState, ModelParams, mean_field
 
 #: constraint names used in violation records
@@ -179,12 +180,13 @@ def _run(
     exactly on the bound is recorded but cannot be advanced.
 
     Returns the ``record`` states after the transient or, given k >= 1
-    unit vectors ``q``, the totals of their log growth and whether one
-    vanished, each step taking a ``_tangent_step`` on its Jacobian as
-    ``maps.step_jacobian`` forms it; and the violation, None or (step,
-    constraint), counting steps from 1.  Raises ValueError unless
-    ``lambdas`` holds one leverage per bank and the run can count its
-    steps.
+    unit vectors ``q``, the renormalised tangent pass (Benettin et al.
+    1980): the totals of their log growth and whether one vanished, each
+    step a ``_tangent_step`` on the rows of ``maps.step_jacobian``; and
+    the violation, None or (step, constraint), counting steps from 1.
+    Raises ValueError for a negative transient or record, no record given
+    vectors, or where ``lambdas`` does not hold one leverage per bank or
+    the run cannot count its steps.
 
     The loop runs compiled (``levdyn_orbit`` in ``_kernel.c``) when that
     loaded.  The Python loop below is its reference, statement for
@@ -192,6 +194,8 @@ def _run(
     where the compiled loop defers: to raise ZeroDivisionError at its
     step, or to replace a vector that vanished.
     """
+    if transient < 0 or record < (0 if q is None else 1):
+        raise ValueError("need transient >= 0 and record >= 0 (>= 1 for a tangent pass)")
     if transient + record > MAX_STEPS:
         raise ValueError(f"transient + steps exceeds {MAX_STEPS}")
     n = len(lambdas)
@@ -255,19 +259,7 @@ def _run(
                 recorded[kept] = nxt
                 kept += 1
             else:
-                kernel3 = coef / ((d * d) * d)
-                rows = []
-                for i in range(n):
-                    lam = lams[i]
-                    w = omegas[i]
-                    a = -((1.0 - w) * kernel3)
-                    lam3 = (lam * lam) * lam
-                    # 0 only from an infeasible start: C's quotient, inf or nan
-                    diag = w / lam3 if lam3 else w * math.copysign(math.inf, lam3)
-                    cube = (nxt[i] * nxt[i]) * nxt[i]
-                    row = [cube * (a * pj) for pj in pis]
-                    row[i] = cube * (a * pis[i] + diag)
-                    rows.append(row)
+                rows = step_jacobian(lams, nxt, coef / ((d * d) * d), omegas, pis)
                 saturated |= _tangent_step(rows, q, totals)
         lams, nxt = nxt, lams
     return (recorded[:kept] if q is None else (totals, saturated)), violation
@@ -300,8 +292,6 @@ def iterate(
     metadata instead of raising.
     """
     initial.require_feasible()
-    if transient < 0 or record < 0:
-        raise ValueError("transient and record must be non-negative")
     recorded, violation = _run(list(initial.lambdas), params, transient, record)
     return OrbitTrace(
         params=params,

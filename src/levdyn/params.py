@@ -120,9 +120,7 @@ def mean_field(lambdas: Sequence[float], pis: Sequence[float]) -> float:
     """Weighted mean leverage, accumulated left to right.
 
     Single accumulation order everywhere keeps orbit iteration, map
-    evaluation and the Jacobian bit-consistent with each other.  Given
-    arrays with the banks along the first axis, it forms the mean field
-    of every state at once, in the same order.
+    evaluation and the Jacobian bit-consistent with each other.
     """
     m = 0.0
     for p, lam in zip(pis, lambdas):

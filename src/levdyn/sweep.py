@@ -14,10 +14,10 @@ initial, then runs ``detect_period``, ``lyapunov_top`` and ``classify``
 on the first survivor.  A stability cell (omega1, omega2) is the point
 omega1 of the omega1 sweep at fixed omega2.
 
-Every orbit runs through ``iterate``, and so through ``orbits._run``,
-and every top exponent through ``lyapunov_top``, and so through the
-tangent pass ``lyap._tangent``; both are compiled where a C compiler is
-found, each as one call of ``levdyn_orbit``, the pass with its transient.
+Every orbit runs through ``iterate``, and every top exponent through
+``lyapunov_top``, and so both through ``orbits._run``, the exponent as
+its tangent pass; both are compiled where a C compiler is found, each
+as one call of ``levdyn_orbit``, the pass with its transient.
 With one worker the points run in process.  With more, the pool workers
 take contiguous chunks of at most CHUNK_POINTS of them, and for a
 stability map return only each cell's class.  So a record does not

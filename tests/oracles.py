@@ -1,24 +1,27 @@
 """Oracles and a parser that only the tests use.
 
 ``leverage_map_deriv`` and ``fiber_map_deriv`` are the analytic
-derivatives of the one-bank map and of the fiber map, which the tests
-hold ``levdyn.maps.step_jacobian`` and the Lyapunov exponents to;
-``read_csv`` parses what ``levdyn.output.write_csv`` writes.
+derivatives of the one-bank map and of the fiber map, written out in
+closed form, which the tests hold ``levdyn.maps.coupled_jacobian`` and
+the Lyapunov exponents to; ``read_csv`` parses what
+``levdyn.output.write_csv`` writes.
 """
 
 from __future__ import annotations
 
 from typing import TextIO
 
-from levdyn.maps import fiber_map, leverage_map, step_jacobian
+from levdyn.maps import fiber_map, leverage_map
 from levdyn.params import ModelParams
 
 
 def leverage_map_deriv(x: float, omega: float, params: ModelParams) -> float:
     """Analytic derivative T'(x) = T(x)^3 [omega/x^3 - (1-omega) K/(1+gamma-x)^3],
-    the 1 x 1 step_jacobian."""
+    K = alpha^2 gamma^2 sigma_eps_sq.  Raises DomainError where T does."""
     t = leverage_map(x, omega, params)
-    return float(step_jacobian([x], [t], params.with_single_omega(omega))[0, 0])
+    k = params.alpha * params.alpha * params.gamma * params.gamma * params.sigma_eps_sq
+    d = 1.0 + params.gamma - x
+    return t * t * t * (omega / (x * x * x) - (1.0 - omega) * (k / (d * d * d)))
 
 
 def fiber_map_deriv(x: float, y: float, omega1: float, params: ModelParams) -> float:

@@ -321,6 +321,37 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith("levdyn: error: ")
         assert str(out) in err[0]
 
+    @pytest.mark.parametrize("out", ["results/", ""])
+    def test_out_naming_no_file_exits_1(self, tmp_path, capsys, monkeypatch, out):
+        # a missing path with no file name is opened before the run, and the
+        # error names it: "results/" used to be written as a file "results",
+        # and "" to fail after the run, naming a temporary file
+        cfg = write_config(tmp_path, {"model": {"omegas": [0.5]},
+                                      "run": {"initial": [50.0], "record": 3}})
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("levdyn: error: ")
+        assert err[0].endswith(repr(out)), err
+        assert [p.name for p in tmp_path.iterdir()] == [Path(cfg).name]
+
+    def test_a_reader_that_leaves_ends_the_run_quietly(self, tmp_path):
+        # as `levdyn simulate | head -1`: the run used to exit 1 with
+        # "levdyn: error: [Errno 32] Broken pipe"
+        cfg = write_config(tmp_path, {"model": {"omegas": [0.5]},
+                                      "run": {"initial": [50.0], "record": 400000}})
+        src = str(Path(levdyn.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen([sys.executable, "-m", "levdyn.cli", "simulate", "--config", cfg],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as proc:
+            assert proc.stdout.readline().startswith("# levdyn_version: ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert err == ""
+
     @pytest.mark.parametrize("document, out, code, line", [
         (None, "z.csv", 2, "levdyn: configuration error: cannot read config: "),
         ({"model": STD_MODEL, "run": {"initial": [50.0, 60.0]}}, "no-such-dir/z.csv", 1,

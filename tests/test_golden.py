@@ -146,8 +146,8 @@ def test_golden_output_python_loops(name, tmp_path):
 
 
 #: the cases whose digests hold on any BLAS kernel: every exponent goes
-#: through ``lyap._tangent``, which spells out its multiply-adds.  ``boxdim``
-#: and ``micro`` still reach BLAS calls.
+#: through the tangent pass of ``orbits._run``, which spells out its
+#: multiply-adds.  ``boxdim`` and ``micro`` still reach BLAS calls.
 KERNEL_FREE = ("bifurcate-omega", "bifurcate-pi1", "bifurcate-preset", "lyapunov-1d",
                "lyapunov-2d", "stability-map")
 #: runs each (command, config, out) triple of argv[1] through the CLI

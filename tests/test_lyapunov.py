@@ -27,7 +27,6 @@ from levdyn.maps import (
     coupled_jacobian,
     fiber_map,
     leverage_map,
-    step_jacobian,
 )
 from levdyn.orbits import detect_period, iterate
 from levdyn.params import LeverageState, ModelParams
@@ -171,17 +170,23 @@ class TestWindow:
     """The exponents step their orbit and tangent vectors in orbits._run,
     which holds one state whatever the window."""
 
-    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"transient": -5}])
+    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"transient": -5}, {"steps": -5}])
     def test_bad_lengths_raise(self, std1, kwargs):
+        """A negative transient or window raises on both loop paths, in the
+        exponents and in ``iterate``, as does a tangent pass of no steps."""
         p = two_bank(0.5, 0.3, 0.5)
         state = LeverageState.from_lambdas([50.0, 60.0], p)
         run = {"transient": 10, "steps": 10, **kwargs}
-        with pytest.raises(ValueError):
-            lyapunov_1d(0.5, std1, 50.0, **run)
-        with pytest.raises(ValueError):
-            lyapunov_top(state, p, **run)
-        with pytest.raises(ValueError):
-            lyapunov_spectrum(state, p, **run)
+        for loops in (nullcontext, python_loops):
+            with pytest.raises(ValueError):
+                lyapunov_1d(0.5, std1, 50.0, **run)
+            with pytest.raises(ValueError):
+                lyapunov_top(state, p, **run)
+            with pytest.raises(ValueError):
+                lyapunov_spectrum(state, p, **run)
+            if run["steps"] < 0 or run["transient"] < 0:
+                with pytest.raises(ValueError):
+                    iterate(state, p, run["transient"], run["steps"])
 
     def test_infeasible_start_is_step_zero(self, std1):
         for x0, constraint in ((0.5, "leverage_floor"), (102.0, "ar1_stationarity")):
@@ -393,11 +398,11 @@ def test_one_bank_spectrum_is_the_scalar_exponent(case, steps):
 
 
 def _pass_outcome(initial, p, steps, seed):
-    """``lyap._tangent`` of one vector on the orbit from ``initial``: the
+    """The tangent pass of one vector on the orbit from ``initial``: the
     exponent's repr with the saturation flag, or the escape."""
     try:
-        (total,), saturated = lyap._tangent(list(initial.lambdas), p, 0, steps,
-                                            [list(lyap._start_vector(seed, p.n_banks))])
+        (total,), saturated = orbits._run_checked(
+            list(initial.lambdas), p, 0, steps, [list(lyap._start_vector(seed, p.n_banks))])
     except OrbitViolationError as exc:
         return ("violation", exc.step, exc.constraint), None
     return repr(total / steps), saturated
@@ -412,11 +417,11 @@ def _seeded_unit(rng, n):
 
 def _window_jacobians(start, p, steps):
     """The Jacobians of the ``steps`` steps of the orbit from ``start``, one
-    block of them, formed by ``maps.step_jacobian`` from iterate's states."""
+    block of them: ``coupled_jacobian`` at each state before a step."""
     trace = iterate(LeverageState.from_lambdas(start, p), p, 0, steps)
     assert trace.survived
-    states = np.vstack(([start], trace.recorded))
-    return [step_jacobian(states[:-1], states[1:], p)]
+    states = [start, *trace.recorded[:-1].tolist()]
+    return [np.array([coupled_jacobian(state, p) for state in states])]
 
 
 def _alone(omega, n):
@@ -494,9 +499,9 @@ def test_superstable_exponents_keep_their_values(loops):
 
 
 class TestTopLanes:
-    """``lyap._tangent``, the one tangent pass behind ``lyapunov_1d``,
-    ``lyapunov_top`` and the sweeps' exponents, one orbit (lane) at a
-    time against ``_reference_top``."""
+    """The one tangent pass behind ``lyapunov_1d``, ``lyapunov_top`` and
+    the sweeps' exponents, one orbit (lane) at a time against
+    ``_reference_top``."""
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_lanes_vanishing_at_different_steps_match_reference(self, seed):
@@ -729,14 +734,14 @@ class _DeferringLib:
 
 
 def _tangent_bytes(lambdas, p, transient, steps, seed, k):
-    """``lyap._tangent``'s totals and flag as bytes, or what it raised: one
+    """The tangent pass's totals and flag as bytes, or what it raised: one
     vector drawn from ``seed``, or the spectrum's identity columns."""
     if k == 1:
         q = [list(lyap._start_vector(seed, p.n_banks))]
     else:
         q = [[float(i == j) for j in range(k)] for i in range(k)]
     try:
-        totals, saturated = lyap._tangent(list(lambdas), p, transient, steps, q)
+        totals, saturated = orbits._run_checked(list(lambdas), p, transient, steps, q)
     except OrbitViolationError as exc:
         return ("violation", exc.step, exc.constraint)
     except ZeroDivisionError:
@@ -811,7 +816,7 @@ def test_fused_top_pass_matches_python_pass(case, transient, steps, seed, spectr
     steps the tangent vectors in one loop, gives the Python pass's bytes,
     for one vector and for the spectrum's n: its escapes included, and
     where a vector vanishes it defers and the Python pass runs.  Where it
-    defers after running (``defer``), ``lyap._tangent`` discards its
+    defers after running (``defer``), ``orbits._run`` discards its
     partial pass and gives the Python pass's bytes too."""
     p, lambdas = case
     k = p.n_banks if spectrum else 1

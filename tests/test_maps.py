@@ -14,7 +14,6 @@ from levdyn.maps import (
     coupled_jacobian,
     fiber_map,
     leverage_map,
-    step_jacobian,
 )
 from levdyn.orbits import iterate
 from levdyn.params import LeverageState, ModelParams, common_fixed_point
@@ -88,11 +87,12 @@ class TestSingleBankMap:
 
     def test_unimodal_single_critical_point(self, std1):
         xs = np.linspace(1e-3, std1.lambda_max - 1e-3, 100_000)
+        k, d = std1.coupling_coef, 1.0 + std1.gamma - xs
         for omega in (0.1, 0.3, 0.5, 0.7, 0.9):
-            # leverage_map_deriv on the whole grid: one stack of 1 x 1 Jacobians
-            new = [leverage_map(x, omega, std1) for x in xs.tolist()]
-            derivs = step_jacobian(xs[:, None], np.array(new)[:, None], std1.with_single_omega(omega))
-            signs = derivs[:, 0, 0] > 0
+            # leverage_map_deriv's closed form on the whole grid at once
+            new = (omega / xs**2 + (1.0 - omega) * k / d**2) ** -0.5
+            derivs = new**3 * (omega / xs**3 - (1.0 - omega) * k / d**3)
+            signs = derivs > 0
             assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 1
 
     @settings(max_examples=50, deadline=None)
@@ -202,26 +202,6 @@ class TestJacobian:
                 fd = (np.array(advance(up, p)) - np.array(advance(dn, p))) / (2 * h)
                 for i in range(n):
                     assert jac[i, j] == pytest.approx(fd[i], rel=1e-5, abs=1e-8)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_stack_matches_per_state_calls(self, shape, seed):
-        """An (a, b, N) stack of states, all with the memories and weights
-        of one ModelParams, gives each state's own Jacobian bit for bit."""
-        g = np.random.default_rng(seed)
-        n = shape[-1]
-        raw = g.uniform(0.05, 1.0, n)
-        p = ModelParams(omegas=g.uniform(0.0, 1.0, n), pis=raw / math.fsum(raw))
-        lams = g.uniform(1.0, 100.0, shape)
-        new = g.uniform(1.0, 100.0, shape)
-        stack = step_jacobian(lams, new, p)
-        assert stack.shape == (*shape, n)
-        for i, j in np.ndindex(shape[:2]):
-            one = step_jacobian(lams[i, j], new[i, j], p)
-            assert stack[i, j].tobytes() == one.tobytes()
 
     def test_zero_weight_bank_decouples(self):
         # pi_1 = 0: own column of the forcing bank is exactly zero
@@ -353,13 +333,14 @@ class TestClosedForms:
             d = 1.0 + p.gamma - x
             return 1.0 / math.sqrt(omega / (x * x) + (1.0 - omega) * (k / (d * d)))
 
-        def closed_deriv(x, omega, p):
-            t = closed_map(x, omega, p)
-            d = 1.0 + p.gamma - x
-            return t * t * t * (omega / (x * x * x) - (1.0 - omega) * (k / (d * d * d)))
+        def jacobian(x, omega, p):
+            return coupled_jacobian([x], p.with_single_omega(omega))
+
+        def closed_jacobian(x, omega, p):
+            return np.array([[leverage_map_deriv(x, omega, p)]])
 
         assert _outcome(leverage_map, x, omega, p) == _outcome(closed_map, x, omega, p)
-        assert _outcome(leverage_map_deriv, x, omega, p) == _outcome(closed_deriv, x, omega, p)
+        assert _outcome(jacobian, x, omega, p) == _outcome(closed_jacobian, x, omega, p)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
