@@ -1,17 +1,19 @@
-"""Uniform draws equal bit for bit to
-``numpy.random.default_rng(entropy).uniform(low, high, (rows, cols))``,
-in pure Python, so a seeded start loads neither ``numpy.random`` nor,
-through its ``secrets`` import, OpenSSL's libcrypto.
+"""levdyn's seeded streams, those of ``numpy.random.default_rng(entropy)``
+bit for bit: its uniform draws, in pure Python, so a seeded start loads
+neither ``numpy.random`` nor, through its ``secrets`` import, OpenSSL's
+libcrypto; and the seed of the standard normals that ``_kernel.c`` draws
+for ``micro``'s shocks.
 
 The stream is NumPy's: the entropy (an int, or a list of ints) is split
 into 32-bit words, least significant first, each int on its own; the
 words are hashed into SeedSequence's pool of 4 words, words past the
 fourth mixed into every pool word; ``generate_state(4, uint64)`` gives
-the PCG64 seed and increment; and each value is low + (high - low) * u
+the PCG64 seed and increment; and each uniform is low + (high - low) * u
 from the 53-bit double u = (next64 >> 11) * 2**-53 of PCG64's 128-bit
 LCG with the XSL-RR output, in C order.  Owning it means the seeded
-starts no longer depend on ``Generator.uniform``, whose stream NumPy
-does not promise to keep across releases (NEP 19).
+starts and the micro shocks no longer depend on ``Generator.uniform``
+or ``Generator.standard_normal``, whose streams NumPy does not promise
+to keep across releases (NEP 19).
 """
 
 from __future__ import annotations
@@ -86,15 +88,10 @@ def _pool(words: list[int]) -> list[int]:
     return cells[:4]
 
 
-def uniform(
-    entropy: int | list[int], low: float, high: float, rows: int, cols: int
-) -> list[list[float]]:
-    """``rows`` lists of ``cols`` values, those of
-    ``np.random.default_rng(entropy).uniform(low, high, (rows, cols))``
-    for finite low <= high.  ValueError for negative entropy, as NumPy
-    raises it."""
-    low = float(low)
-    span = float(high) - low
+def pcg64(entropy: int | list[int]) -> tuple[int, int]:
+    """The 128-bit state and odd increment of the PCG64 that
+    ``np.random.default_rng(entropy)`` seeds, before its first draw.
+    ValueError for negative entropy, as NumPy raises it."""
     pool = _pool(_words(entropy))
     state32 = []
     for i, (x, m) in enumerate(_STATE_HASHES):
@@ -104,7 +101,19 @@ def uniform(
     # PCG's seeding: the odd increment 2 i + 1, and the state 0 stepped,
     # plus the seed s, stepped again
     inc = (seed[2] << 64 | seed[3]) << 1 & _MASK128 | 1
-    state = ((inc + (seed[0] << 64 | seed[1])) * _PCG_MULT + inc) & _MASK128
+    return ((inc + (seed[0] << 64 | seed[1])) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def uniform(
+    entropy: int | list[int], low: float, high: float, rows: int, cols: int
+) -> list[list[float]]:
+    """``rows`` lists of ``cols`` values, those of
+    ``np.random.default_rng(entropy).uniform(low, high, (rows, cols))``
+    for finite low <= high.  ValueError for negative entropy, as NumPy
+    raises it."""
+    low = float(low)
+    span = float(high) - low
+    state, inc = pcg64(entropy)
     out = []
     for _ in range(rows):
         row = []

@@ -9,18 +9,24 @@ into place, so processes building at once do not race; the libraries
 of earlier sources in that directory are then removed.  ``lib`` is the
 library once a short orbit, a tick pass with its weight drift, a
 two-vector tangent pass and a block of CSV rows give the same bytes
-through it as through the Python loops, and the box counts of a small
+through it as through the Python loops, the box counts of a small
 lattice cloud equal PROBE_BOXES, the counts that the numpy counter
-gives; otherwise, also where that self-check raises, it is None,
-``orbits._run`` (behind every Lyapunov exponent too) and
-``micro._ticks`` loop in Python, ``attractor`` counts boxes with numpy
-and ``output`` formats every cell in Python.  There are four compiled
-loops.  ``levdyn_orbit`` runs an orbit's transient and then its window,
+gives, and its first normals of PROBE_SEED equal PROBE_NORMALS, NumPy's,
+with a tick pass that draws them giving the bytes of the Python loop on
+the pinned values; otherwise, also where that self-check raises, it is
+None, ``orbits._run`` (behind every Lyapunov exponent too) and
+``micro._ticks`` loop in Python, ``micro`` draws its shocks with
+``numpy.random``, ``attractor`` counts boxes with numpy and ``output``
+formats every cell in Python.  There are four compiled loops and a
+stream.  ``levdyn_orbit`` runs an orbit's transient and then its window,
 recording the states, stepping k tangent vectors on the step's
 Jacobian, or both: its one caller, ``orbits._run``, calls it with k = 0
 to record an orbit and with k >= 1 once per Lyapunov exponent; where a
 vector vanishes it defers to Python.  ``levdyn_ticks`` is the intraday
-tick pass, which scans the drift of the banks' asset weights as it goes,
+tick pass, which scans the drift of the banks' asset weights as it goes
+and draws its start return and shocks, those of
+``np.random.default_rng(seed).standard_normal``, from levdyn's own PCG64
+and ziggurat; ``levdyn_normals`` draws the same stream on its own.
 ``levdyn_boxes`` marks the occupancy grids of
 ``attractor.occupied_box_counts``, one bit a cell, in one pass over a cloud
 and counts them, and ``levdyn_rows`` formats the cells of ``output._block_texts``.
@@ -55,6 +61,13 @@ PROBE_EPSILONS = (0.1, 0.25, 0.01)
 #: that counter at import, which faults in pages of numpy's loops (0.1 MB
 #: or more of peak RSS)
 PROBE_BOXES = (7, 6, 7)
+#: the first normals of ``default_rng(PROBE_SEED).standard_normal``, pinned
+#: as PROBE_BOXES is, so that no process imports numpy.random at load: the
+#: ziggurat takes a wedge for the fourth, rejects one and ends the sixth in
+#: the tail
+PROBE_SEED = 232108
+PROBE_NORMALS = (-0.06067597977217445, -0.2781021114242756, 0.10829524492232609,
+                 3.3996164899656995, -1.4094501081162647, -4.18163279018417)
 
 log = logging.getLogger(__name__)
 lib: ctypes.CDLL | None = None
@@ -109,16 +122,17 @@ def _build(source: Path, directories: list[Path]) -> Path:
 
 
 def _probe() -> tuple:
-    """A two-bank orbit, one that escapes, a tick pass and its drift, a
-    two-vector tangent pass on that orbit, one whose orbit escapes, the
-    box counts of PROBE_CLOUD and the rows of a block of edge-case cells,
-    as bytes and values, through whichever loops ``lib`` selects; with no
-    library the box counts are PROBE_BOXES."""
+    """A two-bank orbit, one that escapes, a tick pass and its drift, the
+    normals of PROBE_SEED and a tick pass that draws them, a two-vector
+    tangent pass on that orbit, one whose orbit escapes, the box counts of
+    PROBE_CLOUD and the rows of a block of edge-case cells, as bytes and
+    values, through whichever loops ``lib`` selects; with no library the
+    normals are PROBE_NORMALS and the box counts PROBE_BOXES."""
     import numpy as np
 
     from .attractor import occupied_box_counts
     from .errors import OrbitViolationError
-    from .micro import _impact, _ticks
+    from .micro import _Shocks, _impact, _ticks
     from .orbits import _run, _run_checked
     from .output import RowBlock, _block_texts
     from .params import ModelParams
@@ -130,6 +144,15 @@ def _probe() -> tuple:
     returns, drift = _ticks(equities, assets, [50.0, 60.0], 1e-4,
                             _impact([50.0, 60.0], assets, 100.0), 100.0,
                             np.array([1e-3, -5e-4, 2e-3]), 0)
+    # levdyn's normals, and a tick pass that draws them as it goes, against
+    # the pins and a pass on the shocks formed from them
+    if lib is None:
+        normals = PROBE_NORMALS
+        r, shocks = 0.0 + 2e-3 * normals[0], np.array(normals[1:]) * 1e-3 + 0.0
+    else:
+        normals = tuple(_Shocks(PROBE_SEED, 0, 1.0).draw(len(PROBE_NORMALS)).tolist())
+        r, shocks = 2e-3, _Shocks(PROBE_SEED, len(PROBE_NORMALS) - 1, 1e-3)
+    drawn = _ticks([0.01, 0.008], [0.5, 0.48], [50.0, 60.0], r, 0.5, 100.0, shocks, 0)
     # fixed vectors keep numpy.random, and its memory, out of the import
     tangent = _run_checked([50.0, 60.0], params, 3, 40, [[0.6, -0.8], [0.8, 0.6]])
     try:
@@ -150,8 +173,8 @@ def _probe() -> tuple:
     words = np.array(["a,b", ""] * (n // 2))
     cells = RowBlock((0.5, None), (np.array(floats), ints, ints % 3 == 0, words), ("x",))
     return (recorded.tobytes(), violation, _run([100.99, 100.99], params, 0, 5)[1],
-            returns.tobytes(), drift.hex(), equities, assets, tangent, escape,
-            boxes, list(_block_texts(cells)))
+            returns.tobytes(), drift.hex(), equities, assets, normals, drawn[0].tobytes(),
+            drawn[1].hex(), tangent, escape, boxes, list(_block_texts(cells)))
 
 
 def _load() -> ctypes.CDLL | None:
@@ -165,7 +188,9 @@ def _load() -> ctypes.CDLL | None:
     candidate.levdyn_orbit.argtypes = [ctypes.c_int, ptr, ptr, ptr, real, real, real,
                                        size, size, ptr, ctypes.c_int, ptr, ptr, ptr]
     candidate.levdyn_ticks.argtypes = [ctypes.c_int, ptr, ptr, ptr, ptr, real, real, real,
-                                       ptr, size, ptr, ptr, ptr]
+                                       ptr, ptr, real, size, ptr, ptr, ptr]
+    candidate.levdyn_normals.argtypes = [ptr, size, ptr]
+    candidate.levdyn_normals.restype = None
     candidate.levdyn_boxes.argtypes = [size, ptr, ptr, ptr, ctypes.c_int, ptr, ptr, ptr, ptr]
     candidate.levdyn_boxes.restype = None
     text = ctypes.c_char_p

@@ -24,34 +24,30 @@ compiled copy scans it tick by tick, with no per-tick weights kept, on
 arrays that a run makes once; its Python loop forms it from the stored
 per-tick assets.
 
-A run's seed returns and shocks are one seeded stream of normals, drawn
-in order by ``_shock_blocks``.  A long run draws them ahead on a helper
-thread, a block of periods at a time, while the current period's ticks
-run; one thread draws every value in stream order, so the bytes are the
-same at any timing.
+A run's seed returns and shocks are one stream of normals, those of
+``np.random.default_rng(rng_seed).standard_normal`` (``_Shocks``).  The
+compiled tick loop draws them itself as it goes, so a run loads no
+``numpy.random`` and starts no thread; the Python loop takes each
+period's from numpy in one call.  A zero-noise run draws nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import sys
 from array import array
-from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from . import _kernel
+from . import _draw, _kernel
 from .errors import InsolvencyError, NonstationaryError
 from .orbits import _run_checked
 from .params import ModelParams, mean_field
 
 #: variance estimates are floored here to keep leverage finite
 SIGMA_SQ_FLOOR = 1e-18
-#: normals in a block that the helper thread draws (256 KB): as many
-#: whole periods as fit, at least one
-BLOCK_DRAWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -90,6 +86,38 @@ def _impact(lambdas: list[float], assets: list[float], gamma: float) -> float:
     return demand / (gamma * total)
 
 
+class _Shocks:
+    """A run's normals, those of ``np.random.default_rng(seed)``'s
+    ``standard_normal``: each period's start-return z, then ``ticks``
+    shocks 0.0 + scale * z.  levdyn draws them (``levdyn_ticks``,
+    ``levdyn_normals``) from the PCG64 ``stream`` that ``_draw.pcg64``
+    seeds where the compiled loops loaded, and numpy where not."""
+
+    def __init__(self, seed: int, ticks: int, scale: float) -> None:
+        self.ticks, self.scale, self.lib = ticks, scale, _kernel.lib
+        if self.lib is None:
+            self.rng = np.random.default_rng(seed)
+        else:
+            self.stream = ctypes.create_string_buffer(
+                b"".join(v.to_bytes(16, sys.byteorder) for v in _draw.pcg64(seed)), 32)
+
+    def draw(self, k: int) -> np.ndarray:
+        """The stream's next k standard normals."""
+        if self.lib is None:
+            return self.rng.standard_normal(k)
+        z = np.empty(k)
+        self.lib.levdyn_normals(self.stream, k, z.ctypes.data)
+        return z
+
+    def period(self, r: float) -> tuple[float, np.ndarray]:
+        """A period's start return, 0.0 + r * z, and its shocks."""
+        z = self.draw(self.ticks + 1)
+        shocks = z[1:]
+        shocks *= self.scale
+        shocks += 0.0  # as numpy adds loc, which turns a -0.0 shock into 0.0
+        return 0.0 + r * float(z[0]), shocks
+
+
 class _TickBuffers:
     """The arrays of the compiled tick pass on ``banks`` banks and ``ticks``
     shocks, with their addresses, made once for a run's periods: one
@@ -97,8 +125,9 @@ class _TickBuffers:
     the returns, the drift, and the tick and bank of an insolvency."""
 
     def __init__(self, banks: int, ticks: int) -> None:
+        self.ticks = ticks
         self.state = (ctypes.c_double * (4 * banks))()
-        self.returns = np.empty(ticks)
+        self.returns = np.empty(ticks + 1)
         self.drift = ctypes.c_double()
         self.out = (ctypes.c_longlong * 2)()
         at = ctypes.addressof(self.state)
@@ -109,50 +138,60 @@ class _TickBuffers:
 
 def _ticks(
     equities: list[float], assets: list[float], lambdas: list[float], r: float, phi: float,
-    gamma: float, eps: np.ndarray, period: int, buffers: _TickBuffers | None = None,
+    gamma: float, eps: np.ndarray | _Shocks, period: int, buffers: _TickBuffers | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Run one intraday tick per shock in the float64 vector ``eps``,
-    updating ``equities`` and ``assets`` in place from the return ``r``
-    and the impact coefficient ``phi`` (``_impact`` of the leverages and
-    assets) before the first tick.
+    """Run one intraday tick per shock, updating ``equities`` and
+    ``assets`` in place from the start return ``r`` and the impact
+    coefficient ``phi`` (``_impact`` of the leverages and assets) before
+    the first tick.  The shocks are the float64 vector ``eps``, or a
+    run's ``_Shocks``, which draw the start return 0.0 + r * z first.
 
     Each tick forms r_s = phi_s r_{s-1} + eps_s, marks every bank's
     equity to market and rebalances it to lambda_i E_i; the pass over
     the banks also accumulates the next tick's phi.  An equity that is
     not positive (NaN included) raises InsolvencyError(period, bank).
-    Returns the tick returns and the weight drift: the largest
-    |w_i - w0_i| over the ticks and banks, where w is a tick's assets
-    over their left-to-right sum and w0 the assets at entry over their
-    fsum; NaN where any is NaN, as np.max gives, and 0.0 for no shock.
+    Returns the start return and the tick returns, one vector, and the
+    weight drift: the largest |w_i - w0_i| over the ticks and banks,
+    where w is a tick's assets over their left-to-right sum and w0 the
+    assets at entry over their fsum; NaN where any is NaN, as np.max
+    gives, and 0.0 for no shock.
 
     The loop runs compiled (``levdyn_ticks`` in ``_kernel.c``) when that
-    loaded, on ``buffers`` made for these banks and ``len(eps)`` shocks
-    (fresh ones where it is None); the returns are then its buffer,
-    overwritten by the next call on it.  The Python loop below is its
-    reference.  It runs where no C compiler is found, and where the
-    compiled loop stops at a step on which Python raises
-    ZeroDivisionError, to raise it.
+    loaded, on ``buffers`` made for these banks and shocks (fresh ones
+    where it is None); the returns are then its buffer, overwritten by
+    the next call on it.  The Python loop below is its reference.  It
+    runs where no C compiler is found, and where the compiled loop stops
+    at a step on which Python raises ZeroDivisionError, to raise it.
     """
     total0 = math.fsum(assets)
     weights0 = [a / total0 for a in assets]
-    lib = _kernel.lib
     banks = len(equities)
-    if lib is not None and banks == len(assets) == len(lambdas):
-        shocks = np.ascontiguousarray(eps, dtype=float)  # no copy of a contiguous vector
-        buf = buffers or _TickBuffers(banks, shocks.size)
-        if shocks.shape != buf.returns.shape:
-            raise ValueError(f"buffers for {buf.returns.size} ticks, given {shocks.shape} shocks")
+    lib = _kernel.lib if banks == len(assets) == len(lambdas) else None
+    if isinstance(eps, _Shocks) and lib is None:
+        r, eps = eps.period(r)
+    drawn = isinstance(eps, _Shocks)
+    if lib is not None:
+        if drawn:  # levdyn_ticks draws the start return and the shocks
+            source, shape = (None, eps.stream, eps.scale), (eps.ticks,)
+        else:
+            shocks = np.ascontiguousarray(eps, dtype=float)  # no copy of a contiguous vector
+            source, shape = (shocks.ctypes.data, None, 0.0), shocks.shape
+        buf = buffers or _TickBuffers(banks, math.prod(shape))
+        if shape != (buf.ticks,):
+            raise ValueError(f"buffers for {buf.ticks} ticks, given {shape} shocks")
         buf.state[:] = [*equities, *assets, *lambdas, *weights0]
-        code = lib.levdyn_ticks(banks, *buf.inputs, r, phi, gamma, shocks.ctypes.data,
-                                shocks.size, *buf.outputs)
+        code = lib.levdyn_ticks(banks, *buf.inputs, r, phi, gamma, *source, buf.ticks,
+                                *buf.outputs)
         if code != _kernel.DEFER:
             equities[:] = buf.state[:banks]
             assets[:] = buf.state[banks:2 * banks]
             if code:
                 raise InsolvencyError(period=period, bank=buf.out[1])
             return buf.returns, buf.drift.value
+        if drawn:  # the deferred pass left the stream where it was
+            r, eps = eps.period(r)
     # raw doubles: 8 bytes a value, where a list of floats takes 32
-    returns = array("d")
+    returns = array("d", [r])
     held = array("d")
     for shock in memoryview(eps):  # Python floats, without a list
         r = phi * r + shock
@@ -171,51 +210,14 @@ def _ticks(
             total += a
         phi = demand / (gamma * total)
         returns.append(r)
-    held_assets = np.frombuffer(held).reshape(len(returns), banks)
+    held_assets = np.frombuffer(held).reshape(len(returns) - 1, banks)
     # silent, as the compiled loop is, where an infinite last shock makes
     # a row's total overflow or its weights inf / inf
     with np.errstate(invalid="ignore", over="ignore"):
-        totals = sum(held_assets.T, np.zeros(len(returns)))
+        totals = sum(held_assets.T, np.zeros(len(held_assets)))
         weights = held_assets / totals[:, None]
         drift = np.max(np.abs(weights - weights0), initial=0.0)
     return np.frombuffer(returns), float(drift)
-
-
-def _shock_blocks(
-    rng: np.random.Generator, horizon: int, n: int, scale: float
-) -> Iterator[np.ndarray]:
-    """Each of ``horizon`` periods' n + 1 draws from ``rng``, in stream
-    order: the standard normal z of the seed return, then the n shocks,
-    each formed as ``rng.normal(0.0, scale)`` forms it, 0.0 + scale * z.
-
-    A run of more than two blocks is drawn on one helper thread, each
-    block of periods while the caller consumes the block before it: both
-    the draw and the compiled tick loop release the GIL, so the two
-    overlap.  A shorter run is drawn in one call, because overlapping one
-    block with the ticks of the first saves less than the thread and the
-    wait for that first block cost.  Closing the generator joins the
-    thread.
-    """
-    def draw(periods: int) -> np.ndarray:
-        z = rng.standard_normal((periods, n + 1))
-        shocks = z[:, 1:]
-        shocks *= scale
-        shocks += 0.0  # as numpy adds loc, which turns a -0.0 shock into 0.0
-        return z
-
-    per_block = max(1, BLOCK_DRAWS // (n + 1))
-    if horizon <= 2 * per_block:
-        yield from draw(horizon)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="levdyn-shocks") as helper:
-        ahead = helper.submit(draw, per_block)
-        for start in range(per_block, horizon + per_block, per_block):
-            block = ahead.result()
-            if start < horizon:  # the next block, drawn while the caller takes this one
-                ahead = helper.submit(draw, min(per_block, horizon - start))
-            yield from block
 
 
 def _retarget(
@@ -335,9 +337,9 @@ def run_micro(
     sigma_sq = [1.0 / (base.alpha * lam) ** 2 for lam in lambdas]
     target_assets = [lam * e for lam, e in zip(lambdas, equities)]
     sigma_step = math.sqrt(params.sigma_eps_step_sq)
-    # started by the first stochastic period only, so zero_noise draws nothing
-    blocks = _shock_blocks(np.random.default_rng(params.rng_seed), params.horizon,
-                           params.n_intraday, sigma_step)
+    # zero_noise draws nothing, so it makes no stream
+    shocks = None if params.zero_noise else _Shocks(params.rng_seed, params.n_intraday,
+                                                    sigma_step)
     buffers = _TickBuffers(n_banks, params.n_intraday)
 
     lam_sto = np.empty((params.horizon, n_banks))
@@ -347,37 +349,34 @@ def run_micro(
     floored_any = False
 
     initial = list(lambdas)
-    with closing(blocks):
-        for t in range(params.horizon):
-            if params.zero_noise:
-                phi = base.ar1_coef(mean_field(lambdas, base.pis))
-                if not abs(phi) < 1.0:
-                    raise NonstationaryError(period=t, phi_hat=phi)
-                lambdas, sigma_sq, floored = _retarget(
-                    sigma_sq, base.omegas, base.sigma_eps_sq / ((1.0 - phi) ** 2),
-                    base.alpha,
+    for t in range(params.horizon):
+        if params.zero_noise:
+            phi = base.ar1_coef(mean_field(lambdas, base.pis))
+            if not abs(phi) < 1.0:
+                raise NonstationaryError(period=t, phi_hat=phi)
+            lambdas, sigma_sq, floored = _retarget(
+                sigma_sq, base.omegas, base.sigma_eps_sq / ((1.0 - phi) ** 2), base.alpha,
+            )
+            phis[t] = phi
+            sig_eps[t] = 0.0
+        else:
+            # stationary seed return, with phi taken from the actual asset
+            # mix (identical to the configured-weight value at period 0)
+            phi0 = _impact(lambdas, target_assets, base.gamma)
+            if not abs(phi0) < 1.0:
+                raise NonstationaryError(period=t, phi_hat=phi0)
+            returns, drift[t] = _ticks(equities, target_assets, lambdas,
+                                       sigma_step / math.sqrt(1.0 - phi0 * phi0), phi0,
+                                       base.gamma, shocks, t, buffers)
+            try:
+                lambdas, sigma_sq, phis[t], sig_eps[t], floored = close_period(
+                    returns[1:], float(returns[0]), sigma_sq, base.omegas, params
                 )
-                phis[t] = phi
-                sig_eps[t] = 0.0
-            else:
-                # stationary seed return, with phi taken from the actual asset
-                # mix (identical to the configured-weight value at period 0)
-                phi0 = _impact(lambdas, target_assets, base.gamma)
-                if not abs(phi0) < 1.0:
-                    raise NonstationaryError(period=t, phi_hat=phi0)
-                draws = next(blocks)
-                r0 = 0.0 + sigma_step / math.sqrt(1.0 - phi0 * phi0) * float(draws[0])
-                returns, drift[t] = _ticks(equities, target_assets, lambdas, r0, phi0,
-                                           base.gamma, draws[1:], t, buffers)
-                try:
-                    lambdas, sigma_sq, phis[t], sig_eps[t], floored = close_period(
-                        returns, r0, sigma_sq, base.omegas, params
-                    )
-                except NonstationaryError as exc:
-                    raise NonstationaryError(period=t, phi_hat=exc.phi_hat) from None
-            floored_any = floored_any or floored
-            target_assets = [lam * e for lam, e in zip(lambdas, equities)]
-            lam_sto[t] = lambdas
+            except NonstationaryError as exc:
+                raise NonstationaryError(period=t, phi_hat=exc.phi_hat) from None
+        floored_any = floored_any or floored
+        target_assets = [lam * e for lam, e in zip(lambdas, equities)]
+        lam_sto[t] = lambdas
     return MicroRun(
         lambdas_stochastic=lam_sto,
         lambdas_deterministic=_run_checked(initial, base, 0, params.horizon),

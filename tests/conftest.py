@@ -20,7 +20,8 @@ needs_kernel = pytest.mark.skipif(
 def python_loops() -> Iterator[None]:
     """Run every compiled loop's Python reference instead: orbits._run, and
     with it every tangent pass, loops in Python in place of levdyn_orbit,
-    micro._ticks in place of levdyn_ticks, attractor.occupied_box_counts
+    micro._ticks in place of levdyn_ticks, with a run's normals drawn by
+    numpy.random in place of levdyn's own, attractor.occupied_box_counts
     counts with numpy in place of levdyn_boxes, and output formats every
     CSV cell with format_value in place of levdyn_rows."""
     with pytest.MonkeyPatch.context() as patch:

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levdyn
-from levdyn import sweep
+from levdyn import _kernel, sweep
 from levdyn._draw import uniform
+from levdyn.micro import _Shocks
 from levdyn.params import ModelParams
 from levdyn.sweep import SweepSpec
+
+from conftest import needs_kernel
 
 #: single words, values past 2**32, 2**64 and 2**128, and 0
 entropy_ints = st.one_of(
@@ -102,3 +108,82 @@ def test_seeded_commands_load_neither_numpy_random_nor_openssl(tmp_path):
         assert "# seed: 3\n" in (tmp_path / f"{name}.out").read_text()
     for name in ("boxdim", "lyapunov"):
         assert json.loads((tmp_path / f"{name}.out").read_text())["provenance"]["seed"] == 3
+
+
+def _table(name: str) -> list[str]:
+    """The entries of one of the ziggurat's tables as ``_kernel.c`` spells them."""
+    body = re.search(rf"ZIGGURAT_{name}\[256\] = \{{(.*?)\}};", _kernel.SOURCE.read_text(), re.S)
+    return body.group(1).replace(",", " ").split()
+
+
+KI = [int(word, 16) for word in _table("KI")]
+WI, FI = ([float.fromhex(word) for word in _table(name)] for name in ("WI", "FI"))
+R, INV_R = float.fromhex("0x1.d3bb48209ad33p+1"), float.fromhex("0x1.183aa6c20e8c1p-2")
+
+
+def ziggurat(entropy, draws: int) -> tuple[list[float], Counter]:
+    """NumPy's ziggurat, as ``_kernel.c`` writes it, in Python on the raw
+    words of ``default_rng(entropy)``: the first ``draws`` normals, and
+    how many of them took the fast path, the tail (strip 0) or the wedge,
+    with the wedge's rejections."""
+    words = iter(np.random.default_rng(entropy).bit_generator.random_raw(
+        draws * 11 // 10 + 100).tolist())
+
+    def unit() -> float:
+        return (next(words) >> 11) * 2.0**-53
+
+    out, paths = [], Counter()
+    while len(out) < draws:
+        bits = next(words)
+        idx = bits & 0xFF
+        rabs = bits >> 9 & (2**52 - 1)
+        x = -(rabs * WI[idx]) if bits >> 8 & 1 else rabs * WI[idx]
+        if rabs < KI[idx]:
+            paths["fast"] += 1
+        elif idx == 0:
+            while True:
+                xx = -INV_R * math.log1p(-unit())
+                yy = -math.log1p(-unit())
+                if yy + yy > xx * xx:
+                    break
+            x = -(R + xx) if rabs >> 8 & 1 else R + xx
+            paths["tail"] += 1
+        elif (FI[idx - 1] - FI[idx]) * unit() + FI[idx] < math.exp(-0.5 * x * x):
+            paths["wedge"] += 1
+        else:
+            paths["rejected"] += 1
+            continue
+        out.append(x)
+    return out, paths
+
+
+@needs_kernel
+@settings(max_examples=100, deadline=None)
+@given(entropy=entropies, k=st.integers(0, 20_000))
+@example(entropy=0, k=1)
+@example(entropy=[2**128, 1, 2**64 - 1], k=20_000)
+def test_compiled_normals_are_numpys_standard_normals(entropy, k):
+    want = np.random.default_rng(entropy).standard_normal(k)
+    assert _Shocks(entropy, 0, 1.0).draw(k).tobytes() == want.tobytes()
+
+
+def test_a_long_run_of_normals_takes_the_tail_and_the_wedge():
+    # 500,000 draws of one stream, in two calls that carry the state over:
+    # NumPy's, levdyn's (with no compiled loops, numpy's again) and the
+    # Python ziggurat's, which counts the slow paths they take
+    entropy, draws = 20_260_517, 500_000
+    want = np.random.default_rng(entropy).standard_normal(draws).tobytes()
+    shocks = _Shocks(entropy, 0, 1.0)
+    assert np.concatenate([shocks.draw(123_457), shocks.draw(draws - 123_457)]).tobytes() == want
+    normals, paths = ziggurat(entropy, draws)
+    assert np.array(normals).tobytes() == want
+    assert paths["tail"] > 50 and paths["wedge"] > 1_000 and paths["rejected"] > 1_000
+
+
+def test_the_probes_pinned_normals_are_numpys():
+    pinned = _kernel.PROBE_NORMALS
+    want = np.random.default_rng(_kernel.PROBE_SEED).standard_normal(len(pinned)).tolist()
+    assert [x.hex() for x in pinned] == [x.hex() for x in want]
+    normals, paths = ziggurat(_kernel.PROBE_SEED, len(pinned))
+    assert normals == want
+    assert paths == Counter(fast=4, wedge=1, rejected=1, tail=1)

@@ -141,6 +141,25 @@ def test_a_box_counter_that_disagrees_is_not_loaded(tmp_path, monkeypatch):
 
 
 @needs_cc
+@pytest.mark.parametrize("branch, change", [
+    ("tail", ("#define ZIGGURAT_R 0x1.d3bb48209ad33p+1", "#define ZIGGURAT_R 0x1.d3bb48209ad35p+1")),
+    ("wedge", ("< exp(-0.5 * x * x)", "< 2.0")),
+])
+def test_a_normal_stream_that_disagrees_is_not_loaded(tmp_path, monkeypatch, branch, change):
+    # the probe's normals end in the tail, after a wedge draw that the
+    # ziggurat rejects: r moved by two of its ulps, one ulp of the tail
+    # draw, or a wedge that takes every draw gives other normals than the pins
+    monkeypatch.setattr(_kernel, "lib", _kernel.lib)
+    text = _kernel.SOURCE.read_text()
+    assert change[0] in text
+    path = tmp_path / "_kernel.c"
+    path.write_text(text.replace(*change))
+    monkeypatch.setattr(_kernel, "SOURCE", path)
+    monkeypatch.setattr(_kernel, "_directories", lambda: [tmp_path])
+    assert _kernel._load() is None
+
+
+@needs_cc
 def test_a_tick_pass_whose_drift_skips_the_last_tick_is_not_loaded(tmp_path, monkeypatch):
     # the probe's two banks drift further from their start weights at every
     # tick, so a scan that stops before the last tick reports a smaller drift
@@ -177,7 +196,8 @@ def test_every_exported_loop_is_bound():
     # ctypes would pass an unbound function's arguments as C ints
     exported = re.findall(r"^(?!static)[\w ]+?\b(levdyn_\w+)\(", _kernel.SOURCE.read_text(),
                           re.MULTILINE)
-    assert sorted(exported) == ["levdyn_boxes", "levdyn_orbit", "levdyn_rows", "levdyn_ticks"]
+    assert sorted(exported) == ["levdyn_boxes", "levdyn_normals", "levdyn_orbit", "levdyn_rows",
+                                "levdyn_ticks"]
     for name in exported:
         assert getattr(_kernel.lib, name).argtypes, name
 

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levdyn import micro
+import levdyn
+from levdyn import _kernel, micro
 from levdyn.errors import InsolvencyError, NonstationaryError, OrbitViolationError
 from levdyn.maps import advance
 from levdyn.micro import (
@@ -51,7 +56,8 @@ def tick(equities, assets, lambdas, r, gamma, shock) -> tuple[float, list[float]
         total += a
     weights = [a / total for a in assets]
     assert drift == max(abs(w - w0) for w, w0 in zip(weights, weights0))
-    return float(returns[0]), weights
+    assert returns[0] == r  # the start return, then the tick's
+    return float(returns[1]), weights
 
 
 class TestParams:
@@ -351,34 +357,28 @@ def test_run_micro_matches_tick_by_tick_oracle(setup):
         assert got.floored == want.floored
 
 
-#: runs of 10 and 8 periods that abort in period 1, partway through a
-#: draw block of 3 periods: insolvent, and nonstationary (phi_hat 1.039)
+#: runs of 10 and 8 periods that abort in period 1: insolvent, and
+#: nonstationary (phi_hat 1.039)
 INSOLVENT = (MicroParams(base=ModelParams(omegas=(0.72, 0.07), pis=(0.6, 0.4)),
                          n_intraday=100, horizon=10, rng_seed=682), [35.0, 97.0])
 NONSTATIONARY = (MicroParams(base=ModelParams(omegas=(0.0,), pis=(1.0,), sigma_eps_sq=1e-4),
                              n_intraday=10, horizon=8, rng_seed=983), [8.0])
 
 
-def _draw_blocks(periods: int, params: MicroParams):
-    """Draw blocks of ``periods`` periods of ``params``' run, and so a
-    helper thread for any run longer than two blocks."""
-    return mock.patch.object(micro, "BLOCK_DRAWS", periods * (params.n_intraday + 1))
-
-
 @pytest.mark.parametrize("loops", [nullcontext, python_loops])
 @settings(max_examples=100, deadline=None)
-@given(setup=micro_setups(), periods=st.integers(1, 4))
-@example(setup=INSOLVENT, periods=3)
-@example(setup=NONSTATIONARY, periods=3)
-def test_run_micro_drawn_in_blocks_matches_oracle(loops, setup, periods):
-    """Draw blocks of a few periods, so that a run longer than two blocks
-    is drawn on the helper thread and its blocks split it between periods,
-    some of its runs aborting partway through a block; on both tick
-    loops."""
+@given(setup=micro_setups())
+@example(setup=INSOLVENT)
+@example(setup=NONSTATIONARY)
+def test_stochastic_run_micro_matches_oracle_on_both_loops(loops, setup):
+    """Stochastic runs against the tick-by-tick oracle, which draws its
+    normals with numpy's rng.normal: on the compiled loop, which draws
+    them itself inside the tick pass, and on the Python loop, which
+    takes each period's from numpy in one call; some runs abort partway."""
     params, initial = setup
     params = dataclasses.replace(params, zero_noise=False)
     want = _outcome(oracle.run_micro, params, initial)
-    with loops(), _draw_blocks(periods, params):
+    with loops():
         got = _outcome(run_micro, params, initial)
     if isinstance(want, Exception):
         assert _error_fields(got) == _error_fields(want)
@@ -389,31 +389,52 @@ def test_run_micro_drawn_in_blocks_matches_oracle(loops, setup, periods):
         assert got.floored == want.floored
 
 
+@pytest.mark.parametrize("loops", [nullcontext, python_loops])
 @pytest.mark.parametrize("setup, error", [
     ((MicroParams(base=two_bank(0.8, 0.7, 0.4), n_intraday=150, horizon=25, rng_seed=12),
       [60.0, 75.0]), None),
     (INSOLVENT, InsolvencyError),
     (NONSTATIONARY, NonstationaryError),
 ])
-def test_no_helper_thread_outlives_run_micro(setup, error):
+def test_run_micro_starts_no_thread(loops, setup, error):
     params, initial = setup
-    ticks = micro._ticks
-    seen = []
-
-    def spy(*args):  # the threads alive while a period's ticks run
-        seen.append({t.name for t in threading.enumerate()})
-        return ticks(*args)
-
-    before = threading.active_count()
-    with _draw_blocks(3, params), mock.patch.object(micro, "_ticks", spy):
+    before = threading.enumerate()
+    started = AssertionError("run_micro started a thread")
+    with loops(), mock.patch.object(threading.Thread, "start", side_effect=started):
         if error is None:
             run_micro(params, initial)
         else:
             with pytest.raises(error) as info:
                 run_micro(params, initial)
-            assert info.value.period == 1  # period 1 of the first block's 3
-    assert any(name.startswith("levdyn-shocks") for name in seen[0])
-    assert threading.active_count() == before
+            assert info.value.period == 1
+    assert threading.enumerate() == before
+
+
+def test_run_micro_loads_no_numpy_random():
+    """In a fresh process, ``import levdyn`` and then a zero-noise run on
+    either loop, and a stochastic run on the compiled loops, leave
+    numpy.random unloaded and start no thread."""
+    src = str(Path(levdyn.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, threading, levdyn\n"
+        "from levdyn import _kernel\n"
+        "from levdyn.micro import MicroParams, run_micro\n"
+        "from levdyn.params import ModelParams\n"
+        "seen = ['numpy.random' in sys.modules]\n"
+        "for zero in [True] + [False] * (_kernel.lib is not None):\n"
+        "    run_micro(MicroParams(base=ModelParams(omegas=(0.8, 0.6), pis=(0.4, 0.6)),\n"
+        "                          n_intraday=100, horizon=5, rng_seed=3, zero_noise=zero),\n"
+        "              [50.0, 60.0])\n"
+        "    seen.append('numpy.random' in sys.modules)\n"
+        "print(*seen, threading.active_count())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    runs = 2 if _kernel.lib is not None else 1
+    assert done.stdout.split() == ["False"] * (1 + runs) + ["1"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -502,6 +523,23 @@ def test_buffers_for_another_tick_count_are_refused(shocks):
     with pytest.raises(ValueError, match="buffers for 4 ticks"):
         _ticks(equities, assets, [10.0], 0.0, 0.09, 100.0, shocks, 0, _TickBuffers(1, 4))
     assert (equities, assets) == ([0.1], [1.0])
+
+
+@needs_kernel
+def test_a_deferred_drawing_pass_draws_its_normals_again():
+    # a zero leverage makes the first tick's depth 0: the compiled pass
+    # defers without moving the stream, and the Python loop draws the
+    # period's start return and 4 shocks from it and raises, as it does
+    # on numpy's stream
+    def outcome(shocks):
+        with pytest.raises(ZeroDivisionError):
+            _ticks([0.1], [1.0], [0.0], 2e-3, 0.5, 100.0, shocks, 0)
+        return shocks.draw(1).tobytes()
+
+    got = outcome(micro._Shocks(5, 4, 1e-3))
+    with python_loops():
+        assert outcome(micro._Shocks(5, 4, 1e-3)) == got
+    assert got == np.random.default_rng(5).standard_normal(6)[5:].tobytes()
 
 
 @needs_kernel
