@@ -167,8 +167,6 @@ def _ticks(
     weights0 = [a / total0 for a in assets]
     banks = len(equities)
     lib = _kernel.lib if banks == len(assets) == len(lambdas) else None
-    if isinstance(eps, _Shocks) and lib is None:
-        r, eps = eps.period(r)
     drawn = isinstance(eps, _Shocks)
     if lib is not None:
         if drawn:  # levdyn_ticks draws the start return and the shocks
@@ -188,8 +186,8 @@ def _ticks(
             if code:
                 raise InsolvencyError(period=period, bank=buf.out[1])
             return buf.returns, buf.drift.value
-        if drawn:  # the deferred pass left the stream where it was
-            r, eps = eps.period(r)
+    if drawn:  # a deferred pass left the stream where it was
+        r, eps = eps.period(r)
     # raw doubles: 8 bytes a value, where a list of floats takes 32
     returns = array("d", [r])
     held = array("d")
