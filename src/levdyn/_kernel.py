@@ -15,18 +15,20 @@ gives, and its first normals of PROBE_SEED equal PROBE_NORMALS, NumPy's,
 with a tick pass that draws them giving the bytes of the Python loop on
 the pinned values; otherwise, also where that self-check raises, it is
 None, ``orbits._run`` (behind every Lyapunov exponent too) and
-``micro._ticks`` loop in Python, ``micro`` draws its shocks with
-``numpy.random``, ``attractor`` counts boxes with numpy and ``output``
-formats every cell in Python.  There are four compiled loops and a
-stream.  ``levdyn_orbit`` runs an orbit's transient and then its window,
-recording the states, stepping k tangent vectors on the step's
-Jacobian, or both: its one caller, ``orbits._run``, calls it with k = 0
-to record an orbit and with k >= 1 once per Lyapunov exponent; where a
-vector vanishes it defers to Python.  ``levdyn_ticks`` is the intraday
+``micro._ticks`` loop in Python, ``micro`` draws its shocks and ``lyap``
+its start vectors with ``numpy.random``, ``attractor`` counts boxes with
+numpy and ``output`` formats every cell in Python.  There are four
+compiled loops and a stream.  ``levdyn_orbit`` runs an orbit's
+transient and then its window, recording the states, stepping k
+tangent vectors on the step's Jacobian, or both: its one caller,
+``orbits._run``, calls it with k = 0 to record an orbit and with
+k >= 1 once per Lyapunov exponent; where a vector vanishes it defers to
+Python.  ``levdyn_ticks`` is the intraday
 tick pass, which scans the drift of the banks' asset weights as it goes
 and draws its start return and shocks, those of
 ``np.random.default_rng(seed).standard_normal``, from levdyn's own PCG64
-and ziggurat; ``levdyn_normals`` draws the same stream on its own.
+and ziggurat; ``levdyn_normals`` draws the same stream on its own, for
+``lyap``'s start vectors and a tick pass that defers to Python.
 ``levdyn_boxes`` marks the occupancy grids of
 ``attractor.occupied_box_counts``, one bit a cell, in one pass over a cloud
 and counts them, and ``levdyn_rows`` formats the cells of ``output._block_texts``.

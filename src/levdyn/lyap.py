@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleStateError, OrbitViolationError
 from .maps import fiber_map
+from .micro import _Shocks
 from .orbits import LOG_FLOOR, _orthogonalised, _run_checked
 from .params import LeverageState, ModelParams
 
@@ -98,11 +99,14 @@ def lyapunov_top(
 
 @lru_cache(maxsize=64)
 def _start_vector(seed: int, n: int) -> tuple[float, ...]:
-    """The unit vector ``lyapunov_top`` starts from: n standard normals of
-    ``default_rng(seed)``, normalised as ``_orthogonalised`` measures them.
-    Drawn once per (seed, n): every exponent of a sweep starts from it, and
-    building its generator costs a third of a short compiled exponent."""
-    v, norm = _orthogonalised(np.random.default_rng(seed).standard_normal(n).tolist(), [])
+    """The unit vector ``lyapunov_top`` starts from: the first n normals of
+    ``micro``'s ``_Shocks`` stream for ``seed``, those of
+    ``default_rng(seed).standard_normal``, normalised as ``_orthogonalised``
+    measures them.  Where the compiled loops loaded, levdyn draws them from
+    its own PCG64 and ziggurat, so no grid process, pool workers included,
+    imports ``numpy.random``; with no library, numpy draws them.  Drawn once
+    per (seed, n): every exponent of a sweep starts from it."""
+    v, norm = _orthogonalised(_Shocks(seed, 0, 1.0).draw(n).tolist(), [])
     return tuple(x / norm for x in v)
 
 

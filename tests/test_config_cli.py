@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import importlib.util
 import io
@@ -1001,6 +1002,55 @@ class TestReproducibility:
         assert main(["fixedpoint", "--config", cfg, "--out", str(a)]) == 0
         assert main(["fixedpoint", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+#: fig5 at the benchmark's smoke size
+FIG5_SMOKE = {"run": {"seed": 1, "transient": 200, "record": 60}, "sweep": {"resolution": 6}}
+
+
+class TestProcessEntry:
+    def test_main_in_process_freezes_nothing(self, tmp_path):
+        cfg = write_config(tmp_path, FIG5_SMOKE)
+        frozen = gc.get_freeze_count()
+        assert main(["bifurcate", "--preset", "fig5", "--config", cfg, "--workers", "1",
+                     "--out", str(tmp_path / "a.csv")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_the_process_entry_freezes_before_the_command(self, tmp_path):
+        """``python -m levdyn.cli``, run as ``-m`` runs it, with the sweep
+        wrapped to record the freeze count it starts at: nothing is frozen
+        before the module runs, the command starts with the imports'
+        objects frozen, and the CSV is the in-process run's but for the
+        timestamp line."""
+        cfg = write_config(tmp_path, FIG5_SMOKE)
+        entry_out, main_out = tmp_path / "entry.csv", tmp_path / "main.csv"
+        argv = ["levdyn", "bifurcate", "--preset", "fig5", "--config", cfg, "--workers", "1"]
+        src = str(Path(levdyn.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import gc, runpy, sys\n"
+            "import levdyn.sweep as sweep\n"
+            "seen = [gc.get_freeze_count()]\n"
+            "run_sweep = sweep.run_sweep\n"
+            "def counted(*args, **kwargs):\n"
+            "    seen.append(gc.get_freeze_count())\n"
+            "    return run_sweep(*args, **kwargs)\n"
+            "sweep.run_sweep = counted\n"
+            f"sys.argv = {[*argv, '--out', str(entry_out)]!r}\n"
+            "try:\n"
+            "    runpy.run_module('levdyn.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, *seen)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        exit_code, before, at_command = map(int, done.stdout.split())
+        assert (exit_code, before) == (0, 0)
+        assert at_command > 10_000  # numpy's and levdyn's, about 23,000
+        assert main([*argv[1:], "--out", str(main_out)]) == 0
+        assert strip_timestamp(entry_out) == strip_timestamp(main_out)
 
 
 class TestDigests:

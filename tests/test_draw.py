@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import math
@@ -108,6 +109,54 @@ def test_seeded_commands_load_neither_numpy_random_nor_openssl(tmp_path):
         assert "# seed: 3\n" in (tmp_path / f"{name}.out").read_text()
     for name in ("boxdim", "lyapunov"):
         assert json.loads((tmp_path / f"{name}.out").read_text())["provenance"]["seed"] == 3
+
+
+@needs_kernel
+def test_grid_commands_load_no_numpy_random_in_process_or_in_workers(tmp_path):
+    """In a fresh process on the compiled loops, every exponent's start
+    vector is levdyn's own draw: grid points run in pool workers, forked
+    before any command, leave numpy.random out of each worker, and then
+    bifurcate and stability-map on small seeded configs, on one worker,
+    leave it out of the main process."""
+    bif, grid = tmp_path / "bif.json", tmp_path / "map.json"
+    run = {"seed": 1, "transient": 200, "record": 60}
+    bif.write_text(json.dumps({"run": run, "sweep": {"resolution": 6}}))
+    grid.write_text(json.dumps({
+        "model": {"omegas": [0.5, 0.3], "pis": [0.5, 0.5]}, "run": run,
+        "stability": {"omega1_range": [0.0, 1.0], "omega2_range": [0.0, 1.0],
+                      "resolution": [4, 4], "pi1": 0.5},
+    }))
+    commands = [
+        ["bifurcate", "--preset", "fig5", "--config", str(bif), "--workers", "1",
+         "--out", str(tmp_path / "bif.csv")],
+        ["stability-map", "--config", str(grid), "--workers", "1",
+         "--out", str(tmp_path / "map.csv")],
+    ]
+    src = str(Path(levdyn.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from levdyn import sweep\n"
+        "from levdyn.cli import main\n"
+        "from levdyn.params import ModelParams\n"
+        "def probe(spec, value):\n"
+        "    record = sweep._eval_point(spec, value)\n"
+        "    return record.lyapunov_top is not None, 'numpy.random' in sys.modules\n"
+        "spec = sweep.SweepSpec(axis='pi1', bounds=(0.0, 1.0), resolution=4,\n"
+        "                       fixed=ModelParams(omegas=(0.5, 0.3), pis=(0.5, 0.5)),\n"
+        "                       transient=200, record=60, rng_seed=1)\n"
+        "workers = sweep._map(probe, [(spec, float(v)) for v in spec.grid()], 2)\n"
+        f"codes = [main(args) for args in {commands!r}]\n"
+        "print(workers, codes, 'numpy.random' in sys.modules, sep='\\n')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    workers, codes, numpy_random = map(ast.literal_eval, done.stdout.splitlines())
+    exponents, loaded = zip(*workers)
+    assert any(exponents) and loaded == (False,) * 4
+    assert (codes, numpy_random) == ([0, 0], False)
 
 
 def _table(name: str) -> list[str]:

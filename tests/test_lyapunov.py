@@ -445,6 +445,20 @@ def test_the_kept_start_vector_is_the_seeded_first_draw(seed, n):
     assert lyap._start_vector(seed, n) == tuple(first)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 4))
+@example(seed=0, n=1)
+@example(seed=2**63 - 1, n=4)
+def test_start_vector_is_numpys_normals_normalised(seed, n):
+    """The start vector, drawn afresh past the cache, is NumPy's first n
+    standard normals of ``seed`` normalised, bit for bit: levdyn's own
+    stream on the compiled loops, numpy's on the Python loops."""
+    want = [x.hex() for x in _seeded_unit(np.random.default_rng(seed), n)]
+    for loops in (nullcontext, python_loops):
+        with loops():
+            assert [x.hex() for x in lyap._start_vector.__wrapped__(seed, n)] == want
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_vanishing_starts_restart_from_e1(seed):
     """On the SUPERSTABLE starts the tangent vector vanishes and restarts
